@@ -231,6 +231,15 @@ def _sweep_row(entry: dict) -> list:
 
 def cmd_sweep(args) -> int:
     settings = _merge_settings(args, _SWEEP_FIELDS)
+    # Rows are keyed by (delta, seed), so a repeated entry would rerun
+    # the same job and repeat its row.
+    for name in ("delta", "seed"):
+        values = settings[name]
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ValueError(
+                f"duplicate --{name} entries: {', '.join(map(str, repeated))}"
+            )
     specs = [
         _make_spec(settings, delta=delta, seed=seed)
         for delta in settings["delta"]

@@ -12,6 +12,13 @@ of traces (d * u on the inaccessible side, p * u on the accessible side)
 pushed through the boundary load quadrature.  Because the operator is one
 shared symmetric matrix, the adjoint identity between the two solves holds
 to solver precision, which the tests rely on.
+
+EllipticProblem carries the problem protocol that the outer loop and the
+verification probes run on, shared with ParabolicProblem: operator,
+forward, derivative and adjoint wrap the module functions below, inner is
+the segment inner product, integrate is the identity (a stationary field
+is its own gradient), and levels selects the whole trace as the one level
+that carries weight.
 """
 
 from __future__ import annotations
@@ -51,15 +58,34 @@ class EllipticProblem:
         if self.gamma_max < self.gamma_min:
             raise ValueError("gamma_max must not be below gamma_min")
 
+    # Problem protocol.  The methods reach the module functions through
+    # their global names at call time, so a rebinding of those names holds.
+
+    levels = (...,)  # the whole trace is the one weighted level
+
+    def operator(self, gamma: np.ndarray) -> sparse.csr_matrix:
+        return assemble_operator(self, gamma)
+
+    def forward(self, gamma, op, tol: float) -> np.ndarray:
+        return solve_forward(self, gamma, tol=tol, operator=op)
+
+    def derivative(self, gamma, u, d, op, tol: float) -> np.ndarray:
+        return solve_derivative(self, gamma, u, d, tol=tol, operator=op)
+
+    def adjoint(self, gamma, u, p, op, tol: float) -> np.ndarray:
+        return solve_adjoint(self, gamma, u, p, tol=tol, operator=op)
+
+    def inner(self, tag: SegmentTag, u: np.ndarray, v: np.ndarray) -> float:
+        return fem.boundary_inner(self.mesh, tag, u, v)
+
+    def integrate(self, series: np.ndarray) -> np.ndarray:
+        return series
+
 
 def assemble_operator(prob: EllipticProblem, gamma: np.ndarray) -> sparse.csr_matrix:
     """The SPD system matrix K_a + M_c + B_gamma for a nodal gamma."""
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < prob.gamma_min) or np.any(gamma > prob.gamma_max):
-        raise ValueError(
-            f"gamma leaves the admissible box "
-            f"[{prob.gamma_min}, {prob.gamma_max}]"
-        )
+    fem.require_in_box(gamma, prob.gamma_min, prob.gamma_max)
     K = fem.assemble_stiffness(prob.mesh, prob.a)
     M = fem.assemble_mass(prob.mesh, prob.c)
     B = fem.assemble_boundary_mass(prob.mesh, SegmentTag.INACCESSIBLE, gamma)

@@ -171,14 +171,10 @@ def exact_observation(example: Example, solver_tol: float = 1e-10) -> np.ndarray
     Elliptic examples give one segment field, parabolic ones a
     (nt + 1, segment nodes) series.
     """
-    mesh = example.problem.mesh
-    gamma = interpolate_gamma(mesh, example.gamma_star)
-    seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
-    if example.kind == "elliptic":
-        u = ell.solve_forward(example.problem, gamma, tol=solver_tol)
-        return u[seg_a]
-    u = par.solve_forward_parabolic(example.problem, gamma, tol=solver_tol)
-    return u[:, seg_a]
+    prob = example.problem
+    gamma = interpolate_gamma(prob.mesh, example.gamma_star)
+    u = prob.forward(gamma, prob.operator(gamma), solver_tol)
+    return u[..., prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)]
 
 
 def add_noise(z: np.ndarray, delta: float, seed: int) -> np.ndarray:
@@ -292,6 +288,21 @@ class IdentityCheck:
         return float(self.errors.max())
 
 
+# Example each verification probe runs on, by problem kind.
+_PROBE_EXAMPLES = {"elliptic": "5.1", "parabolic": "5.3"}
+
+
+def _probe_setup(kind: str, nx: int, ny: int, nt: int, solver_tol: float):
+    """Probe example at its exact coefficient, with operator and state."""
+    if kind not in _PROBE_EXAMPLES:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    example = make_example(_PROBE_EXAMPLES[kind], nx=nx, ny=ny, nt=nt)
+    prob = example.problem
+    gamma = interpolate_gamma(prob.mesh, example.gamma_star)
+    op = prob.operator(gamma)
+    return prob, gamma, op, prob.forward(gamma, op, solver_tol)
+
+
 def adjoint_identity_errors(
     kind: str,
     nx: int = 8,
@@ -309,56 +320,19 @@ def adjoint_identity_errors(
     Both sides hinge only on transposition of one matrix, so the gap
     should sit at the linear solver tolerance, far below ADJOINT_TOL.
     """
+    prob, gamma, op, u = _probe_setup(kind, nx, ny, nt, solver_tol)
+    seg_i = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
+    seg_a = prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)
+    u_i, u_a = u[..., seg_i], u[..., seg_a]
     rng = np.random.default_rng(seed)
     errors = np.empty(n_trials)
-    if kind == "elliptic":
-        example = make_example("5.1", nx=nx, ny=ny)
-        prob = example.problem
-        mesh = prob.mesh
-        seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
-        seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
-        gamma = interpolate_gamma(mesh, example.gamma_star)
-        operator = ell.assemble_operator(prob, gamma)
-        u = ell.solve_forward(prob, gamma, tol=solver_tol, operator=operator)
-        for i in range(n_trials):
-            d = rng.uniform(-1.0, 1.0, seg_i.size)
-            p = rng.uniform(-1.0, 1.0, seg_a.size)
-            w = ell.solve_derivative(prob, gamma, u, d, tol=solver_tol,
-                                     operator=operator)
-            ws = ell.solve_adjoint(prob, gamma, u, p, tol=solver_tol,
-                                   operator=operator)
-            lhs = fem.boundary_inner(mesh, SegmentTag.ACCESSIBLE,
-                                     w[seg_a], u[seg_a] * p)
-            rhs = fem.boundary_inner(mesh, SegmentTag.INACCESSIBLE,
-                                     u[seg_i] * d, ws[seg_i])
-            errors[i] = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
-        return IdentityCheck(errors=errors)
-    if kind != "parabolic":
-        raise ValueError(f"unknown problem kind {kind!r}")
-    example = make_example("5.3", nx=nx, ny=ny, nt=nt)
-    prob = example.problem
-    mesh = prob.mesh
-    seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
-    seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
-    gamma = interpolate_gamma(mesh, example.gamma_star)
-    operator = par.build_operator(prob, gamma)
-    u = par.solve_forward_parabolic(prob, gamma, tol=solver_tol,
-                                    operator=operator)
-    u_i = par.trace_series(mesh, SegmentTag.INACCESSIBLE, u)
-    u_a = par.trace_series(mesh, SegmentTag.ACCESSIBLE, u)
     for i in range(n_trials):
         d = rng.uniform(-1.0, 1.0, seg_i.size)
-        p = rng.uniform(-1.0, 1.0, (prob.nt + 1, seg_a.size))
-        w = par.solve_derivative_parabolic(prob, gamma, u, d, tol=solver_tol,
-                                           operator=operator)
-        ws = par.solve_adjoint_parabolic(prob, gamma, u, p, tol=solver_tol,
-                                         operator=operator)
-        w_a = par.trace_series(mesh, SegmentTag.ACCESSIBLE, w)
-        ws_i = par.trace_series(mesh, SegmentTag.INACCESSIBLE, ws)
-        lhs = par.space_time_inner(mesh, SegmentTag.ACCESSIBLE,
-                                   w_a, u_a * p, prob.dt)
-        rhs = par.space_time_inner(mesh, SegmentTag.INACCESSIBLE,
-                                   u_i * d[None, :], ws_i, prob.dt)
+        p = rng.uniform(-1.0, 1.0, u_a.shape)
+        w = prob.derivative(gamma, u, d, op, solver_tol)
+        ws = prob.adjoint(gamma, u, p, op, solver_tol)
+        lhs = prob.inner(SegmentTag.ACCESSIBLE, w[..., seg_a], u_a * p)
+        rhs = prob.inner(SegmentTag.INACCESSIBLE, u_i * d, ws[..., seg_i])
         errors[i] = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
     return IdentityCheck(errors=errors)
 
@@ -388,46 +362,20 @@ def derivative_fd_check(
     remainder and decays linearly in the step, which is what the fitted
     order asserts.
     """
+    prob, gamma, op, u = _probe_setup(kind, nx, ny, nt, solver_tol)
+    seg_a = prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)
+    d = np.ones(prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE).size)
+    w_a = prob.derivative(gamma, u, d, op, solver_tol)[..., seg_a]
+
+    def norm(x: np.ndarray) -> float:
+        return np.sqrt(prob.inner(SegmentTag.ACCESSIBLE, x, x))
+
+    ref = norm(w_a)
     errors = np.empty(len(eps_values))
-    if kind == "elliptic":
-        example = make_example("5.1", nx=nx, ny=ny)
-        prob = example.problem
-        mesh = prob.mesh
-        seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
-        gamma = interpolate_gamma(mesh, example.gamma_star)
-        d = np.ones(mesh.segment_nodes(SegmentTag.INACCESSIBLE).size)
-        operator = ell.assemble_operator(prob, gamma)
-        u = ell.solve_forward(prob, gamma, tol=solver_tol, operator=operator)
-        w = ell.solve_derivative(prob, gamma, u, d, tol=solver_tol,
-                                 operator=operator)
-        ref = fem.boundary_norm(mesh, SegmentTag.ACCESSIBLE, w[seg_a])
-        for i, eps in enumerate(eps_values):
-            u_eps = ell.solve_forward(prob, gamma + eps * d, tol=solver_tol)
-            gap = (u_eps[seg_a] - u[seg_a]) / eps - w[seg_a]
-            errors[i] = fem.boundary_norm(mesh, SegmentTag.ACCESSIBLE, gap) / ref
-    elif kind == "parabolic":
-        example = make_example("5.3", nx=nx, ny=ny, nt=nt)
-        prob = example.problem
-        mesh = prob.mesh
-        seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
-        gamma = interpolate_gamma(mesh, example.gamma_star)
-        d = np.ones(mesh.segment_nodes(SegmentTag.INACCESSIBLE).size)
-        operator = par.build_operator(prob, gamma)
-        u = par.solve_forward_parabolic(prob, gamma, tol=solver_tol,
-                                        operator=operator)
-        w = par.solve_derivative_parabolic(prob, gamma, u, d, tol=solver_tol,
-                                           operator=operator)
-        w_a = w[:, seg_a]
-        ref = np.sqrt(par.space_time_inner(mesh, SegmentTag.ACCESSIBLE,
-                                           w_a, w_a, prob.dt))
-        for i, eps in enumerate(eps_values):
-            u_eps = par.solve_forward_parabolic(prob, gamma + eps * d,
-                                                tol=solver_tol)
-            gap = (u_eps[:, seg_a] - u[:, seg_a]) / eps - w_a
-            errors[i] = np.sqrt(par.space_time_inner(
-                mesh, SegmentTag.ACCESSIBLE, gap, gap, prob.dt)) / ref
-    else:
-        raise ValueError(f"unknown problem kind {kind!r}")
+    for i, eps in enumerate(eps_values):
+        gamma_eps = gamma + eps * d
+        u_eps = prob.forward(gamma_eps, prob.operator(gamma_eps), solver_tol)
+        errors[i] = norm((u_eps[..., seg_a] - u[..., seg_a]) / eps - w_a) / ref
     slope = np.polyfit(np.log(np.asarray(eps_values)), np.log(errors), 1)[0]
     return FdCheck(eps_values=tuple(eps_values), errors=errors,
                    order=float(slope))
@@ -478,7 +426,7 @@ def oracle_optimality_check(
     gamma_k = np.asarray(gamma_k, dtype=float)
     z = np.asarray(z, dtype=float)
 
-    residual_norm, beta, grad = lm._elliptic_quantities(
+    residual_norm, beta, grad = lm._quantities(
         prob, gamma_k, z, trace_guard, solver_tol
     )
     if beta_override is not None:

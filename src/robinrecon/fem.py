@@ -334,3 +334,16 @@ def boundary_inner(mesh: Mesh, tag: SegmentTag, u: np.ndarray, v: np.ndarray) ->
 def boundary_norm(mesh: Mesh, tag: SegmentTag, u: np.ndarray) -> float:
     """Segment L2 norm, the square root of the self inner product."""
     return float(np.sqrt(boundary_inner(mesh, tag, u, u)))
+
+
+def require_in_box(values: np.ndarray, lo: float, hi: float,
+                   name: str = "gamma") -> None:
+    """Raise ValueError unless every entry lies in [lo, hi].
+
+    Written as a conjunction of the two bounds so that NaN, which fails
+    every comparison, is rejected instead of slipping through.
+    """
+    if not np.all((values >= lo) & (values <= hi)):
+        raise ValueError(
+            f"{name} leaves the admissible box [{lo}, {hi}] or is not a number"
+        )

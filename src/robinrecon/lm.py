@@ -6,13 +6,17 @@ problem, and updates the coefficient by the closed-form minimizer of a
 quadratic surrogate: delta = u * w / (A + beta) on the inaccessible
 segment, followed by nodal clamping to the admissible box.
 
-Exactness notes.  The elliptic residual norm is computed first and beta
-is literally residual * residual, so the squared relation holds bit for
-bit in the history.  The parabolic beta is the space-time integral
-itself and the recorded residual is its square root.  The update is the
-exact minimizer of the surrogate quadratic in the segment inner product,
-whatever SPD weighting that inner product carries, because both terms of
-the quadratic use the same one.
+Both problem kinds run the same code through the problem protocol of
+EllipticProblem and ParabolicProblem (operator, forward, adjoint, inner,
+integrate, levels); only those methods know whether a trace is one field
+or a time series.
+
+Exactness notes.  The residual norm is computed first, as the square root
+of the misfit inner product, and beta is literally residual * residual,
+so the squared relation holds bit for bit in the history for both kinds.
+The update is the exact minimizer of the surrogate quadratic in the
+segment inner product, whatever SPD weighting that inner product carries,
+because both terms of the quadratic use the same one.
 """
 
 from __future__ import annotations
@@ -115,11 +119,11 @@ def _resolve_bounds(prob, cfg: LmConfig) -> tuple[float, float]:
 
 
 def _check_guard(u_a: np.ndarray, seg_nodes: np.ndarray, guard: float,
-                 level: int | None = None) -> None:
+                 level=...) -> None:
     bad = np.flatnonzero(np.abs(u_a) < guard)
     if bad.size == 0:
         return
-    where = "" if level is None else f"time level {level}: "
+    where = "" if level is ... else f"time level {level}: "
     ids = ", ".join(str(seg_nodes[j]) for j in bad[:5])
     more = "" if bad.size <= 5 else f" (+{bad.size - 5} more)"
     raise TraceGuardError(
@@ -128,69 +132,41 @@ def _check_guard(u_a: np.ndarray, seg_nodes: np.ndarray, guard: float,
     )
 
 
-def _elliptic_quantities(
-    prob: ell.EllipticProblem,
+def _quantities(
+    prob,
     gamma: np.ndarray,
     z: np.ndarray,
     trace_guard: float,
     solver_tol: float,
 ) -> tuple[float, float, np.ndarray]:
-    """Residual norm, beta and the raw update direction u*w on the segment."""
+    """Residual norm, beta and the raw update direction on the segment.
+
+    z is the accessible trace the forward solve is compared with: one
+    segment field for a stationary problem, one per time level for a
+    march.  Only the levels the problem weights are guarded and divided;
+    elsewhere the adjoint weight stays zero (a zero initial value would
+    make the initial level 0/0).
+    """
     mesh = prob.mesh
     seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
     seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
     z = np.asarray(z, dtype=float)
-    if z.shape != seg_a.shape:
-        raise ValueError(
-            f"data has shape {z.shape}, accessible segment has {seg_a.shape}"
-        )
-    operator = ell.assemble_operator(prob, gamma)
-    u = ell.solve_forward(prob, gamma, tol=solver_tol, operator=operator)
-    u_a = u[seg_a]
+    if not np.all(np.isfinite(z)):
+        raise ValueError("data z holds non-finite values (NaN or inf)")
+    op = prob.operator(gamma)
+    u = prob.forward(gamma, op, solver_tol)
+    u_a = u[..., seg_a]
+    if z.shape != u_a.shape:
+        raise ValueError(f"data has shape {z.shape}, expected {u_a.shape}")
     r = z - u_a
-    residual_norm = float(
-        np.sqrt(fem.boundary_inner(mesh, SegmentTag.ACCESSIBLE, r, r))
-    )
+    residual_norm = float(np.sqrt(prob.inner(SegmentTag.ACCESSIBLE, r, r)))
     beta = residual_norm * residual_norm
-    _check_guard(u_a, seg_a, trace_guard)
-    p = r / u_a
-    w = ell.solve_adjoint(prob, gamma, u, p, tol=solver_tol, operator=operator)
-    return residual_norm, beta, u[seg_i] * w[seg_i]
-
-
-def _parabolic_quantities(
-    prob: par.ParabolicProblem,
-    gamma: np.ndarray,
-    z: np.ndarray,
-    trace_guard: float,
-    solver_tol: float,
-) -> tuple[float, float, np.ndarray]:
-    """Space-time analogue of the elliptic step quantities."""
-    mesh = prob.mesh
-    seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
-    z = np.asarray(z, dtype=float)
-    if z.shape != (prob.nt + 1, seg_a.size):
-        raise ValueError(
-            f"data has shape {z.shape}, expected {(prob.nt + 1, seg_a.size)}"
-        )
-    operator = par.build_operator(prob, gamma)
-    u = par.solve_forward_parabolic(prob, gamma, tol=solver_tol, operator=operator)
-    u_a = u[:, seg_a]
-    r = z - u_a
-    beta = par.space_time_inner(mesh, SegmentTag.ACCESSIBLE, r, r, prob.dt)
-    residual_norm = float(np.sqrt(beta))
-    # The initial level carries no quadrature weight, so the guard and the
-    # division skip it; with a zero initial value it would be 0/0.
     p = np.zeros_like(r)
-    for n in range(1, prob.nt + 1):
+    for n in prob.levels:
         _check_guard(u_a[n], seg_a, trace_guard, level=n)
         p[n] = r[n] / u_a[n]
-    w = par.solve_adjoint_parabolic(
-        prob, gamma, u, p, tol=solver_tol, operator=operator
-    )
-    u_i = par.trace_series(mesh, SegmentTag.INACCESSIBLE, u)
-    w_i = par.trace_series(mesh, SegmentTag.INACCESSIBLE, w)
-    grad = par.time_integral_boundary(u_i * w_i, prob.dt)
+    w = prob.adjoint(gamma, u, p, op, solver_tol)
+    grad = prob.integrate(u[..., seg_i] * w[..., seg_i])
     return residual_norm, beta, grad
 
 
@@ -228,6 +204,14 @@ def _advance(prob, state: LmState, residual_norm: float, beta: float,
     )
 
 
+def _step(prob, state: LmState, z: np.ndarray, cfg: LmConfig,
+          gamma_star: np.ndarray | None) -> LmState:
+    residual_norm, beta, grad = _quantities(
+        prob, state.gamma, z, cfg.trace_guard, cfg.solver_tol
+    )
+    return _advance(prob, state, residual_norm, beta, grad, cfg, gamma_star)
+
+
 def lm_step_elliptic(
     prob: ell.EllipticProblem,
     state: LmState,
@@ -236,10 +220,7 @@ def lm_step_elliptic(
     gamma_star: np.ndarray | None = None,
 ) -> LmState:
     """One elliptic iteration: forward, adjoint, closed-form update, clamp."""
-    residual_norm, beta, grad = _elliptic_quantities(
-        prob, state.gamma, z, cfg.trace_guard, cfg.solver_tol
-    )
-    return _advance(prob, state, residual_norm, beta, grad, cfg, gamma_star)
+    return _step(prob, state, z, cfg, gamma_star)
 
 
 def lm_step_parabolic(
@@ -250,10 +231,7 @@ def lm_step_parabolic(
     gamma_star: np.ndarray | None = None,
 ) -> LmState:
     """One parabolic iteration; z holds data at every time level."""
-    residual_norm, beta, grad = _parabolic_quantities(
-        prob, state.gamma, z, cfg.trace_guard, cfg.solver_tol
-    )
-    return _advance(prob, state, residual_norm, beta, grad, cfg, gamma_star)
+    return _step(prob, state, z, cfg, gamma_star)
 
 
 def _step_function(prob):
@@ -286,8 +264,7 @@ def run(
             f"gamma0 has shape {gamma0.shape}, segment has {seg_i.shape}"
         )
     g1, g2 = _resolve_bounds(prob, cfg)
-    if np.any(gamma0 < g1) or np.any(gamma0 > g2):
-        raise ValueError(f"gamma0 leaves the admissible box [{g1}, {g2}]")
+    fem.require_in_box(gamma0, g1, g2, name="gamma0")
     step = _step_function(prob)
     state = LmState(k=0, gamma=gamma0)
     reason = "max_iters"
@@ -326,12 +303,7 @@ def make_surrogate_objective(
     the callable exists so tests can probe that claim.
     """
     gamma_k = np.asarray(gamma_k, dtype=float)
-    if isinstance(prob, ell.EllipticProblem):
-        _, _, grad = _elliptic_quantities(prob, gamma_k, z, trace_guard, solver_tol)
-    elif isinstance(prob, par.ParabolicProblem):
-        _, _, grad = _parabolic_quantities(prob, gamma_k, z, trace_guard, solver_tol)
-    else:
-        raise TypeError(f"unsupported problem type {type(prob).__name__}")
+    _, _, grad = _quantities(prob, gamma_k, z, trace_guard, solver_tol)
     mesh = prob.mesh
     tag = SegmentTag.INACCESSIBLE
     shift = grad / A

@@ -14,6 +14,12 @@ instead of starting from an explicit zero terminal value.  Starting from
 zero and loading levels N-1..0 would also be a consistent discretization
 of the continuous adjoint, but it is not the transpose of the forward
 march and leaves an O(dt) gap in the identity.
+
+ParabolicProblem carries the same problem protocol as EllipticProblem:
+operator, forward, derivative and adjoint wrap the march functions below,
+inner is space_time_inner, integrate is time_integral_boundary, and levels
+are 1..nt, the levels the right-endpoint rule weights.  Generic code indexes
+the trailing node axis (u[..., seg]) and so serves both kinds unchanged.
 """
 
 from __future__ import annotations
@@ -67,6 +73,30 @@ class ParabolicProblem:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.nt + 1)
 
+    # Problem protocol, see the module docstring.
+
+    @property
+    def levels(self) -> range:
+        return range(1, self.nt + 1)
+
+    def operator(self, gamma: np.ndarray) -> "ParabolicOperator":
+        return build_operator(self, gamma)
+
+    def forward(self, gamma, op, tol: float) -> np.ndarray:
+        return solve_forward_parabolic(self, gamma, tol=tol, operator=op)
+
+    def derivative(self, gamma, u, d, op, tol: float) -> np.ndarray:
+        return solve_derivative_parabolic(self, gamma, u, d, tol=tol, operator=op)
+
+    def adjoint(self, gamma, u, p, op, tol: float) -> np.ndarray:
+        return solve_adjoint_parabolic(self, gamma, u, p, tol=tol, operator=op)
+
+    def inner(self, tag: SegmentTag, u: np.ndarray, v: np.ndarray) -> float:
+        return space_time_inner(self.mesh, tag, u, v, self.dt)
+
+    def integrate(self, series: np.ndarray) -> np.ndarray:
+        return time_integral_boundary(series, self.dt)
+
 
 @dataclass(frozen=True)
 class ParabolicOperator:
@@ -80,11 +110,7 @@ class ParabolicOperator:
 def build_operator(prob: ParabolicProblem, gamma: np.ndarray) -> ParabolicOperator:
     """Assemble S = M/dt + K_a + B_gamma once for a whole sweep."""
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < prob.gamma_min) or np.any(gamma > prob.gamma_max):
-        raise ValueError(
-            f"gamma leaves the admissible box "
-            f"[{prob.gamma_min}, {prob.gamma_max}]"
-        )
+    fem.require_in_box(gamma, prob.gamma_min, prob.gamma_max)
     K = fem.assemble_stiffness(prob.mesh, prob.a)
     M = fem.assemble_mass(prob.mesh, 1.0)
     S = (M / prob.dt + K
@@ -201,11 +227,6 @@ def solve_adjoint_parabolic(
         b = op.M @ (W[1] / op.dt)
         W[0] = fem.solve_spd(op.S, b, tol=tol, x0=W[1])
     return W
-
-
-def trace_series(mesh: Mesh, tag: SegmentTag, u: np.ndarray) -> np.ndarray:
-    """Restrict a trajectory to one segment, shape (nt + 1, segment nodes)."""
-    return u[:, mesh.segment_nodes(tag)]
 
 
 def time_integral_boundary(

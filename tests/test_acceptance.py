@@ -98,26 +98,19 @@ def test_criterion_06_derivative_consistency():
 
 
 def test_criterion_07_beta_matches_squared_residual():
-    elliptic_rows = 0
-    elliptic_misses = 0
-    parabolic_rows = 0
-    parabolic_worst = 0.0
+    rows = {"elliptic": 0, "parabolic": 0}
+    misses = {"elliptic": 0, "parabolic": 0}
     for example_id in BANDS:
         kind = experiments.ExperimentSpec(example_id=example_id).kind
         for seed in SEEDS:
             for row in _fixture_run(example_id, seed).history:
-                if kind == "elliptic":
-                    elliptic_rows += 1
-                    if row.beta != row.residual * row.residual:
-                        elliptic_misses += 1
-                else:
-                    parabolic_rows += 1
-                    gap = abs(row.residual * row.residual - row.beta)
-                    parabolic_worst = max(parabolic_worst, gap / row.beta)
-    ok = elliptic_misses == 0 and parabolic_worst <= 1e-14
-    _report(7, ok, f"{elliptic_rows} elliptic rows bit-exact "
-                   f"({elliptic_misses} misses), {parabolic_rows} parabolic "
-                   f"rows within {parabolic_worst:.2e} relative")
+                rows[kind] += 1
+                if row.beta != row.residual * row.residual:
+                    misses[kind] += 1
+    ok = sum(misses.values()) == 0
+    _report(7, ok, f"{rows['elliptic']} elliptic rows bit-exact "
+                   f"({misses['elliptic']} misses), {rows['parabolic']} "
+                   f"parabolic rows bit-exact ({misses['parabolic']} misses)")
 
 
 def _replay_with_probes(example_id: str, rng: np.random.Generator,
@@ -131,15 +124,11 @@ def _replay_with_probes(example_id: str, rng: np.random.Generator,
     z = experiments.add_noise(experiments.exact_observation(example), 0.02, 0)
     gamma = np.full(seg.size, 2.0)
     eps = experiments.DEFAULT_EPS[example.kind]
-    if example.kind == "elliptic":
-        quantities = lm._elliptic_quantities
-    else:
-        quantities = lm._parabolic_quantities
 
     worst_margin = -np.inf
     iterations = 0
     for k in range(1, 101):
-        residual, beta, grad = quantities(prob, gamma, z, 1e-8, 1e-10)
+        residual, beta, grad = lm._quantities(prob, gamma, z, 1e-8, 1e-10)
         update = gamma + grad / (1.0 + beta)
         objective = lm.make_surrogate_objective(prob, gamma, z, beta)
         j_update = objective(update)

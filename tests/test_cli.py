@@ -162,6 +162,18 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
 
 
+def test_sweep_rejects_duplicate_entries(tmp_path, capsys):
+    base = ["sweep", "--example", "5.1", "--nx", "8", "--ny", "16"]
+    out = tmp_path / "sweep"
+    assert cli.main(base + ["--seed", "1,1", "--out", str(out)]) == 2
+    assert "duplicate --seed entries: 1" in capsys.readouterr().err
+    config = tmp_path / "job.cfg"
+    config.write_text("delta = 0.02, 0.01, 0.020\n")
+    assert cli.main(base + ["--config", str(config), "--out", str(out)]) == 2
+    assert "duplicate --delta entries: 0.02" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_verify_filter(capsys):
     assert cli.main(["verify", "--only", "adjoint"]) == 0
     out = capsys.readouterr().out

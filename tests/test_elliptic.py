@@ -50,6 +50,9 @@ def test_operator_rejects_gamma_outside_box():
         ell.assemble_operator(example.problem, 0.0 * gamma)
     with pytest.raises(ValueError):
         ell.assemble_operator(example.problem, gamma + 100.0)
+    gamma[0] = np.nan
+    with pytest.raises(ValueError):
+        ell.assemble_operator(example.problem, gamma)
 
 
 def test_problem_validates_bounds():

@@ -62,6 +62,21 @@ def test_run_validates_initial_guess():
     tight = lm.LmConfig(eps=1e-3, gamma_min=3.0, gamma_max=4.0)
     with pytest.raises(ValueError):
         lm.run(prob, gamma0, z, tight)
+    # NaN fails both bound comparisons, so it must not pass as inside
+    gamma_nan = gamma0.copy()
+    gamma_nan[3] = np.nan
+    with pytest.raises(ValueError, match="gamma0"):
+        lm.run(prob, gamma_nan, z, cfg)
+
+
+@pytest.mark.parametrize("setup", [_elliptic_setup, _parabolic_setup])
+def test_run_rejects_non_finite_data(setup):
+    prob, gamma_star, z, gamma0 = setup()
+    for bad in (np.nan, np.inf):
+        z_bad = z.copy()
+        z_bad.flat[z.size // 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            lm.run(prob, gamma0, z_bad, lm.LmConfig(eps=1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +95,14 @@ def test_beta_matches_space_time_residual_parabolic():
     prob, gamma_star, z, gamma0 = _parabolic_setup()
     state = lm.run(prob, gamma0, z, lm.LmConfig(eps=1e-12, max_iters=3))
     for row in state.history:
-        assert abs(row.residual * row.residual - row.beta) <= 1e-14 * row.beta
+        assert row.beta == row.residual * row.residual
 
 
 def test_step_halves_when_damping_doubles():
     # the update is gradient / (A + beta); doubling the denominator must
     # halve each nodal step exactly, since halving is exact in binary
     prob, gamma_star, z, gamma0 = _elliptic_setup()
-    residual, beta, grad = lm._elliptic_quantities(prob, gamma0, z, 1e-8, 1e-10)
+    residual, beta, grad = lm._quantities(prob, gamma0, z, 1e-8, 1e-10)
     denom = 1.0 + beta
     step_single = grad / denom
     step_double = grad / (2.0 * denom)
@@ -214,7 +229,7 @@ def test_rel_error_requires_exact_coefficient():
 
 def test_surrogate_minimizer_beats_probes_elliptic():
     prob, gamma_star, z, gamma0 = _elliptic_setup()
-    residual, beta, grad = lm._elliptic_quantities(prob, gamma0, z, 1e-8, 1e-10)
+    residual, beta, grad = lm._quantities(prob, gamma0, z, 1e-8, 1e-10)
     update = gamma0 + grad / (1.0 + beta)
     objective = lm.make_surrogate_objective(prob, gamma0, z, beta)
     j_min = objective(update)
@@ -227,7 +242,7 @@ def test_surrogate_minimizer_beats_probes_elliptic():
 
 def test_surrogate_minimizer_beats_probes_parabolic():
     prob, gamma_star, z, gamma0 = _parabolic_setup()
-    residual, beta, grad = lm._parabolic_quantities(prob, gamma0, z, 1e-8, 1e-10)
+    residual, beta, grad = lm._quantities(prob, gamma0, z, 1e-8, 1e-10)
     update = gamma0 + grad / (1.0 + beta)
     objective = lm.make_surrogate_objective(prob, gamma0, z, beta)
     j_min = objective(update)
@@ -239,7 +254,7 @@ def test_surrogate_minimizer_beats_probes_parabolic():
 
 def test_surrogate_gradient_vanishes_at_update():
     prob, gamma_star, z, gamma0 = _elliptic_setup()
-    residual, beta, grad = lm._elliptic_quantities(prob, gamma0, z, 1e-8, 1e-10)
+    residual, beta, grad = lm._quantities(prob, gamma0, z, 1e-8, 1e-10)
     update = gamma0 + grad / (1.0 + beta)
     objective = lm.make_surrogate_objective(prob, gamma0, z, beta)
     h = 1e-6

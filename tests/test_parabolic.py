@@ -69,6 +69,9 @@ def test_build_operator_rejects_gamma_outside_box():
     example, mesh, gamma = setup()
     with pytest.raises(ValueError):
         par.build_operator(example.problem, gamma + 100.0)
+    gamma[0] = np.nan
+    with pytest.raises(ValueError):
+        par.build_operator(example.problem, gamma)
 
 
 def test_problem_validation():
@@ -172,12 +175,3 @@ def test_space_time_inner_matches_closed_form():
     with pytest.raises(ValueError):
         par.space_time_inner(mesh, SegmentTag.INACCESSIBLE,
                              series, series[:-1], dt)
-
-
-def test_trace_series_shape():
-    example, mesh, gamma = setup(nt=4)
-    u = par.solve_forward_parabolic(example.problem, gamma, tol=SOLVER_TOL)
-    seg = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
-    tr = par.trace_series(mesh, SegmentTag.INACCESSIBLE, u)
-    assert tr.shape == (example.problem.nt + 1, seg.size)
-    np.testing.assert_array_equal(tr[2], u[2, seg])

@@ -1,0 +1,41 @@
+"""Properties checked over randomized inputs through the problem protocol.
+
+hypothesis draws the mesh size and a seed; numpy draws the coefficient,
+the direction and the weight from that seed.  derandomize=True makes the
+example sequence a fixed function of the test, so every run sees the same
+cases.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from robinrecon import experiments as ex
+from robinrecon.mesh import SegmentTag
+
+SOLVER_TOL = 1e-12
+
+
+@pytest.mark.parametrize("example_id", ["5.1", "5.3"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(nx=st.integers(1, 6), ny=st.integers(1, 8), nt=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_adjoint_identity_on_random_meshes(example_id, nx, ny, nt, seed):
+    """(D[gamma] d, u p) on the accessible side equals (u d, w*) on the
+    inaccessible side, for any admissible gamma, d and p."""
+    prob = ex.make_example(example_id, nx=nx, ny=ny, nt=nt).problem
+    seg_i = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
+    seg_a = prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)
+    rng = np.random.default_rng(seed)
+    gamma = rng.uniform(prob.gamma_min, prob.gamma_max, seg_i.size)
+    op = prob.operator(gamma)
+    u = prob.forward(gamma, op, SOLVER_TOL)
+    d = rng.uniform(-1.0, 1.0, seg_i.size)
+    p = rng.uniform(-1.0, 1.0, u[..., seg_a].shape)
+    w = prob.derivative(gamma, u, d, op, SOLVER_TOL)
+    ws = prob.adjoint(gamma, u, p, op, SOLVER_TOL)
+    lhs = prob.inner(SegmentTag.ACCESSIBLE, w[..., seg_a], u[..., seg_a] * p)
+    rhs = prob.inner(SegmentTag.INACCESSIBLE, u[..., seg_i] * d, ws[..., seg_i])
+    gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
+    assert gap <= ex.ADJOINT_TOL
