@@ -240,6 +240,8 @@ def cmd_sweep(args) -> int:
             raise ValueError(
                 f"duplicate --{name} entries: {', '.join(map(str, repeated))}"
             )
+    if settings["jobs"] < 1:
+        raise ValueError(f"--jobs must be at least 1, got {settings['jobs']}")
     specs = [
         _make_spec(settings, delta=delta, seed=seed)
         for delta in settings["delta"]
@@ -349,7 +351,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
+        # ArgumentTypeError comes from converting a config-file value.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,10 @@ pushed through the boundary load quadrature.  Because the operator is one
 shared symmetric matrix, the adjoint identity between the two solves holds
 to solver precision, which the tests rely on.
 
+The gamma-independent pieces, K_a + M_c and the load vector, are built
+once per problem on first use and cached on it; an operator is that
+cached base plus the Robin mass B_gamma.
+
 EllipticProblem carries the problem protocol that the outer loop and the
 verification probes run on, shared with ParabolicProblem: operator,
 forward, derivative and adjoint wrap the module functions below, inner is
@@ -24,6 +28,7 @@ that carries weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -58,6 +63,21 @@ class EllipticProblem:
         if self.gamma_max < self.gamma_min:
             raise ValueError("gamma_max must not be below gamma_min")
 
+    @cached_property
+    def base(self) -> sparse.csr_matrix:
+        """K_a + M_c, the part of the operator that gamma does not touch."""
+        return (fem.assemble_stiffness(self.mesh, self.a)
+                + fem.assemble_mass(self.mesh, self.c))
+
+    @cached_property
+    def load(self) -> np.ndarray:
+        """Read-only load vector of the volume source and both boundary data."""
+        b = fem.assemble_load(self.mesh, self.f)
+        b += fem.assemble_boundary_load(self.mesh, SegmentTag.INACCESSIBLE, self.g)
+        b += fem.assemble_boundary_load(self.mesh, SegmentTag.ACCESSIBLE, self.h)
+        b.flags.writeable = False
+        return b
+
     # Problem protocol.  The methods reach the module functions through
     # their global names at call time, so a rebinding of those names holds.
 
@@ -66,14 +86,14 @@ class EllipticProblem:
     def operator(self, gamma: np.ndarray) -> sparse.csr_matrix:
         return assemble_operator(self, gamma)
 
-    def forward(self, gamma, op, tol: float) -> np.ndarray:
-        return solve_forward(self, gamma, tol=tol, operator=op)
+    def forward(self, op, tol: float) -> np.ndarray:
+        return solve_forward(self, op, tol=tol)
 
-    def derivative(self, gamma, u, d, op, tol: float) -> np.ndarray:
-        return solve_derivative(self, gamma, u, d, tol=tol, operator=op)
+    def derivative(self, u, d, op, tol: float) -> np.ndarray:
+        return solve_derivative(self, u, d, op, tol=tol)
 
-    def adjoint(self, gamma, u, p, op, tol: float) -> np.ndarray:
-        return solve_adjoint(self, gamma, u, p, tol=tol, operator=op)
+    def adjoint(self, u, p, op, tol: float) -> np.ndarray:
+        return solve_adjoint(self, u, p, op, tol=tol)
 
     def inner(self, tag: SegmentTag, u: np.ndarray, v: np.ndarray) -> float:
         return fem.boundary_inner(self.mesh, tag, u, v)
@@ -86,72 +106,52 @@ def assemble_operator(prob: EllipticProblem, gamma: np.ndarray) -> sparse.csr_ma
     """The SPD system matrix K_a + M_c + B_gamma for a nodal gamma."""
     gamma = np.asarray(gamma, dtype=float)
     fem.require_in_box(gamma, prob.gamma_min, prob.gamma_max)
-    K = fem.assemble_stiffness(prob.mesh, prob.a)
-    M = fem.assemble_mass(prob.mesh, prob.c)
     B = fem.assemble_boundary_mass(prob.mesh, SegmentTag.INACCESSIBLE, gamma)
-    return (K + M + B).tocsr()
-
-
-def assemble_rhs(prob: EllipticProblem) -> np.ndarray:
-    """Load vector collecting the volume source and both boundary data."""
-    b = fem.assemble_load(prob.mesh, prob.f)
-    b += fem.assemble_boundary_load(prob.mesh, SegmentTag.INACCESSIBLE, prob.g)
-    b += fem.assemble_boundary_load(prob.mesh, SegmentTag.ACCESSIBLE, prob.h)
-    return b
+    return (prob.base + B).tocsr()
 
 
 def solve_forward(
     prob: EllipticProblem,
-    gamma: np.ndarray,
+    op: sparse.csr_matrix,
     tol: float = 1e-10,
-    operator: sparse.csr_matrix | None = None,
 ) -> np.ndarray:
-    """State u for the given Robin coefficient.
-
-    Passing a preassembled operator (from assemble_operator with the same
-    gamma) skips reassembly; the result is the same either way.
-    """
-    S = assemble_operator(prob, gamma) if operator is None else operator
-    return fem.solve_spd(S, assemble_rhs(prob), tol=tol)
+    """State u for the Robin coefficient op was assembled with."""
+    return fem.solve_spd(op, prob.load, tol=tol)
 
 
 def solve_derivative(
     prob: EllipticProblem,
-    gamma: np.ndarray,
     u: np.ndarray,
     d: np.ndarray,
+    op: sparse.csr_matrix,
     tol: float = 1e-10,
-    operator: sparse.csr_matrix | None = None,
 ) -> np.ndarray:
-    """Directional derivative of the forward map at gamma in direction d.
+    """Directional derivative of the forward map in direction d.
 
-    u must be the forward solution at gamma.  The right-hand side is the
+    u must be the forward solution for op.  The right-hand side is the
     boundary load of the nodal product -(d * u) on the inaccessible side.
     """
-    S = assemble_operator(prob, gamma) if operator is None else operator
-    u_i = fem.trace(prob.mesh, SegmentTag.INACCESSIBLE, u)
+    u_i = u[prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)]
     load = -fem.assemble_boundary_load(
         prob.mesh, SegmentTag.INACCESSIBLE, np.asarray(d, dtype=float) * u_i
     )
-    return fem.solve_spd(S, load, tol=tol)
+    return fem.solve_spd(op, load, tol=tol)
 
 
 def solve_adjoint(
     prob: EllipticProblem,
-    gamma: np.ndarray,
     u: np.ndarray,
     p: np.ndarray,
+    op: sparse.csr_matrix,
     tol: float = 1e-10,
-    operator: sparse.csr_matrix | None = None,
 ) -> np.ndarray:
     """Adjoint state for an accessible-side weight p.
 
     Same operator as the forward solve, right-hand side the boundary load
     of -(p * u) on the accessible side.
     """
-    S = assemble_operator(prob, gamma) if operator is None else operator
-    u_a = fem.trace(prob.mesh, SegmentTag.ACCESSIBLE, u)
+    u_a = u[prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)]
     load = -fem.assemble_boundary_load(
         prob.mesh, SegmentTag.ACCESSIBLE, np.asarray(p, dtype=float) * u_a
     )
-    return fem.solve_spd(S, load, tol=tol)
+    return fem.solve_spd(op, load, tol=tol)

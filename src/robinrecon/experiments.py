@@ -173,7 +173,7 @@ def exact_observation(example: Example, solver_tol: float = 1e-10) -> np.ndarray
     """
     prob = example.problem
     gamma = interpolate_gamma(prob.mesh, example.gamma_star)
-    u = prob.forward(gamma, prob.operator(gamma), solver_tol)
+    u = prob.forward(prob.operator(gamma), solver_tol)
     return u[..., prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)]
 
 
@@ -183,7 +183,7 @@ def add_noise(z: np.ndarray, delta: float, seed: int) -> np.ndarray:
     R is drawn i.i.d. uniform on [-1, 1] from numpy's seeded default
     generator (PCG64), so the same seed always gives the same data.
     """
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise ValueError(f"noise level must be nonnegative, got {delta}")
     z = np.asarray(z, dtype=float)
     rng = np.random.default_rng(seed)
@@ -213,7 +213,7 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown example id {self.example_id!r}; known ids: {known}"
             )
-        if self.delta < 0.0:
+        if not self.delta >= 0.0:
             raise ValueError(f"noise level must be nonnegative, got {self.delta}")
         if isinstance(self.gamma0, str) and self.gamma0 != "exact":
             raise ValueError(
@@ -243,6 +243,9 @@ class ExperimentResult:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run the reconstruction a spec describes and collect the results."""
+    eps = DEFAULT_EPS[spec.kind] if spec.eps is None else spec.eps
+    cfg = lm.LmConfig(eps=eps, A=spec.A, max_iters=spec.max_iters,
+                      residual_floor=spec.residual_floor)
     example = make_example(spec.example_id, nx=spec.nx, ny=spec.ny,
                            nt=spec.nt, T=spec.T)
     mesh = example.problem.mesh
@@ -253,9 +256,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         gamma0 = gamma_exact.copy()
     else:
         gamma0 = np.full(seg_i.size, float(spec.gamma0))
-    eps = DEFAULT_EPS[example.kind] if spec.eps is None else spec.eps
-    cfg = lm.LmConfig(eps=eps, A=spec.A, max_iters=spec.max_iters,
-                      residual_floor=spec.residual_floor)
     start = time.perf_counter()
     state = lm.run(example.problem, gamma0, z, cfg, gamma_star=gamma_exact)
     wall = time.perf_counter() - start
@@ -300,7 +300,7 @@ def _probe_setup(kind: str, nx: int, ny: int, nt: int, solver_tol: float):
     prob = example.problem
     gamma = interpolate_gamma(prob.mesh, example.gamma_star)
     op = prob.operator(gamma)
-    return prob, gamma, op, prob.forward(gamma, op, solver_tol)
+    return prob, gamma, op, prob.forward(op, solver_tol)
 
 
 def adjoint_identity_errors(
@@ -329,8 +329,8 @@ def adjoint_identity_errors(
     for i in range(n_trials):
         d = rng.uniform(-1.0, 1.0, seg_i.size)
         p = rng.uniform(-1.0, 1.0, u_a.shape)
-        w = prob.derivative(gamma, u, d, op, solver_tol)
-        ws = prob.adjoint(gamma, u, p, op, solver_tol)
+        w = prob.derivative(u, d, op, solver_tol)
+        ws = prob.adjoint(u, p, op, solver_tol)
         lhs = prob.inner(SegmentTag.ACCESSIBLE, w[..., seg_a], u_a * p)
         rhs = prob.inner(SegmentTag.INACCESSIBLE, u_i * d, ws[..., seg_i])
         errors[i] = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
@@ -365,7 +365,7 @@ def derivative_fd_check(
     prob, gamma, op, u = _probe_setup(kind, nx, ny, nt, solver_tol)
     seg_a = prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)
     d = np.ones(prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE).size)
-    w_a = prob.derivative(gamma, u, d, op, solver_tol)[..., seg_a]
+    w_a = prob.derivative(u, d, op, solver_tol)[..., seg_a]
 
     def norm(x: np.ndarray) -> float:
         return np.sqrt(prob.inner(SegmentTag.ACCESSIBLE, x, x))
@@ -374,7 +374,7 @@ def derivative_fd_check(
     errors = np.empty(len(eps_values))
     for i, eps in enumerate(eps_values):
         gamma_eps = gamma + eps * d
-        u_eps = prob.forward(gamma_eps, prob.operator(gamma_eps), solver_tol)
+        u_eps = prob.forward(prob.operator(gamma_eps), solver_tol)
         errors[i] = norm((u_eps[..., seg_a] - u[..., seg_a]) / eps - w_a) / ref
     slope = np.polyfit(np.log(np.asarray(eps_values)), np.log(errors), 1)[0]
     return FdCheck(eps_values=tuple(eps_values), errors=errors,
@@ -433,17 +433,15 @@ def oracle_optimality_check(
         beta = float(beta_override)
     s_surrogate = grad / (A + beta)
 
-    operator = ell.assemble_operator(prob, gamma_k)
-    u = ell.solve_forward(prob, gamma_k, tol=solver_tol, operator=operator)
+    op = prob.operator(gamma_k)
+    u = prob.forward(op, solver_tol)
     r = z - u[seg_a]
     m = seg_i.size
     D = np.empty((seg_a.size, m))
     for j in range(m):
         e = np.zeros(m)
         e[j] = 1.0
-        w = ell.solve_derivative(prob, gamma_k, u, e, tol=solver_tol,
-                                 operator=operator)
-        D[:, j] = w[seg_a]
+        D[:, j] = prob.derivative(u, e, op, solver_tol)[seg_a]
     Ma = fem.segment_mass(mesh, SegmentTag.ACCESSIBLE).toarray()
     Mi = fem.segment_mass(mesh, SegmentTag.INACCESSIBLE).toarray()
     H = D.T @ Ma @ D + beta * Mi
@@ -527,27 +525,19 @@ def fem_convergence_check(kind: str, solver_tol: float = 1e-12) -> ConvergenceCh
     Euler's first-order time error dominates, so a factor near two is the
     honest expectation.
     """
-    if kind == "elliptic":
-        errors = []
-        for nx, ny in ((8, 16), (16, 32)):
-            example = make_example("5.1", nx=nx, ny=ny)
-            mesh = example.problem.mesh
-            gamma = interpolate_gamma(mesh, example.gamma_star)
-            u = ell.solve_forward(example.problem, gamma, tol=solver_tol)
-            errors.append(domain_l2_error(mesh, u, example.u_exact))
-        return ConvergenceCheck(coarse_error=errors[0], fine_error=errors[1])
-    if kind != "parabolic":
+    if kind not in _PROBE_EXAMPLES:
         raise ValueError(f"unknown problem kind {kind!r}")
     errors = []
     for nx, ny, nt in ((8, 16, 8), (16, 32, 16)):
-        example = make_example("5.3", nx=nx, ny=ny, nt=nt)
-        mesh = example.problem.mesh
-        gamma = interpolate_gamma(mesh, example.gamma_star)
-        u = par.solve_forward_parabolic(example.problem, gamma, tol=solver_tol)
-        T = example.problem.T
-        errors.append(domain_l2_error(
-            mesh, u[-1], lambda x, y: example.u_exact(x, y, T)
-        ))
+        example = make_example(_PROBE_EXAMPLES[kind], nx=nx, ny=ny, nt=nt)
+        prob = example.problem
+        gamma = interpolate_gamma(prob.mesh, example.gamma_star)
+        u = prob.forward(prob.operator(gamma), solver_tol)
+        exact = example.u_exact
+        if kind == "parabolic":  # compare at the final time
+            u = u[-1]
+            exact = lambda x, y: example.u_exact(x, y, prob.T)
+        errors.append(domain_l2_error(prob.mesh, u, exact))
     return ConvergenceCheck(coarse_error=errors[0], fine_error=errors[1])
 
 

@@ -10,7 +10,8 @@ identity hold to solver precision downstream.
 
 Boundary fields (Robin coefficients, measurement residuals, directions)
 are plain 1-D arrays indexed by the sorted node list of one segment, see
-Mesh.segment_nodes.  Nodal fields on the whole mesh are 1-D arrays of
+Mesh.segment_nodes; the segment geometry comes precomputed with the
+mesh (Mesh.segments).  Nodal fields on the whole mesh are 1-D arrays of
 length n_nodes.
 """
 
@@ -223,41 +224,30 @@ def assemble_load(mesh: Mesh, f) -> np.ndarray:
     return out
 
 
-def _segment_edge_data(mesh: Mesh, tag: SegmentTag):
-    """Edges of a segment with lengths and local indices into its node list."""
-    edges = mesh.edges_of(tag)
-    if edges.shape[0] == 0:
-        raise ValueError(f"segment {tag.name} has no edges")
-    seg_nodes = np.unique(edges)
-    local = np.searchsorted(seg_nodes, edges)                  # (k, 2)
-    d = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
-    length = np.hypot(d[:, 0], d[:, 1])
-    return edges, seg_nodes, local, length
-
-
-def _boundary_weight_at_gauss(mesh, tag, weight, edges, seg_nodes, local):
+def _boundary_weight_at_gauss(mesh: Mesh, tag: SegmentTag, weight) -> np.ndarray:
     """Weight values at the two Gauss points of every segment edge.
 
     A callable is sampled at the physical Gauss points; an array is taken
     as nodal values on the segment and interpolated linearly along each
     edge; a scalar is broadcast.
     """
+    seg = mesh.segments[tag]
     if callable(weight):
-        p0 = mesh.nodes[edges[:, 0]]
-        p1 = mesh.nodes[edges[:, 1]]
+        p0 = mesh.nodes[seg.edges[:, 0]]
+        p1 = mesh.nodes[seg.edges[:, 1]]
         gx = p0[:, 0, None] + _GAUSS_XI[None, :] * (p1[:, 0] - p0[:, 0])[:, None]
         gy = p0[:, 1, None] + _GAUSS_XI[None, :] * (p1[:, 1] - p0[:, 1])[:, None]
         return _coeff_on_points(weight, gx, gy)
     w = np.asarray(weight, dtype=float)
     if w.ndim == 0:
-        return np.full((edges.shape[0], 2), float(w))
-    if w.shape != seg_nodes.shape:
+        return np.full((seg.edges.shape[0], 2), float(w))
+    if w.shape != seg.nodes.shape:
         raise ValueError(
             f"boundary weight has {w.shape[0]} entries, "
-            f"segment {tag.name} has {seg_nodes.shape[0]} nodes"
+            f"segment {tag.name} has {seg.nodes.shape[0]} nodes"
         )
-    w0 = w[local[:, 0]]
-    w1 = w[local[:, 1]]
+    w0 = w[seg.local[:, 0]]
+    w1 = w[seg.local[:, 1]]
     return w0[:, None] * (1.0 - _GAUSS_XI)[None, :] + w1[:, None] * _GAUSS_XI[None, :]
 
 
@@ -270,46 +260,42 @@ def assemble_boundary_mass(mesh: Mesh, tag: SegmentTag, weight) -> sparse.csr_ma
     nodal weight values.  That linearity is what the derivative solver
     differentiates, do not change the quadrature here without revisiting it.
     """
-    edges, seg_nodes, local, length = _segment_edge_data(mesh, tag)
-    w_gauss = _boundary_weight_at_gauss(mesh, tag, weight, edges, seg_nodes, local)
+    seg = mesh.segments[tag]
+    w_gauss = _boundary_weight_at_gauss(mesh, tag, weight)
 
     phi = np.stack([1.0 - _GAUSS_XI, _GAUSS_XI], axis=0)       # (2, q)
     # local 2x2 block per edge: length * sum_q wq * w(xi_q) phi_i phi_j
     blk = np.einsum(
         "q,eq,iq,jq->eij", _GAUSS_W, w_gauss, phi, phi
-    ) * length[:, None, None]
+    ) * seg.length[:, None, None]
 
-    rows = np.repeat(edges, 2, axis=1).ravel()
-    cols = np.tile(edges, (1, 2)).ravel()
+    rows = np.repeat(seg.edges, 2, axis=1).ravel()
+    cols = np.tile(seg.edges, (1, 2)).ravel()
     n = mesh.n_nodes
     return sparse.coo_matrix((blk.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble_boundary_load(mesh: Mesh, tag: SegmentTag, g) -> np.ndarray:
     """Boundary load vector, entries integral over the segment of g * phi_i."""
-    edges, seg_nodes, local, length = _segment_edge_data(mesh, tag)
-    g_gauss = _boundary_weight_at_gauss(mesh, tag, g, edges, seg_nodes, local)
+    seg = mesh.segments[tag]
+    g_gauss = _boundary_weight_at_gauss(mesh, tag, g)
     phi = np.stack([1.0 - _GAUSS_XI, _GAUSS_XI], axis=0)
-    contrib = np.einsum("q,eq,iq->ei", _GAUSS_W, g_gauss, phi) * length[:, None]
+    contrib = np.einsum("q,eq,iq->ei", _GAUSS_W, g_gauss, phi) * seg.length[:, None]
     out = np.zeros(mesh.n_nodes)
-    np.add.at(out, edges.ravel(), contrib.ravel())
+    np.add.at(out, seg.edges.ravel(), contrib.ravel())
     return out
 
 
 def segment_mass(mesh: Mesh, tag: SegmentTag) -> sparse.csr_matrix:
     """Unweighted mass matrix of one segment in its local node numbering."""
-    edges, seg_nodes, local, length = _segment_edge_data(mesh, tag)
-    ns = seg_nodes.shape[0]
-    l6 = length / 6.0
+    seg = mesh.segments[tag]
+    ns = seg.nodes.shape[0]
+    l6 = seg.length / 6.0
+    local = seg.local
     data = np.column_stack([2.0 * l6, l6, l6, 2.0 * l6]).ravel()
     rows = np.column_stack([local[:, 0], local[:, 0], local[:, 1], local[:, 1]]).ravel()
     cols = np.column_stack([local[:, 0], local[:, 1], local[:, 0], local[:, 1]]).ravel()
     return sparse.coo_matrix((data, (rows, cols)), shape=(ns, ns)).tocsr()
-
-
-def trace(mesh: Mesh, tag: SegmentTag, u: np.ndarray) -> np.ndarray:
-    """Restrict a nodal field to the node list of one segment."""
-    return u[mesh.segment_nodes(tag)]
 
 
 def boundary_inner(mesh: Mesh, tag: SegmentTag, u: np.ndarray, v: np.ndarray) -> float:
@@ -317,17 +303,17 @@ def boundary_inner(mesh: Mesh, tag: SegmentTag, u: np.ndarray, v: np.ndarray) ->
 
     Exact for the quadratic integrand of two P1 segment functions.
     """
-    edges, seg_nodes, local, length = _segment_edge_data(mesh, tag)
+    seg = mesh.segments[tag]
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape != seg_nodes.shape or v.shape != seg_nodes.shape:
+    if u.shape != seg.nodes.shape or v.shape != seg.nodes.shape:
         raise ValueError(
-            f"segment {tag.name} has {seg_nodes.shape[0]} nodes, "
+            f"segment {tag.name} has {seg.nodes.shape[0]} nodes, "
             f"got fields of size {u.shape} and {v.shape}"
         )
-    u0, u1 = u[local[:, 0]], u[local[:, 1]]
-    v0, v1 = v[local[:, 0]], v[local[:, 1]]
-    per_edge = length / 6.0 * (2.0 * u0 * v0 + u0 * v1 + u1 * v0 + 2.0 * u1 * v1)
+    u0, u1 = u[seg.local[:, 0]], u[seg.local[:, 1]]
+    v0, v1 = v[seg.local[:, 0]], v[seg.local[:, 1]]
+    per_edge = seg.length / 6.0 * (2.0 * u0 * v0 + u0 * v1 + u1 * v0 + 2.0 * u1 * v1)
     return float(per_edge.sum())
 
 

@@ -9,7 +9,9 @@ segment, followed by nodal clamping to the admissible box.
 Both problem kinds run the same code through the problem protocol of
 EllipticProblem and ParabolicProblem (operator, forward, adjoint, inner,
 integrate, levels); only those methods know whether a trace is one field
-or a time series.
+or a time series.  A step builds the operator once, from the problem's
+cached gamma-free base plus the Robin mass of the iterate, and passes it
+to both the forward and the adjoint solve.
 
 Exactness notes.  The residual norm is computed first, as the square root
 of the misfit inner product, and beta is literally residual * residual,
@@ -70,14 +72,19 @@ class LmConfig:
     solver_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.eps <= 0.0:
+        # "not x > 0" rather than "x <= 0", so that NaN is rejected too.
+        if not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.A <= 0.0:
+        if not self.A > 0.0:
             raise ValueError(f"A must be positive, got {self.A}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if self.trace_guard <= 0.0:
-            raise ValueError("trace_guard must be positive")
+        if not self.trace_guard > 0.0:
+            raise ValueError(f"trace_guard must be positive, got {self.trace_guard}")
+        if self.residual_floor is not None and not self.residual_floor > 0.0:
+            raise ValueError(
+                f"residual_floor must be positive, got {self.residual_floor}"
+            )
 
 
 @dataclass(frozen=True)
@@ -154,7 +161,7 @@ def _quantities(
     if not np.all(np.isfinite(z)):
         raise ValueError("data z holds non-finite values (NaN or inf)")
     op = prob.operator(gamma)
-    u = prob.forward(gamma, op, solver_tol)
+    u = prob.forward(op, solver_tol)
     u_a = u[..., seg_a]
     if z.shape != u_a.shape:
         raise ValueError(f"data has shape {z.shape}, expected {u_a.shape}")
@@ -165,7 +172,7 @@ def _quantities(
     for n in prob.levels:
         _check_guard(u_a[n], seg_a, trace_guard, level=n)
         p[n] = r[n] / u_a[n]
-    w = prob.adjoint(gamma, u, p, op, solver_tol)
+    w = prob.adjoint(u, p, op, solver_tol)
     grad = prob.integrate(u[..., seg_i] * w[..., seg_i])
     return residual_norm, beta, grad
 

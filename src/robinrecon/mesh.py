@@ -5,13 +5,17 @@ cell is cut along its lower-left to upper-right diagonal, giving two
 counterclockwise triangles per cell.  Boundary edges carry a segment tag
 once classified: the side x = lx is the inaccessible segment (where the
 Robin coefficient lives), the remaining three sides form the accessible
-segment (where measurements are taken).
+segment (where measurements are taken).  Classification also computes,
+once, everything the boundary integrals need of a segment: its sorted
+node list, its edges with their lengths and their local indices into
+that list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Mapping
 
 import numpy as np
 
@@ -19,6 +23,24 @@ import numpy as np
 class SegmentTag(Enum):
     INACCESSIBLE = 0
     ACCESSIBLE = 1
+
+
+@dataclass(frozen=True)
+class Segment:
+    """One tagged boundary segment; every array is read-only.
+
+    Attributes
+    ----------
+    nodes : (ns,) int array, sorted unique node ids on the segment.
+    edges : (k, 2) int array, the segment's boundary edges as node pairs.
+    local : (k, 2) int array, positions of the edge endpoints in nodes.
+    length : (k,) float array, edge lengths.
+    """
+
+    nodes: np.ndarray
+    edges: np.ndarray
+    local: np.ndarray
+    length: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -30,8 +52,8 @@ class Mesh:
     nodes : (n_nodes, 2) float array, node coordinates.
     triangles : (n_tri, 3) int array, counterclockwise node triples.
     boundary_edges : (n_bedges, 2) int array, node pairs on the boundary.
-    boundary_tags : (n_bedges,) int array of SegmentTag values, or None
-        before classify_boundary has been applied.
+    segments : map from SegmentTag to Segment, empty before
+        classify_boundary has been applied.
     nx, ny : cell counts per axis.
     lx, ly : side lengths.
     """
@@ -39,7 +61,7 @@ class Mesh:
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
-    boundary_tags: np.ndarray | None
+    segments: Mapping[SegmentTag, Segment]
     nx: int
     ny: int
     lx: float
@@ -49,19 +71,15 @@ class Mesh:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    def edges_of(self, tag: SegmentTag) -> np.ndarray:
-        """Boundary edges carrying the given tag, as an (k, 2) int array."""
-        if self.boundary_tags is None:
-            raise ValueError("mesh boundary has not been classified yet")
-        return self.boundary_edges[self.boundary_tags == tag.value]
-
     def segment_nodes(self, tag: SegmentTag) -> np.ndarray:
         """Sorted unique node ids on the given boundary segment.
 
         On the inaccessible side the ascending-id order coincides with
         ascending y, which the profile output relies on.
         """
-        return np.unique(self.edges_of(tag))
+        if tag not in self.segments:
+            raise ValueError("mesh boundary has not been classified yet")
+        return self.segments[tag].nodes
 
 
 def build_rect_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
@@ -118,7 +136,7 @@ def build_rect_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
         nodes=nodes,
         triangles=triangles,
         boundary_edges=boundary_edges,
-        boundary_tags=None,
+        segments={},
         nx=nx,
         ny=ny,
         lx=float(lx),
@@ -126,17 +144,28 @@ def build_rect_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
     )
 
 
+def _segment(mesh: Mesh, edges: np.ndarray) -> Segment:
+    nodes = np.unique(edges)
+    d = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
+    seg = Segment(nodes=nodes, edges=edges,
+                  local=np.searchsorted(nodes, edges),
+                  length=np.hypot(d[:, 0], d[:, 1]))
+    for array in (seg.nodes, seg.edges, seg.local, seg.length):
+        array.flags.writeable = False
+    return seg
+
+
 def classify_boundary(mesh: Mesh) -> Mesh:
     """Tag boundary edges: both endpoints on x = lx means inaccessible,
-    everything else accessible.  Returns a new mesh, tags filled in."""
+    everything else accessible.  Returns a new mesh with both segments
+    filled in; edges keep their boundary order within a segment."""
     x = mesh.nodes[:, 0]
-    on_right = x[mesh.boundary_edges] == mesh.lx
-    tags = np.where(
-        on_right.all(axis=1),
-        SegmentTag.INACCESSIBLE.value,
-        SegmentTag.ACCESSIBLE.value,
-    ).astype(np.int64)
-    return replace(mesh, boundary_tags=tags)
+    on_right = (x[mesh.boundary_edges] == mesh.lx).all(axis=1)
+    segments = {
+        SegmentTag.INACCESSIBLE: _segment(mesh, mesh.boundary_edges[on_right]),
+        SegmentTag.ACCESSIBLE: _segment(mesh, mesh.boundary_edges[~on_right]),
+    }
+    return replace(mesh, segments=segments)
 
 
 def triangle_areas(mesh: Mesh) -> np.ndarray:
@@ -145,22 +174,3 @@ def triangle_areas(mesh: Mesh) -> np.ndarray:
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-
-def dump_mesh(mesh: Mesh) -> str:
-    """Plain-text dump: nodes, triangles, then tagged boundary edges.
-
-    Meant for debugging and golden-file tests, not for interchange.
-    """
-    lines = []
-    for i, (x, y) in enumerate(mesh.nodes):
-        lines.append(f"{i} {x:.17g} {y:.17g}")
-    for i, (a, b, c) in enumerate(mesh.triangles):
-        lines.append(f"{i} {a} {b} {c}")
-    for k, (a, b) in enumerate(mesh.boundary_edges):
-        if mesh.boundary_tags is None:
-            tag = "untagged"
-        else:
-            tag = SegmentTag(mesh.boundary_tags[k]).name.lower()
-        lines.append(f"{a} {b} {tag}")
-    return "\n".join(lines) + "\n"

@@ -15,6 +15,11 @@ zero and loading levels N-1..0 would also be a consistent discretization
 of the continuous adjoint, but it is not the transpose of the forward
 march and leaves an O(dt) gap in the identity.
 
+The gamma-independent pieces, the mass M, the base M/dt + K_a and the
+data loads of every level, are built once per problem on first use and
+cached on it; an operator is that cached base plus the Robin mass B_gamma,
+and the marches read M and dt from the problem.
+
 ParabolicProblem carries the same problem protocol as EllipticProblem:
 operator, forward, derivative and adjoint wrap the march functions below,
 inner is space_time_inner, integrate is time_integral_boundary, and levels
@@ -25,6 +30,7 @@ the trailing node axis (u[..., seg]) and so serves both kinds unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -73,23 +79,53 @@ class ParabolicProblem:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.nt + 1)
 
+    @cached_property
+    def mass(self) -> sparse.csr_matrix:
+        """Consistent mass matrix M."""
+        return fem.assemble_mass(self.mesh, 1.0)
+
+    @cached_property
+    def base(self) -> sparse.csr_matrix:
+        """M/dt + K_a, the part of the operator that gamma does not touch."""
+        return self.mass / self.dt + fem.assemble_stiffness(self.mesh, self.a)
+
+    @cached_property
+    def loads(self) -> np.ndarray:
+        """Read-only (nt + 1, n_nodes) data loads, row n at time t_n.
+
+        Row n collects the volume source, the Robin data and the flux
+        data at t_n.  Row 0 stays zero: no step solves for level 0.
+        """
+        L = np.zeros((self.nt + 1, self.mesh.n_nodes))
+        for n in range(1, self.nt + 1):
+            t = n * self.dt
+            L[n] = fem.assemble_load(self.mesh, _at_time(self.f, t))
+            L[n] += fem.assemble_boundary_load(
+                self.mesh, SegmentTag.INACCESSIBLE, _at_time(self.g, t)
+            )
+            L[n] += fem.assemble_boundary_load(
+                self.mesh, SegmentTag.ACCESSIBLE, _at_time(self.h, t)
+            )
+        L.flags.writeable = False
+        return L
+
     # Problem protocol, see the module docstring.
 
     @property
     def levels(self) -> range:
         return range(1, self.nt + 1)
 
-    def operator(self, gamma: np.ndarray) -> "ParabolicOperator":
+    def operator(self, gamma: np.ndarray) -> sparse.csr_matrix:
         return build_operator(self, gamma)
 
-    def forward(self, gamma, op, tol: float) -> np.ndarray:
-        return solve_forward_parabolic(self, gamma, tol=tol, operator=op)
+    def forward(self, op, tol: float) -> np.ndarray:
+        return solve_forward_parabolic(self, op, tol=tol)
 
-    def derivative(self, gamma, u, d, op, tol: float) -> np.ndarray:
-        return solve_derivative_parabolic(self, gamma, u, d, tol=tol, operator=op)
+    def derivative(self, u, d, op, tol: float) -> np.ndarray:
+        return solve_derivative_parabolic(self, u, d, op, tol=tol)
 
-    def adjoint(self, gamma, u, p, op, tol: float) -> np.ndarray:
-        return solve_adjoint_parabolic(self, gamma, u, p, tol=tol, operator=op)
+    def adjoint(self, u, p, op, tol: float) -> np.ndarray:
+        return solve_adjoint_parabolic(self, u, p, op, tol=tol)
 
     def inner(self, tag: SegmentTag, u: np.ndarray, v: np.ndarray) -> float:
         return space_time_inner(self.mesh, tag, u, v, self.dt)
@@ -98,24 +134,12 @@ class ParabolicProblem:
         return time_integral_boundary(series, self.dt)
 
 
-@dataclass(frozen=True)
-class ParabolicOperator:
-    """Preassembled pieces of one implicit Euler march."""
-
-    S: sparse.csr_matrix
-    M: sparse.csr_matrix
-    dt: float
-
-
-def build_operator(prob: ParabolicProblem, gamma: np.ndarray) -> ParabolicOperator:
-    """Assemble S = M/dt + K_a + B_gamma once for a whole sweep."""
+def build_operator(prob: ParabolicProblem, gamma: np.ndarray) -> sparse.csr_matrix:
+    """The SPD step matrix S = M/dt + K_a + B_gamma, shared by a whole march."""
     gamma = np.asarray(gamma, dtype=float)
     fem.require_in_box(gamma, prob.gamma_min, prob.gamma_max)
-    K = fem.assemble_stiffness(prob.mesh, prob.a)
-    M = fem.assemble_mass(prob.mesh, 1.0)
-    S = (M / prob.dt + K
-         + fem.assemble_boundary_mass(prob.mesh, SegmentTag.INACCESSIBLE, gamma))
-    return ParabolicOperator(S=S.tocsr(), M=M, dt=prob.dt)
+    B = fem.assemble_boundary_mass(prob.mesh, SegmentTag.INACCESSIBLE, gamma)
+    return (prob.base + B).tocsr()
 
 
 def _at_time(data, t: float):
@@ -135,67 +159,54 @@ def _initial_field(prob: ParabolicProblem) -> np.ndarray:
 
 def solve_forward_parabolic(
     prob: ParabolicProblem,
-    gamma: np.ndarray,
+    op: sparse.csr_matrix,
     tol: float = 1e-10,
-    operator: ParabolicOperator | None = None,
 ) -> np.ndarray:
     """March the state forward from the interpolated initial value.
 
     Each step solves S u_n = (M/dt) u_{n-1} + loads(t_n), data evaluated
     at the new time level.  Returns the full (nt + 1, n_nodes) trajectory.
     """
-    op = build_operator(prob, gamma) if operator is None else operator
-    mesh = prob.mesh
-    U = np.empty((prob.nt + 1, mesh.n_nodes))
+    U = np.empty((prob.nt + 1, prob.mesh.n_nodes))
     U[0] = _initial_field(prob)
     for n in range(1, prob.nt + 1):
-        t = n * op.dt
-        b = op.M @ (U[n - 1] / op.dt)
-        b += fem.assemble_load(mesh, _at_time(prob.f, t))
-        b += fem.assemble_boundary_load(
-            mesh, SegmentTag.INACCESSIBLE, _at_time(prob.g, t)
-        )
-        b += fem.assemble_boundary_load(
-            mesh, SegmentTag.ACCESSIBLE, _at_time(prob.h, t)
-        )
-        U[n] = fem.solve_spd(op.S, b, tol=tol, x0=U[n - 1])
+        b = prob.mass @ (U[n - 1] / prob.dt)
+        b += prob.loads[n]
+        U[n] = fem.solve_spd(op, b, tol=tol, x0=U[n - 1])
     return U
 
 
 def solve_derivative_parabolic(
     prob: ParabolicProblem,
-    gamma: np.ndarray,
     u: np.ndarray,
     d: np.ndarray,
+    op: sparse.csr_matrix,
     tol: float = 1e-10,
-    operator: ParabolicOperator | None = None,
 ) -> np.ndarray:
     """Sensitivity trajectory for a perturbation d of gamma.
 
-    u must be the forward trajectory at gamma.  Starts from zero and takes
+    u must be the forward trajectory for op.  Starts from zero and takes
     the boundary load of -(d * u_n) on the inaccessible side at each step.
     """
-    op = build_operator(prob, gamma) if operator is None else operator
     mesh = prob.mesh
     seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
     d = np.asarray(d, dtype=float)
     W = np.zeros((prob.nt + 1, mesh.n_nodes))
     for n in range(1, prob.nt + 1):
-        b = op.M @ (W[n - 1] / op.dt)
+        b = prob.mass @ (W[n - 1] / prob.dt)
         b -= fem.assemble_boundary_load(
             mesh, SegmentTag.INACCESSIBLE, d * u[n, seg_i]
         )
-        W[n] = fem.solve_spd(op.S, b, tol=tol, x0=W[n - 1])
+        W[n] = fem.solve_spd(op, b, tol=tol, x0=W[n - 1])
     return W
 
 
 def solve_adjoint_parabolic(
     prob: ParabolicProblem,
-    gamma: np.ndarray,
     u: np.ndarray,
     p: np.ndarray,
+    op: sparse.csr_matrix,
     tol: float = 1e-10,
-    operator: ParabolicOperator | None = None,
 ) -> np.ndarray:
     """Adjoint trajectory for accessible-side weights p, backward in time.
 
@@ -205,7 +216,6 @@ def solve_adjoint_parabolic(
     solve already carries the level-N load, earlier levels add theirs on
     the way down, and level 0 is a plain continuation without load.
     """
-    op = build_operator(prob, gamma) if operator is None else operator
     mesh = prob.mesh
     seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
     p = np.asarray(p, dtype=float)
@@ -216,38 +226,29 @@ def solve_adjoint_parabolic(
     W = np.zeros((prob.nt + 1, mesh.n_nodes))
     N = prob.nt
     b = -fem.assemble_boundary_load(mesh, SegmentTag.ACCESSIBLE, p[N] * u[N, seg_a])
-    W[N] = fem.solve_spd(op.S, b, tol=tol)
+    W[N] = fem.solve_spd(op, b, tol=tol)
     for n in range(N - 1, 0, -1):
-        b = op.M @ (W[n + 1] / op.dt)
+        b = prob.mass @ (W[n + 1] / prob.dt)
         b -= fem.assemble_boundary_load(
             mesh, SegmentTag.ACCESSIBLE, p[n] * u[n, seg_a]
         )
-        W[n] = fem.solve_spd(op.S, b, tol=tol, x0=W[n + 1])
+        W[n] = fem.solve_spd(op, b, tol=tol, x0=W[n + 1])
     if N >= 1:
-        b = op.M @ (W[1] / op.dt)
-        W[0] = fem.solve_spd(op.S, b, tol=tol, x0=W[1])
+        b = prob.mass @ (W[1] / prob.dt)
+        W[0] = fem.solve_spd(op, b, tol=tol, x0=W[1])
     return W
 
 
-def time_integral_boundary(
-    series: np.ndarray, dt: float, weights: np.ndarray | None = None
-) -> np.ndarray:
+def time_integral_boundary(series: np.ndarray, dt: float) -> np.ndarray:
     """Integrate a segment-field time series over time.
 
-    The default weights are the right-endpoint rectangle rule, dt on
-    levels 1..N and zero on level 0, matching the implicit Euler pairing
-    used by the adjoint sweep.  Returns one segment field.
+    Right-endpoint rectangle rule, dt on levels 1..N and zero on level 0,
+    matching the implicit Euler pairing used by the adjoint sweep.
+    Returns one segment field.
     """
     series = np.asarray(series, dtype=float)
-    if weights is None:
-        weights = np.full(series.shape[0], dt)
-        weights[0] = 0.0
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape[0] != series.shape[0]:
-            raise ValueError(
-                f"{weights.shape[0]} weights for {series.shape[0]} levels"
-            )
+    weights = np.full(series.shape[0], dt)
+    weights[0] = 0.0
     return weights @ series
 
 

@@ -174,6 +174,29 @@ def test_sweep_rejects_duplicate_entries(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command, config, flags", [
+    ("sweep", "seed = a,b\n", []),
+    ("run", "gamma0 = junk\n", []),
+    ("sweep", "", ["--jobs", "-3"]),
+    ("run", "", ["--eps", "nan"]),
+], ids=["sweep-config-seed", "run-config-gamma0", "sweep-jobs", "run-eps-nan"])
+def test_bad_setting_exits_2_with_message(tmp_path, capsys, monkeypatch,
+                                          command, config, flags):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a bad setting must fail before any set-up")
+
+    monkeypatch.setattr(experiments, "make_example", unreachable)
+    path = tmp_path / "job.cfg"
+    path.write_text(config)
+    out = tmp_path / "out"
+    code = cli.main([command, "--example", "5.1", "--nx", "4", "--ny", "8",
+                     "--config", str(path), "--out", str(out)] + flags)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "history.csv").exists()
+    assert not (out / "sweep.csv").exists()
+
+
 def test_verify_filter(capsys):
     assert cli.main(["verify", "--only", "adjoint"]) == 0
     out = capsys.readouterr().out

@@ -104,6 +104,13 @@ def test_add_noise_zero_level_is_identity():
     assert np.array_equal(experiments.add_noise(z, 0.0, seed=5), z)
 
 
+def test_add_noise_rejects_bad_levels():
+    z = np.linspace(0.5, 1.5, 30)
+    for delta in (-0.1, np.nan):
+        with pytest.raises(ValueError):
+            experiments.add_noise(z, delta, seed=0)
+
+
 def test_add_noise_is_seed_deterministic():
     z = np.linspace(0.5, 1.5, 30)
     a = experiments.add_noise(z, 0.02, seed=11)
@@ -131,6 +138,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         experiments.ExperimentSpec(example_id="5.1", delta=-0.1)
     with pytest.raises(ValueError):
+        experiments.ExperimentSpec(example_id="5.1", delta=float("nan"))
+    with pytest.raises(ValueError):
         experiments.ExperimentSpec(example_id="5.1", gamma0="best")
     assert experiments.ExperimentSpec(example_id="5.3").kind == "parabolic"
 
@@ -155,6 +164,30 @@ def test_run_experiment_exact_start_noise_free():
     result = experiments.run_experiment(spec)
     assert result.iterations == 1
     assert result.final_error == 0.0
+
+
+@pytest.mark.parametrize("example_id", ["5.1", "5.3"])
+def test_run_experiment_builds_gamma_free_pieces_once(monkeypatch, example_id):
+    """K and M are assembled once per problem, and the data loads once per
+    level (one volume load for a stationary problem), not once per
+    iterate or per march."""
+    calls = dict.fromkeys(("assemble_stiffness", "assemble_mass",
+                           "assemble_load"), 0)
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fem, name, counted(name, getattr(fem, name)))
+    spec = experiments.ExperimentSpec(example_id=example_id, nx=4, ny=8, nt=4)
+    result = experiments.run_experiment(spec)
+    assert result.iterations > 1
+    expected_loads = 1 if result.kind == "elliptic" else spec.nt
+    assert calls == {"assemble_stiffness": 1, "assemble_mass": 1,
+                     "assemble_load": expected_loads}
 
 
 # ---------------------------------------------------------------------------

@@ -130,15 +130,6 @@ def test_segment_mass_matches_inner_product():
     assert u @ (M @ v) == pytest.approx(direct, rel=1e-13)
 
 
-def test_trace_picks_segment_values():
-    mesh = make_mesh()
-    u = nodal(mesh, lambda x, y: x + 10.0 * y)
-    tr = fem.trace(mesh, SegmentTag.INACCESSIBLE, u)
-    seg = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
-    np.testing.assert_array_equal(tr, u[seg])
-    assert np.all(tr == LX + 10.0 * mesh.nodes[seg, 1])
-
-
 # ---------------------------------------------------------------------------
 # solver behavior
 # ---------------------------------------------------------------------------

@@ -48,6 +48,14 @@ def test_config_rejects_bad_values():
         lm.LmConfig(eps=1e-3, max_iters=0)
     with pytest.raises(ValueError):
         lm.LmConfig(eps=1e-3, trace_guard=0.0)
+    with pytest.raises(ValueError):
+        lm.LmConfig(eps=1e-3, residual_floor=0.0)
+    # NaN fails every comparison, so each check must be written to catch it
+    nan = float("nan")
+    for bad in ({"eps": nan}, {"A": nan}, {"trace_guard": nan},
+                {"residual_floor": nan}):
+        with pytest.raises(ValueError):
+            lm.LmConfig(**{"eps": 1e-3, **bad})
 
 
 def test_run_validates_initial_guess():

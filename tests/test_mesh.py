@@ -5,7 +5,6 @@ from robinrecon.mesh import (
     SegmentTag,
     build_rect_mesh,
     classify_boundary,
-    dump_mesh,
     triangle_areas,
 )
 
@@ -36,8 +35,8 @@ def test_total_area_is_exact():
 
 def test_classification_splits_the_boundary():
     mesh = make_mesh()
-    inacc = mesh.edges_of(SegmentTag.INACCESSIBLE)
-    acc = mesh.edges_of(SegmentTag.ACCESSIBLE)
+    inacc = mesh.segments[SegmentTag.INACCESSIBLE].edges
+    acc = mesh.segments[SegmentTag.ACCESSIBLE].edges
     assert inacc.shape[0] == NY
     assert acc.shape[0] == 2 * NX + NY
     # the inaccessible segment is exactly the x = LX side
@@ -61,7 +60,7 @@ def test_segment_nodes_sorted_and_shared_corners():
 def test_unclassified_mesh_refuses_segment_queries():
     raw = build_rect_mesh(4, 4, 1.0, 1.0)
     with pytest.raises(ValueError):
-        raw.edges_of(SegmentTag.ACCESSIBLE)
+        raw.segment_nodes(SegmentTag.ACCESSIBLE)
 
 
 def test_build_rejects_bad_dimensions():
@@ -71,12 +70,13 @@ def test_build_rejects_bad_dimensions():
         build_rect_mesh(4, 4, -1.0, 2.0)
 
 
-def test_dump_is_deterministic():
+def test_segment_data_is_consistent_and_read_only():
     mesh = make_mesh()
-    text = dump_mesh(mesh)
-    assert text == dump_mesh(mesh)
-    lines = [line for line in text.splitlines() if line.strip()]
-    total = mesh.n_nodes + mesh.triangles.shape[0] + mesh.boundary_edges.shape[0]
-    assert len(lines) == total
-    tagged = sum(line.endswith(" inaccessible") for line in lines)
-    assert tagged == NY
+    for tag, perimeter in ((SegmentTag.INACCESSIBLE, LY),
+                           (SegmentTag.ACCESSIBLE, 2.0 * LX + LY)):
+        seg = mesh.segments[tag]
+        np.testing.assert_array_equal(seg.nodes[seg.local], seg.edges)
+        assert seg.length.sum() == pytest.approx(perimeter, rel=1e-14)
+        for array in (seg.nodes, seg.edges, seg.local, seg.length):
+            with pytest.raises(ValueError):
+                array[0] = 0

@@ -22,7 +22,8 @@ def setup(nx=8, ny=16, nt=8):
 
 def test_forward_matches_manufactured_solution():
     example, mesh, gamma = setup()
-    u = par.solve_forward_parabolic(example.problem, gamma, tol=SOLVER_TOL)
+    op = par.build_operator(example.problem, gamma)
+    u = par.solve_forward_parabolic(example.problem, op, tol=SOLVER_TOL)
     assert u.shape == (example.problem.nt + 1, mesh.n_nodes)
     T = example.problem.T
     err = ex.domain_l2_error(mesh, u[-1], lambda x, y: example.u_exact(x, y, T))
@@ -35,7 +36,8 @@ def test_initial_level_is_the_interpolated_start():
         mesh=mesh, a=1.0, f=0.0, g=1.0, h=0.0,
         u0=lambda x, y: x + 2.0 * y, T=1.0, nt=2,
     )
-    u = par.solve_forward_parabolic(prob, np.full(9, 1.0), tol=SOLVER_TOL)
+    op = par.build_operator(prob, np.full(9, 1.0))
+    u = par.solve_forward_parabolic(prob, op, tol=SOLVER_TOL)
     np.testing.assert_array_equal(
         u[0], mesh.nodes[:, 0] + 2.0 * mesh.nodes[:, 1]
     )
@@ -48,21 +50,11 @@ def test_steady_state_agrees_with_stationary_solve():
     gamma = np.full(17, 1.5)
     stationary = ell.EllipticProblem(mesh=mesh, a=1.0, c=0.0, f=1.0,
                                      g=2.0, h=0.5)
-    u_inf = ell.solve_forward(stationary, gamma, tol=SOLVER_TOL)
+    u_inf = stationary.forward(stationary.operator(gamma), SOLVER_TOL)
     marching = par.ParabolicProblem(mesh=mesh, a=1.0, f=1.0, g=2.0, h=0.5,
                                     u0=0.0, T=60.0, nt=60)
-    u = par.solve_forward_parabolic(marching, gamma, tol=SOLVER_TOL)
+    u = marching.forward(marching.operator(gamma), SOLVER_TOL)
     np.testing.assert_allclose(u[-1], u_inf, atol=1e-8)
-
-
-def test_operator_reuse_is_bit_identical():
-    example, mesh, gamma = setup(nt=4)
-    op = par.build_operator(example.problem, gamma)
-    u_fresh = par.solve_forward_parabolic(example.problem, gamma,
-                                          tol=SOLVER_TOL)
-    u_reuse = par.solve_forward_parabolic(example.problem, gamma,
-                                          tol=SOLVER_TOL, operator=op)
-    np.testing.assert_array_equal(u_fresh, u_reuse)
 
 
 def test_build_operator_rejects_gamma_outside_box():
@@ -86,9 +78,10 @@ def test_problem_validation():
 
 def test_derivative_starts_from_rest():
     example, mesh, gamma = setup(nt=4)
-    u = par.solve_forward_parabolic(example.problem, gamma, tol=SOLVER_TOL)
+    op = par.build_operator(example.problem, gamma)
+    u = par.solve_forward_parabolic(example.problem, op, tol=SOLVER_TOL)
     d = np.ones(mesh.segment_nodes(SegmentTag.INACCESSIBLE).size)
-    w = par.solve_derivative_parabolic(example.problem, gamma, u, d,
+    w = par.solve_derivative_parabolic(example.problem, u, d, op,
                                        tol=SOLVER_TOL)
     assert np.all(w[0] == 0.0)
     assert np.any(w[1] != 0.0)
@@ -100,14 +93,12 @@ def test_adjoint_identity_single_pair():
     seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
     seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
     op = par.build_operator(prob, gamma)
-    u = par.solve_forward_parabolic(prob, gamma, tol=SOLVER_TOL, operator=op)
+    u = par.solve_forward_parabolic(prob, op, tol=SOLVER_TOL)
     rng = np.random.default_rng(5)
     d = rng.uniform(-1.0, 1.0, seg_i.size)
     p = rng.uniform(-1.0, 1.0, (prob.nt + 1, seg_a.size))
-    w = par.solve_derivative_parabolic(prob, gamma, u, d, tol=SOLVER_TOL,
-                                       operator=op)
-    ws = par.solve_adjoint_parabolic(prob, gamma, u, p, tol=SOLVER_TOL,
-                                     operator=op)
+    w = par.solve_derivative_parabolic(prob, u, d, op, tol=SOLVER_TOL)
+    ws = par.solve_adjoint_parabolic(prob, u, p, op, tol=SOLVER_TOL)
     lhs = par.space_time_inner(mesh, SegmentTag.ACCESSIBLE, w[:, seg_a],
                                u[:, seg_a] * p, prob.dt)
     rhs = par.space_time_inner(mesh, SegmentTag.INACCESSIBLE,
@@ -121,22 +112,42 @@ def test_adjoint_ignores_the_initial_weight_level():
     example, mesh, gamma = setup(nt=4)
     prob = example.problem
     seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
-    u = par.solve_forward_parabolic(prob, gamma, tol=SOLVER_TOL)
+    op = par.build_operator(prob, gamma)
+    u = par.solve_forward_parabolic(prob, op, tol=SOLVER_TOL)
     rng = np.random.default_rng(9)
     p = rng.uniform(-1.0, 1.0, (prob.nt + 1, seg_a.size))
-    ws1 = par.solve_adjoint_parabolic(prob, gamma, u, p, tol=SOLVER_TOL)
+    ws1 = par.solve_adjoint_parabolic(prob, u, p, op, tol=SOLVER_TOL)
     p[0] = 777.0
-    ws2 = par.solve_adjoint_parabolic(prob, gamma, u, p, tol=SOLVER_TOL)
+    ws2 = par.solve_adjoint_parabolic(prob, u, p, op, tol=SOLVER_TOL)
     np.testing.assert_array_equal(ws1, ws2)
 
 
 def test_adjoint_rejects_wrong_level_count():
     example, mesh, gamma = setup(nt=4)
-    u = par.solve_forward_parabolic(example.problem, gamma, tol=SOLVER_TOL)
+    op = par.build_operator(example.problem, gamma)
+    u = par.solve_forward_parabolic(example.problem, op, tol=SOLVER_TOL)
     seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
     with pytest.raises(ValueError):
-        par.solve_adjoint_parabolic(example.problem, gamma, u,
-                                    np.ones((3, seg_a.size)))
+        par.solve_adjoint_parabolic(example.problem, u,
+                                    np.ones((3, seg_a.size)), op)
+
+
+def test_data_loads_collect_all_data_terms_per_level():
+    example, mesh, gamma = setup(4, 8, nt=3)
+    prob = example.problem
+    L = prob.loads
+    assert L.shape == (prob.nt + 1, mesh.n_nodes)
+    assert np.all(L[0] == 0.0)
+    for n in range(1, prob.nt + 1):
+        t = n * prob.dt
+        expected = fem.assemble_load(mesh, lambda x, y: prob.f(x, y, t))
+        expected += fem.assemble_boundary_load(
+            mesh, SegmentTag.INACCESSIBLE, lambda x, y: prob.g(x, y, t))
+        expected += fem.assemble_boundary_load(mesh, SegmentTag.ACCESSIBLE,
+                                               prob.h)
+        np.testing.assert_array_equal(L[n], expected)
+    with pytest.raises(ValueError):
+        L[1, 0] = 0.0
 
 
 def test_time_integral_right_endpoint_rule():
@@ -149,15 +160,6 @@ def test_time_integral_right_endpoint_rule():
     expected = T * T / 2.0 + T * dt / 2.0
     np.testing.assert_allclose(integral, expected, rtol=1e-13)
     assert integral.shape == (5,)
-
-
-def test_time_integral_custom_weights():
-    series = np.arange(12.0).reshape(4, 3)
-    weights = np.array([1.0, 0.0, 0.0, 2.0])
-    out = par.time_integral_boundary(series, dt=0.5, weights=weights)
-    np.testing.assert_allclose(out, series[0] + 2.0 * series[3])
-    with pytest.raises(ValueError):
-        par.time_integral_boundary(series, dt=0.5, weights=np.ones(3))
 
 
 def test_space_time_inner_matches_closed_form():

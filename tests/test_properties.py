@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robinrecon import experiments as ex
+from robinrecon import lm
 from robinrecon.mesh import SegmentTag
 
 SOLVER_TOL = 1e-12
@@ -30,12 +31,31 @@ def test_adjoint_identity_on_random_meshes(example_id, nx, ny, nt, seed):
     rng = np.random.default_rng(seed)
     gamma = rng.uniform(prob.gamma_min, prob.gamma_max, seg_i.size)
     op = prob.operator(gamma)
-    u = prob.forward(gamma, op, SOLVER_TOL)
+    u = prob.forward(op, SOLVER_TOL)
     d = rng.uniform(-1.0, 1.0, seg_i.size)
     p = rng.uniform(-1.0, 1.0, u[..., seg_a].shape)
-    w = prob.derivative(gamma, u, d, op, SOLVER_TOL)
-    ws = prob.adjoint(gamma, u, p, op, SOLVER_TOL)
+    w = prob.derivative(u, d, op, SOLVER_TOL)
+    ws = prob.adjoint(u, p, op, SOLVER_TOL)
     lhs = prob.inner(SegmentTag.ACCESSIBLE, w[..., seg_a], u[..., seg_a] * p)
     rhs = prob.inner(SegmentTag.INACCESSIBLE, u[..., seg_i] * d, ws[..., seg_i])
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
     assert gap <= ex.ADJOINT_TOL
+
+
+@pytest.mark.parametrize("example_id", ["5.1", "5.3"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(nx=st.integers(1, 6), ny=st.integers(1, 8), nt=st.integers(1, 6))
+def test_exact_coefficient_is_a_fixed_point(example_id, nx, ny, nt):
+    """Noise-free data at the exact coefficient leave nothing to correct:
+    the first step measures a zero residual and stays where it started."""
+    example = ex.make_example(example_id, nx=nx, ny=ny, nt=nt)
+    prob = example.problem
+    gamma_star = ex.interpolate_gamma(prob.mesh, example.gamma_star)
+    z = ex.exact_observation(example)
+    state = lm.run(prob, gamma_star, z, lm.LmConfig(eps=1e-3),
+                   gamma_star=gamma_star)
+    assert state.k == 1
+    row = state.history[0]
+    assert (row.residual, row.beta, row.rel_change, row.rel_error) == \
+        (0.0, 0.0, 0.0, 0.0)
+    assert np.array_equal(state.gamma, gamma_star)
