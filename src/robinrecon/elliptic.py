@@ -15,7 +15,8 @@ to solver precision, which the tests rely on.
 
 The gamma-independent pieces, K_a + M_c and the load vector, are built
 once per problem on first use and cached on it; an operator is that
-cached base plus the Robin mass B_gamma.
+cached base plus the Robin mass B_gamma, factored once (fem.BlockLDLT)
+so that every solve with it runs CG preconditioned by its factor.
 
 EllipticProblem carries the problem protocol that the outer loop and the
 verification probes run on, shared with ParabolicProblem: operator,
@@ -58,9 +59,10 @@ class EllipticProblem:
     gamma_max: float = 10.0
 
     def __post_init__(self):
-        if self.gamma_min <= 0.0:
+        # written so that NaN fails the checks too
+        if not self.gamma_min > 0.0:
             raise ValueError(f"gamma_min must be positive, got {self.gamma_min}")
-        if self.gamma_max < self.gamma_min:
+        if not self.gamma_max >= self.gamma_min:
             raise ValueError("gamma_max must not be below gamma_min")
 
     @cached_property
@@ -83,7 +85,7 @@ class EllipticProblem:
 
     levels = (...,)  # the whole trace is the one weighted level
 
-    def operator(self, gamma: np.ndarray) -> sparse.csr_matrix:
+    def operator(self, gamma: np.ndarray) -> fem.BlockLDLT:
         return assemble_operator(self, gamma)
 
     def forward(self, op, tol: float) -> np.ndarray:
@@ -102,17 +104,17 @@ class EllipticProblem:
         return series
 
 
-def assemble_operator(prob: EllipticProblem, gamma: np.ndarray) -> sparse.csr_matrix:
-    """The SPD system matrix K_a + M_c + B_gamma for a nodal gamma."""
+def assemble_operator(prob: EllipticProblem, gamma: np.ndarray) -> fem.BlockLDLT:
+    """The SPD system matrix K_a + M_c + B_gamma for a nodal gamma, factored."""
     gamma = np.asarray(gamma, dtype=float)
     fem.require_in_box(gamma, prob.gamma_min, prob.gamma_max)
     B = fem.assemble_boundary_mass(prob.mesh, SegmentTag.INACCESSIBLE, gamma)
-    return (prob.base + B).tocsr()
+    return fem.BlockLDLT((prob.base + B).tocsr())
 
 
 def solve_forward(
     prob: EllipticProblem,
-    op: sparse.csr_matrix,
+    op: fem.BlockLDLT | sparse.spmatrix,
     tol: float = 1e-10,
 ) -> np.ndarray:
     """State u for the Robin coefficient op was assembled with."""
@@ -123,7 +125,7 @@ def solve_derivative(
     prob: EllipticProblem,
     u: np.ndarray,
     d: np.ndarray,
-    op: sparse.csr_matrix,
+    op: fem.BlockLDLT | sparse.spmatrix,
     tol: float = 1e-10,
 ) -> np.ndarray:
     """Directional derivative of the forward map in direction d.
@@ -142,7 +144,7 @@ def solve_adjoint(
     prob: EllipticProblem,
     u: np.ndarray,
     p: np.ndarray,
-    op: sparse.csr_matrix,
+    op: fem.BlockLDLT | sparse.spmatrix,
     tol: float = 1e-10,
 ) -> np.ndarray:
     """Adjoint state for an accessible-side weight p.

@@ -39,7 +39,7 @@ FINAL_TIME = 2.0
 DEFAULT_EPS = {"elliptic": 2e-3, "parabolic": 5e-3}
 
 # Thresholds of the verification battery, shared with the test suite.
-ADJOINT_TOL = 1e-8
+ADJOINT_TOL = 1e-12
 FD_ORDER_BAND = (0.7, 1.3)
 ELLIPTIC_RATIO_MIN = 3.5
 PARABOLIC_RATIO_MIN = 1.8

@@ -13,6 +13,13 @@ are plain 1-D arrays indexed by the sorted node list of one segment, see
 Mesh.segment_nodes; the segment geometry comes precomputed with the
 mesh (Mesh.segments).  Nodal fields on the whole mesh are 1-D arrays of
 length n_nodes.
+
+solve_spd is preconditioned CG.  Its preconditioner follows from what it
+is given: a BlockLDLT, the block LDL^T factorization of a banded SPD
+matrix, is an exact preconditioner, so CG stops after one iteration; a
+bare sparse matrix gets the Jacobi preconditioner, the reference path.
+The problems factor each operator once, and every solve with that
+operator reuses the factor.
 """
 
 from __future__ import annotations
@@ -38,11 +45,105 @@ class ConvergenceFailure(LinearSolveError):
 
 
 class CurvatureBreakdown(LinearSolveError):
-    """CG met a direction of non-positive curvature, the matrix is not SPD."""
+    """The matrix is not SPD: CG met a direction of non-positive curvature,
+    or a pivot block of the block LDL^T factorization is not positive
+    definite."""
+
+
+class BlockLDLT:
+    """A banded SPD matrix together with its block LDL^T factorization.
+
+    The nodes are cut into consecutive blocks of w, the half-bandwidth read
+    from the matrix's own nonzeros, so the matrix is block tridiagonal with
+    diagonal blocks A_k and sub-diagonal couplings C_k.  The factorization
+    keeps the dense inverse of every pivot block, D_k = A_k - C_k
+    D_{k-1}^{-1} C_k^T (a Schur complement), and the couplings as the
+    sparse entries they are; only the couplings below the diagonal are
+    read, symmetry supplies the rest.  The last block is padded with the
+    identity when w does not divide the dimension.  For the lexicographic
+    node numbering of a structured mesh, w = nx + 2.
+
+    solve applies the inverse of the matrix by one forward and one
+    backward block sweep; solve_spd uses it as the preconditioner of CG,
+    which then stops after one iteration.  The matrix itself stays
+    available as ``matrix``; nnz and shape are its own.
+
+    Raises CurvatureBreakdown when a pivot block is not positive definite.
+    """
+
+    def __init__(self, matrix: sparse.spmatrix):
+        self.matrix = matrix
+        n = matrix.shape[0]
+        coo = matrix.tocoo()
+        row, col, val = coo.row, coo.col, coo.data
+        w = max(int(np.abs(row - col).max(initial=0)), 1)
+        nb = -(-n // w)
+        row_block, row_local = np.divmod(row, w)
+        col_block, col_local = np.divmod(col, w)
+
+        dinv = np.zeros((nb, w, w))
+        on = row_block == col_block
+        np.add.at(dinv, (row_block[on], row_local[on], col_local[on]), val[on])
+        pad = np.arange(n, nb * w)
+        dinv[pad // w, pad % w, pad % w] = 1.0
+
+        below = np.flatnonzero(row_block == col_block + 1)
+        below = below[np.argsort(row_block[below], kind="stable")]
+        cuts = np.searchsorted(row_block[below], np.arange(nb + 1))
+        self._coupling = [
+            (row_local[idx], col_local[idx], val[idx])
+            for idx in (below[cuts[k]:cuts[k + 1]] for k in range(nb))
+        ]
+
+        for k in range(nb):
+            pivot = dinv[k]
+            if k:
+                r, c, a = self._coupling[k]
+                C = np.zeros((w, w))
+                np.add.at(C, (r, c), a)
+                pivot -= C @ dinv[k - 1] @ C.T
+            try:
+                L = np.linalg.cholesky(pivot)
+            except np.linalg.LinAlgError:
+                raise CurvatureBreakdown(
+                    f"pivot block {k} (rows {k * w}..{min((k + 1) * w, n) - 1}) "
+                    f"is not positive definite"
+                ) from None
+            L_inv = np.linalg.inv(L)
+            dinv[k] = L_inv.T @ L_inv
+        self._dinv = dinv
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
+
+    @property
+    def nnz(self) -> int:
+        return self.matrix.nnz
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with A x = b, up to rounding."""
+        dinv = self._dinv
+        nb, w, _ = dinv.shape
+        n = self.matrix.shape[0]
+        x = np.zeros(nb * w)
+        x[:n] = b
+        x = x.reshape(nb, w)
+        # forward: x_k <- D_k^{-1} (b_k - C_k x_{k-1})
+        x[0] = dinv[0] @ x[0]
+        for k in range(1, nb):
+            r, c, a = self._coupling[k]
+            x[k] -= np.bincount(r, a * x[k - 1, c], minlength=w)
+            x[k] = dinv[k] @ x[k]
+        # backward: x_k <- x_k - D_k^{-1} C_{k+1}^T x_{k+1}
+        for k in range(nb - 2, -1, -1):
+            r, c, a = self._coupling[k + 1]
+            x[k] -= dinv[k] @ np.bincount(c, a * x[k + 1, r], minlength=w)
+        return x.ravel()[:n]
 
 
 def solve_spd(
-    A: sparse.spmatrix,
+    A: sparse.spmatrix | BlockLDLT,
     b: np.ndarray,
     tol: float = 1e-10,
     x0: np.ndarray | None = None,
@@ -51,10 +152,14 @@ def solve_spd(
 ) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A.
 
-    Preconditioned conjugate gradients with a diagonal (Jacobi)
-    preconditioner.  Stops when ||b - A x||_2 <= tol * ||b||_2.  The
-    iteration is a fixed deterministic recurrence: identical inputs give
-    bit-identical solutions.
+    Preconditioned conjugate gradients.  A BlockLDLT is its own
+    preconditioner: the factor solves the system up to rounding, so CG
+    stops after one iteration.  A bare sparse matrix gets the diagonal
+    (Jacobi) preconditioner, the reference path.  Either way the loop
+    stops when ||b - A x||_2 <= tol * ||b||_2 and checks the curvature of
+    every search direction, so the tolerance and the SPD check hold for
+    both.  The iteration is a fixed deterministic recurrence: identical
+    inputs give bit-identical solutions.
 
     Parameters
     ----------
@@ -80,16 +185,23 @@ def solve_spd(
             stats["iterations"] = 0
         return np.zeros(n)
 
-    diag = A.diagonal()
-    if np.any(diag <= 0.0):
-        bad = int(np.argmin(diag))
-        raise CurvatureBreakdown(
-            f"non-positive diagonal entry {diag[bad]:g} at row {bad}"
-        )
+    if isinstance(A, BlockLDLT):
+        precondition = A.solve
+        A = A.matrix
+    else:
+        diag = A.diagonal()
+        if np.any(diag <= 0.0):
+            bad = int(np.argmin(diag))
+            raise CurvatureBreakdown(
+                f"non-positive diagonal entry {diag[bad]:g} at row {bad}"
+            )
+
+        def precondition(r):
+            return r / diag
 
     x = np.zeros(n) if x0 is None else x0.astype(float, copy=True)
     r = b - A @ x
-    z = r / diag
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     threshold = tol * norm_b
@@ -113,7 +225,7 @@ def solve_spd(
             if stats is not None:
                 stats["iterations"] = k
             return x
-        z = r / diag
+        z = precondition(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -296,6 +408,22 @@ def segment_mass(mesh: Mesh, tag: SegmentTag) -> sparse.csr_matrix:
     rows = np.column_stack([local[:, 0], local[:, 0], local[:, 1], local[:, 1]]).ravel()
     cols = np.column_stack([local[:, 0], local[:, 1], local[:, 0], local[:, 1]]).ravel()
     return sparse.coo_matrix((data, (rows, cols)), shape=(ns, ns)).tocsr()
+
+
+def boundary_load_map(mesh: Mesh, tag: SegmentTag) -> sparse.csr_matrix:
+    """Linear map P of a nodal segment field g to its boundary load.
+
+    P has shape (n_nodes, segment nodes); P @ g equals
+    assemble_boundary_load(mesh, tag, g) up to rounding, since the load of
+    a linearly interpolated weight is the segment mass applied to its
+    nodal values, scattered to the global node ids.
+    """
+    seg = mesh.segments[tag]
+    M = segment_mass(mesh, tag).tocoo()
+    return sparse.csr_matrix(
+        (M.data, (seg.nodes[M.row], M.col)),
+        shape=(mesh.n_nodes, seg.nodes.shape[0]),
+    )
 
 
 def boundary_inner(mesh: Mesh, tag: SegmentTag, u: np.ndarray, v: np.ndarray) -> float:

@@ -9,9 +9,9 @@ segment, followed by nodal clamping to the admissible box.
 Both problem kinds run the same code through the problem protocol of
 EllipticProblem and ParabolicProblem (operator, forward, adjoint, inner,
 integrate, levels); only those methods know whether a trace is one field
-or a time series.  A step builds the operator once, from the problem's
-cached gamma-free base plus the Robin mass of the iterate, and passes it
-to both the forward and the adjoint solve.
+or a time series.  A step builds and factors the operator once, from the
+problem's cached gamma-free base plus the Robin mass of the iterate, and
+passes it to both the forward and the adjoint solve.
 
 Exactness notes.  The residual norm is computed first, as the square root
 of the misfit inner product, and beta is literally residual * residual,
@@ -120,7 +120,8 @@ class LmState:
 def _resolve_bounds(prob, cfg: LmConfig) -> tuple[float, float]:
     g1 = prob.gamma_min if cfg.gamma_min is None else cfg.gamma_min
     g2 = prob.gamma_max if cfg.gamma_max is None else cfg.gamma_max
-    if g1 <= 0.0 or g2 < g1:
+    # "not x > 0" rather than "x <= 0", so that NaN is rejected too.
+    if not g1 > 0.0 or not g2 >= g1:
         raise ValueError(f"invalid coefficient bounds [{g1}, {g2}]")
     return g1, g2
 

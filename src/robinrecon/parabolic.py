@@ -18,7 +18,10 @@ march and leaves an O(dt) gap in the identity.
 The gamma-independent pieces, the mass M, the base M/dt + K_a and the
 data loads of every level, are built once per problem on first use and
 cached on it; an operator is that cached base plus the Robin mass B_gamma,
-and the marches read M and dt from the problem.
+factored once (fem.BlockLDLT) so that every step of every march with it
+runs CG preconditioned by its factor, and the marches read M and dt from
+the problem.  The map P_a of a nodal accessible field to its boundary
+load is cached too, so the adjoint loads of all levels are one product.
 
 ParabolicProblem carries the same problem protocol as EllipticProblem:
 operator, forward, derivative and adjoint wrap the march functions below,
@@ -63,13 +66,14 @@ class ParabolicProblem:
     gamma_max: float = 10.0
 
     def __post_init__(self):
-        if self.T <= 0.0:
+        # written so that NaN fails the checks too
+        if not self.T > 0.0:
             raise ValueError(f"final time must be positive, got {self.T}")
         if self.nt < 1:
             raise ValueError(f"need at least one time step, got nt={self.nt}")
-        if self.gamma_min <= 0.0:
+        if not self.gamma_min > 0.0:
             raise ValueError(f"gamma_min must be positive, got {self.gamma_min}")
-        if self.gamma_max < self.gamma_min:
+        if not self.gamma_max >= self.gamma_min:
             raise ValueError("gamma_max must not be below gamma_min")
 
     @property
@@ -109,13 +113,18 @@ class ParabolicProblem:
         L.flags.writeable = False
         return L
 
+    @cached_property
+    def accessible_load_map(self) -> sparse.csr_matrix:
+        """P_a, the boundary load of a nodal accessible field g is P_a @ g."""
+        return fem.boundary_load_map(self.mesh, SegmentTag.ACCESSIBLE)
+
     # Problem protocol, see the module docstring.
 
     @property
     def levels(self) -> range:
         return range(1, self.nt + 1)
 
-    def operator(self, gamma: np.ndarray) -> sparse.csr_matrix:
+    def operator(self, gamma: np.ndarray) -> fem.BlockLDLT:
         return build_operator(self, gamma)
 
     def forward(self, op, tol: float) -> np.ndarray:
@@ -134,12 +143,13 @@ class ParabolicProblem:
         return time_integral_boundary(series, self.dt)
 
 
-def build_operator(prob: ParabolicProblem, gamma: np.ndarray) -> sparse.csr_matrix:
-    """The SPD step matrix S = M/dt + K_a + B_gamma, shared by a whole march."""
+def build_operator(prob: ParabolicProblem, gamma: np.ndarray) -> fem.BlockLDLT:
+    """The SPD step matrix S = M/dt + K_a + B_gamma, factored, shared by a
+    whole march."""
     gamma = np.asarray(gamma, dtype=float)
     fem.require_in_box(gamma, prob.gamma_min, prob.gamma_max)
     B = fem.assemble_boundary_mass(prob.mesh, SegmentTag.INACCESSIBLE, gamma)
-    return (prob.base + B).tocsr()
+    return fem.BlockLDLT((prob.base + B).tocsr())
 
 
 def _at_time(data, t: float):
@@ -159,7 +169,7 @@ def _initial_field(prob: ParabolicProblem) -> np.ndarray:
 
 def solve_forward_parabolic(
     prob: ParabolicProblem,
-    op: sparse.csr_matrix,
+    op: fem.BlockLDLT | sparse.spmatrix,
     tol: float = 1e-10,
 ) -> np.ndarray:
     """March the state forward from the interpolated initial value.
@@ -180,7 +190,7 @@ def solve_derivative_parabolic(
     prob: ParabolicProblem,
     u: np.ndarray,
     d: np.ndarray,
-    op: sparse.csr_matrix,
+    op: fem.BlockLDLT | sparse.spmatrix,
     tol: float = 1e-10,
 ) -> np.ndarray:
     """Sensitivity trajectory for a perturbation d of gamma.
@@ -205,7 +215,7 @@ def solve_adjoint_parabolic(
     prob: ParabolicProblem,
     u: np.ndarray,
     p: np.ndarray,
-    op: sparse.csr_matrix,
+    op: fem.BlockLDLT | sparse.spmatrix,
     tol: float = 1e-10,
 ) -> np.ndarray:
     """Adjoint trajectory for accessible-side weights p, backward in time.
@@ -223,15 +233,14 @@ def solve_adjoint_parabolic(
         raise ValueError(
             f"weight series has {p.shape[0]} levels, expected {prob.nt + 1}"
         )
+    # boundary loads of -(p * u) on the accessible side, all levels at once
+    loads = (prob.accessible_load_map @ -(p * u[:, seg_a]).T).T
     W = np.zeros((prob.nt + 1, mesh.n_nodes))
     N = prob.nt
-    b = -fem.assemble_boundary_load(mesh, SegmentTag.ACCESSIBLE, p[N] * u[N, seg_a])
-    W[N] = fem.solve_spd(op, b, tol=tol)
+    W[N] = fem.solve_spd(op, loads[N], tol=tol)
     for n in range(N - 1, 0, -1):
         b = prob.mass @ (W[n + 1] / prob.dt)
-        b -= fem.assemble_boundary_load(
-            mesh, SegmentTag.ACCESSIBLE, p[n] * u[n, seg_a]
-        )
+        b += loads[n]
         W[n] = fem.solve_spd(op, b, tol=tol, x0=W[n + 1])
     if N >= 1:
         b = prob.mass @ (W[1] / prob.dt)
@@ -264,7 +273,10 @@ def space_time_inner(
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError(f"series shapes differ: {u.shape} vs {v.shape}")
-    total = 0.0
-    for n in range(1, u.shape[0]):
-        total += dt * fem.boundary_inner(mesh, tag, u[n], v[n])
-    return total
+    M = fem.segment_mass(mesh, tag)
+    if u.ndim != 2 or u.shape[1] != M.shape[0]:
+        raise ValueError(
+            f"segment {tag.name} has {M.shape[0]} nodes, got series of "
+            f"shape {u.shape}"
+        )
+    return dt * float(np.sum((M @ u[1:].T) * v[1:].T))

@@ -130,6 +130,17 @@ def test_segment_mass_matches_inner_product():
     assert u @ (M @ v) == pytest.approx(direct, rel=1e-13)
 
 
+def test_boundary_load_map_matches_boundary_load():
+    mesh = make_mesh()
+    for tag in SegmentTag:
+        seg = mesh.segment_nodes(tag)
+        g = np.random.default_rng(3).standard_normal(seg.size)
+        P = fem.boundary_load_map(mesh, tag)
+        assert P.shape == (mesh.n_nodes, seg.size)
+        np.testing.assert_allclose(P @ g, fem.assemble_boundary_load(mesh, tag, g),
+                                   rtol=1e-13, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # solver behavior
 # ---------------------------------------------------------------------------
@@ -192,3 +203,27 @@ def test_solve_spd_reports_stalled_convergence():
     A, b = reference_system()
     with pytest.raises(fem.ConvergenceFailure):
         fem.solve_spd(A, b, tol=1e-12, max_iter=2)
+
+
+def test_block_factor_is_an_exact_preconditioner():
+    A, b = reference_system()
+    factor = fem.BlockLDLT(A)
+    assert (factor.shape, factor.nnz) == (A.shape, A.nnz)
+    stats = {}
+    x = fem.solve_spd(factor, b, tol=1e-10, stats=stats)
+    assert stats["iterations"] == 1
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+    np.testing.assert_allclose(x, fem.solve_spd(A, b, tol=1e-12), rtol=1e-9)
+
+
+@pytest.mark.parametrize("A", [
+    sparse.diags([1.0, -1.0, 1.0]).tocsr(),
+    sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])),
+    (fem.assemble_stiffness(make_mesh(), 1.0)
+     - 100.0 * fem.assemble_mass(make_mesh(), 1.0)).tocsr(),
+], ids=["negative-diagonal", "indefinite", "shifted-stiffness"])
+def test_block_factor_rejects_non_spd_matrix(A):
+    with pytest.raises(fem.LinearSolveError) as info:
+        fem.BlockLDLT(A)
+    assert isinstance(info.value, fem.CurvatureBreakdown)
+    assert not isinstance(info.value, np.linalg.LinAlgError)

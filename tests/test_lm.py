@@ -7,20 +7,42 @@ the acceptance bands; they guard against silent behavioural drift.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from robinrecon import experiments, lm
 from robinrecon.elliptic import EllipticProblem
 
-# Run of example 5.1 on the 8x16 mesh, delta=0.02, seed 0, gamma0 = 2.
+# Run of example 5.1 on the 8x16 mesh, delta=0.02, seed 0, gamma0 = 2,
+# data and run on the Jacobi reference path of fem.solve_spd.
 ITERS_51_8X16_SEED0 = 12
 FIRST_RESIDUAL_51_8X16_SEED0 = 0.36701403131628824
 FINAL_ERROR_51_8X16_SEED0 = 0.013658781119755558
 
+# The same run on the default path, every solve preconditioned by the
+# block LDL^T factor of its operator.
+FIRST_RESIDUAL_51_8X16_SEED0_FACTORED = 0.3670140313185673
+FINAL_ERROR_51_8X16_SEED0_FACTORED = 0.013658781119209994
 
-def _elliptic_setup(nx=8, ny=16, delta=0.02, seed=0):
+
+class _JacobiEllipticProblem(EllipticProblem):
+    """EllipticProblem whose operator is the bare matrix, without its
+    factor, so every solve runs Jacobi-preconditioned CG."""
+
+    def operator(self, gamma):
+        return super().operator(gamma).matrix
+
+
+def _elliptic_setup(nx=8, ny=16, delta=0.02, seed=0, jacobi=False):
     example = experiments.make_example("5.1", nx=nx, ny=ny)
+    if jacobi:
+        fields = dataclasses.fields(EllipticProblem)
+        problem = _JacobiEllipticProblem(
+            **{f.name: getattr(example.problem, f.name) for f in fields}
+        )
+        example = dataclasses.replace(example, problem=problem)
     gamma_star = experiments.interpolate_gamma(example.problem.mesh, example.gamma_star)
     z = experiments.add_noise(experiments.exact_observation(example), delta, seed)
     gamma0 = np.full(gamma_star.size, 2.0)
@@ -75,6 +97,11 @@ def test_run_validates_initial_guess():
     gamma_nan[3] = np.nan
     with pytest.raises(ValueError, match="gamma0"):
         lm.run(prob, gamma_nan, z, cfg)
+    # a NaN bound is reported as a bad bound, not blamed on a valid gamma0
+    nan = float("nan")
+    for bounds in ({"gamma_min": nan}, {"gamma_max": nan}):
+        with pytest.raises(ValueError, match="invalid coefficient bounds"):
+            lm.run(prob, gamma0, z, lm.LmConfig(eps=1e-3, **bounds))
 
 
 @pytest.mark.parametrize("setup", [_elliptic_setup, _parabolic_setup])
@@ -217,12 +244,25 @@ def test_error_history_never_jumps_up():
 
 
 def test_reference_run_is_frozen():
-    prob, gamma_star, z, gamma0 = _elliptic_setup()
+    prob, gamma_star, z, gamma0 = _elliptic_setup(jacobi=True)
     state = lm.run(prob, gamma0, z, lm.LmConfig(eps=2e-3), gamma_star=gamma_star)
     assert state.stop_reason == "rel_change"
     assert state.k == ITERS_51_8X16_SEED0
     assert state.history[0].residual == pytest.approx(FIRST_RESIDUAL_51_8X16_SEED0, rel=1e-12)
     assert state.history[-1].rel_error == pytest.approx(FINAL_ERROR_51_8X16_SEED0, rel=1e-12)
+
+
+def test_factored_reference_run_is_frozen_and_agrees_with_jacobi():
+    prob, gamma_star, z, gamma0 = _elliptic_setup()
+    state = lm.run(prob, gamma0, z, lm.LmConfig(eps=2e-3), gamma_star=gamma_star)
+    assert state.stop_reason == "rel_change"
+    assert state.k == ITERS_51_8X16_SEED0
+    first, final = state.history[0].residual, state.history[-1].rel_error
+    assert first == pytest.approx(FIRST_RESIDUAL_51_8X16_SEED0_FACTORED, rel=1e-12)
+    assert final == pytest.approx(FINAL_ERROR_51_8X16_SEED0_FACTORED, rel=1e-12)
+    # both solver paths reach the same run, to well within solver tolerance
+    assert first == pytest.approx(FIRST_RESIDUAL_51_8X16_SEED0, rel=1e-9)
+    assert final == pytest.approx(FINAL_ERROR_51_8X16_SEED0, rel=1e-9)
 
 
 def test_rel_error_requires_exact_coefficient():

@@ -74,6 +74,13 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         par.ParabolicProblem(mesh=mesh, a=1.0, f=0.0, g=0.0, h=0.0,
                              u0=0.0, T=1.0, nt=0)
+    nan = float("nan")
+    for bad in ({"T": nan}, {"gamma_min": 0.0}, {"gamma_min": nan},
+                {"gamma_min": 2.0, "gamma_max": 1.0}, {"gamma_max": nan}):
+        with pytest.raises(ValueError):
+            par.ParabolicProblem(**{"mesh": mesh, "a": 1.0, "f": 0.0,
+                                    "g": 0.0, "h": 0.0, "u0": 0.0, "T": 1.0,
+                                    "nt": 4, **bad})
 
 
 def test_derivative_starts_from_rest():
@@ -177,3 +184,18 @@ def test_space_time_inner_matches_closed_form():
     with pytest.raises(ValueError):
         par.space_time_inner(mesh, SegmentTag.INACCESSIBLE,
                              series, series[:-1], dt)
+
+
+def test_space_time_inner_matches_level_by_level_sum():
+    mesh = classify_boundary(build_rect_mesh(4, 8, 1.0, 2.0))
+    dt = 0.25
+    rng = np.random.default_rng(5)
+    for tag in SegmentTag:
+        ns = mesh.segment_nodes(tag).size
+        u, v = rng.standard_normal((2, 9, ns))
+        expected = sum(dt * fem.boundary_inner(mesh, tag, u[n], v[n])
+                       for n in range(1, 9))
+        value = par.space_time_inner(mesh, tag, u, v, dt)
+        assert value == pytest.approx(expected, rel=1e-13)
+        with pytest.raises(ValueError):
+            par.space_time_inner(mesh, tag, u[:, :-1], v[:, :-1], dt)

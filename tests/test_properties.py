@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robinrecon import experiments as ex
+from robinrecon import fem
 from robinrecon import lm
 from robinrecon.mesh import SegmentTag
 
@@ -59,3 +60,25 @@ def test_exact_coefficient_is_a_fixed_point(example_id, nx, ny, nt):
     assert (row.residual, row.beta, row.rel_change, row.rel_error) == \
         (0.0, 0.0, 0.0, 0.0)
     assert np.array_equal(state.gamma, gamma_star)
+
+
+@pytest.mark.parametrize("example_id", ["5.1", "5.3"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(nx=st.integers(1, 6), ny=st.integers(1, 8), nt=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_factor_solves_the_operator(example_id, nx, ny, nt, seed):
+    """The block LDL^T factor of an operator solves it to rounding, and CG
+    preconditioned by it agrees with the Jacobi reference path.  The
+    dimension (nx + 1)(ny + 1) is a multiple of the block size nx + 2 for
+    some draws and not for others."""
+    prob = ex.make_example(example_id, nx=nx, ny=ny, nt=nt).problem
+    seg_i = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
+    rng = np.random.default_rng(seed)
+    gamma = rng.uniform(prob.gamma_min, prob.gamma_max, seg_i.size)
+    op = prob.operator(gamma)
+    b = rng.standard_normal(prob.mesh.n_nodes)
+    x = op.solve(b)
+    assert np.linalg.norm(b - op.matrix @ x) <= 1e-12 * np.linalg.norm(b)
+    factored = fem.solve_spd(op, b, tol=1e-12)
+    jacobi = fem.solve_spd(op.matrix, b, tol=1e-12)
+    assert np.linalg.norm(factored - jacobi) <= 1e-9 * np.linalg.norm(jacobi)
