@@ -26,6 +26,12 @@ FINAL_ERROR_51_8X16_SEED0 = 0.013658781119755558
 FIRST_RESIDUAL_51_8X16_SEED0_FACTORED = 0.3670140313185673
 FINAL_ERROR_51_8X16_SEED0_FACTORED = 0.013658781119209994
 
+# Run of example 5.3 on the 8x16 mesh, nt = 8, delta=0.02, seed 0,
+# gamma0 = 2, eps = 2e-3, on the default (factored) path.
+ITERS_53_8X16_NT8_SEED0 = 8
+FIRST_RESIDUAL_53_8X16_NT8_SEED0 = 0.6508328205915065
+FINAL_ERROR_53_8X16_NT8_SEED0 = 0.00544630624983386
+
 
 class _JacobiEllipticProblem(EllipticProblem):
     """EllipticProblem whose operator is the bare matrix, without its
@@ -263,6 +269,17 @@ def test_factored_reference_run_is_frozen_and_agrees_with_jacobi():
     # both solver paths reach the same run, to well within solver tolerance
     assert first == pytest.approx(FIRST_RESIDUAL_51_8X16_SEED0, rel=1e-9)
     assert final == pytest.approx(FINAL_ERROR_51_8X16_SEED0, rel=1e-9)
+
+
+def test_parabolic_reference_run_is_frozen():
+    prob, gamma_star, z, gamma0 = _parabolic_setup()
+    state = lm.run(prob, gamma0, z, lm.LmConfig(eps=2e-3), gamma_star=gamma_star)
+    assert state.stop_reason == "rel_change"
+    assert state.k == ITERS_53_8X16_NT8_SEED0
+    assert state.history[0].residual == pytest.approx(
+        FIRST_RESIDUAL_53_8X16_NT8_SEED0, rel=1e-12)
+    assert state.history[-1].rel_error == pytest.approx(
+        FINAL_ERROR_53_8X16_NT8_SEED0, rel=1e-12)
 
 
 def test_rel_error_requires_exact_coefficient():
