@@ -41,24 +41,19 @@ def _parse_gamma0(text: str):
         ) from None
 
 
-def _parse_float_list(text: str) -> tuple:
-    items = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError(f"empty list {text!r}")
-    try:
-        return tuple(float(piece) for piece in items)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from None
-
-
-def _parse_int_list(text: str) -> tuple:
-    items = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError(f"empty list {text!r}")
-    try:
-        return tuple(int(piece) for piece in items)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
+def _parse_list(convert):
+    """Parser of a comma-separated list whose entries convert takes."""
+    def parse(text: str) -> tuple:
+        items = [piece.strip() for piece in text.split(",") if piece.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError(f"empty list {text!r}")
+        try:
+            return tuple(convert(piece) for piece in items)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"bad {convert.__name__} list {text!r}"
+            ) from None
+    return parse
 
 
 # field -> (converter, default); None as a default means "required".
@@ -78,8 +73,8 @@ _RUN_FIELDS = {
 
 _SWEEP_FIELDS = dict(_RUN_FIELDS)
 _SWEEP_FIELDS.update({
-    "delta": (_parse_float_list, (0.02,)),
-    "seed": (_parse_int_list, (0,)),
+    "delta": (_parse_list(float), (0.02,)),
+    "seed": (_parse_list(int), (0,)),
     "jobs": (int, 1),
 })
 
@@ -332,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="grid of noise levels and seeds")
     _add_shared_flags(p_sweep)
-    p_sweep.add_argument("--delta", type=_parse_float_list,
+    p_sweep.add_argument("--delta", type=_parse_list(float),
                          help="comma-separated noise levels")
-    p_sweep.add_argument("--seed", type=_parse_int_list,
+    p_sweep.add_argument("--seed", type=_parse_list(int),
                          help="comma-separated seeds")
     p_sweep.add_argument("--jobs", type=int, help="concurrent runs")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -7,16 +7,15 @@ Three solves share one symmetric operator K_a + M_c + B_gamma:
 * adjoint: the transfer of an accessible-side residual weight p back to
   the inaccessible side.
 
-The derivative and adjoint right-hand sides are built from nodal products
-of traces (d * u on the inaccessible side, p * u on the accessible side)
-pushed through the boundary load quadrature.  Because the operator is one
-shared symmetric matrix, the adjoint identity between the two solves holds
-to solver precision, which the tests rely on.
-
-The gamma-independent pieces, K_a + M_c and the load vector, are built
-once per problem on first use and cached on it; an operator is that
-cached base plus the Robin mass B_gamma, factored once (fem.BlockLDLT)
-so that every solve with it runs CG preconditioned by its factor.
+EllipticProblem is a fem.RobinProblem: the box check, the operator (the
+cached base K_a + M_c plus the Robin mass B_gamma, factored once so that
+every solve with it runs CG preconditioned by its factor), the data load
+and the boundary loads come from there.  The derivative and adjoint
+right-hand sides are the boundary loads of -(d * u) on the inaccessible
+side and of -(p * u) on the accessible side, each one product with the
+segment's cached load map.  Because the operator is one shared symmetric
+matrix, the adjoint identity between the two solves holds to solver
+precision, which the tests rely on.
 
 EllipticProblem carries the problem protocol that the outer loop and the
 verification probes run on, shared with ParabolicProblem: operator,
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -40,7 +38,7 @@ from .mesh import Mesh, SegmentTag
 
 
 @dataclass(frozen=True)
-class EllipticProblem:
+class EllipticProblem(fem.RobinProblem):
     """Data of the stationary problem.
 
     a and c are diffusion and reaction coefficients (scalars or vectorized
@@ -58,13 +56,6 @@ class EllipticProblem:
     gamma_min: float = 0.1
     gamma_max: float = 10.0
 
-    def __post_init__(self):
-        # written so that NaN fails the checks too
-        if not self.gamma_min > 0.0:
-            raise ValueError(f"gamma_min must be positive, got {self.gamma_min}")
-        if not self.gamma_max >= self.gamma_min:
-            raise ValueError("gamma_max must not be below gamma_min")
-
     @cached_property
     def base(self) -> sparse.csr_matrix:
         """K_a + M_c, the part of the operator that gamma does not touch."""
@@ -74,9 +65,7 @@ class EllipticProblem:
     @cached_property
     def load(self) -> np.ndarray:
         """Read-only load vector of the volume source and both boundary data."""
-        b = fem.assemble_load(self.mesh, self.f)
-        b += fem.assemble_boundary_load(self.mesh, SegmentTag.INACCESSIBLE, self.g)
-        b += fem.assemble_boundary_load(self.mesh, SegmentTag.ACCESSIBLE, self.h)
+        b = self.data_load(self.f, self.g, self.h)
         b.flags.writeable = False
         return b
 
@@ -106,10 +95,7 @@ class EllipticProblem:
 
 def assemble_operator(prob: EllipticProblem, gamma: np.ndarray) -> fem.BlockLDLT:
     """The SPD system matrix K_a + M_c + B_gamma for a nodal gamma, factored."""
-    gamma = np.asarray(gamma, dtype=float)
-    fem.require_in_box(gamma, prob.gamma_min, prob.gamma_max)
-    B = fem.assemble_boundary_mass(prob.mesh, SegmentTag.INACCESSIBLE, gamma)
-    return fem.BlockLDLT((prob.base + B).tocsr())
+    return prob.robin_operator(gamma)
 
 
 def solve_forward(
@@ -133,10 +119,7 @@ def solve_derivative(
     u must be the forward solution for op.  The right-hand side is the
     boundary load of the nodal product -(d * u) on the inaccessible side.
     """
-    u_i = u[prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)]
-    load = -fem.assemble_boundary_load(
-        prob.mesh, SegmentTag.INACCESSIBLE, np.asarray(d, dtype=float) * u_i
-    )
+    load = prob.boundary_loads(SegmentTag.INACCESSIBLE, u, d)
     return fem.solve_spd(op, load, tol=tol)
 
 
@@ -152,8 +135,5 @@ def solve_adjoint(
     Same operator as the forward solve, right-hand side the boundary load
     of -(p * u) on the accessible side.
     """
-    u_a = u[prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)]
-    load = -fem.assemble_boundary_load(
-        prob.mesh, SegmentTag.ACCESSIBLE, np.asarray(p, dtype=float) * u_a
-    )
+    load = prob.boundary_loads(SegmentTag.ACCESSIBLE, u, p)
     return fem.solve_spd(op, load, tol=tol)

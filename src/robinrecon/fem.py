@@ -20,11 +20,19 @@ matrix, is an exact preconditioner, so CG stops after one iteration; a
 bare sparse matrix gets the Jacobi preconditioner, the reference path.
 The problems factor each operator once, and every solve with that
 operator reuses the factor.
+
+RobinProblem is the Robin system both problem kinds share: the admissible
+box of gamma, the operator S = base + B_gamma with its factor, the data
+load of f, g and h, and the boundary loads -P_tag (x * u) that are the
+right-hand sides of every derivative and adjoint solve.  P_tag, the
+boundary-load map of a segment (boundary_load_map), is built once per
+problem, so those loads are one product for a single field and for a
+time series alike.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -461,3 +469,52 @@ def require_in_box(values: np.ndarray, lo: float, hi: float,
         raise ValueError(
             f"{name} leaves the admissible box [{lo}, {hi}] or is not a number"
         )
+
+
+class RobinProblem:
+    """The Robin system shared by EllipticProblem and ParabolicProblem.
+
+    A subclass is a frozen dataclass with the fields mesh, gamma_min and
+    gamma_max and a gamma-free matrix ``base``; the operator of a Robin
+    coefficient gamma is base + B_gamma, B_gamma the boundary mass of
+    gamma on the inaccessible segment.
+    """
+
+    def __post_init__(self):
+        # written so that NaN fails the checks too
+        if not self.gamma_min > 0.0:
+            raise ValueError(f"gamma_min must be positive, got {self.gamma_min}")
+        if not self.gamma_max >= self.gamma_min:
+            raise ValueError("gamma_max must not be below gamma_min")
+
+    def robin_operator(self, gamma: np.ndarray) -> BlockLDLT:
+        """base + B_gamma for a nodal gamma in the box, factored."""
+        gamma = np.asarray(gamma, dtype=float)
+        require_in_box(gamma, self.gamma_min, self.gamma_max)
+        B = assemble_boundary_mass(self.mesh, SegmentTag.INACCESSIBLE, gamma)
+        return BlockLDLT((self.base + B).tocsr())
+
+    def data_load(self, f, g, h) -> np.ndarray:
+        """Load of the volume source f, the Robin data g on the inaccessible
+        segment and the flux data h on the accessible one, summed in that
+        order."""
+        b = assemble_load(self.mesh, f)
+        b += assemble_boundary_load(self.mesh, SegmentTag.INACCESSIBLE, g)
+        b += assemble_boundary_load(self.mesh, SegmentTag.ACCESSIBLE, h)
+        return b
+
+    @cached_property
+    def load_maps(self) -> dict[SegmentTag, sparse.csr_matrix]:
+        """P_tag of every segment, see boundary_load_map."""
+        return {tag: boundary_load_map(self.mesh, tag) for tag in SegmentTag}
+
+    def boundary_loads(self, tag: SegmentTag, u: np.ndarray,
+                       x: np.ndarray) -> np.ndarray:
+        """Boundary load of -(x * u) on segment tag, for every row of u.
+
+        u is one nodal field or a (levels, n_nodes) series, x a segment
+        field or a series of them; the result has the shape of u.
+        """
+        seg = self.mesh.segment_nodes(tag)
+        xu = np.asarray(x, dtype=float) * u[..., seg]
+        return -(self.load_maps[tag] @ xu.T).T

@@ -4,7 +4,8 @@ Each iteration measures the data misfit on the accessible segment, sets
 the regularization weight beta to the squared misfit, solves one adjoint
 problem, and updates the coefficient by the closed-form minimizer of a
 quadratic surrogate: delta = u * w / (A + beta) on the inaccessible
-segment, followed by nodal clamping to the admissible box.
+segment, followed by nodal clamping to the problem's admissible box
+[gamma_min, gamma_max], the same box its operator accepts.
 
 Both problem kinds run the same code through the problem protocol of
 EllipticProblem and ParabolicProblem (operator, forward, adjoint, inner,
@@ -54,19 +55,16 @@ class LmConfig:
     """Knobs of the outer loop.
 
     eps is the relative-change stopping tolerance, A the surrogate
-    majorization constant.  gamma_min / gamma_max override the problem's
-    admissible box when set; leaving them None uses the problem's own
-    bounds.  residual_floor, when set, stops the run once the measured
-    residual norm drops below it (the computable half of a noise-level
-    stopping rule).  trace_guard is the minimum |u| tolerated on the
-    accessible segment before the division errors out.
+    majorization constant.  residual_floor, when set, stops the run once
+    the measured residual norm drops below it (the computable half of a
+    noise-level stopping rule).  trace_guard is the minimum |u| tolerated
+    on the accessible segment before the division errors out.  The
+    admissible box of gamma is the problem's own (gamma_min, gamma_max).
     """
 
     eps: float
     A: float = 1.0
     max_iters: int = 100
-    gamma_min: float | None = None
-    gamma_max: float | None = None
     residual_floor: float | None = None
     trace_guard: float = 1e-8
     solver_tol: float = 1e-10
@@ -115,15 +113,6 @@ class LmState:
     beta: float | None = None
     history: list[HistoryRow] = field(default_factory=list)
     stop_reason: str | None = None
-
-
-def _resolve_bounds(prob, cfg: LmConfig) -> tuple[float, float]:
-    g1 = prob.gamma_min if cfg.gamma_min is None else cfg.gamma_min
-    g2 = prob.gamma_max if cfg.gamma_max is None else cfg.gamma_max
-    # "not x > 0" rather than "x <= 0", so that NaN is rejected too.
-    if not g1 > 0.0 or not g2 >= g1:
-        raise ValueError(f"invalid coefficient bounds [{g1}, {g2}]")
-    return g1, g2
 
 
 def _check_guard(u_a: np.ndarray, seg_nodes: np.ndarray, guard: float,
@@ -182,9 +171,8 @@ def _advance(prob, state: LmState, residual_norm: float, beta: float,
              grad: np.ndarray, cfg: LmConfig,
              gamma_star: np.ndarray | None) -> LmState:
     mesh = prob.mesh
-    g1, g2 = _resolve_bounds(prob, cfg)
     raw = state.gamma + grad / (cfg.A + beta)
-    new_gamma = np.clip(raw, g1, g2)
+    new_gamma = np.clip(raw, prob.gamma_min, prob.gamma_max)
     n_clamped = int(np.count_nonzero(new_gamma != raw))
     tag = SegmentTag.INACCESSIBLE
     rel_change = fem.boundary_norm(mesh, tag, new_gamma - state.gamma) / \
@@ -271,8 +259,7 @@ def run(
         raise ValueError(
             f"gamma0 has shape {gamma0.shape}, segment has {seg_i.shape}"
         )
-    g1, g2 = _resolve_bounds(prob, cfg)
-    fem.require_in_box(gamma0, g1, g2, name="gamma0")
+    fem.require_in_box(gamma0, prob.gamma_min, prob.gamma_max, name="gamma0")
     step = _step_function(prob)
     state = LmState(k=0, gamma=gamma0)
     reason = "max_iters"

@@ -1,27 +1,24 @@
 """Time-dependent diffusion with a Robin condition, implicit Euler in time.
 
 A trajectory is stored as a 2-D array of shape (nt + 1, n_nodes), row n
-holding the nodal field at time t_n = n * dt.  The forward and derivative
-problems march forward with the constant operator S = M/dt + K_a + B_gamma
-and data evaluated at the new time level.  The adjoint problem is the
-algebraic transpose of that march: loads enter at levels N down to 1 and
-the sweep runs backward.  Pairing trajectories with the right-endpoint
-rule (weight dt on levels 1..N, nothing on level 0) makes the space-time
-adjoint identity hold to solver precision, not just to O(dt).
+holding the nodal field at time t_n = n * dt.  Every solve is one march,
+_march: step n solves S x_n = (M/dt) x_{n-1} + L_n with the constant
+operator S = M/dt + K_a + B_gamma.  The forward march starts from the
+initial value with the data loads, the derivative march from zero with
+the boundary loads of -(d * u_n).  The adjoint is the algebraic
+transpose of the derivative march: the same march over the boundary
+loads of -(p * u_n) taken from level N down to 1, flipped back, so the
+level-N load enters the first solve.  Level 0 is no unknown of that
+march and stays zero.  Pairing trajectories with the right-endpoint rule
+(weight dt on levels 1..N, nothing on level 0) makes the space-time
+adjoint identity hold to solver precision, not just to O(dt); starting
+from an explicit zero terminal value and loading levels N-1..0 instead
+would leave an O(dt) gap.
 
-Note the backward sweep places the level-N load inside the terminal solve
-instead of starting from an explicit zero terminal value.  Starting from
-zero and loading levels N-1..0 would also be a consistent discretization
-of the continuous adjoint, but it is not the transpose of the forward
-march and leaves an O(dt) gap in the identity.
-
-The gamma-independent pieces, the mass M, the base M/dt + K_a and the
-data loads of every level, are built once per problem on first use and
-cached on it; an operator is that cached base plus the Robin mass B_gamma,
-factored once (fem.BlockLDLT) so that every step of every march with it
-runs CG preconditioned by its factor, and the marches read M and dt from
-the problem.  The map P_a of a nodal accessible field to its boundary
-load is cached too, so the adjoint loads of all levels are one product.
+ParabolicProblem is a fem.RobinProblem, which supplies the box check,
+the factored operator (the cached base M/dt + K_a plus B_gamma) and the
+boundary loads of all levels at once.  The mass M and the data loads of
+every level are cached on the problem too.
 
 ParabolicProblem carries the same problem protocol as EllipticProblem:
 operator, forward, derivative and adjoint wrap the march functions below,
@@ -43,7 +40,7 @@ from .mesh import Mesh, SegmentTag
 
 
 @dataclass(frozen=True)
-class ParabolicProblem:
+class ParabolicProblem(fem.RobinProblem):
     """Data of the time-dependent problem.
 
     a is the diffusion coefficient (scalar or callable of x, y); f, g, h
@@ -71,10 +68,7 @@ class ParabolicProblem:
             raise ValueError(f"final time must be positive, got {self.T}")
         if self.nt < 1:
             raise ValueError(f"need at least one time step, got nt={self.nt}")
-        if not self.gamma_min > 0.0:
-            raise ValueError(f"gamma_min must be positive, got {self.gamma_min}")
-        if not self.gamma_max >= self.gamma_min:
-            raise ValueError("gamma_max must not be below gamma_min")
+        super().__post_init__()
 
     @property
     def dt(self) -> float:
@@ -103,20 +97,10 @@ class ParabolicProblem:
         L = np.zeros((self.nt + 1, self.mesh.n_nodes))
         for n in range(1, self.nt + 1):
             t = n * self.dt
-            L[n] = fem.assemble_load(self.mesh, _at_time(self.f, t))
-            L[n] += fem.assemble_boundary_load(
-                self.mesh, SegmentTag.INACCESSIBLE, _at_time(self.g, t)
-            )
-            L[n] += fem.assemble_boundary_load(
-                self.mesh, SegmentTag.ACCESSIBLE, _at_time(self.h, t)
-            )
+            L[n] = self.data_load(_at_time(self.f, t), _at_time(self.g, t),
+                                  _at_time(self.h, t))
         L.flags.writeable = False
         return L
-
-    @cached_property
-    def accessible_load_map(self) -> sparse.csr_matrix:
-        """P_a, the boundary load of a nodal accessible field g is P_a @ g."""
-        return fem.boundary_load_map(self.mesh, SegmentTag.ACCESSIBLE)
 
     # Problem protocol, see the module docstring.
 
@@ -146,10 +130,7 @@ class ParabolicProblem:
 def build_operator(prob: ParabolicProblem, gamma: np.ndarray) -> fem.BlockLDLT:
     """The SPD step matrix S = M/dt + K_a + B_gamma, factored, shared by a
     whole march."""
-    gamma = np.asarray(gamma, dtype=float)
-    fem.require_in_box(gamma, prob.gamma_min, prob.gamma_max)
-    B = fem.assemble_boundary_mass(prob.mesh, SegmentTag.INACCESSIBLE, gamma)
-    return fem.BlockLDLT((prob.base + B).tocsr())
+    return prob.robin_operator(gamma)
 
 
 def _at_time(data, t: float):
@@ -167,6 +148,19 @@ def _initial_field(prob: ParabolicProblem) -> np.ndarray:
     return np.full(prob.mesh.n_nodes, float(prob.u0))
 
 
+def _march(prob: ParabolicProblem, op, loads: np.ndarray, start: np.ndarray,
+           tol: float) -> np.ndarray:
+    """Implicit Euler from start: row n solves S x_n = (M/dt) x_{n-1} +
+    loads[n], warm-started from x_{n-1}.  loads[0] is not read."""
+    X = np.empty((prob.nt + 1, prob.mesh.n_nodes))
+    X[0] = start
+    for n in range(1, prob.nt + 1):
+        b = prob.mass @ (X[n - 1] / prob.dt)
+        b += loads[n]
+        X[n] = fem.solve_spd(op, b, tol=tol, x0=X[n - 1])
+    return X
+
+
 def solve_forward_parabolic(
     prob: ParabolicProblem,
     op: fem.BlockLDLT | sparse.spmatrix,
@@ -177,13 +171,7 @@ def solve_forward_parabolic(
     Each step solves S u_n = (M/dt) u_{n-1} + loads(t_n), data evaluated
     at the new time level.  Returns the full (nt + 1, n_nodes) trajectory.
     """
-    U = np.empty((prob.nt + 1, prob.mesh.n_nodes))
-    U[0] = _initial_field(prob)
-    for n in range(1, prob.nt + 1):
-        b = prob.mass @ (U[n - 1] / prob.dt)
-        b += prob.loads[n]
-        U[n] = fem.solve_spd(op, b, tol=tol, x0=U[n - 1])
-    return U
+    return _march(prob, op, prob.loads, _initial_field(prob), tol)
 
 
 def solve_derivative_parabolic(
@@ -198,17 +186,8 @@ def solve_derivative_parabolic(
     u must be the forward trajectory for op.  Starts from zero and takes
     the boundary load of -(d * u_n) on the inaccessible side at each step.
     """
-    mesh = prob.mesh
-    seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
-    d = np.asarray(d, dtype=float)
-    W = np.zeros((prob.nt + 1, mesh.n_nodes))
-    for n in range(1, prob.nt + 1):
-        b = prob.mass @ (W[n - 1] / prob.dt)
-        b -= fem.assemble_boundary_load(
-            mesh, SegmentTag.INACCESSIBLE, d * u[n, seg_i]
-        )
-        W[n] = fem.solve_spd(op, b, tol=tol, x0=W[n - 1])
-    return W
+    loads = prob.boundary_loads(SegmentTag.INACCESSIBLE, u, d)
+    return _march(prob, op, loads, np.zeros(prob.mesh.n_nodes), tol)
 
 
 def solve_adjoint_parabolic(
@@ -222,30 +201,17 @@ def solve_adjoint_parabolic(
 
     p has shape (nt + 1, accessible node count); row 0 is never used since
     the right-endpoint pairing gives the initial level zero weight.  The
-    sweep is the exact transpose of the derivative march: the terminal
-    solve already carries the level-N load, earlier levels add theirs on
-    the way down, and level 0 is a plain continuation without load.
+    sweep is the exact transpose of the derivative march: the march over
+    the boundary loads of -(p * u) taken from level N down to 1, so the
+    first solve already carries the level-N load.  Level 0 is no unknown
+    of the transposed march and stays zero.
     """
-    mesh = prob.mesh
-    seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
-    p = np.asarray(p, dtype=float)
-    if p.shape[0] != prob.nt + 1:
-        raise ValueError(
-            f"weight series has {p.shape[0]} levels, expected {prob.nt + 1}"
-        )
-    # boundary loads of -(p * u) on the accessible side, all levels at once
-    loads = (prob.accessible_load_map @ -(p * u[:, seg_a]).T).T
-    W = np.zeros((prob.nt + 1, mesh.n_nodes))
-    N = prob.nt
-    W[N] = fem.solve_spd(op, loads[N], tol=tol)
-    for n in range(N - 1, 0, -1):
-        b = prob.mass @ (W[n + 1] / prob.dt)
-        b += loads[n]
-        W[n] = fem.solve_spd(op, b, tol=tol, x0=W[n + 1])
-    if N >= 1:
-        b = prob.mass @ (W[1] / prob.dt)
-        W[0] = fem.solve_spd(op, b, tol=tol, x0=W[1])
-    return W
+    if len(p) != prob.nt + 1:
+        raise ValueError(f"weight series has {len(p)} levels, expected {prob.nt + 1}")
+    loads = prob.boundary_loads(SegmentTag.ACCESSIBLE, u, p)
+    # level 0 in place, levels 1..N reversed; the reordering is its own inverse
+    order = np.r_[0, prob.nt:0:-1]
+    return _march(prob, op, loads[order], np.zeros(prob.mesh.n_nodes), tol)[order]
 
 
 def time_integral_boundary(series: np.ndarray, dt: float) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 from robinrecon import fem
+from robinrecon.elliptic import EllipticProblem
 from robinrecon.mesh import SegmentTag, build_rect_mesh, classify_boundary
 
 LX, LY = 1.0, 2.0
@@ -139,6 +140,23 @@ def test_boundary_load_map_matches_boundary_load():
         assert P.shape == (mesh.n_nodes, seg.size)
         np.testing.assert_allclose(P @ g, fem.assemble_boundary_load(mesh, tag, g),
                                    rtol=1e-13, atol=1e-15)
+    # the problem's boundary loads of -(x * u) on a time series, with x one
+    # field per level (the adjoint) or one field for all levels (the
+    # derivative), against the per-level quadrature
+    prob = EllipticProblem(mesh=mesh, a=1.0, c=1.0, f=0.0, g=0.0, h=0.0)
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal((5, mesh.n_nodes))
+    for tag in SegmentTag:
+        seg = mesh.segment_nodes(tag)
+        for x in (rng.standard_normal((5, seg.size)), rng.standard_normal(seg.size)):
+            xs = np.broadcast_to(x, (5, seg.size))
+            expected = np.array([
+                -fem.assemble_boundary_load(mesh, tag, xs[n] * u[n, seg])
+                for n in range(5)
+            ])
+            loads = prob.boundary_loads(tag, u, x)
+            assert loads.shape == u.shape
+            np.testing.assert_allclose(loads, expected, rtol=1e-14, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,8 @@ def test_adjoint_ignores_the_initial_weight_level():
     p[0] = 777.0
     ws2 = par.solve_adjoint_parabolic(prob, u, p, op, tol=SOLVER_TOL)
     np.testing.assert_array_equal(ws1, ws2)
+    # level 0 is no unknown of the transposed march, so it stays zero
+    assert np.all(ws1[0] == 0.0)
 
 
 def test_adjoint_rejects_wrong_level_count():
