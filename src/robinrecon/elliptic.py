@@ -19,7 +19,8 @@ precision, which the tests rely on.
 
 EllipticProblem carries the problem protocol that the outer loop and the
 verification probes run on, shared with ParabolicProblem: operator,
-forward, derivative and adjoint wrap the module functions below, inner is
+forward, derivative and adjoint wrap the module functions below (each
+solve runs to fem.SOLVE_TOL, so they take only the operator), inner is
 the segment inner product, integrate is the identity (a stationary field
 is its own gradient), and levels selects the whole trace as the one level
 that carries weight.
@@ -77,14 +78,14 @@ class EllipticProblem(fem.RobinProblem):
     def operator(self, gamma: np.ndarray) -> fem.BlockLDLT:
         return assemble_operator(self, gamma)
 
-    def forward(self, op, tol: float) -> np.ndarray:
-        return solve_forward(self, op, tol=tol)
+    def forward(self, op) -> np.ndarray:
+        return solve_forward(self, op)
 
-    def derivative(self, u, d, op, tol: float) -> np.ndarray:
-        return solve_derivative(self, u, d, op, tol=tol)
+    def derivative(self, u, d, op) -> np.ndarray:
+        return solve_derivative(self, u, d, op)
 
-    def adjoint(self, u, p, op, tol: float) -> np.ndarray:
-        return solve_adjoint(self, u, p, op, tol=tol)
+    def adjoint(self, u, p, op) -> np.ndarray:
+        return solve_adjoint(self, u, p, op)
 
     def inner(self, tag: SegmentTag, u: np.ndarray, v: np.ndarray) -> float:
         return fem.boundary_inner(self.mesh, tag, u, v)
@@ -101,10 +102,9 @@ def assemble_operator(prob: EllipticProblem, gamma: np.ndarray) -> fem.BlockLDLT
 def solve_forward(
     prob: EllipticProblem,
     op: fem.BlockLDLT | sparse.spmatrix,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """State u for the Robin coefficient op was assembled with."""
-    return fem.solve_spd(op, prob.load, tol=tol)
+    return fem.solve_spd(op, prob.load)
 
 
 def solve_derivative(
@@ -112,7 +112,6 @@ def solve_derivative(
     u: np.ndarray,
     d: np.ndarray,
     op: fem.BlockLDLT | sparse.spmatrix,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """Directional derivative of the forward map in direction d.
 
@@ -120,7 +119,7 @@ def solve_derivative(
     boundary load of the nodal product -(d * u) on the inaccessible side.
     """
     load = prob.boundary_loads(SegmentTag.INACCESSIBLE, u, d)
-    return fem.solve_spd(op, load, tol=tol)
+    return fem.solve_spd(op, load)
 
 
 def solve_adjoint(
@@ -128,7 +127,6 @@ def solve_adjoint(
     u: np.ndarray,
     p: np.ndarray,
     op: fem.BlockLDLT | sparse.spmatrix,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """Adjoint state for an accessible-side weight p.
 
@@ -136,4 +134,4 @@ def solve_adjoint(
     of -(p * u) on the accessible side.
     """
     load = prob.boundary_loads(SegmentTag.ACCESSIBLE, u, p)
-    return fem.solve_spd(op, load, tol=tol)
+    return fem.solve_spd(op, load)

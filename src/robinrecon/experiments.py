@@ -17,7 +17,8 @@ measurements would of course not be this kind.
 The second half of the module is a verification battery shared by the
 command line and the test suite: adjoint identity probes, derivative
 finite-difference decay, a dense Gauss-Newton oracle on a tiny mesh, and
-manufactured-solution convergence ratios.
+manufactured-solution convergence ratios.  Data generation and the probes
+solve to fem.SOLVE_TOL, like the reconstruction itself.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def relative_error(mesh: Mesh, gamma_k: np.ndarray, gamma_star) -> float:
     return fem.boundary_norm(mesh, tag, diff) / fem.boundary_norm(mesh, tag, exact)
 
 
-def exact_observation(example: Example, solver_tol: float = 1e-10) -> np.ndarray:
+def exact_observation(example: Example) -> np.ndarray:
     """Noise-free data: accessible trace of the discrete forward solution.
 
     Elliptic examples give one segment field, parabolic ones a
@@ -173,7 +174,7 @@ def exact_observation(example: Example, solver_tol: float = 1e-10) -> np.ndarray
     """
     prob = example.problem
     gamma = interpolate_gamma(prob.mesh, example.gamma_star)
-    u = prob.forward(prob.operator(gamma), solver_tol)
+    u = prob.forward(prob.operator(gamma))
     return u[..., prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)]
 
 
@@ -248,16 +249,19 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                       residual_floor=spec.residual_floor)
     example = make_example(spec.example_id, nx=spec.nx, ny=spec.ny,
                            nt=spec.nt, T=spec.T)
-    mesh = example.problem.mesh
+    prob = example.problem
+    mesh = prob.mesh
     seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
     gamma_exact = interpolate_gamma(mesh, example.gamma_star)
-    z = add_noise(exact_observation(example), spec.delta, spec.seed)
     if isinstance(spec.gamma0, str):
         gamma0 = gamma_exact.copy()
     else:
         gamma0 = np.full(seg_i.size, float(spec.gamma0))
+    # checked before the data generation, which is a whole forward solve
+    fem.require_in_box(gamma0, prob.gamma_min, prob.gamma_max, name="gamma0")
+    z = add_noise(exact_observation(example), spec.delta, spec.seed)
     start = time.perf_counter()
-    state = lm.run(example.problem, gamma0, z, cfg, gamma_star=gamma_exact)
+    state = lm.run(prob, gamma0, z, cfg, gamma_star=gamma_exact)
     wall = time.perf_counter() - start
     return ExperimentResult(
         spec=spec,
@@ -292,7 +296,7 @@ class IdentityCheck:
 _PROBE_EXAMPLES = {"elliptic": "5.1", "parabolic": "5.3"}
 
 
-def _probe_setup(kind: str, nx: int, ny: int, nt: int, solver_tol: float):
+def _probe_setup(kind: str, nx: int, ny: int, nt: int):
     """Probe example at its exact coefficient, with operator and state."""
     if kind not in _PROBE_EXAMPLES:
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -300,7 +304,7 @@ def _probe_setup(kind: str, nx: int, ny: int, nt: int, solver_tol: float):
     prob = example.problem
     gamma = interpolate_gamma(prob.mesh, example.gamma_star)
     op = prob.operator(gamma)
-    return prob, gamma, op, prob.forward(op, solver_tol)
+    return prob, gamma, op, prob.forward(op)
 
 
 def adjoint_identity_errors(
@@ -310,17 +314,16 @@ def adjoint_identity_errors(
     nt: int = 16,
     n_trials: int = 20,
     seed: int = 2024,
-    solver_tol: float = 1e-12,
 ) -> IdentityCheck:
     """Probe the derivative/adjoint duality with random direction pairs.
 
     For each trial, a random segment direction d and accessible weight p
     are drawn; the check compares the accessible pairing of the derivative
     solution against the inaccessible pairing of the adjoint solution.
-    Both sides hinge only on transposition of one matrix, so the gap
-    should sit at the linear solver tolerance, far below ADJOINT_TOL.
+    Both sides hinge only on transposition of one matrix, so the gap is
+    bounded by the accuracy of the solves, far below ADJOINT_TOL.
     """
-    prob, gamma, op, u = _probe_setup(kind, nx, ny, nt, solver_tol)
+    prob, gamma, op, u = _probe_setup(kind, nx, ny, nt)
     seg_i = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
     seg_a = prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)
     u_i, u_a = u[..., seg_i], u[..., seg_a]
@@ -329,8 +332,8 @@ def adjoint_identity_errors(
     for i in range(n_trials):
         d = rng.uniform(-1.0, 1.0, seg_i.size)
         p = rng.uniform(-1.0, 1.0, u_a.shape)
-        w = prob.derivative(u, d, op, solver_tol)
-        ws = prob.adjoint(u, p, op, solver_tol)
+        w = prob.derivative(u, d, op)
+        ws = prob.adjoint(u, p, op)
         lhs = prob.inner(SegmentTag.ACCESSIBLE, w[..., seg_a], u_a * p)
         rhs = prob.inner(SegmentTag.INACCESSIBLE, u_i * d, ws[..., seg_i])
         errors[i] = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
@@ -352,7 +355,6 @@ def derivative_fd_check(
     nx: int = 8,
     ny: int = 16,
     nt: int = 16,
-    solver_tol: float = 1e-12,
 ) -> FdCheck:
     """Forward-difference decay of the linearization error on the data trace.
 
@@ -362,10 +364,10 @@ def derivative_fd_check(
     remainder and decays linearly in the step, which is what the fitted
     order asserts.
     """
-    prob, gamma, op, u = _probe_setup(kind, nx, ny, nt, solver_tol)
+    prob, gamma, op, u = _probe_setup(kind, nx, ny, nt)
     seg_a = prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)
     d = np.ones(prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE).size)
-    w_a = prob.derivative(u, d, op, solver_tol)[..., seg_a]
+    w_a = prob.derivative(u, d, op)[..., seg_a]
 
     def norm(x: np.ndarray) -> float:
         return np.sqrt(prob.inner(SegmentTag.ACCESSIBLE, x, x))
@@ -374,7 +376,7 @@ def derivative_fd_check(
     errors = np.empty(len(eps_values))
     for i, eps in enumerate(eps_values):
         gamma_eps = gamma + eps * d
-        u_eps = prob.forward(prob.operator(gamma_eps), solver_tol)
+        u_eps = prob.forward(prob.operator(gamma_eps))
         errors[i] = norm((u_eps[..., seg_a] - u[..., seg_a]) / eps - w_a) / ref
     slope = np.polyfit(np.log(np.asarray(eps_values)), np.log(errors), 1)[0]
     return FdCheck(eps_values=tuple(eps_values), errors=errors,
@@ -402,8 +404,6 @@ def oracle_optimality_check(
     gamma_k: np.ndarray,
     z: np.ndarray,
     A: float = 1.0,
-    solver_tol: float = 1e-12,
-    trace_guard: float = 1e-8,
     beta_override: float | None = None,
 ) -> OracleReport:
     """Compare one surrogate step against the dense linearized subproblem.
@@ -426,22 +426,20 @@ def oracle_optimality_check(
     gamma_k = np.asarray(gamma_k, dtype=float)
     z = np.asarray(z, dtype=float)
 
-    residual_norm, beta, grad = lm._quantities(
-        prob, gamma_k, z, trace_guard, solver_tol
-    )
+    residual_norm, beta, grad = lm._quantities(prob, gamma_k, z)
     if beta_override is not None:
         beta = float(beta_override)
     s_surrogate = grad / (A + beta)
 
     op = prob.operator(gamma_k)
-    u = prob.forward(op, solver_tol)
+    u = prob.forward(op)
     r = z - u[seg_a]
     m = seg_i.size
     D = np.empty((seg_a.size, m))
     for j in range(m):
         e = np.zeros(m)
         e[j] = 1.0
-        D[:, j] = prob.derivative(u, e, op, solver_tol)[seg_a]
+        D[:, j] = prob.derivative(u, e, op)[seg_a]
     Ma = fem.segment_mass(mesh, SegmentTag.ACCESSIBLE).toarray()
     Mi = fem.segment_mass(mesh, SegmentTag.INACCESSIBLE).toarray()
     H = D.T @ Ma @ D + beta * Mi
@@ -485,7 +483,7 @@ def run_oracle_check(
     example = make_example("5.1", nx=nx, ny=ny)
     mesh = example.problem.mesh
     gamma_exact = interpolate_gamma(mesh, example.gamma_star)
-    z = add_noise(exact_observation(example, solver_tol=1e-12), delta, seed)
+    z = add_noise(exact_observation(example), delta, seed)
     rng = np.random.default_rng(seed + 1)
     gamma_k = gamma_exact + rng.uniform(-0.2, 0.2, gamma_exact.size)
     return oracle_optimality_check(example.problem, gamma_k, z, A=A)
@@ -517,7 +515,7 @@ class ConvergenceCheck:
         return self.coarse_error / self.fine_error
 
 
-def fem_convergence_check(kind: str, solver_tol: float = 1e-12) -> ConvergenceCheck:
+def fem_convergence_check(kind: str) -> ConvergenceCheck:
     """Manufactured-solution errors under one refinement step.
 
     The elliptic solve halves h only, so its L2 error should drop about
@@ -532,7 +530,7 @@ def fem_convergence_check(kind: str, solver_tol: float = 1e-12) -> ConvergenceCh
         example = make_example(_PROBE_EXAMPLES[kind], nx=nx, ny=ny, nt=nt)
         prob = example.problem
         gamma = interpolate_gamma(prob.mesh, example.gamma_star)
-        u = prob.forward(prob.operator(gamma), solver_tol)
+        u = prob.forward(prob.operator(gamma))
         exact = example.u_exact
         if kind == "parabolic":  # compare at the final time
             u = u[-1]

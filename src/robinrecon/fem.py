@@ -19,7 +19,8 @@ is given: a BlockLDLT, the block LDL^T factorization of a banded SPD
 matrix, is an exact preconditioner, so CG stops after one iteration; a
 bare sparse matrix gets the Jacobi preconditioner, the reference path.
 The problems factor each operator once, and every solve with that
-operator reuses the factor.
+operator reuses the factor.  Every library solve runs to the one
+tolerance SOLVE_TOL, which the factored path meets in one iteration.
 
 RobinProblem is the Robin system both problem kinds share: the admissible
 box of gamma, the operator S = base + B_gamma with its factor, the data
@@ -42,6 +43,9 @@ from .mesh import Mesh, SegmentTag, triangle_areas
 # 2-point Gauss on the unit interval [0, 1]
 _GAUSS_XI = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _GAUSS_W = np.array([0.5, 0.5])
+
+# Relative residual tolerance of every library solve, solve_spd's default.
+SOLVE_TOL = 1e-12
 
 
 class LinearSolveError(RuntimeError):
@@ -153,7 +157,7 @@ class BlockLDLT:
 def solve_spd(
     A: sparse.spmatrix | BlockLDLT,
     b: np.ndarray,
-    tol: float = 1e-10,
+    tol: float = SOLVE_TOL,
     x0: np.ndarray | None = None,
     max_iter: int | None = None,
     stats: dict | None = None,

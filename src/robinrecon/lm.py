@@ -12,7 +12,8 @@ EllipticProblem and ParabolicProblem (operator, forward, adjoint, inner,
 integrate, levels); only those methods know whether a trace is one field
 or a time series.  A step builds and factors the operator once, from the
 problem's cached gamma-free base plus the Robin mass of the iterate, and
-passes it to both the forward and the adjoint solve.
+passes it to both the forward and the adjoint solve, each run to
+fem.SOLVE_TOL.  A trace closer to zero than TRACE_GUARD ends the step.
 
 Exactness notes.  The residual norm is computed first, as the square root
 of the misfit inner product, and beta is literally residual * residual,
@@ -32,6 +33,9 @@ from . import elliptic as ell
 from . import fem
 from . import parabolic as par
 from .mesh import SegmentTag
+
+# Smallest |u| tolerated on the accessible trace before the division errors out.
+TRACE_GUARD = 1e-8
 
 
 class TraceGuardError(RuntimeError):
@@ -57,17 +61,15 @@ class LmConfig:
     eps is the relative-change stopping tolerance, A the surrogate
     majorization constant.  residual_floor, when set, stops the run once
     the measured residual norm drops below it (the computable half of a
-    noise-level stopping rule).  trace_guard is the minimum |u| tolerated
-    on the accessible segment before the division errors out.  The
-    admissible box of gamma is the problem's own (gamma_min, gamma_max).
+    noise-level stopping rule).  The admissible box of gamma is the
+    problem's own (gamma_min, gamma_max); the trace guard is TRACE_GUARD
+    and every solve runs to fem.SOLVE_TOL.
     """
 
     eps: float
     A: float = 1.0
     max_iters: int = 100
     residual_floor: float | None = None
-    trace_guard: float = 1e-8
-    solver_tol: float = 1e-10
 
     def __post_init__(self):
         # "not x > 0" rather than "x <= 0", so that NaN is rejected too.
@@ -77,8 +79,6 @@ class LmConfig:
             raise ValueError(f"A must be positive, got {self.A}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if not self.trace_guard > 0.0:
-            raise ValueError(f"trace_guard must be positive, got {self.trace_guard}")
         if self.residual_floor is not None and not self.residual_floor > 0.0:
             raise ValueError(
                 f"residual_floor must be positive, got {self.residual_floor}"
@@ -115,27 +115,21 @@ class LmState:
     stop_reason: str | None = None
 
 
-def _check_guard(u_a: np.ndarray, seg_nodes: np.ndarray, guard: float,
-                 level=...) -> None:
-    bad = np.flatnonzero(np.abs(u_a) < guard)
+def _check_guard(u_a: np.ndarray, seg_nodes: np.ndarray, level=...) -> None:
+    bad = np.flatnonzero(np.abs(u_a) < TRACE_GUARD)
     if bad.size == 0:
         return
     where = "" if level is ... else f"time level {level}: "
     ids = ", ".join(str(seg_nodes[j]) for j in bad[:5])
     more = "" if bad.size <= 5 else f" (+{bad.size - 5} more)"
     raise TraceGuardError(
-        f"{where}|u| < {guard:g} on the accessible segment at node(s) "
+        f"{where}|u| < {TRACE_GUARD:g} on the accessible segment at node(s) "
         f"{ids}{more}; smallest |u| = {np.abs(u_a[bad]).min():.3e}"
     )
 
 
-def _quantities(
-    prob,
-    gamma: np.ndarray,
-    z: np.ndarray,
-    trace_guard: float,
-    solver_tol: float,
-) -> tuple[float, float, np.ndarray]:
+def _quantities(prob, gamma: np.ndarray,
+                z: np.ndarray) -> tuple[float, float, np.ndarray]:
     """Residual norm, beta and the raw update direction on the segment.
 
     z is the accessible trace the forward solve is compared with: one
@@ -151,7 +145,7 @@ def _quantities(
     if not np.all(np.isfinite(z)):
         raise ValueError("data z holds non-finite values (NaN or inf)")
     op = prob.operator(gamma)
-    u = prob.forward(op, solver_tol)
+    u = prob.forward(op)
     u_a = u[..., seg_a]
     if z.shape != u_a.shape:
         raise ValueError(f"data has shape {z.shape}, expected {u_a.shape}")
@@ -160,9 +154,9 @@ def _quantities(
     beta = residual_norm * residual_norm
     p = np.zeros_like(r)
     for n in prob.levels:
-        _check_guard(u_a[n], seg_a, trace_guard, level=n)
+        _check_guard(u_a[n], seg_a, level=n)
         p[n] = r[n] / u_a[n]
-    w = prob.adjoint(u, p, op, solver_tol)
+    w = prob.adjoint(u, p, op)
     grad = prob.integrate(u[..., seg_i] * w[..., seg_i])
     return residual_norm, beta, grad
 
@@ -202,9 +196,7 @@ def _advance(prob, state: LmState, residual_norm: float, beta: float,
 
 def _step(prob, state: LmState, z: np.ndarray, cfg: LmConfig,
           gamma_star: np.ndarray | None) -> LmState:
-    residual_norm, beta, grad = _quantities(
-        prob, state.gamma, z, cfg.trace_guard, cfg.solver_tol
-    )
+    residual_norm, beta, grad = _quantities(prob, state.gamma, z)
     return _advance(prob, state, residual_norm, beta, grad, cfg, gamma_star)
 
 
@@ -286,8 +278,6 @@ def make_surrogate_objective(
     z: np.ndarray,
     beta_k: float,
     A: float = 1.0,
-    trace_guard: float = 1e-8,
-    solver_tol: float = 1e-10,
 ):
     """Evaluator of the step's surrogate quadratic, up to its constant.
 
@@ -298,7 +288,7 @@ def make_surrogate_objective(
     the callable exists so tests can probe that claim.
     """
     gamma_k = np.asarray(gamma_k, dtype=float)
-    _, _, grad = _quantities(prob, gamma_k, z, trace_guard, solver_tol)
+    _, _, grad = _quantities(prob, gamma_k, z)
     mesh = prob.mesh
     tag = SegmentTag.INACCESSIBLE
     shift = grad / A

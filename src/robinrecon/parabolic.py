@@ -21,8 +21,8 @@ boundary loads of all levels at once.  The mass M and the data loads of
 every level are cached on the problem too.
 
 ParabolicProblem carries the same problem protocol as EllipticProblem:
-operator, forward, derivative and adjoint wrap the march functions below,
-inner is space_time_inner, integrate is time_integral_boundary, and levels
+operator, forward, derivative and adjoint wrap the march functions below
+(every step solves to fem.SOLVE_TOL), inner is space_time_inner, integrate is time_integral_boundary, and levels
 are 1..nt, the levels the right-endpoint rule weights.  Generic code indexes
 the trailing node axis (u[..., seg]) and so serves both kinds unchanged.
 """
@@ -111,14 +111,14 @@ class ParabolicProblem(fem.RobinProblem):
     def operator(self, gamma: np.ndarray) -> fem.BlockLDLT:
         return build_operator(self, gamma)
 
-    def forward(self, op, tol: float) -> np.ndarray:
-        return solve_forward_parabolic(self, op, tol=tol)
+    def forward(self, op) -> np.ndarray:
+        return solve_forward_parabolic(self, op)
 
-    def derivative(self, u, d, op, tol: float) -> np.ndarray:
-        return solve_derivative_parabolic(self, u, d, op, tol=tol)
+    def derivative(self, u, d, op) -> np.ndarray:
+        return solve_derivative_parabolic(self, u, d, op)
 
-    def adjoint(self, u, p, op, tol: float) -> np.ndarray:
-        return solve_adjoint_parabolic(self, u, p, op, tol=tol)
+    def adjoint(self, u, p, op) -> np.ndarray:
+        return solve_adjoint_parabolic(self, u, p, op)
 
     def inner(self, tag: SegmentTag, u: np.ndarray, v: np.ndarray) -> float:
         return space_time_inner(self.mesh, tag, u, v, self.dt)
@@ -148,8 +148,8 @@ def _initial_field(prob: ParabolicProblem) -> np.ndarray:
     return np.full(prob.mesh.n_nodes, float(prob.u0))
 
 
-def _march(prob: ParabolicProblem, op, loads: np.ndarray, start: np.ndarray,
-           tol: float) -> np.ndarray:
+def _march(prob: ParabolicProblem, op, loads: np.ndarray,
+           start: np.ndarray) -> np.ndarray:
     """Implicit Euler from start: row n solves S x_n = (M/dt) x_{n-1} +
     loads[n], warm-started from x_{n-1}.  loads[0] is not read."""
     X = np.empty((prob.nt + 1, prob.mesh.n_nodes))
@@ -157,21 +157,20 @@ def _march(prob: ParabolicProblem, op, loads: np.ndarray, start: np.ndarray,
     for n in range(1, prob.nt + 1):
         b = prob.mass @ (X[n - 1] / prob.dt)
         b += loads[n]
-        X[n] = fem.solve_spd(op, b, tol=tol, x0=X[n - 1])
+        X[n] = fem.solve_spd(op, b, x0=X[n - 1])
     return X
 
 
 def solve_forward_parabolic(
     prob: ParabolicProblem,
     op: fem.BlockLDLT | sparse.spmatrix,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """March the state forward from the interpolated initial value.
 
     Each step solves S u_n = (M/dt) u_{n-1} + loads(t_n), data evaluated
     at the new time level.  Returns the full (nt + 1, n_nodes) trajectory.
     """
-    return _march(prob, op, prob.loads, _initial_field(prob), tol)
+    return _march(prob, op, prob.loads, _initial_field(prob))
 
 
 def solve_derivative_parabolic(
@@ -179,7 +178,6 @@ def solve_derivative_parabolic(
     u: np.ndarray,
     d: np.ndarray,
     op: fem.BlockLDLT | sparse.spmatrix,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """Sensitivity trajectory for a perturbation d of gamma.
 
@@ -187,7 +185,7 @@ def solve_derivative_parabolic(
     the boundary load of -(d * u_n) on the inaccessible side at each step.
     """
     loads = prob.boundary_loads(SegmentTag.INACCESSIBLE, u, d)
-    return _march(prob, op, loads, np.zeros(prob.mesh.n_nodes), tol)
+    return _march(prob, op, loads, np.zeros(prob.mesh.n_nodes))
 
 
 def solve_adjoint_parabolic(
@@ -195,7 +193,6 @@ def solve_adjoint_parabolic(
     u: np.ndarray,
     p: np.ndarray,
     op: fem.BlockLDLT | sparse.spmatrix,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """Adjoint trajectory for accessible-side weights p, backward in time.
 
@@ -211,7 +208,7 @@ def solve_adjoint_parabolic(
     loads = prob.boundary_loads(SegmentTag.ACCESSIBLE, u, p)
     # level 0 in place, levels 1..N reversed; the reordering is its own inverse
     order = np.r_[0, prob.nt:0:-1]
-    return _march(prob, op, loads[order], np.zeros(prob.mesh.n_nodes), tol)[order]
+    return _march(prob, op, loads[order], np.zeros(prob.mesh.n_nodes))[order]
 
 
 def time_integral_boundary(series: np.ndarray, dt: float) -> np.ndarray:

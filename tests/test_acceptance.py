@@ -128,7 +128,7 @@ def _replay_with_probes(example_id: str, rng: np.random.Generator,
     worst_margin = -np.inf
     iterations = 0
     for k in range(1, 101):
-        residual, beta, grad = lm._quantities(prob, gamma, z, 1e-8, 1e-10)
+        residual, beta, grad = lm._quantities(prob, gamma, z)
         update = gamma + grad / (1.0 + beta)
         objective = lm.make_surrogate_objective(prob, gamma, z, beta)
         j_update = objective(update)

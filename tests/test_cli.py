@@ -197,6 +197,22 @@ def test_bad_setting_exits_2_with_message(tmp_path, capsys, monkeypatch,
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("gamma0", ["nan", "50"])
+def test_gamma0_outside_the_box_fails_before_data_generation(
+        tmp_path, capsys, monkeypatch, command, gamma0):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a bad gamma0 must fail before the data march")
+
+    monkeypatch.setattr(experiments, "exact_observation", unreachable)
+    code = cli.main([command, "--example", "5.3", "--nx", "4", "--ny", "8",
+                     "--nt", "4", "--gamma0", gamma0,
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gamma0" in err
+
+
 def test_verify_filter(capsys):
     assert cli.main(["verify", "--only", "adjoint"]) == 0
     out = capsys.readouterr().out

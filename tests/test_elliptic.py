@@ -6,8 +6,6 @@ from robinrecon import experiments as ex
 from robinrecon import fem
 from robinrecon.mesh import SegmentTag, build_rect_mesh, classify_boundary
 
-SOLVER_TOL = 1e-12
-
 # frozen discretization error of the manufactured solution, 8x16 mesh
 L2_ERROR_8X16 = 0.014664474677649164
 
@@ -22,7 +20,7 @@ def setup(nx=8, ny=16):
 def test_forward_matches_manufactured_solution():
     example, mesh, gamma = setup()
     op = ell.assemble_operator(example.problem, gamma)
-    u = ell.solve_forward(example.problem, op, tol=SOLVER_TOL)
+    u = ell.solve_forward(example.problem, op)
     err = ex.domain_l2_error(mesh, u, example.u_exact)
     assert err == pytest.approx(L2_ERROR_8X16, rel=1e-6)
 
@@ -32,7 +30,7 @@ def test_forward_error_second_order():
     for nx, ny in ((8, 16), (16, 32)):
         example, mesh, gamma = setup(nx, ny)
         op = ell.assemble_operator(example.problem, gamma)
-        u = ell.solve_forward(example.problem, op, tol=SOLVER_TOL)
+        u = ell.solve_forward(example.problem, op)
         errors.append(ex.domain_l2_error(mesh, u, example.u_exact))
     assert errors[0] / errors[1] > 3.5
 
@@ -67,14 +65,13 @@ def test_derivative_is_linear_in_the_direction():
     example, mesh, gamma = setup()
     seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
     op = ell.assemble_operator(example.problem, gamma)
-    u = ell.solve_forward(example.problem, op, tol=SOLVER_TOL)
+    u = ell.solve_forward(example.problem, op)
     rng = np.random.default_rng(11)
     d1 = rng.uniform(-1.0, 1.0, seg_i.size)
     d2 = rng.uniform(-1.0, 1.0, seg_i.size)
-    w1 = ell.solve_derivative(example.problem, u, d1, op, tol=SOLVER_TOL)
-    w2 = ell.solve_derivative(example.problem, u, d2, op, tol=SOLVER_TOL)
-    w12 = ell.solve_derivative(example.problem, u, d1 + 2.0 * d2, op,
-                               tol=SOLVER_TOL)
+    w1 = ell.solve_derivative(example.problem, u, d1, op)
+    w2 = ell.solve_derivative(example.problem, u, d2, op)
+    w12 = ell.solve_derivative(example.problem, u, d1 + 2.0 * d2, op)
     np.testing.assert_allclose(w12, w1 + 2.0 * w2, atol=1e-9)
 
 
@@ -83,12 +80,12 @@ def test_adjoint_identity_single_pair():
     seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
     seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
     op = ell.assemble_operator(example.problem, gamma)
-    u = ell.solve_forward(example.problem, op, tol=SOLVER_TOL)
+    u = ell.solve_forward(example.problem, op)
     rng = np.random.default_rng(3)
     d = rng.uniform(-1.0, 1.0, seg_i.size)
     p = rng.uniform(-1.0, 1.0, seg_a.size)
-    w = ell.solve_derivative(example.problem, u, d, op, tol=SOLVER_TOL)
-    ws = ell.solve_adjoint(example.problem, u, p, op, tol=SOLVER_TOL)
+    w = ell.solve_derivative(example.problem, u, d, op)
+    ws = ell.solve_adjoint(example.problem, u, p, op)
     lhs = fem.boundary_inner(mesh, SegmentTag.ACCESSIBLE, w[seg_a],
                              u[seg_a] * p)
     rhs = fem.boundary_inner(mesh, SegmentTag.INACCESSIBLE, u[seg_i] * d,
@@ -112,11 +109,11 @@ def test_derivative_consistency_gap_is_second_order():
         seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
         d = np.sin(np.pi * mesh.nodes[seg_i, 1])
         op = ell.assemble_operator(example.problem, gamma)
-        u = ell.solve_forward(example.problem, op, tol=1e-13)
-        w = ell.solve_derivative(example.problem, u, d, op, tol=1e-13)
+        u = ell.solve_forward(example.problem, op)
+        w = ell.solve_derivative(example.problem, u, d, op)
         prob = example.problem
-        up = prob.forward(prob.operator(gamma + step * d), 1e-13)
-        um = prob.forward(prob.operator(gamma - step * d), 1e-13)
+        up = prob.forward(prob.operator(gamma + step * d))
+        um = prob.forward(prob.operator(gamma - step * d))
         fd = (up[seg_a] - um[seg_a]) / (2.0 * step)
         gaps.append(
             fem.boundary_norm(mesh, SegmentTag.ACCESSIBLE, fd - w[seg_a])

@@ -207,9 +207,7 @@ def test_oracle_steps_shrink_in_the_strong_regularization_limit():
     example = experiments.make_example("5.1", nx=4, ny=8)
     mesh = example.problem.mesh
     gamma_exact = experiments.interpolate_gamma(mesh, example.gamma_star)
-    z = experiments.add_noise(
-        experiments.exact_observation(example, solver_tol=1e-12), 0.02, 0
-    )
+    z = experiments.add_noise(experiments.exact_observation(example), 0.02, 0)
     rng = np.random.default_rng(1)
     gamma_k = gamma_exact + rng.uniform(-0.2, 0.2, gamma_exact.size)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from robinrecon import fem
+from robinrecon import experiments, fem
 from robinrecon.elliptic import EllipticProblem
 from robinrecon.mesh import SegmentTag, build_rect_mesh, classify_boundary
 
@@ -232,6 +232,39 @@ def test_block_factor_is_an_exact_preconditioner():
     assert stats["iterations"] == 1
     assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
     np.testing.assert_allclose(x, fem.solve_spd(A, b, tol=1e-12), rtol=1e-9)
+
+
+@pytest.mark.parametrize("example_id, nx, ny, nt", [
+    ("5.1", 64, 128, 64),   # the elliptic-fine mesh
+    ("5.3", 16, 32, 64),    # the parabolic-march size
+])
+def test_factored_solves_meet_solve_tol_in_one_iteration(
+        monkeypatch, example_id, nx, ny, nt):
+    """Every library solve runs to fem.SOLVE_TOL; preconditioned by the
+    factor of its operator, each forward, derivative and adjoint solve
+    gets there in one CG iteration, so the tolerance decides nothing."""
+    example = experiments.make_example(example_id, nx=nx, ny=ny, nt=nt)
+    prob = example.problem
+    seg_i = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
+    seg_a = prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)
+    iterations = []
+    solve = fem.solve_spd
+
+    def counted(*args, **kwargs):
+        stats = {}
+        x = solve(*args, stats=stats, **kwargs)
+        iterations.append(stats["iterations"])
+        return x
+
+    monkeypatch.setattr(fem, "solve_spd", counted)
+    op = prob.operator(experiments.interpolate_gamma(prob.mesh,
+                                                     example.gamma_star))
+    u = prob.forward(op)
+    rng = np.random.default_rng(0)
+    prob.derivative(u, rng.uniform(-1.0, 1.0, seg_i.size), op)
+    prob.adjoint(u, rng.uniform(-1.0, 1.0, u[..., seg_a].shape), op)
+    solves_per_march = 1 if example.kind == "elliptic" else nt
+    assert iterations == [1] * (3 * solves_per_march)
 
 
 @pytest.mark.parametrize("A", [

@@ -7,8 +7,6 @@ from robinrecon import fem
 from robinrecon import parabolic as par
 from robinrecon.mesh import SegmentTag, build_rect_mesh, classify_boundary
 
-SOLVER_TOL = 1e-12
-
 # frozen final-time discretization error, 8x16 mesh with 8 steps
 L2_ERROR_8X16_NT8 = 0.030461971063580322
 
@@ -23,7 +21,7 @@ def setup(nx=8, ny=16, nt=8):
 def test_forward_matches_manufactured_solution():
     example, mesh, gamma = setup()
     op = par.build_operator(example.problem, gamma)
-    u = par.solve_forward_parabolic(example.problem, op, tol=SOLVER_TOL)
+    u = par.solve_forward_parabolic(example.problem, op)
     assert u.shape == (example.problem.nt + 1, mesh.n_nodes)
     T = example.problem.T
     err = ex.domain_l2_error(mesh, u[-1], lambda x, y: example.u_exact(x, y, T))
@@ -37,7 +35,7 @@ def test_initial_level_is_the_interpolated_start():
         u0=lambda x, y: x + 2.0 * y, T=1.0, nt=2,
     )
     op = par.build_operator(prob, np.full(9, 1.0))
-    u = par.solve_forward_parabolic(prob, op, tol=SOLVER_TOL)
+    u = par.solve_forward_parabolic(prob, op)
     np.testing.assert_array_equal(
         u[0], mesh.nodes[:, 0] + 2.0 * mesh.nodes[:, 1]
     )
@@ -50,10 +48,10 @@ def test_steady_state_agrees_with_stationary_solve():
     gamma = np.full(17, 1.5)
     stationary = ell.EllipticProblem(mesh=mesh, a=1.0, c=0.0, f=1.0,
                                      g=2.0, h=0.5)
-    u_inf = stationary.forward(stationary.operator(gamma), SOLVER_TOL)
+    u_inf = stationary.forward(stationary.operator(gamma))
     marching = par.ParabolicProblem(mesh=mesh, a=1.0, f=1.0, g=2.0, h=0.5,
                                     u0=0.0, T=60.0, nt=60)
-    u = marching.forward(marching.operator(gamma), SOLVER_TOL)
+    u = marching.forward(marching.operator(gamma))
     np.testing.assert_allclose(u[-1], u_inf, atol=1e-8)
 
 
@@ -86,10 +84,9 @@ def test_problem_validation():
 def test_derivative_starts_from_rest():
     example, mesh, gamma = setup(nt=4)
     op = par.build_operator(example.problem, gamma)
-    u = par.solve_forward_parabolic(example.problem, op, tol=SOLVER_TOL)
+    u = par.solve_forward_parabolic(example.problem, op)
     d = np.ones(mesh.segment_nodes(SegmentTag.INACCESSIBLE).size)
-    w = par.solve_derivative_parabolic(example.problem, u, d, op,
-                                       tol=SOLVER_TOL)
+    w = par.solve_derivative_parabolic(example.problem, u, d, op)
     assert np.all(w[0] == 0.0)
     assert np.any(w[1] != 0.0)
 
@@ -100,12 +97,12 @@ def test_adjoint_identity_single_pair():
     seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
     seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
     op = par.build_operator(prob, gamma)
-    u = par.solve_forward_parabolic(prob, op, tol=SOLVER_TOL)
+    u = par.solve_forward_parabolic(prob, op)
     rng = np.random.default_rng(5)
     d = rng.uniform(-1.0, 1.0, seg_i.size)
     p = rng.uniform(-1.0, 1.0, (prob.nt + 1, seg_a.size))
-    w = par.solve_derivative_parabolic(prob, u, d, op, tol=SOLVER_TOL)
-    ws = par.solve_adjoint_parabolic(prob, u, p, op, tol=SOLVER_TOL)
+    w = par.solve_derivative_parabolic(prob, u, d, op)
+    ws = par.solve_adjoint_parabolic(prob, u, p, op)
     lhs = par.space_time_inner(mesh, SegmentTag.ACCESSIBLE, w[:, seg_a],
                                u[:, seg_a] * p, prob.dt)
     rhs = par.space_time_inner(mesh, SegmentTag.INACCESSIBLE,
@@ -120,12 +117,12 @@ def test_adjoint_ignores_the_initial_weight_level():
     prob = example.problem
     seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
     op = par.build_operator(prob, gamma)
-    u = par.solve_forward_parabolic(prob, op, tol=SOLVER_TOL)
+    u = par.solve_forward_parabolic(prob, op)
     rng = np.random.default_rng(9)
     p = rng.uniform(-1.0, 1.0, (prob.nt + 1, seg_a.size))
-    ws1 = par.solve_adjoint_parabolic(prob, u, p, op, tol=SOLVER_TOL)
+    ws1 = par.solve_adjoint_parabolic(prob, u, p, op)
     p[0] = 777.0
-    ws2 = par.solve_adjoint_parabolic(prob, u, p, op, tol=SOLVER_TOL)
+    ws2 = par.solve_adjoint_parabolic(prob, u, p, op)
     np.testing.assert_array_equal(ws1, ws2)
     # level 0 is no unknown of the transposed march, so it stays zero
     assert np.all(ws1[0] == 0.0)
@@ -134,7 +131,7 @@ def test_adjoint_ignores_the_initial_weight_level():
 def test_adjoint_rejects_wrong_level_count():
     example, mesh, gamma = setup(nt=4)
     op = par.build_operator(example.problem, gamma)
-    u = par.solve_forward_parabolic(example.problem, op, tol=SOLVER_TOL)
+    u = par.solve_forward_parabolic(example.problem, op)
     seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
     with pytest.raises(ValueError):
         par.solve_adjoint_parabolic(example.problem, u,

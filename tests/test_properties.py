@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 from robinrecon import experiments as ex
 from robinrecon import fem
 from robinrecon import lm
-from robinrecon.mesh import SegmentTag
-
-SOLVER_TOL = 1e-12
+from robinrecon.mesh import SegmentTag, build_rect_mesh, classify_boundary
 
 
 @pytest.mark.parametrize("example_id", ["5.1", "5.3"])
@@ -32,11 +30,11 @@ def test_adjoint_identity_on_random_meshes(example_id, nx, ny, nt, seed):
     rng = np.random.default_rng(seed)
     gamma = rng.uniform(prob.gamma_min, prob.gamma_max, seg_i.size)
     op = prob.operator(gamma)
-    u = prob.forward(op, SOLVER_TOL)
+    u = prob.forward(op)
     d = rng.uniform(-1.0, 1.0, seg_i.size)
     p = rng.uniform(-1.0, 1.0, u[..., seg_a].shape)
-    w = prob.derivative(u, d, op, SOLVER_TOL)
-    ws = prob.adjoint(u, p, op, SOLVER_TOL)
+    w = prob.derivative(u, d, op)
+    ws = prob.adjoint(u, p, op)
     lhs = prob.inner(SegmentTag.ACCESSIBLE, w[..., seg_a], u[..., seg_a] * p)
     rhs = prob.inner(SegmentTag.INACCESSIBLE, u[..., seg_i] * d, ws[..., seg_i])
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
@@ -79,6 +77,51 @@ def test_block_factor_solves_the_operator(example_id, nx, ny, nt, seed):
     b = rng.standard_normal(prob.mesh.n_nodes)
     x = op.solve(b)
     assert np.linalg.norm(b - op.matrix @ x) <= 1e-12 * np.linalg.norm(b)
-    factored = fem.solve_spd(op, b, tol=1e-12)
-    jacobi = fem.solve_spd(op.matrix, b, tol=1e-12)
+    factored = fem.solve_spd(op, b)
+    jacobi = fem.solve_spd(op.matrix, b)
     assert np.linalg.norm(factored - jacobi) <= 1e-9 * np.linalg.norm(jacobi)
+
+
+@pytest.mark.parametrize("example_id", ["5.1", "5.3"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(nx=st.integers(1, 6), ny=st.integers(1, 8), nt=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_surrogate_minimizer_beats_random_probes(example_id, nx, ny, nt, seed):
+    """The pre-clamp update gamma_k + G / (A + beta) of an L-M step
+    minimizes the step's surrogate quadratic: no random probe, the iterate
+    included, does better."""
+    example = ex.make_example(example_id, nx=nx, ny=ny, nt=nt)
+    prob = example.problem
+    seg_i = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
+    rng = np.random.default_rng(seed)
+    z = ex.add_noise(ex.exact_observation(example), 0.02, seed)
+    gamma_k = rng.uniform(prob.gamma_min, prob.gamma_max, seg_i.size)
+    A = rng.uniform(0.5, 2.0)
+    residual, beta, grad = lm._quantities(prob, gamma_k, z)
+    update = gamma_k + grad / (A + beta)
+    state = lm.run(prob, gamma_k, z, lm.LmConfig(eps=1e-3, A=A, max_iters=1))
+    assert np.array_equal(state.gamma,
+                          np.clip(update, prob.gamma_min, prob.gamma_max))
+    objective = lm.make_surrogate_objective(prob, gamma_k, z, beta, A=A)
+    j_min = objective(update)
+    assert j_min <= objective(gamma_k)
+    for _ in range(10):
+        probe = update + rng.uniform(-0.1, 0.1, seg_i.size)
+        assert j_min <= objective(probe) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("tag", list(SegmentTag))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(nx=st.integers(1, 6), ny=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_segment_mass_is_spd_and_gives_the_inner_product(tag, nx, ny, seed):
+    """The segment mass is symmetric positive definite, and u @ M @ v is
+    boundary_inner(u, v), to rounding relative to the segment norms."""
+    mesh = classify_boundary(build_rect_mesh(nx, ny, ex.LX, ex.LY))
+    M = fem.segment_mass(mesh, tag)
+    assert (M != M.T).nnz == 0
+    assert np.linalg.eigvalsh(M.toarray()).min() > 0.0
+    rng = np.random.default_rng(seed)
+    u, v = rng.uniform(-1.0, 1.0, (2, M.shape[0]))
+    scale = np.sqrt((u @ M @ u) * (v @ M @ v))
+    assert abs(u @ M @ v - fem.boundary_inner(mesh, tag, u, v)) <= 1e-14 * scale
