@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 
-from . import experiments, lm
+from . import experiments, fem, lm
 
 _FMT = "%.17g"
 
@@ -245,9 +246,12 @@ def cmd_sweep(args) -> int:
     out = Path(settings["out"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
+    # Progress goes to a side file, which replaces sweep.csv only once the
+    # sweep completes: a sweep that fails keeps the table of an earlier one.
+    partial = out / "sweep.csv.partial"
     completed = {}
     failed = 0
-    with open(path, "w", newline="") as fh:
+    with open(partial, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_SWEEP_HEADER)
         fh.flush()
@@ -272,11 +276,12 @@ def cmd_sweep(args) -> int:
 
     # Rewrite in the deterministic (delta, seed) request order; the
     # incremental file above only guarantees progress is not lost.
-    with open(path, "w", newline="") as fh:
+    with open(partial, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_SWEEP_HEADER)
         for spec in specs:
             writer.writerow(_sweep_row(completed[(spec.delta, spec.seed)]))
+    os.replace(partial, path)
     print(f"{len(specs)} runs ({failed} failed), table in {path}")
     return 1 if failed else 0
 
@@ -346,8 +351,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
-        # ArgumentTypeError comes from converting a config-file value.
+    except (ValueError, OSError, argparse.ArgumentTypeError,
+            fem.LinearSolveError) as exc:
+        # ArgumentTypeError comes from converting a config-file value, a
+        # LinearSolveError from a solve outside the L-M loop (which reports
+        # its own as LmRunError): the data generation or the base factor.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

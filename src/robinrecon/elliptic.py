@@ -8,9 +8,10 @@ Three solves share one symmetric operator K_a + M_c + B_gamma:
   the inaccessible side.
 
 EllipticProblem is a fem.RobinProblem: the box check, the operator (the
-cached base K_a + M_c plus the Robin mass B_gamma, factored once so that
-every solve with it runs CG preconditioned by its factor), the data load
-and the boundary loads come from there.  The derivative and adjoint
+cached base K_a + M_c plus the Robin mass B_gamma; the base is factored
+once per problem and each operator adds only its edge pivot, so every
+solve runs CG preconditioned by the factor), the data load and the
+boundary loads come from there.  The derivative and adjoint
 right-hand sides are the boundary loads of -(d * u) on the inaccessible
 side and of -(p * u) on the accessible side, each one product with the
 segment's cached load map.  Because the operator is one shared symmetric

@@ -15,24 +15,30 @@ mesh (Mesh.segments).  Nodal fields on the whole mesh are 1-D arrays of
 length n_nodes.
 
 solve_spd is preconditioned CG.  Its preconditioner follows from what it
-is given: a BlockLDLT, the block LDL^T factorization of a banded SPD
-matrix, is an exact preconditioner, so CG stops after one iteration; a
-bare sparse matrix gets the Jacobi preconditioner, the reference path.
-The problems factor each operator once, and every solve with that
-operator reuses the factor.  Every library solve runs to the one
-tolerance SOLVE_TOL, which the factored path meets in one iteration.
+is given: a BlockLDLT, the block LDL^T factorization of an SPD matrix
+that is block tridiagonal in the order of the mesh columns, is an exact
+preconditioner, so CG stops after one iteration; a bare sparse matrix
+gets the Jacobi preconditioner, the reference path.  Every library solve
+runs to the one tolerance SOLVE_TOL, which the factored path meets in one
+iteration.
 
 RobinProblem is the Robin system both problem kinds share: the admissible
 box of gamma, the operator S = base + B_gamma with its factor, the data
 load of f, g and h, and the boundary loads -P_tag (x * u) that are the
-right-hand sides of every derivative and adjoint solve.  P_tag, the
-boundary-load map of a segment (boundary_load_map), is built once per
-problem, so those loads are one product for a single field and for a
-time series alike.
+right-hand sides of every derivative and adjoint solve.  The factor
+orders the unknowns by mesh column, x outer and y inner, so its last
+block is the inaccessible edge x = lx, the only place B_gamma touches.
+The gamma-free base is factored once per problem, up to the Schur
+complement Sigma_0 of that edge (base_factor); an operator then factors
+only its edge pivot Sigma_0 + B_gamma[I, I], I the edge nodes.  P_tag,
+the boundary-load map of a segment (boundary_load_map), is built once
+per problem, so those loads are one product for a single field and for
+a time series alike.
 """
 
 from __future__ import annotations
 
+import copy
 from functools import cached_property
 
 import numpy as np
@@ -63,67 +69,74 @@ class CurvatureBreakdown(LinearSolveError):
 
 
 class BlockLDLT:
-    """A banded SPD matrix together with its block LDL^T factorization.
+    """Block LDL^T factor of an SPD matrix that is block tridiagonal in a
+    given order of its unknowns.
 
-    The nodes are cut into consecutive blocks of w, the half-bandwidth read
-    from the matrix's own nonzeros, so the matrix is block tridiagonal with
-    diagonal blocks A_k and sub-diagonal couplings C_k.  The factorization
-    keeps the dense inverse of every pivot block, D_k = A_k - C_k
-    D_{k-1}^{-1} C_k^T (a Schur complement), and the couplings as the
-    sparse entries they are; only the couplings below the diagonal are
-    read, symmetry supplies the rest.  The last block is padded with the
-    identity when w does not divide the dimension.  For the lexicographic
-    node numbering of a structured mesh, w = nx + 2.
+    ``blocks`` is an (nb, w) array of unknowns: row k lists block k, and
+    the matrix couples block k to blocks k - 1, k and k + 1 only.  For a
+    structured mesh the blocks are its columns (Mesh.columns), x outer and
+    y inner, so w = ny + 1 and the last block is the inaccessible edge
+    x = lx.  With diagonal blocks A_k and couplings C_k = A[k, k - 1] the
+    pivots are D_0 = A_0 and D_k = A_k - C_k D_{k-1}^{-1} C_k^T.  The
+    factor keeps the dense inverse of every pivot and the couplings by
+    their nonzero diagonals (two for a mesh column); only the couplings
+    below the diagonal are read, symmetry supplies the rest.
+
+    The last pivot is set apart, so that a change confined to the last
+    diagonal block costs one w x w factorization.  BlockLDLT(matrix,
+    blocks) factors the leading pivots and keeps the last one unfactored
+    as ``schur``, the Schur complement of the last block; it need not be
+    definite (a pure Neumann base is singular).  complete(matrix, last)
+    is the factor of ``matrix``, which must be the factored matrix plus
+    the dense ``last`` on the last diagonal block, in the order of
+    blocks[-1], and nothing elsewhere: it shares the leading pivots and
+    factors schur + last.  Only a completed factor solves.
 
     solve applies the inverse of the matrix by one forward and one
-    backward block sweep; solve_spd uses it as the preconditioner of CG,
-    which then stops after one iteration.  The matrix itself stays
-    available as ``matrix``; nnz and shape are its own.
+    backward sweep over the blocks; solve_spd uses it as the
+    preconditioner of CG, which then stops after one iteration.  The
+    matrix itself stays available as ``matrix``; nnz and shape are its
+    own.
 
-    Raises CurvatureBreakdown when a pivot block is not positive definite.
+    Raises CurvatureBreakdown when a pivot is not positive definite, and
+    ValueError when blocks is no ordering of the unknowns or the matrix
+    couples blocks that are not neighbours.
     """
 
-    def __init__(self, matrix: sparse.spmatrix):
+    def __init__(self, matrix: sparse.spmatrix, blocks: np.ndarray):
         self.matrix = matrix
-        n = matrix.shape[0]
-        coo = matrix.tocoo()
-        row, col, val = coo.row, coo.col, coo.data
-        w = max(int(np.abs(row - col).max(initial=0)), 1)
-        nb = -(-n // w)
-        row_block, row_local = np.divmod(row, w)
-        col_block, col_local = np.divmod(col, w)
-
-        dinv = np.zeros((nb, w, w))
-        on = row_block == col_block
-        np.add.at(dinv, (row_block[on], row_local[on], col_local[on]), val[on])
-        pad = np.arange(n, nb * w)
-        dinv[pad // w, pad % w, pad % w] = 1.0
-
-        below = np.flatnonzero(row_block == col_block + 1)
-        below = below[np.argsort(row_block[below], kind="stable")]
-        cuts = np.searchsorted(row_block[below], np.arange(nb + 1))
-        self._coupling = [
-            (row_local[idx], col_local[idx], val[idx])
-            for idx in (below[cuts[k]:cuts[k + 1]] for k in range(nb))
-        ]
-
+        self.blocks = np.ascontiguousarray(blocks)
+        nb, w = self.blocks.shape
+        diagonal, self._coupling = _split_blocks(matrix, self.blocks)
+        self._dinv = []
         for k in range(nb):
-            pivot = dinv[k]
+            pivot = np.zeros((w, w))
+            flat = pivot.reshape(-1)
+            for d, lo, hi, v in diagonal[k]:
+                flat[lo * (w + 1) + d:hi * (w + 1) + d:w + 1] = v
             if k:
-                r, c, a = self._coupling[k]
-                C = np.zeros((w, w))
-                np.add.at(C, (r, c), a)
-                pivot -= C @ dinv[k - 1] @ C.T
-            try:
-                L = np.linalg.cholesky(pivot)
-            except np.linalg.LinAlgError:
-                raise CurvatureBreakdown(
-                    f"pivot block {k} (rows {k * w}..{min((k + 1) * w, n) - 1}) "
-                    f"is not positive definite"
-                ) from None
-            L_inv = np.linalg.inv(L)
-            dinv[k] = L_inv.T @ L_inv
-        self._dinv = dinv
+                # pivot -= C_k D_{k-1}^{-1} C_k^T: the rows of C_k D_{k-1}^{-1},
+                # then, since D_{k-1} is symmetric, those of C_k times its
+                # transpose D_{k-1}^{-1} C_k^T
+                T = np.zeros((w, w))
+                for d, lo, hi, v in self._coupling[k]:
+                    T[lo:hi] += v[:, None] * self._dinv[k - 1][lo + d:hi + d]
+                T = T.T.copy()
+                for d, lo, hi, v in self._coupling[k]:
+                    pivot[lo:hi] -= v[:, None] * T[lo + d:hi + d]
+            if k < nb - 1:
+                self._dinv.append(_invert_pivot(pivot, k, nb))
+        self.schur = pivot
+        self._last = None
+
+    def complete(self, matrix: sparse.spmatrix, last=0.0) -> "BlockLDLT":
+        """The factor of matrix, which adds last to the last diagonal block
+        of the factored matrix; see the class docstring."""
+        factor = copy.copy(self)
+        factor.matrix = matrix
+        factor._last = _invert_pivot(self.schur + last, len(self._dinv),
+                                     len(self._dinv) + 1)
+        return factor
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -135,23 +148,111 @@ class BlockLDLT:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with A x = b, up to rounding."""
-        dinv = self._dinv
-        nb, w, _ = dinv.shape
-        n = self.matrix.shape[0]
-        x = np.zeros(nb * w)
-        x[:n] = b
-        x = x.reshape(nb, w)
+        if self._last is None:
+            raise ValueError("the last pivot is not factored, see complete")
+        dinv = self._dinv + [self._last]
+        nb, w = self.blocks.shape
+        x = b[self.blocks]
         # forward: x_k <- D_k^{-1} (b_k - C_k x_{k-1})
         x[0] = dinv[0] @ x[0]
         for k in range(1, nb):
-            r, c, a = self._coupling[k]
-            x[k] -= np.bincount(r, a * x[k - 1, c], minlength=w)
+            for d, lo, hi, v in self._coupling[k]:
+                x[k, lo:hi] -= v * x[k - 1, lo + d:hi + d]
             x[k] = dinv[k] @ x[k]
         # backward: x_k <- x_k - D_k^{-1} C_{k+1}^T x_{k+1}
         for k in range(nb - 2, -1, -1):
-            r, c, a = self._coupling[k + 1]
-            x[k] -= dinv[k] @ np.bincount(c, a * x[k + 1, r], minlength=w)
-        return x.ravel()[:n]
+            y = np.zeros(w)
+            for d, lo, hi, v in self._coupling[k + 1]:
+                y[lo + d:hi + d] += v * x[k + 1, lo:hi]
+            x[k] -= dinv[k] @ y
+        out = np.empty(b.shape[0])
+        out[self.blocks] = x
+        return out
+
+
+def _split_blocks(matrix: sparse.spmatrix, blocks: np.ndarray):
+    """The diagonal blocks A_k and the couplings C_k = A[k, k - 1] (C_0 is
+    zero) of matrix in the block order, as two lists indexed by k.  Each
+    block is the list of its diagonals (d, lo, hi, v): entry (i, i + d)
+    is v[i - lo] for lo <= i < hi, duplicate entries summed."""
+    n = matrix.shape[0]
+    nb, w = blocks.shape
+    position = np.full(n, -1)
+    position[blocks.ravel()] = np.arange(blocks.size)
+    if blocks.size != n or np.any(position < 0):
+        raise ValueError("blocks must list every unknown exactly once")
+    coo = sparse.coo_matrix(matrix)
+    row_block, row = np.divmod(position[coo.row], w)
+    col_block, col = np.divmod(position[coo.col], w)
+    lag = row_block - col_block
+    if np.any(np.abs(lag) > 1):
+        raise ValueError("the matrix couples blocks that are not neighbours")
+    # every entry lies on band (lag, d), d = col - row; bands of lag -1
+    # mirror those of lag 1 and are not read
+    span = 2 * w - 1
+    key = (lag + 1) * span + (col - row + w - 1)
+    present = np.bincount(key, minlength=3 * span) > 0
+    present[:span] = False
+    bands = np.flatnonzero(present)
+    band_of = np.cumsum(present) - 1
+    keep = lag >= 0
+    V = np.bincount(
+        (row_block[keep] * bands.size + band_of[key[keep]]) * w + row[keep],
+        coo.data[keep], minlength=nb * bands.size * w,
+    ).reshape(nb, bands.size, w)
+    lags, ds = np.divmod(bands, span)
+    ds -= w - 1
+    out = []
+    for kind in (1, 2):  # the diagonal blocks, then the couplings
+        on = np.flatnonzero(lags == kind)
+        values = V[:, on]
+        diagonals = [(d, max(0, -d), min(w, w - d)) for d in ds[on].tolist()]
+        out.append([[(d, lo, hi, values[k, j, lo:hi])
+                     for j, (d, lo, hi) in enumerate(diagonals)]
+                    for k in range(nb)])
+    return out
+
+
+def _invert_pivot(pivot: np.ndarray, k: int, nb: int) -> np.ndarray:
+    """Inverse of pivot block k of nb, which must be positive definite."""
+    try:
+        return _spd_inverse(pivot)
+    except np.linalg.LinAlgError:
+        raise CurvatureBreakdown(
+            f"pivot block {k} of {nb} is not positive definite"
+        ) from None
+
+
+# Order up to which _spd_inverse inverts in one LAPACK call.
+_SPD_LEAF = 64
+
+
+def _spd_inverse(P: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive definite matrix.
+
+    Recursive 2 x 2 block elimination: with P = [[P11, P21^T], [P21,
+    P22]], X = P21 P11^{-1} and the Schur complement S = P22 - X P21^T,
+    P is positive definite exactly when P11 and S are, and its inverse is
+    [[P11^{-1} + X^T S^{-1} X, -(S^{-1} X)^T], [-S^{-1} X, S^{-1}]].  The
+    work is then matrix products, about half the flops of np.linalg.inv,
+    which finishes the recursion at _SPD_LEAF unknowns after a Cholesky
+    test.  Raises np.linalg.LinAlgError if P is not positive definite.
+    """
+    n = P.shape[0]
+    if n <= _SPD_LEAF:
+        np.linalg.cholesky(P)
+        return np.linalg.inv(P)
+    h = n // 2
+    P21 = P[h:, :h]
+    inv = np.empty_like(P)
+    inv[:h, :h] = _spd_inverse(P[:h, :h])
+    X = P21 @ inv[:h, :h]
+    inv[h:, h:] = _spd_inverse(P[h:, h:] - X @ P21.T)
+    Y = inv[h:, h:] @ X
+    inv[:h, :h] += X.T @ Y
+    inv[h:, :h] = -Y
+    inv[:h, h:] = -Y.T
+    return inv
 
 
 def solve_spd(
@@ -255,12 +356,19 @@ def _coeff_on_points(coeff, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.full(x.shape, float(coeff))
 
 
-def _triangle_geometry(mesh: Mesh):
-    """Areas and P1 gradient components for every triangle."""
-    p = mesh.nodes[mesh.triangles]          # (m, 3, 2)
+def _triangle_points(mesh: Mesh):
+    """Vertex coordinates (m, 3, 2) and areas of every triangle."""
+    # areas first, so that their temporaries are freed before p exists
     area = triangle_areas(mesh)
+    p = mesh.nodes[mesh.triangles]
     if np.any(area <= 0.0):
         raise ValueError("mesh contains a non-positively oriented triangle")
+    return p, area
+
+
+def _triangle_geometry(mesh: Mesh):
+    """Areas and P1 gradient components for every triangle."""
+    p, area = _triangle_points(mesh)
     x = p[:, :, 0]
     y = p[:, :, 1]
     # grad phi_i = (b_i, c_i) / (2 area), cyclic differences
@@ -308,13 +416,15 @@ _MID_PHI = np.array([
 ])
 
 
-def _edge_midpoints(p: np.ndarray) -> np.ndarray:
-    """Edge midpoints of each triangle, shape (m, 3, 2)."""
-    return np.stack([
-        0.5 * (p[:, 0] + p[:, 1]),
-        0.5 * (p[:, 1] + p[:, 2]),
-        0.5 * (p[:, 2] + p[:, 0]),
-    ], axis=1)
+def _edge_midpoints(mesh: Mesh):
+    """Edge midpoints of each triangle, shape (m, 3, 2), and the areas.
+
+    Edge k joins vertices k and k + 1 (mod 3).
+    """
+    p, area = _triangle_points(mesh)
+    p += p[:, [1, 2, 0]]
+    p *= 0.5
+    return p, area
 
 
 def assemble_mass(mesh: Mesh, c) -> sparse.csr_matrix:
@@ -324,8 +434,7 @@ def assemble_mass(mesh: Mesh, c) -> sparse.csr_matrix:
     reproduces the consistent mass matrix (area/12) [[2,1,1],[1,2,1],[1,1,2]]
     without quadrature error.  Negative samples are rejected.
     """
-    p, area, _, _ = _triangle_geometry(mesh)
-    mid = _edge_midpoints(p)
+    mid, area = _edge_midpoints(mesh)
     c_val = _coeff_on_points(c, mid[:, :, 0], mid[:, :, 1])   # (m, 3)
     if np.any(c_val < 0.0):
         raise ValueError("mass coefficient must be nonnegative")
@@ -339,8 +448,7 @@ def assemble_mass(mesh: Mesh, c) -> sparse.csr_matrix:
 
 def assemble_load(mesh: Mesh, f) -> np.ndarray:
     """Volume load vector, entries integral of f * phi_i (midpoint rule)."""
-    p, area, _, _ = _triangle_geometry(mesh)
-    mid = _edge_midpoints(p)
+    mid, area = _edge_midpoints(mesh)
     f_val = _coeff_on_points(f, mid[:, :, 0], mid[:, :, 1])    # (m, 3)
     local = (area[:, None] / 3.0) * (f_val @ _MID_PHI)         # (m, 3)
     out = np.zeros(mesh.n_nodes)
@@ -375,6 +483,17 @@ def _boundary_weight_at_gauss(mesh: Mesh, tag: SegmentTag, weight) -> np.ndarray
     return w0[:, None] * (1.0 - _GAUSS_XI)[None, :] + w1[:, None] * _GAUSS_XI[None, :]
 
 
+def _edge_mass_blocks(mesh: Mesh, tag: SegmentTag, weight) -> np.ndarray:
+    """Weighted 2x2 mass block of every segment edge, shape (k, 2, 2)."""
+    seg = mesh.segments[tag]
+    w_gauss = _boundary_weight_at_gauss(mesh, tag, weight)
+    phi = np.stack([1.0 - _GAUSS_XI, _GAUSS_XI], axis=0)       # (2, q)
+    # local 2x2 block per edge: length * sum_q wq * w(xi_q) phi_i phi_j
+    return np.einsum(
+        "q,eq,iq,jq->eij", _GAUSS_W, w_gauss, phi, phi
+    ) * seg.length[:, None, None]
+
+
 def assemble_boundary_mass(mesh: Mesh, tag: SegmentTag, weight) -> sparse.csr_matrix:
     """Weighted boundary mass on one segment, as a global sparse matrix.
 
@@ -384,19 +503,24 @@ def assemble_boundary_mass(mesh: Mesh, tag: SegmentTag, weight) -> sparse.csr_ma
     nodal weight values.  That linearity is what the derivative solver
     differentiates, do not change the quadrature here without revisiting it.
     """
-    seg = mesh.segments[tag]
-    w_gauss = _boundary_weight_at_gauss(mesh, tag, weight)
-
-    phi = np.stack([1.0 - _GAUSS_XI, _GAUSS_XI], axis=0)       # (2, q)
-    # local 2x2 block per edge: length * sum_q wq * w(xi_q) phi_i phi_j
-    blk = np.einsum(
-        "q,eq,iq,jq->eij", _GAUSS_W, w_gauss, phi, phi
-    ) * seg.length[:, None, None]
-
-    rows = np.repeat(seg.edges, 2, axis=1).ravel()
-    cols = np.tile(seg.edges, (1, 2)).ravel()
+    edges = mesh.segments[tag].edges
+    rows = np.repeat(edges, 2, axis=1).ravel()
+    cols = np.tile(edges, (1, 2)).ravel()
     n = mesh.n_nodes
-    return sparse.coo_matrix((blk.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return sparse.coo_matrix(
+        (_edge_mass_blocks(mesh, tag, weight).ravel(), (rows, cols)),
+        shape=(n, n),
+    ).tocsr()
+
+
+def boundary_mass_block(mesh: Mesh, tag: SegmentTag, weight) -> np.ndarray:
+    """The segment's own block of assemble_boundary_mass, as a dense
+    matrix in the segment's node numbering (Mesh.segment_nodes)."""
+    local = mesh.segments[tag].local
+    ns = mesh.segments[tag].nodes.size
+    index = (np.repeat(local, 2, axis=1) * ns + np.tile(local, (1, 2))).ravel()
+    return np.bincount(index, _edge_mass_blocks(mesh, tag, weight).ravel(),
+                       minlength=ns * ns).reshape(ns, ns)
 
 
 def assemble_boundary_load(mesh: Mesh, tag: SegmentTag, g) -> np.ndarray:
@@ -481,7 +605,9 @@ class RobinProblem:
     A subclass is a frozen dataclass with the fields mesh, gamma_min and
     gamma_max and a gamma-free matrix ``base``; the operator of a Robin
     coefficient gamma is base + B_gamma, B_gamma the boundary mass of
-    gamma on the inaccessible segment.
+    gamma on the inaccessible segment.  Like base, the factor of base is
+    computed on first use and kept, so every operator of the problem
+    shares its leading pivots.
     """
 
     def __post_init__(self):
@@ -491,12 +617,26 @@ class RobinProblem:
         if not self.gamma_max >= self.gamma_min:
             raise ValueError("gamma_max must not be below gamma_min")
 
+    @cached_property
+    def base_factor(self) -> BlockLDLT:
+        """The block factor of base in mesh-column order: every pivot but
+        the last, and the Schur complement Sigma_0 of the last column, the
+        inaccessible edge, unfactored."""
+        return BlockLDLT(self.base, self.mesh.columns())
+
     def robin_operator(self, gamma: np.ndarray) -> BlockLDLT:
-        """base + B_gamma for a nodal gamma in the box, factored."""
+        """base + B_gamma for a nodal gamma in the box, factored.
+
+        B_gamma lives on the inaccessible edge, the last block of
+        base_factor, so only the edge pivot Sigma_0 + B_gamma[I, I] is
+        factored here.
+        """
         gamma = np.asarray(gamma, dtype=float)
         require_in_box(gamma, self.gamma_min, self.gamma_max)
-        B = assemble_boundary_mass(self.mesh, SegmentTag.INACCESSIBLE, gamma)
-        return BlockLDLT((self.base + B).tocsr())
+        tag = SegmentTag.INACCESSIBLE
+        B = assemble_boundary_mass(self.mesh, tag, gamma)
+        return self.base_factor.complete(
+            (self.base + B).tocsr(), boundary_mass_block(self.mesh, tag, gamma))
 
     def data_load(self, f, g, h) -> np.ndarray:
         """Load of the volume source f, the Robin data g on the inaccessible

@@ -81,6 +81,15 @@ class Mesh:
             raise ValueError("mesh boundary has not been classified yet")
         return self.segments[tag].nodes
 
+    def columns(self) -> np.ndarray:
+        """Node ids by mesh column, shape (nx + 1, ny + 1).
+
+        Row i lists the column x = x_i from bottom to top, so the last row
+        is the side x = lx in ascending id order, the node order of the
+        inaccessible segment.
+        """
+        return np.arange(self.n_nodes).reshape(self.ny + 1, self.nx + 1).T
+
 
 def build_rect_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
     """Build the structured triangulation of (0, lx) x (0, ly).
@@ -106,31 +115,21 @@ def build_rect_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
     xv, yv = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([xv.ravel(), yv.ravel()])
 
-    def nid(i: int, j: int) -> int:
-        return j * (nx + 1) + i
+    grid = np.arange((nx + 1) * (ny + 1), dtype=np.int64).reshape(ny + 1, nx + 1)
+    # cell (i, j) gives (ll, lr, ur) and (ll, ur, ul), cells ordered by j
+    # then i, so row 2k and 2k + 1 belong to cell k = j * nx + i
+    ll = grid[:-1, :-1].ravel()
+    lr = grid[:-1, 1:].ravel()
+    ul = grid[1:, :-1].ravel()
+    ur = grid[1:, 1:].ravel()
+    triangles = np.stack([np.column_stack([ll, lr, ur]),
+                          np.column_stack([ll, ur, ul])], axis=1).reshape(-1, 3)
 
-    triangles = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    k = 0
-    for j in range(ny):
-        for i in range(nx):
-            ll = nid(i, j)
-            lr = nid(i + 1, j)
-            ul = nid(i, j + 1)
-            ur = nid(i + 1, j + 1)
-            triangles[k] = (ll, lr, ur)
-            triangles[k + 1] = (ll, ur, ul)
-            k += 2
-
-    edges = []
-    for i in range(nx):                      # bottom, left to right
-        edges.append((nid(i, 0), nid(i + 1, 0)))
-    for j in range(ny):                      # right, bottom to top
-        edges.append((nid(nx, j), nid(nx, j + 1)))
-    for i in range(nx, 0, -1):               # top, right to left
-        edges.append((nid(i, ny), nid(i - 1, ny)))
-    for j in range(ny, 0, -1):               # left, top to bottom
-        edges.append((nid(0, j), nid(0, j - 1)))
-    boundary_edges = np.array(edges, dtype=np.int64)
+    # the counterclockwise loop: bottom left to right, right bottom to top,
+    # top right to left, left top to bottom, back to node 0
+    loop = np.concatenate([grid[0, :], grid[1:, nx], grid[ny, nx - 1::-1],
+                           grid[ny - 1::-1, 0]])
+    boundary_edges = np.column_stack([loop[:-1], loop[1:]])
 
     return Mesh(
         nodes=nodes,

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 import robinrecon
-from robinrecon import cli, experiments, lm
+from robinrecon import cli, experiments, fem, lm
+from robinrecon.elliptic import EllipticProblem
 
 RUN_ARGS = ["run", "--example", "5.1", "--nx", "8", "--ny", "16"]
 
@@ -211,6 +212,35 @@ def test_gamma0_outside_the_box_fails_before_data_generation(
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "gamma0" in err
+
+
+def test_failed_sweep_keeps_the_table_of_an_earlier_one(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    args = ["sweep", "--example", "5.1", "--nx", "4", "--ny", "8",
+            "--seed", "0,1", "--out", str(out)]
+    assert cli.main(args) == 0
+    table = (out / "sweep.csv").read_bytes()
+    assert len(table.decode().splitlines()) == 3
+    assert cli.main(args + ["--gamma0", "50"]) == 2
+    assert "gamma0" in capsys.readouterr().err
+    assert (out / "sweep.csv").read_bytes() == table
+    # a completed sweep leaves no side file behind
+    assert cli.main(args) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
+
+
+def test_linear_solve_error_exits_2_with_message(tmp_path, capsys, monkeypatch):
+    def breakdown(self, gamma):
+        raise fem.CurvatureBreakdown("pivot block 4 of 5 is not positive definite")
+
+    monkeypatch.setattr(EllipticProblem, "operator", breakdown)
+    out = tmp_path / "out"
+    code = cli.main(["run", "--example", "5.1", "--nx", "4", "--ny", "8",
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: pivot block 4 of 5 is not positive definite\n")
+    assert not (out / "profile.csv").exists()
 
 
 def test_verify_filter(capsys):

@@ -225,13 +225,47 @@ def test_solve_spd_reports_stalled_convergence():
 
 def test_block_factor_is_an_exact_preconditioner():
     A, b = reference_system()
-    factor = fem.BlockLDLT(A)
+    factor = fem.BlockLDLT(A, make_mesh().columns()).complete(A)
     assert (factor.shape, factor.nnz) == (A.shape, A.nnz)
     stats = {}
     x = fem.solve_spd(factor, b, tol=1e-10, stats=stats)
     assert stats["iterations"] == 1
     assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
     np.testing.assert_allclose(x, fem.solve_spd(A, b, tol=1e-12), rtol=1e-9)
+
+
+def test_block_factor_needs_its_last_pivot_before_it_solves():
+    A, b = reference_system()
+    leading = fem.BlockLDLT(A, make_mesh().columns())
+    with pytest.raises(ValueError, match="last pivot"):
+        leading.solve(b)
+
+
+def test_block_factor_rejects_an_order_that_is_not_block_tridiagonal():
+    A, _ = reference_system()
+    mesh = make_mesh()
+    rows = np.arange(mesh.n_nodes).reshape(mesh.ny + 1, mesh.nx + 1)
+    with pytest.raises(ValueError, match="neighbours"):
+        fem.BlockLDLT(A, np.concatenate([rows[::2], rows[1::2]]))
+    with pytest.raises(ValueError, match="every unknown"):
+        fem.BlockLDLT(A, np.zeros_like(mesh.columns()))
+
+
+def test_operators_of_one_problem_share_the_leading_factor():
+    """The base is factored once per problem: two operators share its
+    leading pivots and differ in their edge pivot only."""
+    example = experiments.make_example("5.1", nx=4, ny=8)
+    prob = example.problem
+    n_edge = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE).size
+    first = prob.operator(np.full(n_edge, 1.0))
+    second = prob.operator(np.full(n_edge, 2.0))
+    assert first._dinv is second._dinv is prob.base_factor._dinv
+    assert first.schur is second.schur is prob.base_factor.schur
+    assert not np.array_equal(first._last, second._last)
+    b = prob.load
+    for op in (first, second):
+        x = op.solve(b)
+        assert np.linalg.norm(b - op.matrix @ x) <= 1e-13 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("example_id, nx, ny, nt", [
@@ -267,14 +301,36 @@ def test_factored_solves_meet_solve_tol_in_one_iteration(
     assert iterations == [1] * (3 * solves_per_march)
 
 
-@pytest.mark.parametrize("A", [
-    sparse.diags([1.0, -1.0, 1.0]).tocsr(),
-    sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])),
-    (fem.assemble_stiffness(make_mesh(), 1.0)
-     - 100.0 * fem.assemble_mass(make_mesh(), 1.0)).tocsr(),
-], ids=["negative-diagonal", "indefinite", "shifted-stiffness"])
-def test_block_factor_rejects_non_spd_matrix(A):
+def _edge_shifted_stiffness():
+    """K + M - 100 B_1 on the reference mesh, B_1 the unit boundary mass of
+    the inaccessible edge: its leading pivots are those of K + M, only
+    the edge pivot is indefinite."""
+    mesh = make_mesh()
+    A = (fem.assemble_stiffness(mesh, 1.0) + fem.assemble_mass(mesh, 1.0)
+         - 100.0 * fem.assemble_boundary_mass(mesh, SegmentTag.INACCESSIBLE, 1.0))
+    return A.tocsr(), mesh.columns()
+
+
+@pytest.mark.parametrize("A, blocks", [
+    (sparse.diags([1.0, -1.0, 1.0]).tocsr(), np.arange(3).reshape(3, 1)),
+    (sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])),
+     np.arange(2).reshape(2, 1)),
+    ((fem.assemble_stiffness(make_mesh(), 1.0)
+      - 100.0 * fem.assemble_mass(make_mesh(), 1.0)).tocsr(),
+     make_mesh().columns()),
+    _edge_shifted_stiffness(),
+], ids=["negative-diagonal", "indefinite", "shifted-stiffness", "indefinite-edge"])
+def test_block_factor_rejects_non_spd_matrix(A, blocks):
     with pytest.raises(fem.LinearSolveError) as info:
-        fem.BlockLDLT(A)
+        fem.BlockLDLT(A, blocks).complete(A)
     assert isinstance(info.value, fem.CurvatureBreakdown)
     assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+def test_block_factor_rejects_an_indefinite_edge_pivot_on_completion():
+    A, blocks = _edge_shifted_stiffness()
+    leading = fem.BlockLDLT(A, blocks)
+    nb = blocks.shape[0]
+    with pytest.raises(fem.CurvatureBreakdown,
+                       match=f"pivot block {nb - 1} of {nb} "):
+        leading.complete(A)

@@ -57,6 +57,52 @@ def test_segment_nodes_sorted_and_shared_corners():
     assert y[0] == 0.0 and y[-1] == LY
 
 
+def _per_cell_connectivity(nx, ny):
+    """Triangles and boundary edges built one cell and one edge at a time,
+    the oracle of the vectorized build_rect_mesh."""
+    def nid(i, j):
+        return j * (nx + 1) + i
+
+    triangles = []
+    for j in range(ny):
+        for i in range(nx):
+            ll, lr = nid(i, j), nid(i + 1, j)
+            ul, ur = nid(i, j + 1), nid(i + 1, j + 1)
+            triangles += [(ll, lr, ur), (ll, ur, ul)]
+    edges = [(nid(i, 0), nid(i + 1, 0)) for i in range(nx)]
+    edges += [(nid(nx, j), nid(nx, j + 1)) for j in range(ny)]
+    edges += [(nid(i, ny), nid(i - 1, ny)) for i in range(nx, 0, -1)]
+    edges += [(nid(0, j), nid(0, j - 1)) for j in range(ny, 0, -1)]
+    return (np.array(triangles, dtype=np.int64),
+            np.array(edges, dtype=np.int64))
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (3, 5), (8, 16), (64, 128)])
+def test_build_matches_the_per_cell_construction(nx, ny):
+    mesh = build_rect_mesh(nx, ny, LX, LY)
+    triangles, edges = _per_cell_connectivity(nx, ny)
+    for got, want in ((mesh.triangles, triangles),
+                      (mesh.boundary_edges, edges)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    xs, ys = np.linspace(0.0, LX, nx + 1), np.linspace(0.0, LY, ny + 1)
+    np.testing.assert_array_equal(
+        mesh.nodes, [(x, y) for y in ys for x in xs])
+
+
+def test_columns_list_the_nodes_by_x_with_the_inaccessible_side_last():
+    mesh = make_mesh()
+    columns = mesh.columns()
+    assert columns.shape == (NX + 1, NY + 1)
+    assert sorted(columns.ravel()) == list(range(mesh.n_nodes))
+    for i, column in enumerate(columns):
+        assert np.all(mesh.nodes[column, 0] == mesh.nodes[columns[i, 0], 0])
+        assert np.all(np.diff(mesh.nodes[column, 1]) > 0.0)
+    assert np.all(np.diff(mesh.nodes[columns[:, 0], 0]) > 0.0)
+    np.testing.assert_array_equal(
+        columns[-1], mesh.segment_nodes(SegmentTag.INACCESSIBLE))
+
+
 def test_unclassified_mesh_refuses_segment_queries():
     raw = build_rect_mesh(4, 4, 1.0, 1.0)
     with pytest.raises(ValueError):

@@ -67,8 +67,8 @@ def test_exact_coefficient_is_a_fixed_point(example_id, nx, ny, nt):
 def test_block_factor_solves_the_operator(example_id, nx, ny, nt, seed):
     """The block LDL^T factor of an operator solves it to rounding, and CG
     preconditioned by it agrees with the Jacobi reference path.  The
-    dimension (nx + 1)(ny + 1) is a multiple of the block size nx + 2 for
-    some draws and not for others."""
+    blocks are the nx + 1 mesh columns of ny + 1 unknowns, the last one
+    the Robin edge; nx = 1 leaves a single leading block."""
     prob = ex.make_example(example_id, nx=nx, ny=ny, nt=nt).problem
     seg_i = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
     rng = np.random.default_rng(seed)
