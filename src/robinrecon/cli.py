@@ -264,8 +264,10 @@ def cmd_sweep(args) -> int:
                 print(f"delta {entry['delta']:g} seed {entry['seed']}: "
                       f"{entry['message']}", file=sys.stderr)
 
-        if settings["jobs"] > 1:
-            with ProcessPoolExecutor(max_workers=settings["jobs"]) as pool:
+        # a pool forks all its workers at once, so no more than there are runs
+        workers = min(settings["jobs"], len(specs))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_sweep_job, spec) for spec in specs]
                 for future in as_completed(futures):
                     record(future.result())

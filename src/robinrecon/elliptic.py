@@ -10,8 +10,8 @@ Three solves share one symmetric operator K_a + M_c + B_gamma:
 EllipticProblem is a fem.RobinProblem: the box check, the operator (the
 cached base K_a + M_c plus the Robin mass B_gamma; the base is factored
 once per problem and each operator adds only its edge pivot, so every
-solve runs CG preconditioned by the factor), the data load and the
-boundary loads come from there.  The derivative and adjoint
+solve is a direct block solve plus one residual check), the data load
+and the boundary loads come from there.  The derivative and adjoint
 right-hand sides are the boundary loads of -(d * u) on the inaccessible
 side and of -(p * u) on the accessible side, each one product with the
 segment's cached load map.  Because the operator is one shared symmetric
@@ -21,10 +21,10 @@ precision, which the tests rely on.
 EllipticProblem carries the problem protocol that the outer loop and the
 verification probes run on, shared with ParabolicProblem: operator,
 forward, derivative and adjoint wrap the module functions below (each
-solve runs to fem.SOLVE_TOL, so they take only the operator), inner is
-the segment inner product, integrate is the identity (a stationary field
-is its own gradient), and levels selects the whole trace as the one level
-that carries weight.
+solve is checked against fem.SOLVE_TOL, so they take only the
+operator), inner is the segment inner product, integrate is the
+identity (a stationary field is its own gradient), and levels selects
+the whole trace as the one level that carries weight.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def assemble_operator(prob: EllipticProblem, gamma: np.ndarray) -> fem.BlockLDLT
 
 def solve_forward(
     prob: EllipticProblem,
-    op: fem.BlockLDLT | sparse.spmatrix,
+    op: fem.BlockLDLT,
 ) -> np.ndarray:
     """State u for the Robin coefficient op was assembled with."""
     return fem.solve_spd(op, prob.load)
@@ -112,7 +112,7 @@ def solve_derivative(
     prob: EllipticProblem,
     u: np.ndarray,
     d: np.ndarray,
-    op: fem.BlockLDLT | sparse.spmatrix,
+    op: fem.BlockLDLT,
 ) -> np.ndarray:
     """Directional derivative of the forward map in direction d.
 
@@ -127,7 +127,7 @@ def solve_adjoint(
     prob: EllipticProblem,
     u: np.ndarray,
     p: np.ndarray,
-    op: fem.BlockLDLT | sparse.spmatrix,
+    op: fem.BlockLDLT,
 ) -> np.ndarray:
     """Adjoint state for an accessible-side weight p.
 

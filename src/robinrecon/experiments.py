@@ -18,7 +18,7 @@ The second half of the module is a verification battery shared by the
 command line and the test suite: adjoint identity probes, derivative
 finite-difference decay, a dense Gauss-Newton oracle on a tiny mesh, and
 manufactured-solution convergence ratios.  Data generation and the probes
-solve to fem.SOLVE_TOL, like the reconstruction itself.
+use the same checked block solve as the reconstruction itself.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""P1 finite element assembly and a preconditioned CG solver.
+"""P1 finite element assembly and a direct block solver.
 
 All matrices built here are symmetric.  Domain integrals use the 3-point
 edge-midpoint rule on triangles, which is exact for products of two P1
@@ -14,13 +14,11 @@ Mesh.segment_nodes; the segment geometry comes precomputed with the
 mesh (Mesh.segments).  Nodal fields on the whole mesh are 1-D arrays of
 length n_nodes.
 
-solve_spd is preconditioned CG.  Its preconditioner follows from what it
-is given: a BlockLDLT, the block LDL^T factorization of an SPD matrix
-that is block tridiagonal in the order of the mesh columns, is an exact
-preconditioner, so CG stops after one iteration; a bare sparse matrix
-gets the Jacobi preconditioner, the reference path.  Every library solve
-runs to the one tolerance SOLVE_TOL, which the factored path meets in one
-iteration.
+solve_spd is the one solve path: a direct block solve plus one residual
+check.  It takes a BlockLDLT, the block LDL^T factorization of an SPD
+matrix that is block tridiagonal in the order of the mesh columns,
+applies it once and checks the residual against the one tolerance
+SOLVE_TOL of every library solve; a miss raises ConvergenceFailure.
 
 RobinProblem is the Robin system both problem kinds share: the admissible
 box of gamma, the operator S = base + B_gamma with its factor, the data
@@ -50,22 +48,21 @@ from .mesh import Mesh, SegmentTag, triangle_areas
 _GAUSS_XI = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _GAUSS_W = np.array([0.5, 0.5])
 
-# Relative residual tolerance of every library solve, solve_spd's default.
+# Relative residual tolerance of every library solve, checked by solve_spd.
 SOLVE_TOL = 1e-12
 
 
 class LinearSolveError(RuntimeError):
-    """Base class for failures of the sparse SPD solver."""
+    """Base class for failures of the SPD block solver."""
 
 
 class ConvergenceFailure(LinearSolveError):
-    """CG exhausted its iteration cap without reaching the tolerance."""
+    """The solve missed SOLVE_TOL."""
 
 
 class CurvatureBreakdown(LinearSolveError):
-    """The matrix is not SPD: CG met a direction of non-positive curvature,
-    or a pivot block of the block LDL^T factorization is not positive
-    definite."""
+    """The matrix is not SPD: a pivot block of the block LDL^T
+    factorization is not positive definite."""
 
 
 class BlockLDLT:
@@ -93,9 +90,8 @@ class BlockLDLT:
     factors schur + last.  Only a completed factor solves.
 
     solve applies the inverse of the matrix by one forward and one
-    backward sweep over the blocks; solve_spd uses it as the
-    preconditioner of CG, which then stops after one iteration.  The
-    matrix itself stays available as ``matrix``; nnz and shape are its
+    backward sweep over the blocks; solve_spd applies it once and checks
+    the residual against ``matrix``, which stays available; nnz is its
     own.
 
     Raises CurvatureBreakdown when a pivot is not positive definite, and
@@ -137,10 +133,6 @@ class BlockLDLT:
         factor._last = _invert_pivot(self.schur + last, len(self._dinv),
                                      len(self._dinv) + 1)
         return factor
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
     @property
     def nnz(self) -> int:
@@ -255,98 +247,34 @@ def _spd_inverse(P: np.ndarray) -> np.ndarray:
     return inv
 
 
-def solve_spd(
-    A: sparse.spmatrix | BlockLDLT,
-    b: np.ndarray,
-    tol: float = SOLVE_TOL,
-    x0: np.ndarray | None = None,
-    max_iter: int | None = None,
-    stats: dict | None = None,
-) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A.
+def solve_spd(op: BlockLDLT, b: np.ndarray,
+              stats: dict | None = None) -> np.ndarray:
+    """Solve S x = b, S the SPD matrix of the completed factor op.
 
-    Preconditioned conjugate gradients.  A BlockLDLT is its own
-    preconditioner: the factor solves the system up to rounding, so CG
-    stops after one iteration.  A bare sparse matrix gets the diagonal
-    (Jacobi) preconditioner, the reference path.  Either way the loop
-    stops when ||b - A x||_2 <= tol * ||b||_2 and checks the curvature of
-    every search direction, so the tolerance and the SPD check hold for
-    both.  The iteration is a fixed deterministic recurrence: identical
-    inputs give bit-identical solutions.
+    A direct block solve plus one residual check: x = op.solve(b), then
+    ||b - S x||_2 <= SOLVE_TOL * ||b||_2 must hold, so a factor that does
+    not solve its own matrix fails here instead of passing a wrong x on.
+    b = 0 returns zero without touching the factor.  stats, when given,
+    receives {"iterations": k}, the number of factor applications: 1, or
+    0 for b = 0.
 
-    Parameters
-    ----------
-    tol : relative residual tolerance, must lie in (0, 1).
-    x0 : optional warm start (used by the time steppers).
-    max_iter : iteration cap, defaults to 10 * dimension.
-    stats : optional dict, receives {"iterations": k} on return.
-
-    Raises
-    ------
-    ConvergenceFailure if the cap is hit, CurvatureBreakdown if a search
-    direction has non-positive curvature (an SPD violation upstream).
+    Raises ConvergenceFailure when the residual misses SOLVE_TOL (a NaN
+    residual included).
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must be in (0, 1), got {tol}")
-    n = A.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
-
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
-        if stats is not None:
-            stats["iterations"] = 0
-        return np.zeros(n)
-
-    if isinstance(A, BlockLDLT):
-        precondition = A.solve
-        A = A.matrix
+        x, applications = np.zeros(b.shape[0]), 0
     else:
-        diag = A.diagonal()
-        if np.any(diag <= 0.0):
-            bad = int(np.argmin(diag))
-            raise CurvatureBreakdown(
-                f"non-positive diagonal entry {diag[bad]:g} at row {bad}"
+        x, applications = op.solve(b), 1
+        residual = np.linalg.norm(b - op.matrix @ x)
+        if not residual <= SOLVE_TOL * norm_b:
+            raise ConvergenceFailure(
+                f"block solve missed SOLVE_TOL: residual {residual:.3e}, "
+                f"target {SOLVE_TOL * norm_b:.3e}"
             )
-
-        def precondition(r):
-            return r / diag
-
-    x = np.zeros(n) if x0 is None else x0.astype(float, copy=True)
-    r = b - A @ x
-    z = precondition(r)
-    p = z.copy()
-    rz = float(r @ z)
-    threshold = tol * norm_b
-
-    if np.linalg.norm(r) <= threshold:
-        if stats is not None:
-            stats["iterations"] = 0
-        return x
-
-    for k in range(1, max_iter + 1):
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise CurvatureBreakdown(
-                f"non-positive curvature {pAp:g} at iteration {k}"
-            )
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        if np.linalg.norm(r) <= threshold:
-            if stats is not None:
-                stats["iterations"] = k
-            return x
-        z = precondition(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-
-    raise ConvergenceFailure(
-        f"no convergence in {max_iter} iterations "
-        f"(residual {np.linalg.norm(r):.3e}, target {threshold:.3e})"
-    )
+    if stats is not None:
+        stats["iterations"] = applications
+    return x
 
 
 def _coeff_on_points(coeff, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ EllipticProblem and ParabolicProblem (operator, forward, adjoint, inner,
 integrate, levels); only those methods know whether a trace is one field
 or a time series.  A step builds and factors the operator once, from the
 problem's cached gamma-free base plus the Robin mass of the iterate, and
-passes it to both the forward and the adjoint solve, each run to
-fem.SOLVE_TOL.  A trace closer to zero than TRACE_GUARD ends the step.
+passes it to both the forward and the adjoint solve, each a direct block
+solve plus one residual check against fem.SOLVE_TOL.  A trace closer to
+zero than TRACE_GUARD ends the step.
 
 Exactness notes.  The residual norm is computed first, as the square root
 of the misfit inner product, and beta is literally residual * residual,
@@ -63,7 +64,7 @@ class LmConfig:
     the measured residual norm drops below it (the computable half of a
     noise-level stopping rule).  The admissible box of gamma is the
     problem's own (gamma_min, gamma_max); the trace guard is TRACE_GUARD
-    and every solve runs to fem.SOLVE_TOL.
+    and every solve is checked against fem.SOLVE_TOL.
     """
 
     eps: float

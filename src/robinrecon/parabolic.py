@@ -23,8 +23,9 @@ every level are cached on the problem too.
 
 ParabolicProblem carries the same problem protocol as EllipticProblem:
 operator, forward, derivative and adjoint wrap the march functions below
-(every step solves to fem.SOLVE_TOL), inner is space_time_inner, integrate is time_integral_boundary, and levels
-are 1..nt, the levels the right-endpoint rule weights.  Generic code indexes
+(every step is a direct block solve checked against fem.SOLVE_TOL), inner
+is space_time_inner, integrate is time_integral_boundary, and levels are
+1..nt, the levels the right-endpoint rule weights.  Generic code indexes
 the trailing node axis (u[..., seg]) and so serves both kinds unchanged.
 """
 
@@ -152,19 +153,19 @@ def _initial_field(prob: ParabolicProblem) -> np.ndarray:
 def _march(prob: ParabolicProblem, op, loads: np.ndarray,
            start: np.ndarray) -> np.ndarray:
     """Implicit Euler from start: row n solves S x_n = (M/dt) x_{n-1} +
-    loads[n], warm-started from x_{n-1}.  loads[0] is not read."""
+    loads[n] with the factored op.  loads[0] is not read."""
     X = np.empty((prob.nt + 1, prob.mesh.n_nodes))
     X[0] = start
     for n in range(1, prob.nt + 1):
         b = prob.mass @ (X[n - 1] / prob.dt)
         b += loads[n]
-        X[n] = fem.solve_spd(op, b, x0=X[n - 1])
+        X[n] = fem.solve_spd(op, b)
     return X
 
 
 def solve_forward_parabolic(
     prob: ParabolicProblem,
-    op: fem.BlockLDLT | sparse.spmatrix,
+    op: fem.BlockLDLT,
 ) -> np.ndarray:
     """March the state forward from the interpolated initial value.
 
@@ -178,7 +179,7 @@ def solve_derivative_parabolic(
     prob: ParabolicProblem,
     u: np.ndarray,
     d: np.ndarray,
-    op: fem.BlockLDLT | sparse.spmatrix,
+    op: fem.BlockLDLT,
 ) -> np.ndarray:
     """Sensitivity trajectory for a perturbation d of gamma.
 
@@ -193,7 +194,7 @@ def solve_adjoint_parabolic(
     prob: ParabolicProblem,
     u: np.ndarray,
     p: np.ndarray,
-    op: fem.BlockLDLT | sparse.spmatrix,
+    op: fem.BlockLDLT,
 ) -> np.ndarray:
     """Adjoint trajectory for accessible-side weights p, backward in time.
 

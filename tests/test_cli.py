@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,35 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert cli.main(args + ["--out", str(serial)]) == 0
     assert cli.main(args + ["--out", str(parallel), "--jobs", "2"]) == 0
     assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+
+
+def test_sweep_pool_never_outnumbers_its_jobs(tmp_path, monkeypatch):
+    """A process pool forks all its workers at once, so --jobs caps the
+    pool at the number of runs; a single run needs no pool at all."""
+    pools = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    args = ["sweep", "--example", "5.1", "--nx", "4", "--ny", "8",
+            "--jobs", "64", "--out", str(tmp_path)]
+    assert cli.main(args + ["--seed", "0,1"]) == 0
+    assert pools == [2]
+    assert cli.main(args + ["--seed", "0"]) == 0
+    assert pools == [2]
 
 
 def test_sweep_rejects_duplicate_entries(tmp_path, capsys):

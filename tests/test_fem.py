@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import reference_cg
 from robinrecon import experiments, fem
 from robinrecon.elliptic import EllipticProblem
 from robinrecon.mesh import SegmentTag, build_rect_mesh, classify_boundary
@@ -9,8 +10,9 @@ from robinrecon.mesh import SegmentTag, build_rect_mesh, classify_boundary
 LX, LY = 1.0, 2.0
 AREA = LX * LY
 
-# frozen on the 8x16 reference system below; the CG recurrence is
-# deterministic, so this is a regression anchor, not an estimate
+# frozen on the 8x16 reference system below for reference_cg.solve_spd;
+# the CG recurrence is deterministic, so this is a regression anchor, not
+# an estimate
 CG_ITERATIONS_8X16 = 63
 
 
@@ -173,65 +175,88 @@ def reference_system():
     return A, b
 
 
+def reference_factor(A):
+    return fem.BlockLDLT(A, make_mesh().columns()).complete(A)
+
+
+# The test_solve_spd_* tests below cover reference_cg.solve_spd, the
+# Jacobi CG that the library's block solve is checked against, and
+# fem.solve_spd where both apply.
+
 def test_solve_spd_reaches_tolerance():
     A, b = reference_system()
     stats = {}
-    x = fem.solve_spd(A, b, tol=1e-10, stats=stats)
+    x = reference_cg.solve_spd(A, b, tol=1e-10, stats=stats)
     assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
     assert stats["iterations"] == CG_ITERATIONS_8X16
 
 
 def test_solve_spd_zero_rhs_shortcut():
     A, _ = reference_system()
-    stats = {}
-    x = fem.solve_spd(A, np.zeros(A.shape[0]), stats=stats)
-    assert np.all(x == 0.0)
-    assert stats["iterations"] == 0
-
-
-def test_solve_spd_warm_start_at_solution():
-    A, b = reference_system()
-    x = fem.solve_spd(A, b, tol=1e-10)
-    stats = {}
-    again = fem.solve_spd(A, b, tol=1e-10, x0=x, stats=stats)
-    assert stats["iterations"] == 0
-    np.testing.assert_array_equal(again, x)
+    zero = np.zeros(A.shape[0])
+    for solve, op in ((reference_cg.solve_spd, A),
+                      (fem.solve_spd, reference_factor(A))):
+        stats = {}
+        x = solve(op, zero, stats=stats)
+        assert np.all(x == 0.0)
+        assert stats["iterations"] == 0
 
 
 def test_solve_spd_is_deterministic():
     A, b = reference_system()
-    x1 = fem.solve_spd(A, b, tol=1e-10)
-    x2 = fem.solve_spd(A, b, tol=1e-10)
+    x1 = reference_cg.solve_spd(A, b, tol=1e-10)
+    x2 = reference_cg.solve_spd(A, b, tol=1e-10)
     np.testing.assert_array_equal(x1, x2)
+    factor = reference_factor(A)
+    np.testing.assert_array_equal(fem.solve_spd(factor, b),
+                                  fem.solve_spd(factor, b))
 
 
 def test_solve_spd_rejects_bad_tolerance():
     A, b = reference_system()
     with pytest.raises(ValueError):
-        fem.solve_spd(A, b, tol=0.0)
+        reference_cg.solve_spd(A, b, tol=0.0)
 
 
 def test_solve_spd_detects_indefinite_matrix():
     A = sparse.diags([1.0, -1.0, 1.0]).tocsr()
     with pytest.raises(fem.CurvatureBreakdown):
-        fem.solve_spd(A, np.ones(3))
+        reference_cg.solve_spd(A, np.ones(3))
 
 
 def test_solve_spd_reports_stalled_convergence():
     A, b = reference_system()
     with pytest.raises(fem.ConvergenceFailure):
-        fem.solve_spd(A, b, tol=1e-12, max_iter=2)
+        reference_cg.solve_spd(A, b, tol=1e-12, max_iter=2)
+
+
+def test_solve_spd_rejects_a_factor_that_does_not_solve_its_matrix():
+    """A factor completed with half the Robin edge block is SPD but
+    solves another matrix: the residual check names the miss."""
+    prob = experiments.make_example("5.1", nx=4, ny=8).problem
+    tag = SegmentTag.INACCESSIBLE
+    gamma = np.full(prob.mesh.segment_nodes(tag).size, 2.0)
+    op = prob.operator(gamma)
+    edge = fem.boundary_mass_block(prob.mesh, tag, gamma)
+    wrong = prob.base_factor.complete(op.matrix, 0.5 * edge)
+    fem.solve_spd(op, prob.load)
+    with pytest.raises(fem.LinearSolveError, match="missed SOLVE_TOL") as info:
+        fem.solve_spd(wrong, prob.load)
+    assert isinstance(info.value, fem.ConvergenceFailure)
 
 
 def test_block_factor_is_an_exact_preconditioner():
+    """One factor application meets SOLVE_TOL and agrees with the
+    reference CG."""
     A, b = reference_system()
-    factor = fem.BlockLDLT(A, make_mesh().columns()).complete(A)
-    assert (factor.shape, factor.nnz) == (A.shape, A.nnz)
+    factor = reference_factor(A)
+    assert factor.nnz == A.nnz
     stats = {}
-    x = fem.solve_spd(factor, b, tol=1e-10, stats=stats)
+    x = fem.solve_spd(factor, b, stats=stats)
     assert stats["iterations"] == 1
-    assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
-    np.testing.assert_allclose(x, fem.solve_spd(A, b, tol=1e-12), rtol=1e-9)
+    assert np.linalg.norm(b - A @ x) <= fem.SOLVE_TOL * np.linalg.norm(b)
+    np.testing.assert_allclose(x, reference_cg.solve_spd(A, b, tol=1e-12),
+                               rtol=1e-9)
 
 
 def test_block_factor_needs_its_last_pivot_before_it_solves():
@@ -274,9 +299,9 @@ def test_operators_of_one_problem_share_the_leading_factor():
 ])
 def test_factored_solves_meet_solve_tol_in_one_iteration(
         monkeypatch, example_id, nx, ny, nt):
-    """Every library solve runs to fem.SOLVE_TOL; preconditioned by the
-    factor of its operator, each forward, derivative and adjoint solve
-    gets there in one CG iteration, so the tolerance decides nothing."""
+    """One factor application meets SOLVE_TOL: each forward, derivative
+    and adjoint solve applies the factor of its operator once and passes
+    the residual check."""
     example = experiments.make_example(example_id, nx=nx, ny=ny, nt=nt)
     prob = example.problem
     seg_i = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)

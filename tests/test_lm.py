@@ -12,17 +12,18 @@ import dataclasses
 import numpy as np
 import pytest
 
+import reference_cg
 from robinrecon import experiments, fem, lm
 from robinrecon.elliptic import EllipticProblem
 from robinrecon.mesh import SegmentTag
 
 # Run of example 5.1 on the 8x16 mesh, delta=0.02, seed 0, gamma0 = 2,
-# data and run on the Jacobi reference path of fem.solve_spd at tol 1e-10.
+# data and run on the Jacobi CG of reference_cg.solve_spd at tol 1e-10.
 ITERS_51_8X16_SEED0 = 12
 FIRST_RESIDUAL_51_8X16_SEED0 = 0.36701403131628824
 FINAL_ERROR_51_8X16_SEED0 = 0.013658781119755558
 
-# The same run on the default path, every solve preconditioned by the
+# The same run on the default path, every solve one application of the
 # block LDL^T factor of its operator.
 FIRST_RESIDUAL_51_8X16_SEED0_FACTORED = 0.3670140313185673
 FINAL_ERROR_51_8X16_SEED0_FACTORED = 0.013658781119209994
@@ -36,18 +37,18 @@ FINAL_ERROR_53_8X16_NT8_SEED0 = 0.00544630624983386
 
 class _JacobiEllipticProblem(EllipticProblem):
     """EllipticProblem whose operator is the bare matrix, without its
-    factor, so every solve runs Jacobi-preconditioned CG, to the 1e-10
+    factor, so every solve runs the reference Jacobi CG, to the 1e-10
     tolerance the reference run was frozen at."""
 
     def operator(self, gamma):
         return super().operator(gamma).matrix
 
     def forward(self, op):
-        return fem.solve_spd(op, self.load, tol=1e-10)
+        return reference_cg.solve_spd(op, self.load, tol=1e-10)
 
     def adjoint(self, u, p, op):
         load = self.boundary_loads(SegmentTag.ACCESSIBLE, u, p)
-        return fem.solve_spd(op, load, tol=1e-10)
+        return reference_cg.solve_spd(op, load, tol=1e-10)
 
 
 def _elliptic_setup(nx=8, ny=16, delta=0.02, seed=0, jacobi=False):
@@ -193,6 +194,32 @@ def test_run_wraps_guard_failure_with_state():
     assert err.state.k == 0
     assert err.state.history == []
     assert "iteration 1 failed" in str(err)
+
+
+def test_run_names_the_iteration_whose_solve_missed_solve_tol(monkeypatch):
+    """From the second operator on, the factor is completed with half the
+    Robin edge block, so it no longer solves its matrix: the solve fails
+    loudly instead of passing a wrong field to the update."""
+    prob, gamma_star, z, gamma0 = _elliptic_setup()
+    build = EllipticProblem.operator
+    built = []
+
+    def mismatched(self, gamma):
+        op = build(self, gamma)
+        built.append(op)
+        if len(built) == 1:
+            return op
+        edge = fem.boundary_mass_block(self.mesh, SegmentTag.INACCESSIBLE, gamma)
+        return self.base_factor.complete(op.matrix, 0.5 * edge)
+
+    monkeypatch.setattr(EllipticProblem, "operator", mismatched)
+    with pytest.raises(lm.LmRunError) as info:
+        lm.run(prob, gamma0, z, lm.LmConfig(eps=1e-12, max_iters=5))
+    err = info.value
+    assert str(err).startswith("iteration 2 failed: block solve missed SOLVE_TOL")
+    assert isinstance(err.__cause__, fem.ConvergenceFailure)
+    assert err.state.k == 1
+    assert len(err.state.history) == 1
 
 
 # ---------------------------------------------------------------------------
