@@ -172,6 +172,8 @@ def cmd_run(args) -> int:
     try:
         result = experiments.run_experiment(spec)
     except lm.LmRunError as exc:
+        # an earlier run's profile must not sit next to this run's error
+        (out / "profile.csv").unlink(missing_ok=True)
         _write_history(out / "history.csv", exc.state.history)
         summary += [
             ("status", "error"),

@@ -8,15 +8,13 @@ Three solves share one symmetric operator K_a + M_c + B_gamma:
   the inaccessible side.
 
 EllipticProblem is a fem.RobinProblem: the box check, the operator (the
-cached base K_a + M_c plus the Robin mass B_gamma; the base is factored
-once per problem and each operator adds only its edge pivot, so every
-solve is a direct block solve plus one residual check), the data load
-and the boundary loads come from there.  The derivative and adjoint
-right-hand sides are the boundary loads of -(d * u) on the inaccessible
-side and of -(p * u) on the accessible side, each one product with the
-segment's cached load map.  Because the operator is one shared symmetric
-matrix, the adjoint identity between the two solves holds to solver
-precision, which the tests rely on.
+factor of the cached base K_a + M_c, completed with the dense edge block
+of B_gamma), the data load and the boundary loads come from there.  The
+derivative and adjoint right-hand sides are the boundary loads of
+-(d * u) on the inaccessible side and of -(p * u) on the accessible
+side, each one product with the segment's cached load map.  Because the
+operator is one shared symmetric matrix, the adjoint identity between
+the two solves holds to solver precision, which the tests rely on.
 
 EllipticProblem carries the problem protocol that the outer loop and the
 verification probes run on, shared with ParabolicProblem: operator,

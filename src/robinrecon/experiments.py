@@ -522,18 +522,13 @@ def fem_convergence_check(kind: str) -> ConvergenceCheck:
     Euler's first-order time error dominates, so a factor near two is the
     honest expectation.
     """
-    if kind not in _PROBE_EXAMPLES:
-        raise ValueError(f"unknown problem kind {kind!r}")
     errors = []
     for nx, ny, nt in ((8, 16, 8), (16, 32, 16)):
-        example = make_example(_PROBE_EXAMPLES[kind], nx=nx, ny=ny, nt=nt)
-        prob = example.problem
-        gamma = interpolate_gamma(prob.mesh, example.gamma_star)
-        u = prob.forward(prob.operator(gamma))
-        exact = example.u_exact
+        prob, _, _, u = _probe_setup(kind, nx, ny, nt)
+        exact = _u_elliptic
         if kind == "parabolic":  # compare at the final time
             u = u[-1]
-            exact = lambda x, y: example.u_exact(x, y, prob.T)
+            exact = lambda x, y: _u_parabolic(x, y, prob.T)
         errors.append(domain_l2_error(prob.mesh, u, exact))
     return ConvergenceCheck(coarse_error=errors[0], fine_error=errors[1])
 

@@ -14,21 +14,19 @@ Mesh.segment_nodes; the segment geometry comes precomputed with the
 mesh (Mesh.segments).  Nodal fields on the whole mesh are 1-D arrays of
 length n_nodes.
 
-solve_spd is the one solve path: a direct block solve plus one residual
-check.  It takes a BlockLDLT, the block LDL^T factorization of an SPD
-matrix that is block tridiagonal in the order of the mesh columns,
-applies it once and checks the residual against the one tolerance
-SOLVE_TOL of every library solve; a miss raises ConvergenceFailure.
+solve_spd is the one solve path: one application of a completed
+BlockLDLT, a block LDL^T factor in mesh-column order, and one residual
+check against SOLVE_TOL, the tolerance of every library solve.
 
 RobinProblem is the Robin system both problem kinds share: the admissible
-box of gamma, the operator S = base + B_gamma with its factor, the data
-load of f, g and h, and the boundary loads -P_tag (x * u) that are the
-right-hand sides of every derivative and adjoint solve.  The factor
-orders the unknowns by mesh column, x outer and y inner, so its last
-block is the inaccessible edge x = lx, the only place B_gamma touches.
-The gamma-free base is factored once per problem, up to the Schur
-complement Sigma_0 of that edge (base_factor); an operator then factors
-only its edge pivot Sigma_0 + B_gamma[I, I], I the edge nodes.  P_tag,
+box of gamma, the operator S = base + B_gamma, the data load of f, g and
+h, and the boundary loads -P_tag (x * u) that are the right-hand sides
+of every derivative and adjoint solve.  The factor orders the unknowns
+by mesh column, x outer and y inner, so its last block is the
+inaccessible edge x = lx, the only place B_gamma touches.  The gamma-free
+base is factored once per problem, up to the Schur complement Sigma_0 of
+that edge (base_factor); an operator is that factor completed with the
+dense edge block B_gamma[I, I], I the edge nodes, and nothing more.  P_tag,
 the boundary-load map of a segment (boundary_load_map), is built once
 per problem, so those loads are one product for a single field and for
 a time series alike.
@@ -80,30 +78,30 @@ class BlockLDLT:
     below the diagonal are read, symmetry supplies the rest.
 
     The last pivot is set apart, so that a change confined to the last
-    diagonal block costs one w x w factorization.  BlockLDLT(matrix,
-    blocks) factors the leading pivots and keeps the last one unfactored
-    as ``schur``, the Schur complement of the last block; it need not be
-    definite (a pure Neumann base is singular).  complete(matrix, last)
-    is the factor of ``matrix``, which must be the factored matrix plus
-    the dense ``last`` on the last diagonal block, in the order of
-    blocks[-1], and nothing elsewhere: it shares the leading pivots and
-    factors schur + last.  Only a completed factor solves.
+    diagonal block costs one w x w factorization.  BlockLDLT(base,
+    blocks) factors the leading pivots of the sparse ``base`` and keeps
+    the last one unfactored as ``schur``, the Schur complement of the
+    last block; it need not be definite (a pure Neumann base is
+    singular).  complete(last) is the factor of base plus the dense
+    ``last`` on the last diagonal block, in the order of blocks[-1]
+    (zero when not given): it shares the leading pivots and factors
+    schur + last.  Only a completed factor solves.
 
-    solve applies the inverse of the matrix by one forward and one
-    backward sweep over the blocks; solve_spd applies it once and checks
-    the residual against ``matrix``, which stays available; nnz is its
-    own.
+    solve applies the inverse of the completed matrix by one forward and
+    one backward sweep over the blocks, matvec the matrix, base @ x plus
+    last @ x[blocks[-1]]; solve_spd checks the one with the other.  nnz
+    is that of base.
 
     Raises CurvatureBreakdown when a pivot is not positive definite, and
     ValueError when blocks is no ordering of the unknowns or the matrix
     couples blocks that are not neighbours.
     """
 
-    def __init__(self, matrix: sparse.spmatrix, blocks: np.ndarray):
-        self.matrix = matrix
+    def __init__(self, base: sparse.spmatrix, blocks: np.ndarray):
+        self.base = base
         self.blocks = np.ascontiguousarray(blocks)
         nb, w = self.blocks.shape
-        diagonal, self._coupling = _split_blocks(matrix, self.blocks)
+        diagonal, self._coupling = _split_blocks(base, self.blocks)
         self._dinv = []
         for k in range(nb):
             pivot = np.zeros((w, w))
@@ -125,18 +123,24 @@ class BlockLDLT:
         self.schur = pivot
         self._last = None
 
-    def complete(self, matrix: sparse.spmatrix, last=0.0) -> "BlockLDLT":
-        """The factor of matrix, which adds last to the last diagonal block
-        of the factored matrix; see the class docstring."""
+    def complete(self, last: np.ndarray | None = None) -> "BlockLDLT":
+        """The factor of base plus last on the last diagonal block; see
+        the class docstring."""
         factor = copy.copy(self)
-        factor.matrix = matrix
-        factor._last = _invert_pivot(self.schur + last, len(self._dinv),
-                                     len(self._dinv) + 1)
+        factor._edge = np.zeros_like(self.schur) if last is None else last
+        factor._last = _invert_pivot(self.schur + factor._edge,
+                                     len(self._dinv), len(self._dinv) + 1)
         return factor
 
     @property
     def nnz(self) -> int:
-        return self.matrix.nnz
+        return self.base.nnz
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x, A the matrix of the completed factor."""
+        y = self.base @ x
+        y[self.blocks[-1]] += self._edge @ x[self.blocks[-1]]
+        return y
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with A x = b, up to rounding."""
@@ -252,8 +256,8 @@ def solve_spd(op: BlockLDLT, b: np.ndarray,
     """Solve S x = b, S the SPD matrix of the completed factor op.
 
     A direct block solve plus one residual check: x = op.solve(b), then
-    ||b - S x||_2 <= SOLVE_TOL * ||b||_2 must hold, so a factor that does
-    not solve its own matrix fails here instead of passing a wrong x on.
+    ||b - op.matvec(x)||_2 <= SOLVE_TOL ||b||_2 must hold, so a factor that
+    does not solve its matrix fails here instead of passing a wrong x on.
     b = 0 returns zero without touching the factor.  stats, when given,
     receives {"iterations": k}, the number of factor applications: 1, or
     0 for b = 0.
@@ -266,7 +270,7 @@ def solve_spd(op: BlockLDLT, b: np.ndarray,
         x, applications = np.zeros(b.shape[0]), 0
     else:
         x, applications = op.solve(b), 1
-        residual = np.linalg.norm(b - op.matrix @ x)
+        residual = np.linalg.norm(b - op.matvec(x))
         if not residual <= SOLVE_TOL * norm_b:
             raise ConvergenceFailure(
                 f"block solve missed SOLVE_TOL: residual {residual:.3e}, "
@@ -412,7 +416,10 @@ def _boundary_weight_at_gauss(mesh: Mesh, tag: SegmentTag, weight) -> np.ndarray
 
 
 def _edge_mass_blocks(mesh: Mesh, tag: SegmentTag, weight) -> np.ndarray:
-    """Weighted 2x2 mass block of every segment edge, shape (k, 2, 2)."""
+    """Weighted 2x2 mass block of every segment edge, shape (k, 2, 2).
+
+    Exact for a nodal weight (a cubic integrand per edge), hence linear in
+    the nodal weight values, which the derivative solver relies on."""
     seg = mesh.segments[tag]
     w_gauss = _boundary_weight_at_gauss(mesh, tag, weight)
     phi = np.stack([1.0 - _GAUSS_XI, _GAUSS_XI], axis=0)       # (2, q)
@@ -423,14 +430,9 @@ def _edge_mass_blocks(mesh: Mesh, tag: SegmentTag, weight) -> np.ndarray:
 
 
 def assemble_boundary_mass(mesh: Mesh, tag: SegmentTag, weight) -> sparse.csr_matrix:
-    """Weighted boundary mass on one segment, as a global sparse matrix.
-
-    Entry (i, j) is the integral over the segment of weight * phi_i * phi_j.
-    With a nodal weight the integrand is cubic per edge and the 2-point
-    Gauss rule evaluates it exactly, so the matrix depends linearly on the
-    nodal weight values.  That linearity is what the derivative solver
-    differentiates, do not change the quadrature here without revisiting it.
-    """
+    """Weighted boundary mass on one segment, entry (i, j) the integral
+    of weight * phi_i * phi_j, as a global sparse matrix: the reference
+    assembly of B_gamma, of which operators hold only boundary_mass_block."""
     edges = mesh.segments[tag].edges
     rows = np.repeat(edges, 2, axis=1).ravel()
     cols = np.tile(edges, (1, 2)).ravel()
@@ -443,7 +445,8 @@ def assemble_boundary_mass(mesh: Mesh, tag: SegmentTag, weight) -> sparse.csr_ma
 
 def boundary_mass_block(mesh: Mesh, tag: SegmentTag, weight) -> np.ndarray:
     """The segment's own block of assemble_boundary_mass, as a dense
-    matrix in the segment's node numbering (Mesh.segment_nodes)."""
+    matrix in the segment's node numbering (Mesh.segment_nodes): all of
+    B_gamma that an operator holds."""
     local = mesh.segments[tag].local
     ns = mesh.segments[tag].nodes.size
     index = (np.repeat(local, 2, axis=1) * ns + np.tile(local, (1, 2))).ravel()
@@ -553,18 +556,13 @@ class RobinProblem:
         return BlockLDLT(self.base, self.mesh.columns())
 
     def robin_operator(self, gamma: np.ndarray) -> BlockLDLT:
-        """base + B_gamma for a nodal gamma in the box, factored.
-
-        B_gamma lives on the inaccessible edge, the last block of
-        base_factor, so only the edge pivot Sigma_0 + B_gamma[I, I] is
-        factored here.
-        """
+        """base + B_gamma for a nodal gamma in the box, factored: base_factor
+        completed with B_gamma[I, I], the inaccessible edge's block and the
+        only one B_gamma touches."""
         gamma = np.asarray(gamma, dtype=float)
         require_in_box(gamma, self.gamma_min, self.gamma_max)
-        tag = SegmentTag.INACCESSIBLE
-        B = assemble_boundary_mass(self.mesh, tag, gamma)
         return self.base_factor.complete(
-            (self.base + B).tocsr(), boundary_mass_block(self.mesh, tag, gamma))
+            boundary_mass_block(self.mesh, SegmentTag.INACCESSIBLE, gamma))
 
     def data_load(self, f, g, h) -> np.ndarray:
         """Load of the volume source f, the Robin data g on the inaccessible

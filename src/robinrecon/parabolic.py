@@ -16,10 +16,10 @@ from an explicit zero terminal value and loading levels N-1..0 instead
 would leave an O(dt) gap.
 
 ParabolicProblem is a fem.RobinProblem, which supplies the box check,
-the factored operator (the cached base M/dt + K_a, factored once per
-problem, plus B_gamma, which adds only the edge pivot) and the boundary
-loads of all levels at once.  The mass M and the data loads of
-every level are cached on the problem too.
+the operator (the factor of the cached base M/dt + K_a, completed with
+the dense edge block of B_gamma) and the boundary loads of all levels
+at once.  The mass M and the data loads of every level are cached on
+the problem too.
 
 ParabolicProblem carries the same problem protocol as EllipticProblem:
 operator, forward, derivative and adjoint wrap the march functions below

@@ -124,6 +124,9 @@ def test_run_error_exit_still_writes_history(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(experiments, "run_experiment", boom)
     out = tmp_path / "broken"
+    # an earlier run left its profile in the same directory
+    out.mkdir()
+    (out / "profile.csv").write_text(PROFILE_HEADER + "\n")
     code = cli.main(RUN_ARGS + ["--out", str(out)])
     assert code == 1
     assert "solver stalled" in capsys.readouterr().err
@@ -286,23 +289,50 @@ def test_verify_unknown_filter(capsys):
     assert "available" in capsys.readouterr().err
 
 
-def test_console_script_smoke(tmp_path):
-    out = tmp_path / "cli-smoke"
-    script = shutil.which("robinrecon")
-    command = [script] if script else [sys.executable, "-m", "robinrecon"]
-    # The child imports the package under test, not a stale installed copy.
+def _child_env() -> dict:
+    """Environment of a child process that imports the package under
+    test, not a stale installed copy."""
     source_root = str(Path(robinrecon.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [source_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_console_script_smoke(tmp_path):
+    out = tmp_path / "cli-smoke"
+    script = shutil.which("robinrecon")
+    command = [script] if script else [sys.executable, "-m", "robinrecon"]
     proc = subprocess.run(
         command + ["run", "--example", "5.1", "--nx", "4", "--ny", "8",
                    "--delta", "0", "--gamma0", "exact", "--out", str(out)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        capture_output=True, text=True, env=_child_env(), cwd=tmp_path,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert "stopped by rel_change" in proc.stdout
     assert (out / "profile.csv").exists()
+
+
+def test_library_linear_algebra_stays_numpy_only(tmp_path):
+    """Running both problem kinds imports neither scipy.linalg nor
+    scipy.sparse.linalg: either import would add megabytes of resident
+    memory to every run."""
+    child = (
+        "import sys\n"
+        "import robinrecon, robinrecon.cli\n"
+        "from robinrecon import experiments\n"
+        "for example_id in ('5.1', '5.3'):\n"
+        "    experiments.run_experiment(experiments.ExperimentSpec(\n"
+        "        example_id, nx=2, ny=4, nt=4, max_iters=3))\n"
+        "print(sorted(name for name in ('scipy.linalg', 'scipy.sparse.linalg')\n"
+        "             if name in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=_child_env(), cwd=tmp_path,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_declaration():

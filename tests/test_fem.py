@@ -176,7 +176,7 @@ def reference_system():
 
 
 def reference_factor(A):
-    return fem.BlockLDLT(A, make_mesh().columns()).complete(A)
+    return fem.BlockLDLT(A, make_mesh().columns()).complete()
 
 
 # The test_solve_spd_* tests below cover reference_cg.solve_spd, the
@@ -230,15 +230,20 @@ def test_solve_spd_reports_stalled_convergence():
         reference_cg.solve_spd(A, b, tol=1e-12, max_iter=2)
 
 
-def test_solve_spd_rejects_a_factor_that_does_not_solve_its_matrix():
-    """A factor completed with half the Robin edge block is SPD but
-    solves another matrix: the residual check names the miss."""
+def test_solve_spd_rejects_a_factor_that_does_not_solve_its_matrix(
+        monkeypatch):
+    """A factor whose edge pivot inverse is that of half the Robin edge
+    block is SPD but solves another matrix: the residual check names the
+    miss."""
     prob = experiments.make_example("5.1", nx=4, ny=8).problem
     tag = SegmentTag.INACCESSIBLE
     gamma = np.full(prob.mesh.segment_nodes(tag).size, 2.0)
     op = prob.operator(gamma)
     edge = fem.boundary_mass_block(prob.mesh, tag, gamma)
-    wrong = prob.base_factor.complete(op.matrix, 0.5 * edge)
+    spd_inverse = fem._spd_inverse
+    monkeypatch.setattr(fem, "_spd_inverse",
+                        lambda P: spd_inverse(P - 0.5 * edge))
+    wrong = prob.operator(gamma)
     fem.solve_spd(op, prob.load)
     with pytest.raises(fem.LinearSolveError, match="missed SOLVE_TOL") as info:
         fem.solve_spd(wrong, prob.load)
@@ -288,9 +293,11 @@ def test_operators_of_one_problem_share_the_leading_factor():
     assert first.schur is second.schur is prob.base_factor.schur
     assert not np.array_equal(first._last, second._last)
     b = prob.load
-    for op in (first, second):
+    for op, gamma in ((first, 1.0), (second, 2.0)):
+        A = prob.base + fem.assemble_boundary_mass(
+            prob.mesh, SegmentTag.INACCESSIBLE, np.full(n_edge, gamma))
         x = op.solve(b)
-        assert np.linalg.norm(b - op.matrix @ x) <= 1e-13 * np.linalg.norm(b)
+        assert np.linalg.norm(b - A @ x) <= 1e-13 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("example_id, nx, ny, nt", [
@@ -347,7 +354,7 @@ def _edge_shifted_stiffness():
 ], ids=["negative-diagonal", "indefinite", "shifted-stiffness", "indefinite-edge"])
 def test_block_factor_rejects_non_spd_matrix(A, blocks):
     with pytest.raises(fem.LinearSolveError) as info:
-        fem.BlockLDLT(A, blocks).complete(A)
+        fem.BlockLDLT(A, blocks).complete()
     assert isinstance(info.value, fem.CurvatureBreakdown)
     assert not isinstance(info.value, np.linalg.LinAlgError)
 
@@ -358,4 +365,4 @@ def test_block_factor_rejects_an_indefinite_edge_pivot_on_completion():
     nb = blocks.shape[0]
     with pytest.raises(fem.CurvatureBreakdown,
                        match=f"pivot block {nb - 1} of {nb} "):
-        leading.complete(A)
+        leading.complete()

@@ -41,7 +41,8 @@ class _JacobiEllipticProblem(EllipticProblem):
     tolerance the reference run was frozen at."""
 
     def operator(self, gamma):
-        return super().operator(gamma).matrix
+        return (self.base + fem.assemble_boundary_mass(
+            self.mesh, SegmentTag.INACCESSIBLE, gamma)).tocsr()
 
     def forward(self, op):
         return reference_cg.solve_spd(op, self.load, tol=1e-10)
@@ -197,20 +198,23 @@ def test_run_wraps_guard_failure_with_state():
 
 
 def test_run_names_the_iteration_whose_solve_missed_solve_tol(monkeypatch):
-    """From the second operator on, the factor is completed with half the
-    Robin edge block, so it no longer solves its matrix: the solve fails
-    loudly instead of passing a wrong field to the update."""
+    """From the second operator on, the edge pivot inverse is that of half
+    the Robin edge block, so the factor no longer solves its matrix: the
+    solve fails loudly instead of passing a wrong field to the update."""
     prob, gamma_star, z, gamma0 = _elliptic_setup()
     build = EllipticProblem.operator
+    spd_inverse = fem._spd_inverse
     built = []
 
     def mismatched(self, gamma):
-        op = build(self, gamma)
-        built.append(op)
+        built.append(gamma)
         if len(built) == 1:
-            return op
+            return build(self, gamma)
         edge = fem.boundary_mass_block(self.mesh, SegmentTag.INACCESSIBLE, gamma)
-        return self.base_factor.complete(op.matrix, 0.5 * edge)
+        with monkeypatch.context() as patch:
+            patch.setattr(fem, "_spd_inverse",
+                          lambda P: spd_inverse(P - 0.5 * edge))
+            return build(self, gamma)
 
     monkeypatch.setattr(EllipticProblem, "operator", mismatched)
     with pytest.raises(lm.LmRunError) as info:

@@ -66,20 +66,26 @@ def test_exact_coefficient_is_a_fixed_point(example_id, nx, ny, nt):
 @given(nx=st.integers(1, 6), ny=st.integers(1, 8), nt=st.integers(1, 6),
        seed=st.integers(0, 2**32 - 1))
 def test_block_factor_solves_the_operator(example_id, nx, ny, nt, seed):
-    """The block LDL^T factor of an operator solves it to rounding, and
-    the library's block solve agrees with the reference Jacobi CG.  The
-    blocks are the nx + 1 mesh columns of ny + 1 unknowns, the last one
-    the Robin edge; nx = 1 leaves a single leading block."""
+    """An operator applies and its block LDL^T factor solves base +
+    B_gamma, as assembled here with the global boundary mass, to
+    rounding, and the library's block solve agrees with the reference
+    Jacobi CG on it.  The blocks are the nx + 1 mesh columns of ny + 1
+    unknowns, the last one the Robin edge; nx = 1 leaves a single
+    leading block."""
     prob = ex.make_example(example_id, nx=nx, ny=ny, nt=nt).problem
     seg_i = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
     rng = np.random.default_rng(seed)
     gamma = rng.uniform(prob.gamma_min, prob.gamma_max, seg_i.size)
     op = prob.operator(gamma)
+    S = (prob.base + fem.assemble_boundary_mass(
+        prob.mesh, SegmentTag.INACCESSIBLE, gamma)).tocsr()
+    assert op.nnz == S.nnz
     b = rng.standard_normal(prob.mesh.n_nodes)
+    assert np.linalg.norm(op.matvec(b) - S @ b) <= 1e-13 * np.linalg.norm(S @ b)
     x = op.solve(b)
-    assert np.linalg.norm(b - op.matrix @ x) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(b - S @ x) <= 1e-12 * np.linalg.norm(b)
     factored = fem.solve_spd(op, b)
-    jacobi = reference_cg.solve_spd(op.matrix, b)
+    jacobi = reference_cg.solve_spd(S, b)
     assert np.linalg.norm(factored - jacobi) <= 1e-9 * np.linalg.norm(jacobi)
 
 
