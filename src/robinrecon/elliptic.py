@@ -116,9 +116,11 @@ def solve_derivative(
 
     u must be the forward solution for op.  The right-hand side is the
     boundary load of the nodal product -(d * u) on the inaccessible side.
+    A (k, segment nodes) stack of directions gives one derivative per row
+    from one solve with k right-hand sides.
     """
     load = prob.boundary_loads(SegmentTag.INACCESSIBLE, u, d)
-    return fem.solve_spd(op, load)
+    return fem.solve_spd(op, load.T).T
 
 
 def solve_adjoint(

@@ -16,14 +16,16 @@ length n_nodes.
 
 solve_spd is the one solve path: one application of a completed
 BlockLDLT, a block LDL^T factor in mesh-column order, and one residual
-check against SOLVE_TOL, the tolerance of every library solve.
+check against SOLVE_TOL, the tolerance of every library solve, for one
+right-hand side or an (n, m) array of them.
 
 RobinProblem is the Robin system both problem kinds share: the admissible
 box of gamma, the operator S = base + B_gamma, the data load of f, g and
 h, and the boundary loads -P_tag (x * u) that are the right-hand sides
 of every derivative and adjoint solve.  The factor orders the unknowns
-by mesh column, x outer and y inner, so its last block is the
-inaccessible edge x = lx, the only place B_gamma touches.  The gamma-free
+by mesh column, x outer and y inner, groups the leading columns into
+blocks of about _BLOCK_WIDTH unknowns, and keeps the inaccessible edge
+x = lx, the only place B_gamma touches, alone as its last block.  The gamma-free
 base is factored once per problem, up to the Schur complement Sigma_0 of
 that edge (base_factor); an operator is that factor completed with the
 dense edge block B_gamma[I, I], I the edge nodes, and nothing more.  P_tag,
@@ -67,18 +69,20 @@ class BlockLDLT:
     """Block LDL^T factor of an SPD matrix that is block tridiagonal in a
     given order of its unknowns.
 
-    ``blocks`` is an (nb, w) array of unknowns: row k lists block k, and
-    the matrix couples block k to blocks k - 1, k and k + 1 only.  For a
-    structured mesh the blocks are its columns (Mesh.columns), x outer and
-    y inner, so w = ny + 1 and the last block is the inaccessible edge
-    x = lx.  With diagonal blocks A_k and couplings C_k = A[k, k - 1] the
-    pivots are D_0 = A_0 and D_k = A_k - C_k D_{k-1}^{-1} C_k^T.  The
+    ``blocks`` is a sequence of index arrays, block k listing its
+    unknowns (a 2-D array gives its rows); together they list every
+    unknown once, and the matrix couples block k to blocks k - 1, k and
+    k + 1 only.  Blocks may differ in width.  RobinProblem.base_factor
+    groups the leading mesh columns by about _BLOCK_WIDTH unknowns and
+    keeps the inaccessible edge x = lx alone as the last block.  With
+    diagonal blocks A_k and couplings C_k = A[k, k - 1], w_k x w_{k-1},
+    the pivots are D_0 = A_0 and D_k = A_k - C_k D_{k-1}^{-1} C_k^T.  The
     factor keeps the dense inverse of every pivot and the couplings by
-    their nonzero diagonals (two for a mesh column); only the couplings
-    below the diagonal are read, symmetry supplies the rest.
+    their nonzero diagonals; only the couplings below the diagonal are
+    read, symmetry supplies the rest.
 
     The last pivot is set apart, so that a change confined to the last
-    diagonal block costs one w x w factorization.  BlockLDLT(base,
+    diagonal block costs one factorization of its order.  BlockLDLT(base,
     blocks) factors the leading pivots of the sparse ``base`` and keeps
     the last one unfactored as ``schur``, the Schur complement of the
     last block; it need not be definite (a pure Neumann base is
@@ -89,21 +93,28 @@ class BlockLDLT:
 
     solve applies the inverse of the completed matrix by one forward and
     one backward sweep over the blocks, matvec the matrix, base @ x plus
-    last @ x[blocks[-1]]; solve_spd checks the one with the other.  nnz
-    is that of base.
+    last @ x[blocks[-1]]; both take one vector or an (n, m) array of
+    columns, and solve_spd checks the one with the other.  nnz is that
+    of base.
 
     Raises CurvatureBreakdown when a pivot is not positive definite, and
     ValueError when blocks is no ordering of the unknowns or the matrix
     couples blocks that are not neighbours.
     """
 
-    def __init__(self, base: sparse.spmatrix, blocks: np.ndarray):
+    def __init__(self, base: sparse.spmatrix, blocks):
         self.base = base
-        self.blocks = np.ascontiguousarray(blocks)
-        nb, w = self.blocks.shape
-        diagonal, self._coupling = _split_blocks(base, self.blocks)
+        self.blocks = [np.asarray(block) for block in blocks]
+        nb = len(self.blocks)
+        widths = np.array([block.size for block in self.blocks])
+        ends = np.cumsum(widths)
+        self._spans = [slice(stop - w, stop)
+                       for w, stop in zip(widths.tolist(), ends.tolist())]
+        self._order = np.concatenate(self.blocks)
+        diagonal, self._coupling = _split_blocks(base, self._order, widths)
         self._dinv = []
         for k in range(nb):
+            w = self.blocks[k].size
             pivot = np.zeros((w, w))
             flat = pivot.reshape(-1)
             for d, lo, hi, v in diagonal[k]:
@@ -112,7 +123,7 @@ class BlockLDLT:
                 # pivot -= C_k D_{k-1}^{-1} C_k^T: the rows of C_k D_{k-1}^{-1},
                 # then, since D_{k-1} is symmetric, those of C_k times its
                 # transpose D_{k-1}^{-1} C_k^T
-                T = np.zeros((w, w))
+                T = np.zeros((w, self.blocks[k - 1].size))
                 for d, lo, hi, v in self._coupling[k]:
                     T[lo:hi] += v[:, None] * self._dinv[k - 1][lo + d:hi + d]
                 T = T.T.copy()
@@ -143,69 +154,77 @@ class BlockLDLT:
         return y
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with A x = b, up to rounding."""
+        """x with A x = b, up to rounding, for b of shape (n,) or (n, m)."""
         if self._last is None:
             raise ValueError("the last pivot is not factored, see complete")
         dinv = self._dinv + [self._last]
-        nb, w = self.blocks.shape
-        x = b[self.blocks]
+        coupling = self._coupling
+        if b.ndim == 2:
+            coupling = [[(d, lo, hi, v[:, None]) for d, lo, hi, v in c]
+                        for c in coupling]
+        ordered = b[self._order]
+        x = [ordered[span] for span in self._spans]
         # forward: x_k <- D_k^{-1} (b_k - C_k x_{k-1})
-        x[0] = dinv[0] @ x[0]
-        for k in range(1, nb):
-            for d, lo, hi, v in self._coupling[k]:
-                x[k, lo:hi] -= v * x[k - 1, lo + d:hi + d]
-            x[k] = dinv[k] @ x[k]
+        x[0][...] = dinv[0] @ x[0]
+        for k in range(1, len(x)):
+            xk, xp = x[k], x[k - 1]
+            for d, lo, hi, v in coupling[k]:
+                xk[lo:hi] -= v * xp[lo + d:hi + d]
+            xk[...] = dinv[k] @ xk
         # backward: x_k <- x_k - D_k^{-1} C_{k+1}^T x_{k+1}
-        for k in range(nb - 2, -1, -1):
-            y = np.zeros(w)
-            for d, lo, hi, v in self._coupling[k + 1]:
-                y[lo + d:hi + d] += v * x[k + 1, lo:hi]
+        for k in range(len(x) - 2, -1, -1):
+            y, xn = np.zeros(x[k].shape), x[k + 1]
+            for d, lo, hi, v in coupling[k + 1]:
+                y[lo + d:hi + d] += v * xn[lo:hi]
             x[k] -= dinv[k] @ y
-        out = np.empty(b.shape[0])
-        out[self.blocks] = x
+        out = np.empty_like(ordered)
+        out[self._order] = ordered
         return out
 
 
-def _split_blocks(matrix: sparse.spmatrix, blocks: np.ndarray):
+def _split_blocks(matrix: sparse.spmatrix, order: np.ndarray,
+                  widths: np.ndarray):
     """The diagonal blocks A_k and the couplings C_k = A[k, k - 1] (C_0 is
-    zero) of matrix in the block order, as two lists indexed by k.  Each
-    block is the list of its diagonals (d, lo, hi, v): entry (i, i + d)
-    is v[i - lo] for lo <= i < hi, duplicate entries summed."""
+    zero) of matrix, its unknowns taken in the given order and cut into
+    blocks of the given widths, as two lists indexed by k.  Each block is
+    the list of its nonzero diagonals (d, lo, hi, v) by ascending d:
+    entry (i, i + d) is v[i - lo] for lo <= i < hi, duplicate entries
+    summed."""
     n = matrix.shape[0]
-    nb, w = blocks.shape
     position = np.full(n, -1)
-    position[blocks.ravel()] = np.arange(blocks.size)
-    if blocks.size != n or np.any(position < 0):
+    position[order] = np.arange(order.size)
+    if order.size != n or np.any(position < 0):
         raise ValueError("blocks must list every unknown exactly once")
+    block_of = np.repeat(np.arange(widths.size), widths)
+    start = np.cumsum(widths) - widths
     coo = sparse.coo_matrix(matrix)
-    row_block, row = np.divmod(position[coo.row], w)
-    col_block, col = np.divmod(position[coo.col], w)
-    lag = row_block - col_block
+    row_block = block_of[position[coo.row]]
+    lag = row_block - block_of[position[coo.col]]
     if np.any(np.abs(lag) > 1):
         raise ValueError("the matrix couples blocks that are not neighbours")
-    # every entry lies on band (lag, d), d = col - row; bands of lag -1
-    # mirror those of lag 1 and are not read
-    span = 2 * w - 1
-    key = (lag + 1) * span + (col - row + w - 1)
-    present = np.bincount(key, minlength=3 * span) > 0
-    present[:span] = False
-    bands = np.flatnonzero(present)
-    band_of = np.cumsum(present) - 1
+    # every entry on or below the block diagonal lies on diagonal d = col
+    # - row of block (row_block, lag); those of lag -1 mirror lag 1 and
+    # are not read
     keep = lag >= 0
-    V = np.bincount(
-        (row_block[keep] * bands.size + band_of[key[keep]]) * w + row[keep],
-        coo.data[keep], minlength=nb * bands.size * w,
-    ).reshape(nb, bands.size, w)
-    lags, ds = np.divmod(bands, span)
-    ds -= w - 1
-    out = []
-    for kind in (1, 2):  # the diagonal blocks, then the couplings
-        on = np.flatnonzero(lags == kind)
-        values = V[:, on]
-        diagonals = [(d, max(0, -d), min(w, w - d)) for d in ds[on].tolist()]
-        out.append([[(d, lo, hi, values[k, j, lo:hi])
-                     for j, (d, lo, hi) in enumerate(diagonals)]
-                    for k in range(nb)])
+    row_block, lag = row_block[keep], lag[keep]
+    row = position[coo.row[keep]] - start[row_block]
+    col = position[coo.col[keep]] - start[row_block - lag]
+    reach = widths.max() - 1
+    key = ((row_block * 2 + lag) * (2 * reach + 1)) + (col - row + reach)
+    keys, diagonal_of = np.unique(key, return_inverse=True)
+    block_lag, ds = np.divmod(keys, 2 * reach + 1)
+    ks, lags = np.divmod(block_lag, 2)
+    ds -= reach
+    los = np.maximum(0, -ds)
+    his = np.minimum(widths[ks], widths[ks - lags] - ds)
+    offset = np.cumsum(his - los) - (his - los)
+    values = np.bincount(offset[diagonal_of] + row - los[diagonal_of],
+                         coo.data[keep], minlength=int((his - los).sum()))
+    out = ([[] for _ in widths], [[] for _ in widths])
+    for k, lg, d, lo, hi, o in zip(ks.tolist(), lags.tolist(), ds.tolist(),
+                                   los.tolist(), his.tolist(),
+                                   offset.tolist()):
+        out[lg][k].append((d, lo, hi, values[o:o + hi - lo]))
     return out
 
 
@@ -221,6 +240,11 @@ def _invert_pivot(pivot: np.ndarray, k: int, nb: int) -> np.ndarray:
 
 # Order up to which _spd_inverse inverts in one LAPACK call.
 _SPD_LEAF = 64
+
+# Unknowns per block that RobinProblem.base_factor aims at: a block step
+# costs a fixed few microseconds of calls plus w^2 multiply-adds, which
+# balance near this width.
+_BLOCK_WIDTH = 128
 
 
 def _spd_inverse(P: np.ndarray) -> np.ndarray:
@@ -258,24 +282,34 @@ def solve_spd(op: BlockLDLT, b: np.ndarray,
     A direct block solve plus one residual check: x = op.solve(b), then
     ||b - op.matvec(x)||_2 <= SOLVE_TOL ||b||_2 must hold, so a factor that
     does not solve its matrix fails here instead of passing a wrong x on.
-    b = 0 returns zero without touching the factor.  stats, when given,
-    receives {"iterations": k}, the number of factor applications: 1, or
-    0 for b = 0.
+    b is one vector or an (n, m) array of columns, each checked on its
+    own; a zero column gives a zero column, and b = 0 returns zero
+    without touching the factor.  stats, when given, receives
+    {"iterations": k}, the number of factor applications: 1, or 0 for
+    b = 0.
 
-    Raises ConvergenceFailure when the residual misses SOLVE_TOL (a NaN
-    residual included).
+    Raises ConvergenceFailure when a residual misses SOLVE_TOL (a NaN
+    residual included); for columns, the message names the first.
     """
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        x, applications = np.zeros(b.shape[0]), 0
+    n = b.shape[0]
+    norm_b = [np.linalg.norm(column) for column in b.reshape(n, -1).T]
+    if not any(norm_b):
+        x, applications = np.zeros(b.shape), 0
     else:
         x, applications = op.solve(b), 1
-        residual = np.linalg.norm(b - op.matvec(x))
-        if not residual <= SOLVE_TOL * norm_b:
-            raise ConvergenceFailure(
-                f"block solve missed SOLVE_TOL: residual {residual:.3e}, "
-                f"target {SOLVE_TOL * norm_b:.3e}"
-            )
+        residuals = (b - op.matvec(x)).reshape(n, -1).T
+        for j, (norm, r, x_j) in enumerate(zip(norm_b, residuals,
+                                                x.reshape(n, -1).T)):
+            if norm == 0.0:
+                x_j[:] = 0.0
+                continue
+            residual = np.linalg.norm(r)
+            if not residual <= SOLVE_TOL * norm:
+                column = f" in column {j}" if b.ndim == 2 else ""
+                raise ConvergenceFailure(
+                    f"block solve missed SOLVE_TOL{column}: residual "
+                    f"{residual:.3e}, target {SOLVE_TOL * norm:.3e}"
+                )
     if stats is not None:
         stats["iterations"] = applications
     return x
@@ -552,8 +586,14 @@ class RobinProblem:
     def base_factor(self) -> BlockLDLT:
         """The block factor of base in mesh-column order: every pivot but
         the last, and the Schur complement Sigma_0 of the last column, the
-        inaccessible edge, unfactored."""
-        return BlockLDLT(self.base, self.mesh.columns())
+        inaccessible edge, unfactored.  The leading columns are grouped g
+        at a time, g the column count nearest to _BLOCK_WIDTH unknowns (at
+        least one); the last group holds what is left over."""
+        *leading, edge = self.mesh.columns()
+        g = max(1, round(_BLOCK_WIDTH / edge.size))
+        groups = [np.concatenate(leading[i:i + g])
+                  for i in range(0, len(leading), g)]
+        return BlockLDLT(self.base, groups + [edge])
 
     def robin_operator(self, gamma: np.ndarray) -> BlockLDLT:
         """base + B_gamma for a nodal gamma in the box, factored: base_factor

@@ -129,15 +129,16 @@ def _check_guard(u_a: np.ndarray, seg_nodes: np.ndarray, level=...) -> None:
     )
 
 
-def _quantities(prob, gamma: np.ndarray,
-                z: np.ndarray) -> tuple[float, float, np.ndarray]:
+def _quantities(prob, gamma: np.ndarray, z: np.ndarray,
+                solved: dict | None = None) -> tuple[float, float, np.ndarray]:
     """Residual norm, beta and the raw update direction on the segment.
 
     z is the accessible trace the forward solve is compared with: one
     segment field for a stationary problem, one per time level for a
     march.  Only the levels the problem weights are guarded and divided;
     elsewhere the adjoint weight stays zero (a zero initial value would
-    make the initial level 0/0).
+    make the initial level 0/0).  solved, when given, receives {"op":
+    op, "u": u}, the operator of gamma and its forward state.
     """
     mesh = prob.mesh
     seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
@@ -147,6 +148,8 @@ def _quantities(prob, gamma: np.ndarray,
         raise ValueError("data z holds non-finite values (NaN or inf)")
     op = prob.operator(gamma)
     u = prob.forward(op)
+    if solved is not None:
+        solved.update(op=op, u=u)
     u_a = u[..., seg_a]
     if z.shape != u_a.shape:
         raise ValueError(f"data has shape {z.shape}, expected {u_a.shape}")

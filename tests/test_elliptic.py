@@ -75,6 +75,21 @@ def test_derivative_is_linear_in_the_direction():
     np.testing.assert_allclose(w12, w1 + 2.0 * w2, atol=1e-9)
 
 
+def test_derivative_takes_a_stack_of_directions():
+    """A (k, segment) stack of directions gives one derivative per row,
+    each that of its direction alone."""
+    example, mesh, gamma = setup()
+    seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
+    op = ell.assemble_operator(example.problem, gamma)
+    u = ell.solve_forward(example.problem, op)
+    directions = np.random.default_rng(12).uniform(-1.0, 1.0, (3, seg_i.size))
+    stacked = ell.solve_derivative(example.problem, u, directions, op)
+    assert stacked.shape == (3, mesh.n_nodes)
+    for d, w in zip(directions, stacked):
+        alone = ell.solve_derivative(example.problem, u, d, op)
+        assert np.linalg.norm(w - alone) <= 1e-13 * np.linalg.norm(alone)
+
+
 def test_adjoint_identity_single_pair():
     example, mesh, gamma = setup()
     seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from robinrecon import elliptic as ell
 from robinrecon import experiments, fem
 from robinrecon.mesh import SegmentTag
 
@@ -196,6 +197,29 @@ def test_run_experiment_builds_gamma_free_pieces_once(monkeypatch, example_id):
                      "complete": 1 + result.iterations}
 
 
+@pytest.mark.parametrize("example_id", ["5.1", "5.3"])
+def test_exact_observation_assembles_the_data_load_before_the_factor(
+        monkeypatch, example_id):
+    """The data load's assembly transient comes before the base factor's
+    pivots are held, not on top of them."""
+    events = []
+
+    def recorded(name, original):
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fem, "assemble_load",
+                        recorded("load", fem.assemble_load))
+    monkeypatch.setattr(fem.BlockLDLT, "__init__",
+                        recorded("factor", fem.BlockLDLT.__init__))
+    example = experiments.make_example(example_id, nx=4, ny=8, nt=4)
+    experiments.exact_observation(example)
+    assert events[-1] == "factor" and "factor" not in events[:-1]
+    assert "load" in events
+
+
 # ---------------------------------------------------------------------------
 # oracle comparison
 
@@ -207,6 +231,27 @@ def test_oracle_orders_the_three_model_values():
     assert report.opt_residual_gn < 1e-12
     assert report.gn_step_in_box
     assert report.beta == report.residual_norm * report.residual_norm
+
+
+def test_oracle_reuses_the_operator_and_state_of_its_step(monkeypatch):
+    """Two operators (the data's and the iterate's) and four solves: the
+    data's forward solve, the step's forward and adjoint solves, and one
+    Jacobian solve with a column per segment direction."""
+    calls = {"operator": 0, "solve": 0}
+    assemble_operator, solve_spd = ell.assemble_operator, fem.solve_spd
+
+    def operator(*args):
+        calls["operator"] += 1
+        return assemble_operator(*args)
+
+    def solve(*args, **kwargs):
+        calls["solve"] += 1
+        return solve_spd(*args, **kwargs)
+
+    monkeypatch.setattr(ell, "assemble_operator", operator)
+    monkeypatch.setattr(fem, "solve_spd", solve)
+    experiments.run_oracle_check(seed=0)
+    assert calls == {"operator": 2, "solve": 4}
 
 
 def test_oracle_steps_shrink_in_the_strong_regularization_limit():

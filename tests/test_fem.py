@@ -264,6 +264,44 @@ def test_block_factor_is_an_exact_preconditioner():
                                rtol=1e-9)
 
 
+def test_solve_spd_takes_columns():
+    """An (n, m) right-hand side takes one factor application: each column
+    agrees with its own vector solve, and zero columns stay zero."""
+    prob = experiments.make_example("5.3", nx=10, ny=32, nt=4).problem
+    op = prob.operator(np.full(33, 2.0))
+    rng = np.random.default_rng(0)
+    B = rng.standard_normal((prob.mesh.n_nodes, 4))
+    B[:, 2] = 0.0
+    stats = {}
+    X = fem.solve_spd(op, B, stats=stats)
+    assert stats["iterations"] == 1
+    assert X.shape == B.shape
+    assert np.all(X[:, 2] == 0.0) and not np.any(np.signbit(X[:, 2]))
+    for j in (0, 1, 3):
+        x = fem.solve_spd(op, B[:, j])
+        assert np.linalg.norm(X[:, j] - x) <= 1e-13 * np.linalg.norm(x)
+    zero = np.zeros_like(B)
+    stats = {}
+    assert np.all(fem.solve_spd(op, zero, stats=stats) == 0.0)
+    assert stats["iterations"] == 0
+
+
+def test_solve_spd_names_the_column_that_missed_solve_tol(monkeypatch):
+    prob = experiments.make_example("5.1", nx=4, ny=8).problem
+    tag = SegmentTag.INACCESSIBLE
+    gamma = np.full(prob.mesh.segment_nodes(tag).size, 2.0)
+    prob.operator(gamma)
+    edge = fem.boundary_mass_block(prob.mesh, tag, gamma)
+    spd_inverse = fem._spd_inverse
+    monkeypatch.setattr(fem, "_spd_inverse",
+                        lambda P: spd_inverse(P - 0.5 * edge))
+    wrong = prob.operator(gamma)
+    B = np.column_stack([np.zeros(prob.mesh.n_nodes), prob.load])
+    with pytest.raises(fem.ConvergenceFailure,
+                       match="missed SOLVE_TOL in column 1"):
+        fem.solve_spd(wrong, B)
+
+
 def test_block_factor_needs_its_last_pivot_before_it_solves():
     A, b = reference_system()
     leading = fem.BlockLDLT(A, make_mesh().columns())

@@ -8,7 +8,7 @@ cases.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_cg
@@ -69,9 +69,9 @@ def test_block_factor_solves_the_operator(example_id, nx, ny, nt, seed):
     """An operator applies and its block LDL^T factor solves base +
     B_gamma, as assembled here with the global boundary mass, to
     rounding, and the library's block solve agrees with the reference
-    Jacobi CG on it.  The blocks are the nx + 1 mesh columns of ny + 1
-    unknowns, the last one the Robin edge; nx = 1 leaves a single
-    leading block."""
+    Jacobi CG on it.  The blocks are groups of the nx leading mesh
+    columns and the Robin edge alone last; nx = 1 leaves a single
+    leading column."""
     prob = ex.make_example(example_id, nx=nx, ny=ny, nt=nt).problem
     seg_i = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
     rng = np.random.default_rng(seed)
@@ -87,6 +87,42 @@ def test_block_factor_solves_the_operator(example_id, nx, ny, nt, seed):
     factored = fem.solve_spd(op, b)
     jacobi = reference_cg.solve_spd(S, b)
     assert np.linalg.norm(factored - jacobi) <= 1e-9 * np.linalg.norm(jacobi)
+
+
+@pytest.mark.parametrize("example_id", ["5.1", "5.3"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(nx=st.integers(1, 12),
+       ny=st.one_of(st.integers(1, 40),
+                    st.integers(fem._BLOCK_WIDTH - 2, fem._BLOCK_WIDTH + 8)),
+       seed=st.integers(0, 2**32 - 1))
+@example(nx=1, ny=8, seed=0)                  # one leading column
+@example(nx=10, ny=32, seed=1)                # g = 4 leaves a group of 2
+@example(nx=3, ny=fem._BLOCK_WIDTH, seed=2)   # a column is a block
+def test_grouped_block_factor_agrees_with_the_column_factor(
+        example_id, nx, ny, seed):
+    """The base factor's blocks list every unknown once: the leading mesh
+    columns g at a time, g the column count nearest to _BLOCK_WIDTH
+    unknowns (at least one, the last group what is left over), and the
+    Robin edge alone last.  Its solves meet SOLVE_TOL on the assembled
+    operator and agree with those of one block per mesh column."""
+    prob = ex.make_example(example_id, nx=nx, ny=ny, nt=4).problem
+    tag = SegmentTag.INACCESSIBLE
+    columns = prob.mesh.columns()
+    blocks = prob.base_factor.blocks
+    g = max(1, round(fem._BLOCK_WIDTH / (ny + 1)))
+    np.testing.assert_array_equal(np.concatenate(blocks), columns.ravel())
+    assert [block.size for block in blocks[:-1]] == \
+        [min(g, nx - i) * (ny + 1) for i in range(0, nx, g)]
+    np.testing.assert_array_equal(blocks[-1], prob.mesh.segment_nodes(tag))
+    rng = np.random.default_rng(seed)
+    gamma = rng.uniform(prob.gamma_min, prob.gamma_max, blocks[-1].size)
+    S = (prob.base + fem.assemble_boundary_mass(prob.mesh, tag, gamma)).tocsr()
+    b = rng.standard_normal(prob.mesh.n_nodes)
+    x = prob.operator(gamma).solve(b)
+    assert np.linalg.norm(b - S @ x) <= fem.SOLVE_TOL * np.linalg.norm(b)
+    by_column = fem.BlockLDLT(prob.base, columns).complete(
+        fem.boundary_mass_block(prob.mesh, tag, gamma)).solve(b)
+    assert np.linalg.norm(x - by_column) <= 1e-12 * np.linalg.norm(by_column)
 
 
 @pytest.mark.parametrize("example_id", ["5.1", "5.3"])
