@@ -12,7 +12,11 @@ Boundary fields (Robin coefficients, measurement residuals, directions)
 are plain 1-D arrays indexed by the sorted node list of one segment, see
 Mesh.segment_nodes; the segment geometry comes precomputed with the
 mesh (Mesh.segments).  Nodal fields on the whole mesh are 1-D arrays of
-length n_nodes.
+length n_nodes.  The load assemblies (assemble_load,
+assemble_boundary_load) take one source or a list of them, one per level
+of a march: the quadrature geometry is computed once per call, each
+source sampled once, and each level scattered with one np.bincount, so
+a row is bit for bit the load of its source alone.
 
 solve_spd is the one solve path: one application of a completed
 BlockLDLT, a block LDL^T factor in mesh-column order, and one residual
@@ -92,10 +96,12 @@ class BlockLDLT:
     schur + last.  Only a completed factor solves.
 
     solve applies the inverse of the completed matrix by one forward and
-    one backward sweep over the blocks, matvec the matrix, base @ x plus
-    last @ x[blocks[-1]]; both take one vector or an (n, m) array of
-    columns, and solve_spd checks the one with the other.  nnz is that
-    of base.
+    one backward sweep over the blocks; the backward sweep multiplies
+    only the columns of D_k^{-1} that C_{k+1}^T reaches, for grouped mesh
+    columns the last column of block k.  matvec applies the matrix,
+    base @ x plus last @ x[blocks[-1]]; both take one vector or an (n, m)
+    array of columns, and solve_spd checks the one with the other.  nnz
+    is that of base.
 
     Raises CurvatureBreakdown when a pivot is not positive definite, and
     ValueError when blocks is no ordering of the unknowns or the matrix
@@ -133,6 +139,12 @@ class BlockLDLT:
                 self._dinv.append(_invert_pivot(pivot, k, nb))
         self.schur = pivot
         self._last = None
+        # the rows of block k that C_{k+1}^T reaches, one slice around them
+        self._reach = []
+        for coupling in self._coupling[1:]:
+            start = min((lo + d for d, lo, hi, v in coupling), default=0)
+            stop = max((hi + d for d, lo, hi, v in coupling), default=0)
+            self._reach.append(slice(start, max(start, stop)))
 
     def complete(self, last: np.ndarray | None = None) -> "BlockLDLT":
         """The factor of base plus last on the last diagonal block; see
@@ -171,12 +183,15 @@ class BlockLDLT:
             for d, lo, hi, v in coupling[k]:
                 xk[lo:hi] -= v * xp[lo + d:hi + d]
             xk[...] = dinv[k] @ xk
-        # backward: x_k <- x_k - D_k^{-1} C_{k+1}^T x_{k+1}
+        # backward: x_k <- x_k - D_k^{-1} C_{k+1}^T x_{k+1}, with only the
+        # columns of D_k^{-1} that C_{k+1}^T x_{k+1} reaches
         for k in range(len(x) - 2, -1, -1):
-            y, xn = np.zeros(x[k].shape), x[k + 1]
+            reach, xn = self._reach[k], x[k + 1]
+            y = np.zeros((reach.stop - reach.start,) + xn.shape[1:])
             for d, lo, hi, v in coupling[k + 1]:
+                d -= reach.start
                 y[lo + d:hi + d] += v * xn[lo:hi]
-            x[k] -= dinv[k] @ y
+            x[k] -= dinv[k][:, reach] @ y
         out = np.empty_like(ordered)
         out[self._order] = ordered
         return out
@@ -412,30 +427,60 @@ def assemble_mass(mesh: Mesh, c) -> sparse.csr_matrix:
     return _scatter(mesh, local)
 
 
+def _per_level(source) -> tuple[list, bool]:
+    """The sources of a load assembly and whether a single one was given:
+    a list holds one source per level, anything else is one source."""
+    if isinstance(source, list):
+        return source, False
+    return [source], True
+
+
 def assemble_load(mesh: Mesh, f) -> np.ndarray:
-    """Volume load vector, entries integral of f * phi_i (midpoint rule)."""
+    """Volume load vector, entries integral of f * phi_i (midpoint rule).
+
+    f is one source or a list of sources, one per level, which gives a
+    (levels, n_nodes) array, row l the load of f[l].  The quadrature
+    geometry is computed once per call and each source sampled once; a
+    level is summed into its row in the same order as a single load, so
+    a row equals the load of its source alone bit for bit.
+    """
+    sources, single = _per_level(f)
     mid, area = _edge_midpoints(mesh)
-    f_val = _coeff_on_points(f, mid[:, :, 0], mid[:, :, 1])    # (m, 3)
-    local = (area[:, None] / 3.0) * (f_val @ _MID_PHI)         # (m, 3)
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.triangles.ravel(), local.ravel())
-    return out
+    # contiguous coordinates, on which a vectorized source runs faster
+    x, y = mid[:, :, 0].copy(), mid[:, :, 1].copy()
+    del mid
+    weight = area[:, None] / 3.0
+    index = mesh.triangles.ravel()
+    out = np.empty((len(sources), mesh.n_nodes))
+    for row, source in zip(out, sources):
+        local = weight * (_coeff_on_points(source, x, y) @ _MID_PHI)  # (m, 3)
+        row[:] = np.bincount(index, local.ravel(), minlength=mesh.n_nodes)
+    return out[0] if single else out
 
 
-def _boundary_weight_at_gauss(mesh: Mesh, tag: SegmentTag, weight) -> np.ndarray:
+def _gauss_points(mesh: Mesh, tag: SegmentTag):
+    """Coordinates x, y of the two Gauss points of every segment edge,
+    each of shape (k, 2)."""
+    seg = mesh.segments[tag]
+    p0 = mesh.nodes[seg.edges[:, 0]]
+    p1 = mesh.nodes[seg.edges[:, 1]]
+    gx = p0[:, 0, None] + _GAUSS_XI[None, :] * (p1[:, 0] - p0[:, 0])[:, None]
+    gy = p0[:, 1, None] + _GAUSS_XI[None, :] * (p1[:, 1] - p0[:, 1])[:, None]
+    return gx, gy
+
+
+def _boundary_weight_at_gauss(mesh: Mesh, tag: SegmentTag, weight,
+                              points=None) -> np.ndarray:
     """Weight values at the two Gauss points of every segment edge.
 
-    A callable is sampled at the physical Gauss points; an array is taken
-    as nodal values on the segment and interpolated linearly along each
-    edge; a scalar is broadcast.
+    A callable is sampled at the physical Gauss points, those of
+    _gauss_points unless given; an array is taken as nodal values on the
+    segment and interpolated linearly along each edge; a scalar is
+    broadcast.
     """
     seg = mesh.segments[tag]
     if callable(weight):
-        p0 = mesh.nodes[seg.edges[:, 0]]
-        p1 = mesh.nodes[seg.edges[:, 1]]
-        gx = p0[:, 0, None] + _GAUSS_XI[None, :] * (p1[:, 0] - p0[:, 0])[:, None]
-        gy = p0[:, 1, None] + _GAUSS_XI[None, :] * (p1[:, 1] - p0[:, 1])[:, None]
-        return _coeff_on_points(weight, gx, gy)
+        return _coeff_on_points(weight, *(points or _gauss_points(mesh, tag)))
     w = np.asarray(weight, dtype=float)
     if w.ndim == 0:
         return np.full((seg.edges.shape[0], 2), float(w))
@@ -489,14 +534,24 @@ def boundary_mass_block(mesh: Mesh, tag: SegmentTag, weight) -> np.ndarray:
 
 
 def assemble_boundary_load(mesh: Mesh, tag: SegmentTag, g) -> np.ndarray:
-    """Boundary load vector, entries integral over the segment of g * phi_i."""
+    """Boundary load vector, entries integral over the segment of g * phi_i.
+
+    g is one weight (see _boundary_weight_at_gauss) or a list of them,
+    one per level, which gives a (levels, n_nodes) array as for
+    assemble_load, each row bit for bit the load of its weight alone.
+    """
+    weights, single = _per_level(g)
     seg = mesh.segments[tag]
-    g_gauss = _boundary_weight_at_gauss(mesh, tag, g)
+    points = _gauss_points(mesh, tag) if any(map(callable, weights)) else None
     phi = np.stack([1.0 - _GAUSS_XI, _GAUSS_XI], axis=0)
-    contrib = np.einsum("q,eq,iq->ei", _GAUSS_W, g_gauss, phi) * seg.length[:, None]
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, seg.edges.ravel(), contrib.ravel())
-    return out
+    length = seg.length[:, None]
+    index = seg.edges.ravel()
+    out = np.empty((len(weights), mesh.n_nodes))
+    for row, weight in zip(out, weights):
+        g_gauss = _boundary_weight_at_gauss(mesh, tag, weight, points)
+        contrib = np.einsum("q,eq,iq->ei", _GAUSS_W, g_gauss, phi) * length
+        row[:] = np.bincount(index, contrib.ravel(), minlength=mesh.n_nodes)
+    return out[0] if single else out
 
 
 def segment_mass(mesh: Mesh, tag: SegmentTag) -> sparse.csr_matrix:
@@ -607,10 +662,17 @@ class RobinProblem:
     def data_load(self, f, g, h) -> np.ndarray:
         """Load of the volume source f, the Robin data g on the inaccessible
         segment and the flux data h on the accessible one, summed in that
-        order."""
+        order.  Each is one source or a list of them, one per level (see
+        assemble_load); lists give a (levels, n_nodes) array, to every row
+        of which a single source adds its one load."""
         b = assemble_load(self.mesh, f)
-        b += assemble_boundary_load(self.mesh, SegmentTag.INACCESSIBLE, g)
-        b += assemble_boundary_load(self.mesh, SegmentTag.ACCESSIBLE, h)
+        for tag, data in ((SegmentTag.INACCESSIBLE, g),
+                          (SegmentTag.ACCESSIBLE, h)):
+            load = assemble_boundary_load(self.mesh, tag, data)
+            if load.ndim > b.ndim:
+                # summed into the larger array; the sum commutes exactly
+                b, load = load, b
+            b += load
         return b
 
     @cached_property

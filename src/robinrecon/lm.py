@@ -116,11 +116,22 @@ class LmState:
     stop_reason: str | None = None
 
 
-def _check_guard(u_a: np.ndarray, seg_nodes: np.ndarray, level=...) -> None:
-    bad = np.flatnonzero(np.abs(u_a) < TRACE_GUARD)
-    if bad.size == 0:
+def _check_guard(u_a: np.ndarray, seg_nodes: np.ndarray, levels) -> None:
+    """Raise TraceGuardError where |u_a| < TRACE_GUARD.
+
+    u_a is the accessible trace on the weighted levels: one segment field,
+    or one row per entry of levels for a march, in which case the message
+    names the first level that fails.
+    """
+    small = np.abs(u_a) < TRACE_GUARD
+    if not small.any():
         return
-    where = "" if level is ... else f"time level {level}: "
+    where = ""
+    if small.ndim == 2:
+        row = int(np.flatnonzero(small.any(axis=1))[0])
+        where = f"time level {levels[row]}: "
+        u_a, small = u_a[row], small[row]
+    bad = np.flatnonzero(small)
     ids = ", ".join(str(seg_nodes[j]) for j in bad[:5])
     more = "" if bad.size <= 5 else f" (+{bad.size - 5} more)"
     raise TraceGuardError(
@@ -156,10 +167,11 @@ def _quantities(prob, gamma: np.ndarray, z: np.ndarray,
     r = z - u_a
     residual_norm = float(np.sqrt(prob.inner(SegmentTag.ACCESSIBLE, r, r)))
     beta = residual_norm * residual_norm
+    levels = prob.levels
+    weighted = u_a[levels]
+    _check_guard(weighted, seg_a, levels)
     p = np.zeros_like(r)
-    for n in prob.levels:
-        _check_guard(u_a[n], seg_a, level=n)
-        p[n] = r[n] / u_a[n]
+    p[levels] = r[levels] / weighted
     w = prob.adjoint(u, p, op)
     grad = prob.integrate(u[..., seg_i] * w[..., seg_i])
     return residual_norm, beta, grad

@@ -19,7 +19,9 @@ ParabolicProblem is a fem.RobinProblem, which supplies the box check,
 the operator (the factor of the cached base M/dt + K_a, completed with
 the dense edge block of B_gamma) and the boundary loads of all levels
 at once.  The mass M and the data loads of every level are cached on
-the problem too.
+the problem too; the loads are one data_load call over the data frozen
+at each time level, so the quadrature geometry is computed once per
+problem, not once per level.
 
 ParabolicProblem carries the same problem protocol as EllipticProblem:
 operator, forward, derivative and adjoint wrap the march functions below
@@ -94,13 +96,14 @@ class ParabolicProblem(fem.RobinProblem):
         """Read-only (nt + 1, n_nodes) data loads, row n at time t_n.
 
         Row n collects the volume source, the Robin data and the flux
-        data at t_n.  Row 0 stays zero: no step solves for level 0.
+        data at t_n, all levels in one data_load call.  Row 0 stays zero:
+        no step solves for level 0.
         """
+        times = [n * self.dt for n in self.levels]
+        loads = self.data_load(*(_over_times(data, times)
+                                 for data in (self.f, self.g, self.h)))
         L = np.zeros((self.nt + 1, self.mesh.n_nodes))
-        for n in range(1, self.nt + 1):
-            t = n * self.dt
-            L[n] = self.data_load(_at_time(self.f, t), _at_time(self.g, t),
-                                  _at_time(self.h, t))
+        L[1:] = loads
         L.flags.writeable = False
         return L
 
@@ -135,10 +138,11 @@ def build_operator(prob: ParabolicProblem, gamma: np.ndarray) -> fem.BlockLDLT:
     return prob.robin_operator(gamma)
 
 
-def _at_time(data, t: float):
-    """Freeze the time argument of a data function; scalars pass through."""
+def _over_times(data, times: list[float]):
+    """A data function frozen at each of the times, one source per level;
+    a scalar, which loads every level alike, passes through once."""
     if callable(data):
-        return lambda x, y: data(x, y, t)
+        return [lambda x, y, t=t: data(x, y, t) for t in times]
     return data
 
 

@@ -170,9 +170,9 @@ def test_run_experiment_exact_start_noise_free():
 @pytest.mark.parametrize("example_id", ["5.1", "5.3"])
 def test_run_experiment_builds_gamma_free_pieces_once(monkeypatch, example_id):
     """K and M are assembled and the base is factored once per problem,
-    and the data loads once per level (one volume load for a stationary
-    problem), not once per iterate or per march; each operator factors
-    only its edge pivot."""
+    and the data loads of every level in one volume load call, not once
+    per level, iterate or march; each operator factors only its edge
+    pivot."""
     calls = dict.fromkeys(("assemble_stiffness", "assemble_mass",
                            "assemble_load"), 0)
 
@@ -190,10 +190,9 @@ def test_run_experiment_builds_gamma_free_pieces_once(monkeypatch, example_id):
     spec = experiments.ExperimentSpec(example_id=example_id, nx=4, ny=8, nt=4)
     result = experiments.run_experiment(spec)
     assert result.iterations > 1
-    expected_loads = 1 if result.kind == "elliptic" else spec.nt
     # one operator for the data, one per iterate
     assert calls == {"assemble_stiffness": 1, "assemble_mass": 1,
-                     "assemble_load": expected_loads, "__init__": 1,
+                     "assemble_load": 1, "__init__": 1,
                      "complete": 1 + result.iterations}
 
 

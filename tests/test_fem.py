@@ -338,6 +338,21 @@ def test_operators_of_one_problem_share_the_leading_factor():
         assert np.linalg.norm(b - A @ x) <= 1e-13 * np.linalg.norm(b)
 
 
+def test_backward_sweep_reaches_only_the_coupled_mesh_column():
+    """C_{k+1}^T x_{k+1} reaches only the last mesh column of a grouped
+    block, so the backward sweep multiplies only those columns of
+    D_k^{-1}, and the one before them where the diagonal edges' coupling
+    diagonal starts with a zero; a block of one mesh column is reached
+    whole."""
+    prob = experiments.make_example("5.1", nx=16, ny=32).problem
+    column = prob.mesh.ny + 1
+    grouped = prob.base_factor
+    assert [block.size for block in grouped.blocks[:-1]] == [4 * column] * 4
+    assert grouped._reach == [slice(3 * column - 1, 4 * column)] * 4
+    by_column = fem.BlockLDLT(prob.base, prob.mesh.columns())
+    assert by_column._reach == [slice(0, column)] * prob.mesh.nx
+
+
 @pytest.mark.parametrize("example_id, nx, ny, nt", [
     ("5.1", 64, 128, 64),   # the elliptic-fine mesh
     ("5.3", 16, 32, 64),    # the parabolic-march size

@@ -14,6 +14,7 @@ import pytest
 
 import reference_cg
 from robinrecon import experiments, fem, lm
+from robinrecon import parabolic as par
 from robinrecon.elliptic import EllipticProblem
 from robinrecon.mesh import SegmentTag
 
@@ -184,6 +185,33 @@ def test_trace_guard_raises_on_degenerate_data():
     with pytest.raises(lm.TraceGuardError) as info:
         lm.lm_step_elliptic(silent, lm.LmState(k=0, gamma=gamma0), np.zeros(z.size), lm.LmConfig(eps=1e-3))
     assert "node" in str(info.value)
+
+
+def test_trace_guard_names_the_first_failing_time_level(monkeypatch):
+    """On a march the guard checks every weighted level at once and names
+    the first level with a trace below TRACE_GUARD, with its nodes; the
+    zero initial level is not weighted and not guarded."""
+    example = experiments.make_example("5.3", nx=4, ny=8, nt=6)
+    prob = example.problem
+    seg_a = prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)
+    z = experiments.exact_observation(example)
+    forward = par.solve_forward_parabolic
+
+    def vanishing(prob, op):
+        u = forward(prob, op)
+        u[3, seg_a[[2, 4]]] = 0.0
+        u[5, seg_a[0]] = 0.0
+        return u
+
+    monkeypatch.setattr(par, "solve_forward_parabolic", vanishing)
+    gamma0 = np.full(prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE).size,
+                     2.0)
+    with pytest.raises(lm.TraceGuardError) as info:
+        lm.lm_step_parabolic(prob, lm.LmState(k=0, gamma=gamma0), z,
+                             lm.LmConfig(eps=1e-3))
+    assert str(info.value) == (
+        f"time level 3: |u| < {lm.TRACE_GUARD:g} on the accessible segment "
+        f"at node(s) {seg_a[2]}, {seg_a[4]}; smallest |u| = 0.000e+00")
 
 
 def test_run_wraps_guard_failure_with_state():

@@ -156,6 +156,50 @@ def test_data_loads_collect_all_data_terms_per_level():
         L[1, 0] = 0.0
 
 
+def test_data_loads_sample_each_source_once_per_level():
+    """One data_load call for all levels: every time-dependent source is
+    sampled once at each weighted level t_1..t_N and never at t_0."""
+    mesh = classify_boundary(build_rect_mesh(4, 8, 1.0, 2.0))
+    samples = {"f": [], "g": [], "h": []}
+
+    def sampled(name):
+        def source(x, y, t):
+            samples[name].append(t)
+            return x + y * t
+        return source
+
+    prob = par.ParabolicProblem(
+        mesh=mesh, a=1.0, f=sampled("f"), g=sampled("g"), h=sampled("h"),
+        u0=0.0, T=1.0, nt=5,
+    )
+    prob.loads
+    times = [n * prob.dt for n in prob.levels]
+    assert samples == {"f": times, "g": times, "h": times}
+
+
+@pytest.mark.parametrize("f, g", [
+    (1.5, lambda x, y, t: x * t),
+    (lambda x, y, t: y * t, 1.5),
+])
+def test_data_loads_mix_scalar_and_time_dependent_data(f, g):
+    """A scalar datum loads every level alike, whether the data before or
+    after it depend on time."""
+    mesh = classify_boundary(build_rect_mesh(4, 8, 1.0, 2.0))
+    prob = par.ParabolicProblem(mesh=mesh, a=1.0, f=f, g=g, h=0.25,
+                                u0=0.0, T=1.0, nt=3)
+    for n in prob.levels:
+        t = n * prob.dt
+        frozen = [data if not callable(data)
+                  else lambda x, y, data=data: data(x, y, t)
+                  for data in (f, g)]
+        expected = fem.assemble_load(mesh, frozen[0])
+        expected += fem.assemble_boundary_load(mesh, SegmentTag.INACCESSIBLE,
+                                               frozen[1])
+        expected += fem.assemble_boundary_load(mesh, SegmentTag.ACCESSIBLE,
+                                               0.25)
+        np.testing.assert_array_equal(prob.loads[n], expected)
+
+
 def test_time_integral_right_endpoint_rule():
     nt, T = 16, 2.0
     dt = T / nt

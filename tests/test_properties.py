@@ -168,3 +168,43 @@ def test_segment_mass_is_spd_and_gives_the_inner_product(tag, nx, ny, seed):
     u, v = rng.uniform(-1.0, 1.0, (2, M.shape[0]))
     scale = np.sqrt((u @ M @ u) * (v @ M @ v))
     assert abs(u @ M @ v - fem.boundary_inner(mesh, tag, u, v)) <= 1e-14 * scale
+
+
+def _load_source(kind: str, rng: np.random.Generator, nodes: int):
+    """A load source of the given kind with coefficients drawn from rng:
+    a scalar, a vectorized callable of (x, y) or nodal segment values."""
+    if kind == "scalar":
+        return float(rng.uniform(-2.0, 2.0))
+    if kind == "callable":
+        a, b, c = rng.uniform(-2.0, 2.0, 3)
+        return lambda x, y: a + b * x * y + np.cos(c * y)
+    return rng.uniform(-2.0, 2.0, nodes)
+
+
+@pytest.mark.parametrize("tag", [None, *SegmentTag])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(nx=st.integers(1, 6), ny=st.integers(1, 8),
+       kinds=st.lists(st.sampled_from(["scalar", "callable", "nodal"]),
+                      min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_list_of_sources_loads_each_level_like_a_single_call(
+        tag, nx, ny, kinds, seed):
+    """assemble_load (tag None) and assemble_boundary_load of a list of
+    sources give one row per source, each bit for bit the load of that
+    source alone, whatever mix of scalars, callables and (on a segment)
+    nodal arrays the list holds."""
+    mesh = classify_boundary(build_rect_mesh(nx, ny, ex.LX, ex.LY))
+    rng = np.random.default_rng(seed)
+    if tag is None:
+        kinds = ["callable" if kind == "nodal" else kind for kind in kinds]
+        assemble = lambda source: fem.assemble_load(mesh, source)
+        nodes = 0
+    else:
+        assemble = lambda source: fem.assemble_boundary_load(mesh, tag, source)
+        nodes = mesh.segment_nodes(tag).size
+    sources = [_load_source(kind, rng, nodes) for kind in kinds]
+    loads = assemble(sources)
+    assert loads.shape == (len(sources), mesh.n_nodes)
+    singles = [assemble(source) for source in sources]
+    assert all(single.shape == (mesh.n_nodes,) for single in singles)
+    np.testing.assert_array_equal(loads, np.array(singles))
