@@ -201,7 +201,9 @@ def cmd_run(args) -> int:
 
 
 def _sweep_job(spec: experiments.ExperimentSpec) -> dict:
-    """One sweep entry; never raises, errors become a row for the table."""
+    """One sweep entry.  A failed run (lm.LmRunError) becomes a row for
+    the table with stop reason "error" and its message; anything else
+    raises, and so does the sweep."""
     try:
         result = experiments.run_experiment(spec)
     except lm.LmRunError as exc:

@@ -11,16 +11,25 @@ EllipticProblem is a fem.RobinProblem: the box check, the operator (the
 factor of the cached base K_a + M_c, completed with the dense edge block
 of B_gamma), the data load and the boundary loads come from there.  The
 derivative and adjoint right-hand sides are the boundary loads of
--(d * u) on the inaccessible side and of -(p * u) on the accessible
-side, each one product with the segment's cached load map.  Because the
-operator is one shared symmetric matrix, the adjoint identity between
-the two solves holds to solver precision, which the tests rely on.
+-(d * u_i) on the inaccessible side and of -(p * u_a) on the accessible
+side, each one product with the segment's cached load map.
+
+The three solves return traces and run on the Robin edge alone.  The
+first of them condenses the interior onto the edge once per problem
+(condensed, fem.BlockLDLT.condense, checked once against
+fem.SOLVE_TOL), anchored at one full solve of its operator; after that
+every solve is one fem.solve_edge with the edge pivot Sigma = Sigma_0 +
+B_gamma[I, I] plus products with the dense (accessible x edge) array
+Z_a.  Because forward, derivative and adjoint apply the one symmetric
+Sigma and Z_a and its transpose, the adjoint identity between the two
+solves holds to solver precision, which the tests rely on.
 
 EllipticProblem carries the problem protocol that the outer loop and the
 verification probes run on, shared with ParabolicProblem: operator,
 forward, derivative and adjoint wrap the module functions below (each
 solve is checked against fem.SOLVE_TOL, so they take only the
-operator), inner is the segment inner product, integrate is the
+operator), field is the full-field solve (fem.solve_spd) for the checks
+that need one, inner is the segment inner product, integrate is the
 identity (a stationary field is its own gradient), and levels selects
 the whole trace as the one level that carries weight.
 """
@@ -69,6 +78,18 @@ class EllipticProblem(fem.RobinProblem):
         b.flags.writeable = False
         return b
 
+    def condensed(self, op: fem.BlockLDLT) -> fem.Condensation:
+        """The interior condensed onto the Robin edge for the data load,
+        at the accessible nodes (fem.BlockLDLT.condense): built and
+        checked on the first call, the first reduced solve, anchored at
+        the full solve of that call's operator, and kept for every
+        operator of the problem, as base_factor is."""
+        if "_condensed" not in self.__dict__:
+            # the frozen dataclass caches like cached_property, by __dict__
+            self.__dict__["_condensed"] = op.condense(
+                self.load, self.mesh.segment_nodes(SegmentTag.ACCESSIBLE))
+        return self.__dict__["_condensed"]
+
     # Problem protocol.  The methods reach the module functions through
     # their global names at call time, so a rebinding of those names holds.
 
@@ -77,14 +98,17 @@ class EllipticProblem(fem.RobinProblem):
     def operator(self, gamma: np.ndarray) -> fem.BlockLDLT:
         return assemble_operator(self, gamma)
 
-    def forward(self, op) -> np.ndarray:
+    def forward(self, op) -> tuple[np.ndarray, np.ndarray]:
         return solve_forward(self, op)
 
-    def derivative(self, u, d, op) -> np.ndarray:
-        return solve_derivative(self, u, d, op)
+    def derivative(self, u_i, d, op) -> np.ndarray:
+        return solve_derivative(self, u_i, d, op)
 
-    def adjoint(self, u, p, op) -> np.ndarray:
-        return solve_adjoint(self, u, p, op)
+    def adjoint(self, u_a, p, op) -> np.ndarray:
+        return solve_adjoint(self, u_a, p, op)
+
+    def field(self, op) -> np.ndarray:
+        return fem.solve_spd(op, self.load)
 
     def inner(self, tag: SegmentTag, u: np.ndarray, v: np.ndarray) -> float:
         return fem.boundary_inner(self.mesh, tag, u, v)
@@ -101,38 +125,51 @@ def assemble_operator(prob: EllipticProblem, gamma: np.ndarray) -> fem.BlockLDLT
 def solve_forward(
     prob: EllipticProblem,
     op: fem.BlockLDLT,
-) -> np.ndarray:
-    """State u for the Robin coefficient op was assembled with."""
-    return fem.solve_spd(op, prob.load)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Traces (u_a, u_i) of the state for the Robin coefficient op was
+    assembled with, on the accessible and the inaccessible segment.
+
+    One edge solve, u_i = Sigma^{-1} b~_I, and u_a from the affine map of
+    fem.Condensation.
+    """
+    condensed = prob.condensed(op)
+    u_i = fem.solve_edge(op, condensed.load)
+    return condensed.u_rows - condensed.Z @ (u_i - condensed.u_edge), u_i
 
 
 def solve_derivative(
     prob: EllipticProblem,
-    u: np.ndarray,
+    u_i: np.ndarray,
     d: np.ndarray,
     op: fem.BlockLDLT,
 ) -> np.ndarray:
-    """Directional derivative of the forward map in direction d.
+    """Accessible trace of the directional derivative of the forward map
+    in direction d.
 
-    u must be the forward solution for op.  The right-hand side is the
-    boundary load of the nodal product -(d * u) on the inaccessible side.
-    A (k, segment nodes) stack of directions gives one derivative per row
-    from one solve with k right-hand sides.
+    u_i must be the inaccessible trace of the forward state for op.  The
+    load is the boundary load c of -(d * u_i), which lives on the edge
+    alone, and the trace is -Z_a Sigma^{-1} c.  A (k, segment nodes)
+    stack of directions gives one trace per row from one edge solve with
+    k right-hand sides.
     """
-    load = prob.boundary_loads(SegmentTag.INACCESSIBLE, u, d)
-    return fem.solve_spd(op, load.T).T
+    seg_i = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
+    load = prob.boundary_loads(SegmentTag.INACCESSIBLE, u_i, d)[..., seg_i]
+    return -(prob.condensed(op).Z @ fem.solve_edge(op, load.T)).T
 
 
 def solve_adjoint(
     prob: EllipticProblem,
-    u: np.ndarray,
+    u_a: np.ndarray,
     p: np.ndarray,
     op: fem.BlockLDLT,
 ) -> np.ndarray:
-    """Adjoint state for an accessible-side weight p.
+    """Inaccessible trace of the adjoint state for an accessible-side
+    weight p.
 
-    Same operator as the forward solve, right-hand side the boundary load
-    of -(p * u) on the accessible side.
+    Same operator as the forward solve; the load c is the boundary load
+    of -(p * u_a), which lives on the accessible nodes, and the trace is
+    Sigma^{-1} (-Z_a^T c_a).
     """
-    load = prob.boundary_loads(SegmentTag.ACCESSIBLE, u, p)
-    return fem.solve_spd(op, load)
+    seg_a = prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)
+    load = prob.boundary_loads(SegmentTag.ACCESSIBLE, u_a, p)[seg_a]
+    return fem.solve_edge(op, -(prob.condensed(op).Z.T @ load))

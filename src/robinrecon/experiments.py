@@ -17,8 +17,10 @@ measurements would of course not be this kind.
 The second half of the module is a verification battery shared by the
 command line and the test suite: adjoint identity probes, derivative
 finite-difference decay, a dense Gauss-Newton oracle on a tiny mesh, and
-manufactured-solution convergence ratios.  Data generation and the probes
-use the same checked block solve as the reconstruction itself.
+manufactured-solution convergence ratios.  The probes run on the traces
+of the problem protocol, the same checked solves as the reconstruction;
+data generation and the convergence ratios take the full forward field
+(field), so the data do not depend on the stationary condensation.
 """
 
 from __future__ import annotations
@@ -167,7 +169,8 @@ def relative_error(mesh: Mesh, gamma_k: np.ndarray, gamma_star) -> float:
 
 
 def exact_observation(example: Example) -> np.ndarray:
-    """Noise-free data: accessible trace of the discrete forward solution.
+    """Noise-free data: accessible trace of the discrete forward solution,
+    taken from the full field (a full solve, or the march).
 
     Elliptic examples give one segment field, parabolic ones a
     (nt + 1, segment nodes) series.
@@ -180,7 +183,7 @@ def exact_observation(example: Example) -> np.ndarray:
         prob.load
     else:
         prob.loads
-    u = prob.forward(prob.operator(gamma))
+    u = prob.field(prob.operator(gamma))
     return u[..., prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)]
 
 
@@ -303,14 +306,13 @@ _PROBE_EXAMPLES = {"elliptic": "5.1", "parabolic": "5.3"}
 
 
 def _probe_setup(kind: str, nx: int, ny: int, nt: int):
-    """Probe example at its exact coefficient, with operator and state."""
+    """Probe example at its exact coefficient, with its operator."""
     if kind not in _PROBE_EXAMPLES:
         raise ValueError(f"unknown problem kind {kind!r}")
     example = make_example(_PROBE_EXAMPLES[kind], nx=nx, ny=ny, nt=nt)
     prob = example.problem
     gamma = interpolate_gamma(prob.mesh, example.gamma_star)
-    op = prob.operator(gamma)
-    return prob, gamma, op, prob.forward(op)
+    return prob, gamma, prob.operator(gamma)
 
 
 def adjoint_identity_errors(
@@ -325,23 +327,21 @@ def adjoint_identity_errors(
 
     For each trial, a random segment direction d and accessible weight p
     are drawn; the check compares the accessible pairing of the derivative
-    solution against the inaccessible pairing of the adjoint solution.
+    trace against the inaccessible pairing of the adjoint trace.
     Both sides hinge only on transposition of one matrix, so the gap is
     bounded by the accuracy of the solves, far below ADJOINT_TOL.
     """
-    prob, gamma, op, u = _probe_setup(kind, nx, ny, nt)
-    seg_i = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
-    seg_a = prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)
-    u_i, u_a = u[..., seg_i], u[..., seg_a]
+    prob, gamma, op = _probe_setup(kind, nx, ny, nt)
+    u_a, u_i = prob.forward(op)
     rng = np.random.default_rng(seed)
     errors = np.empty(n_trials)
     for i in range(n_trials):
-        d = rng.uniform(-1.0, 1.0, seg_i.size)
+        d = rng.uniform(-1.0, 1.0, u_i.shape[-1])
         p = rng.uniform(-1.0, 1.0, u_a.shape)
-        w = prob.derivative(u, d, op)
-        ws = prob.adjoint(u, p, op)
-        lhs = prob.inner(SegmentTag.ACCESSIBLE, w[..., seg_a], u_a * p)
-        rhs = prob.inner(SegmentTag.INACCESSIBLE, u_i * d, ws[..., seg_i])
+        w_a = prob.derivative(u_i, d, op)
+        ws_i = prob.adjoint(u_a, p, op)
+        lhs = prob.inner(SegmentTag.ACCESSIBLE, w_a, u_a * p)
+        rhs = prob.inner(SegmentTag.INACCESSIBLE, u_i * d, ws_i)
         errors[i] = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
     return IdentityCheck(errors=errors)
 
@@ -370,10 +370,10 @@ def derivative_fd_check(
     remainder and decays linearly in the step, which is what the fitted
     order asserts.
     """
-    prob, gamma, op, u = _probe_setup(kind, nx, ny, nt)
-    seg_a = prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)
-    d = np.ones(prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE).size)
-    w_a = prob.derivative(u, d, op)[..., seg_a]
+    prob, gamma, op = _probe_setup(kind, nx, ny, nt)
+    u_a, u_i = prob.forward(op)
+    d = np.ones(u_i.shape[-1])
+    w_a = prob.derivative(u_i, d, op)
 
     def norm(x: np.ndarray) -> float:
         return np.sqrt(prob.inner(SegmentTag.ACCESSIBLE, x, x))
@@ -382,8 +382,8 @@ def derivative_fd_check(
     errors = np.empty(len(eps_values))
     for i, eps in enumerate(eps_values):
         gamma_eps = gamma + eps * d
-        u_eps = prob.forward(prob.operator(gamma_eps))
-        errors[i] = norm((u_eps[..., seg_a] - u[..., seg_a]) / eps - w_a) / ref
+        u_eps_a, _ = prob.forward(prob.operator(gamma_eps))
+        errors[i] = norm((u_eps_a - u_a) / eps - w_a) / ref
     slope = np.polyfit(np.log(np.asarray(eps_values)), np.log(errors), 1)[0]
     return FdCheck(eps_values=tuple(eps_values), errors=errors,
                    order=float(slope))
@@ -429,7 +429,6 @@ def oracle_optimality_check(
         raise TypeError("the oracle is implemented for the stationary problem")
     mesh = prob.mesh
     seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
-    seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
     gamma_k = np.asarray(gamma_k, dtype=float)
     z = np.asarray(z, dtype=float)
 
@@ -439,10 +438,9 @@ def oracle_optimality_check(
         beta = float(beta_override)
     s_surrogate = grad / (A + beta)
 
-    u = solved["u"]
-    r = z - u[seg_a]
+    r = z - solved["u_a"]
     m = seg_i.size
-    D = prob.derivative(u, np.eye(m), solved["op"])[:, seg_a].T
+    D = prob.derivative(solved["u_i"], np.eye(m), solved["op"]).T
     Ma = fem.segment_mass(mesh, SegmentTag.ACCESSIBLE).toarray()
     Mi = fem.segment_mass(mesh, SegmentTag.INACCESSIBLE).toarray()
     H = D.T @ Ma @ D + beta * Mi
@@ -527,7 +525,8 @@ def fem_convergence_check(kind: str) -> ConvergenceCheck:
     """
     errors = []
     for nx, ny, nt in ((8, 16, 8), (16, 32, 16)):
-        prob, _, _, u = _probe_setup(kind, nx, ny, nt)
+        prob, _, op = _probe_setup(kind, nx, ny, nt)
+        u = prob.field(op)
         exact = _u_elliptic
         if kind == "parabolic":  # compare at the final time
             u = u[-1]

@@ -18,35 +18,40 @@ of a march: the quadrature geometry is computed once per call, each
 source sampled once, and each level scattered with one np.bincount, so
 a row is bit for bit the load of its source alone.
 
-solve_spd is the one solve path: one application of a completed
+solve_spd is the one full solve: one application of a completed
 BlockLDLT, a block LDL^T factor in mesh-column order, and one residual
 check against SOLVE_TOL, the tolerance of every library solve, for one
-right-hand side or an (n, m) array of them.
+right-hand side or an (n, m) array of them.  BlockLDLT.condense
+condenses the leading blocks onto the last for one load (Condensation:
+the condensed load, the rows a of A_LL^{-1} A_LI and one checked full
+solve as anchor), after which solve_edge solves on the last block alone,
+one product with the inverse of its pivot and the same residual check.
 
 RobinProblem is the Robin system both problem kinds share: the admissible
 box of gamma, the operator S = base + B_gamma, the data load of f, g and
-h, and the boundary loads -P_tag (x * u) that are the right-hand sides
-of every derivative and adjoint solve.  The factor orders the unknowns
-by mesh column, x outer and y inner, groups the leading columns into
-blocks of about _BLOCK_WIDTH unknowns, and keeps the inaccessible edge
-x = lx, the only place B_gamma touches, alone as its last block.  The gamma-free
-base is factored once per problem, up to the Schur complement Sigma_0 of
-that edge (base_factor); an operator is that factor completed with the
-dense edge block B_gamma[I, I], I the edge nodes, and nothing more.  P_tag,
-the boundary-load map of a segment (boundary_load_map), is built once
-per problem, so those loads are one product for a single field and for
-a time series alike.
+h, and the boundary loads -P_tag (x * u), u a segment trace, that are
+the right-hand sides of every derivative and adjoint solve.  The factor
+orders the unknowns by mesh column, x outer and y inner, groups the
+leading columns into blocks of about _BLOCK_WIDTH unknowns, and keeps
+the inaccessible edge x = lx, the only place B_gamma touches, alone as
+its last block.  The gamma-free base is factored once per problem, up to
+the Schur complement Sigma_0 of that edge (base_factor); an operator is
+that factor completed with the dense edge block B_gamma[I, I], I the
+edge nodes, and nothing more.  P_tag, the boundary-load map of a segment
+(boundary_load_map), is built once per problem, so those loads are one
+product for a single trace and for a time series alike.
 """
 
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
-from .mesh import Mesh, SegmentTag, triangle_areas
+from .mesh import Mesh, SegmentTag, signed_areas
 
 # 2-point Gauss on the unit interval [0, 1]
 _GAUSS_XI = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -93,7 +98,9 @@ class BlockLDLT:
     singular).  complete(last) is the factor of base plus the dense
     ``last`` on the last diagonal block, in the order of blocks[-1]
     (zero when not given): it shares the leading pivots and factors
-    schur + last.  Only a completed factor solves.
+    schur + last.  Only a completed factor solves.  condense(b, rows)
+    condenses the leading blocks onto the last for one load b (see
+    Condensation), after which solve_edge solves on the last block alone.
 
     solve applies the inverse of the completed matrix by one forward and
     one backward sweep over the blocks; the backward sweep multiplies
@@ -169,32 +176,162 @@ class BlockLDLT:
         """x with A x = b, up to rounding, for b of shape (n,) or (n, m)."""
         if self._last is None:
             raise ValueError("the last pivot is not factored, see complete")
-        dinv = self._dinv + [self._last]
-        coupling = self._coupling
-        if b.ndim == 2:
-            coupling = [[(d, lo, hi, v[:, None]) for d, lo, hi, v in c]
-                        for c in coupling]
         ordered = b[self._order]
         x = [ordered[span] for span in self._spans]
-        # forward: x_k <- D_k^{-1} (b_k - C_k x_{k-1})
-        x[0][...] = dinv[0] @ x[0]
-        for k in range(1, len(x)):
-            xk, xp = x[k], x[k - 1]
-            for d, lo, hi, v in coupling[k]:
-                xk[lo:hi] -= v * xp[lo + d:hi + d]
-            xk[...] = dinv[k] @ xk
-        # backward: x_k <- x_k - D_k^{-1} C_{k+1}^T x_{k+1}, with only the
-        # columns of D_k^{-1} that C_{k+1}^T x_{k+1} reaches
-        for k in range(len(x) - 2, -1, -1):
-            reach, xn = self._reach[k], x[k + 1]
-            y = np.zeros((reach.stop - reach.start,) + xn.shape[1:])
-            for d, lo, hi, v in coupling[k + 1]:
-                d -= reach.start
-                y[lo + d:hi + d] += v * xn[lo:hi]
-            x[k] -= dinv[k][:, reach] @ y
+        coupling = self._shaped_coupling(b.ndim)
+        self._forward(x, self._dinv + [self._last], coupling)
+        self._backward(x, coupling)
         out = np.empty_like(ordered)
         out[self._order] = ordered
         return out
+
+    def condense(self, b: np.ndarray, rows: np.ndarray) -> "Condensation":
+        """The leading blocks L condensed onto the last block I, for the
+        load b and the unknowns listed in rows (a), anchored at the
+        solution of this completed factor; see Condensation.
+
+        The anchor u is one checked solve_spd of b.  One forward sweep
+        over the leading blocks gives the condensed load, and Z comes
+        from the block backward recursion X_k = -D_k^{-1} C_{k+1}^T
+        X_{k+1}, started at D^{-1} C_I^T on the last leading block, one
+        block at a time, of which only the rows in a are kept.  Then the
+        result is checked once: one probe column x = A_LL^{-1} A_LI v
+        must meet SOLVE_TOL on its leading residual and agree with Z v at
+        the rows to SOLVE_TOL, and the edge solve of the condensed load
+        must give u on I to SOLVE_TOL.  Raises ConvergenceFailure when a
+        check misses.  Needs at least one leading block; b has shape (n,).
+        """
+        condensed = self._condensed(b, np.asarray(rows))
+        self._check_condensation(condensed)
+        return condensed
+
+    def _condensed(self, b, rows) -> "Condensation":
+        """The Condensation of b at rows, unchecked."""
+        edge = self.blocks[-1]
+        anchor = solve_spd(self, b)[np.r_[rows, edge]]
+        load = self._eliminate(b)[1][-1].copy()
+        at = np.argsort(self._order)[rows]   # positions in block order
+        coupling = self._shaped_coupling(2)
+        Z = np.empty((rows.size, edge.size))
+        # the backward sweep over a zero forward elimination, from -1 on
+        # the last block: block k of [A_LL^{-1} A_LI; -1], one at a time
+        X = -np.eye(edge.size)
+        for k in range(len(self._spans) - 1, -1, -1):
+            if k < len(self._dinv):
+                X = self._upper(k, X, coupling)
+                np.negative(X, out=X)
+            span = self._spans[k]
+            here = (at >= span.start) & (at < span.stop)
+            Z[here] = X[at[here] - span.start]
+        return Condensation(rows=rows, load=load, Z=Z,
+                            u_rows=anchor[:rows.size],
+                            u_edge=anchor[rows.size:])
+
+    def _eliminate(self, b):
+        """b in block order after the forward sweep over the leading
+        blocks, whose last block then holds the condensed load b_I -
+        A_IL A_LL^{-1} b_L, and its blocks as views."""
+        ordered = b[self._order]
+        x = [ordered[span] for span in self._spans]
+        self._forward(x, self._dinv, self._shaped_coupling(b.ndim))
+        return ordered, x
+
+    def _check_condensation(self, condensed) -> None:
+        """Raise ConvergenceFailure unless the probe column and the
+        condensed load meet SOLVE_TOL; see condense."""
+        lead = self._spans[-1].start
+        edge = self.blocks[-1]
+        v = np.zeros(self._order.size)
+        v[edge] = np.linspace(1.0, 2.0, edge.size)
+        coupled = self.base @ v
+        v = v[edge]
+        ordered, x = self._eliminate(coupled)
+        self._backward(x[:-1], self._coupling)
+        probe = np.zeros_like(coupled)
+        probe[self._order[:lead]] = ordered[:lead]
+        del ordered, x
+        # the leading residual of the probe, and its norm of reference
+        r = self.base @ probe
+        r -= coupled
+        r[edge] = coupled[edge] = 0.0
+        residual = np.linalg.norm(r)
+        target = SOLVE_TOL * np.linalg.norm(coupled)
+        if not residual <= target:
+            raise ConvergenceFailure(
+                f"condensation missed SOLVE_TOL in its probe: leading "
+                f"residual {residual:.3e}, target {target:.3e}")
+        probe[edge] = -v
+        for name, exact, condensed_value in (
+                ("Z", probe[condensed.rows], condensed.Z @ v),
+                ("load", condensed.u_edge,
+                 solve_edge(self, condensed.load))):
+            gap = np.linalg.norm(exact - condensed_value)
+            target = SOLVE_TOL * np.linalg.norm(exact)
+            if not gap <= target:
+                raise ConvergenceFailure(
+                    f"condensation missed SOLVE_TOL in {name}: gap "
+                    f"{gap:.3e}, target {target:.3e}")
+
+    def _shaped_coupling(self, ndim: int) -> list:
+        """The couplings by their diagonals, shaped for blocks of vectors
+        (ndim 1) or of columns (ndim 2)."""
+        if ndim == 1:
+            return self._coupling
+        return [[(d, lo, hi, v[:, None]) for d, lo, hi, v in c]
+                for c in self._coupling]
+
+    def _forward(self, x, dinv, coupling) -> None:
+        """x_k <- D_k^{-1} (x_k - C_k x_{k-1}) over the blocks of x, in
+        place; a block past the end of dinv only takes - C_k x_{k-1}."""
+        for k, xk in enumerate(x):
+            if k:
+                xp = x[k - 1]
+                for d, lo, hi, v in coupling[k]:
+                    xk[lo:hi] -= v * xp[lo + d:hi + d]
+            if k < len(dinv):
+                xk[...] = dinv[k] @ xk
+
+    def _backward(self, x, coupling) -> None:
+        """x_k <- x_k - D_k^{-1} C_{k+1}^T x_{k+1} over the blocks of x,
+        last to first, in place."""
+        for k in range(len(x) - 2, -1, -1):
+            x[k] -= self._upper(k, x[k + 1], coupling)
+
+    def _upper(self, k, xn, coupling) -> np.ndarray:
+        """D_k^{-1} C_{k+1}^T xn, with only the columns of D_k^{-1} that
+        C_{k+1}^T xn reaches."""
+        reach = self._reach[k]
+        y = np.zeros((reach.stop - reach.start,) + xn.shape[1:])
+        for d, lo, hi, v in coupling[k + 1]:
+            d -= reach.start
+            y[lo + d:hi + d] += v * xn[lo:hi]
+        return self._dinv[k][:, reach] @ y
+
+
+@dataclass(frozen=True)
+class Condensation:
+    """The leading blocks L of a block LDL^T factor condensed onto its
+    last block I (Toselli & Widlund, Domain Decomposition Methods, 4),
+    for one load b and a set of rows a: what a solution of the system
+    needs at a once its last block is known.
+
+    load is the condensed load b_I - A_IL A_LL^{-1} b_L and Z, of shape
+    (a, I), the rows a of A_LL^{-1} A_LI; a row of a in the last block is
+    unknown j of it, where Z holds -e_j.  The solutions of A u = b for
+    every completed last pivot Sigma = Sigma_0 + last differ only
+    through u_I = Sigma^{-1} load, and u[a] is affine in u_I with the
+    slope -Z, so u_rows and u_edge, one solution at a and on I (the
+    anchor), give u[a] = u_rows - Z (u_I - u_edge) for all of them, bit
+    for bit the anchor's own trace at its own pivot.  A load c on I
+    alone gives A^{-1} c at a as -Z Sigma^{-1} c, and a load c on a alone
+    gives A^{-1} c on I as Sigma^{-1} (-Z^T c).
+    """
+
+    rows: np.ndarray
+    load: np.ndarray
+    Z: np.ndarray
+    u_rows: np.ndarray
+    u_edge: np.ndarray
 
 
 def _split_blocks(matrix: sparse.spmatrix, order: np.ndarray,
@@ -306,42 +443,68 @@ def solve_spd(op: BlockLDLT, b: np.ndarray,
     Raises ConvergenceFailure when a residual misses SOLVE_TOL (a NaN
     residual included); for columns, the message names the first.
     """
-    n = b.shape[0]
-    norm_b = [np.linalg.norm(column) for column in b.reshape(n, -1).T]
-    if not any(norm_b):
-        x, applications = np.zeros(b.shape), 0
-    else:
-        x, applications = op.solve(b), 1
-        residuals = (b - op.matvec(x)).reshape(n, -1).T
-        for j, (norm, r, x_j) in enumerate(zip(norm_b, residuals,
-                                                x.reshape(n, -1).T)):
-            if norm == 0.0:
-                x_j[:] = 0.0
-                continue
-            residual = np.linalg.norm(r)
-            if not residual <= SOLVE_TOL * norm:
-                column = f" in column {j}" if b.ndim == 2 else ""
-                raise ConvergenceFailure(
-                    f"block solve missed SOLVE_TOL{column}: residual "
-                    f"{residual:.3e}, target {SOLVE_TOL * norm:.3e}"
-                )
+    x, applications = _checked_solve(op.solve, op.matvec, b)
     if stats is not None:
         stats["iterations"] = applications
     return x
 
 
+def solve_edge(op: BlockLDLT, r: np.ndarray) -> np.ndarray:
+    """Solve Sigma x = r, Sigma = Sigma_0 + last the completed last pivot
+    of op: the system on the last block that a Condensation leaves.
+
+    One product with the pivot's inverse and the residual check of
+    solve_spd against SOLVE_TOL, for one vector or an (n_I, m) array of
+    columns; raises ConvergenceFailure in the same way.
+    """
+    if op._last is None:
+        raise ValueError("the last pivot is not factored, see complete")
+    return _checked_solve(op._last.__matmul__,
+                          lambda x: op.schur @ x + op._edge @ x, r)[0]
+
+
+def _checked_solve(solve, matvec, b: np.ndarray):
+    """x = solve(b), checked column by column against SOLVE_TOL with
+    matvec, and the number of solve applications (0 for b = 0)."""
+    n = b.shape[0]
+    norm_b = [np.linalg.norm(column) for column in b.reshape(n, -1).T]
+    if not any(norm_b):
+        return np.zeros(b.shape), 0
+    x = solve(b)
+    residuals = (b - matvec(x)).reshape(n, -1).T
+    for j, (norm, r, x_j) in enumerate(zip(norm_b, residuals,
+                                            x.reshape(n, -1).T)):
+        if norm == 0.0:
+            x_j[:] = 0.0
+            continue
+        residual = np.linalg.norm(r)
+        if not residual <= SOLVE_TOL * norm:
+            column = f" in column {j}" if b.ndim == 2 else ""
+            raise ConvergenceFailure(
+                f"block solve missed SOLVE_TOL{column}: residual "
+                f"{residual:.3e}, target {SOLVE_TOL * norm:.3e}"
+            )
+    return x, 1
+
+
 def _coeff_on_points(coeff, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar constant or a vectorized callable on points."""
+    """Evaluate a scalar constant or a vectorized callable on points.
+
+    Samples that already have the points' shape and dtype are returned
+    as they are, not copied; callers only read them.
+    """
     if callable(coeff):
-        return np.broadcast_to(np.asarray(coeff(x, y), dtype=float), x.shape).copy()
+        values = np.asarray(coeff(x, y), dtype=float)
+        if values.shape == x.shape:
+            return values
+        return np.broadcast_to(values, x.shape).copy()
     return np.full(x.shape, float(coeff))
 
 
 def _triangle_points(mesh: Mesh):
     """Vertex coordinates (m, 3, 2) and areas of every triangle."""
-    # areas first, so that their temporaries are freed before p exists
-    area = triangle_areas(mesh)
     p = mesh.nodes[mesh.triangles]
+    area = signed_areas(p)
     if np.any(area <= 0.0):
         raise ValueError("mesh contains a non-positively oriented triangle")
     return p, area
@@ -684,9 +847,9 @@ class RobinProblem:
                        x: np.ndarray) -> np.ndarray:
         """Boundary load of -(x * u) on segment tag, for every row of u.
 
-        u is one nodal field or a (levels, n_nodes) series, x a segment
-        field or a series of them; the result has the shape of u.
+        u is the trace of a field on the segment, one segment field or a
+        (levels, segment nodes) series, x a segment field or a series of
+        them; the result is one nodal load, or one per level.
         """
-        seg = self.mesh.segment_nodes(tag)
-        xu = np.asarray(x, dtype=float) * u[..., seg]
+        xu = np.asarray(x, dtype=float) * u
         return -(self.load_maps[tag] @ xu.T).T

@@ -9,12 +9,16 @@ segment, followed by nodal clamping to the problem's admissible box
 
 Both problem kinds run the same code through the problem protocol of
 EllipticProblem and ParabolicProblem (operator, forward, adjoint, inner,
-integrate, levels); only those methods know whether a trace is one field
-or a time series.  A step builds and factors the operator once, from the
-problem's cached gamma-free base plus the Robin mass of the iterate, and
-passes it to both the forward and the adjoint solve, each a direct block
-solve plus one residual check against fem.SOLVE_TOL.  A trace closer to
-zero than TRACE_GUARD ends the step.
+integrate, levels); only those methods know whether a trace is one
+segment field or a time series.  The loop sees traces only: forward
+gives the accessible and inaccessible traces, adjoint the inaccessible
+trace of the adjoint state.  A step builds and factors the operator
+once, from the problem's cached gamma-free base plus the Robin mass of
+the iterate, and passes it to both the forward and the adjoint solve.
+A march solves each level with a direct block solve plus one residual
+check against fem.SOLVE_TOL; a stationary step solves on the Robin edge
+alone, after the problem condensed its interior once in the run's first
+step.  A trace closer to zero than TRACE_GUARD ends the step.
 
 Exactness notes.  The residual norm is computed first, as the square root
 of the misfit inner product, and beta is literally residual * residual,
@@ -149,19 +153,17 @@ def _quantities(prob, gamma: np.ndarray, z: np.ndarray,
     march.  Only the levels the problem weights are guarded and divided;
     elsewhere the adjoint weight stays zero (a zero initial value would
     make the initial level 0/0).  solved, when given, receives {"op":
-    op, "u": u}, the operator of gamma and its forward state.
+    op, "u_a": u_a, "u_i": u_i}, the operator of gamma and the traces of
+    its forward state.
     """
-    mesh = prob.mesh
-    seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
-    seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
+    seg_a = prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("data z holds non-finite values (NaN or inf)")
     op = prob.operator(gamma)
-    u = prob.forward(op)
+    u_a, u_i = prob.forward(op)
     if solved is not None:
-        solved.update(op=op, u=u)
-    u_a = u[..., seg_a]
+        solved.update(op=op, u_a=u_a, u_i=u_i)
     if z.shape != u_a.shape:
         raise ValueError(f"data has shape {z.shape}, expected {u_a.shape}")
     r = z - u_a
@@ -172,8 +174,8 @@ def _quantities(prob, gamma: np.ndarray, z: np.ndarray,
     _check_guard(weighted, seg_a, levels)
     p = np.zeros_like(r)
     p[levels] = r[levels] / weighted
-    w = prob.adjoint(u, p, op)
-    grad = prob.integrate(u[..., seg_i] * w[..., seg_i])
+    w_i = prob.adjoint(u_a, p, op)
+    grad = prob.integrate(u_i * w_i)
     return residual_norm, beta, grad
 
 

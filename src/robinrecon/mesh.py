@@ -169,7 +169,12 @@ def classify_boundary(mesh: Mesh) -> Mesh:
 
 def triangle_areas(mesh: Mesh) -> np.ndarray:
     """Signed areas of all triangles (positive for counterclockwise)."""
-    p = mesh.nodes[mesh.triangles]
+    return signed_areas(mesh.nodes[mesh.triangles])
+
+
+def signed_areas(p: np.ndarray) -> np.ndarray:
+    """Signed areas of the triangles with vertex coordinates p, shape
+    (m, 3, 2)."""
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])

@@ -25,10 +25,13 @@ problem, not once per level.
 
 ParabolicProblem carries the same problem protocol as EllipticProblem:
 operator, forward, derivative and adjoint wrap the march functions below
-(every step is a direct block solve checked against fem.SOLVE_TOL), inner
-is space_time_inner, integrate is time_integral_boundary, and levels are
-1..nt, the levels the right-endpoint rule weights.  Generic code indexes
-the trailing node axis (u[..., seg]) and so serves both kinds unchanged.
+(every step is a direct block solve checked against fem.SOLVE_TOL) and
+slice their trajectories to the traces the protocol returns, field is
+the forward march itself, inner is space_time_inner, integrate is
+time_integral_boundary, and levels are 1..nt, the levels the
+right-endpoint rule weights.  The derivative and adjoint marches take
+the forward trace series they need, on the inaccessible and the
+accessible segment.
 """
 
 from __future__ import annotations
@@ -110,20 +113,32 @@ class ParabolicProblem(fem.RobinProblem):
     # Problem protocol, see the module docstring.
 
     @property
+    def _seg_a(self) -> np.ndarray:
+        return self.mesh.segment_nodes(SegmentTag.ACCESSIBLE)
+
+    @property
+    def _seg_i(self) -> np.ndarray:
+        return self.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
+
+    @property
     def levels(self) -> range:
         return range(1, self.nt + 1)
 
     def operator(self, gamma: np.ndarray) -> fem.BlockLDLT:
         return build_operator(self, gamma)
 
-    def forward(self, op) -> np.ndarray:
+    def forward(self, op) -> tuple[np.ndarray, np.ndarray]:
+        u = solve_forward_parabolic(self, op)
+        return u[:, self._seg_a], u[:, self._seg_i]
+
+    def derivative(self, u_i, d, op) -> np.ndarray:
+        return solve_derivative_parabolic(self, u_i, d, op)[:, self._seg_a]
+
+    def adjoint(self, u_a, p, op) -> np.ndarray:
+        return solve_adjoint_parabolic(self, u_a, p, op)[:, self._seg_i]
+
+    def field(self, op) -> np.ndarray:
         return solve_forward_parabolic(self, op)
-
-    def derivative(self, u, d, op) -> np.ndarray:
-        return solve_derivative_parabolic(self, u, d, op)
-
-    def adjoint(self, u, p, op) -> np.ndarray:
-        return solve_adjoint_parabolic(self, u, p, op)
 
     def inner(self, tag: SegmentTag, u: np.ndarray, v: np.ndarray) -> float:
         return space_time_inner(self.mesh, tag, u, v, self.dt)
@@ -181,27 +196,29 @@ def solve_forward_parabolic(
 
 def solve_derivative_parabolic(
     prob: ParabolicProblem,
-    u: np.ndarray,
+    u_i: np.ndarray,
     d: np.ndarray,
     op: fem.BlockLDLT,
 ) -> np.ndarray:
     """Sensitivity trajectory for a perturbation d of gamma.
 
-    u must be the forward trajectory for op.  Starts from zero and takes
-    the boundary load of -(d * u_n) on the inaccessible side at each step.
+    u_i must be the inaccessible trace series of the forward trajectory
+    for op.  Starts from zero and takes the boundary load of -(d * u_n)
+    on the inaccessible side at each step.
     """
-    loads = prob.boundary_loads(SegmentTag.INACCESSIBLE, u, d)
+    loads = prob.boundary_loads(SegmentTag.INACCESSIBLE, u_i, d)
     return _march(prob, op, loads, np.zeros(prob.mesh.n_nodes))
 
 
 def solve_adjoint_parabolic(
     prob: ParabolicProblem,
-    u: np.ndarray,
+    u_a: np.ndarray,
     p: np.ndarray,
     op: fem.BlockLDLT,
 ) -> np.ndarray:
     """Adjoint trajectory for accessible-side weights p, backward in time.
 
+    u_a is the accessible trace series of the forward trajectory for op.
     p has shape (nt + 1, accessible node count); row 0 is never used since
     the right-endpoint pairing gives the initial level zero weight.  The
     sweep is the exact transpose of the derivative march: the march over
@@ -211,7 +228,7 @@ def solve_adjoint_parabolic(
     """
     if len(p) != prob.nt + 1:
         raise ValueError(f"weight series has {len(p)} levels, expected {prob.nt + 1}")
-    loads = prob.boundary_loads(SegmentTag.ACCESSIBLE, u, p)
+    loads = prob.boundary_loads(SegmentTag.ACCESSIBLE, u_a, p)
     # level 0 in place, levels 1..N reversed; the reordering is its own inverse
     order = np.r_[0, prob.nt:0:-1]
     return _march(prob, op, loads[order], np.zeros(prob.mesh.n_nodes))[order]

@@ -156,9 +156,39 @@ def test_boundary_load_map_matches_boundary_load():
                 -fem.assemble_boundary_load(mesh, tag, xs[n] * u[n, seg])
                 for n in range(5)
             ])
-            loads = prob.boundary_loads(tag, u, x)
+            loads = prob.boundary_loads(tag, u[:, seg], x)
             assert loads.shape == u.shape
             np.testing.assert_allclose(loads, expected, rtol=1e-14, atol=1e-15)
+
+
+def test_a_source_may_return_its_own_points():
+    """Samples that already have the points' shape are used uncopied: a
+    source that returns its own x argument changes neither those
+    coordinates nor the mesh, and loads as a copy of them would, for one
+    level and for a list of them."""
+    mesh = make_mesh()
+    nodes = mesh.nodes.copy()
+    seen = []
+
+    def own_x(x, y):
+        seen.append((x, x.copy()))
+        return x
+
+    def copy_of_x(x, y):
+        return x.copy()
+
+    for assemble in (lambda f: fem.assemble_load(mesh, f),
+                     lambda f: fem.assemble_boundary_load(
+                         mesh, SegmentTag.ACCESSIBLE, f)):
+        np.testing.assert_array_equal(assemble(own_x), assemble(copy_of_x))
+        np.testing.assert_array_equal(assemble([own_x] * 3),
+                                      assemble([copy_of_x] * 3))
+    np.testing.assert_array_equal(fem.assemble_mass(mesh, own_x).toarray(),
+                                  fem.assemble_mass(mesh, copy_of_x).toarray())
+    assert len(seen) == 9
+    for x, before in seen:
+        np.testing.assert_array_equal(x, before)
+    np.testing.assert_array_equal(mesh.nodes, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +391,14 @@ def test_factored_solves_meet_solve_tol_in_one_iteration(
         monkeypatch, example_id, nx, ny, nt):
     """One factor application meets SOLVE_TOL: each forward, derivative
     and adjoint solve applies the factor of its operator once and passes
-    the residual check."""
+    the residual check.  A march makes one full solve per step; the
+    stationary kind makes one edge solve each, after the one full solve
+    that anchors its condensation."""
     example = experiments.make_example(example_id, nx=nx, ny=ny, nt=nt)
     prob = example.problem
     seg_i = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
-    seg_a = prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)
-    iterations = []
-    solve = fem.solve_spd
+    iterations, edge_solves = [], []
+    solve, solve_edge = fem.solve_spd, fem.solve_edge
 
     def counted(*args, **kwargs):
         stats = {}
@@ -375,15 +406,25 @@ def test_factored_solves_meet_solve_tol_in_one_iteration(
         iterations.append(stats["iterations"])
         return x
 
+    def counted_edge(op, r):
+        edge_solves.append(r.shape)
+        return solve_edge(op, r)
+
     monkeypatch.setattr(fem, "solve_spd", counted)
+    monkeypatch.setattr(fem, "solve_edge", counted_edge)
     op = prob.operator(experiments.interpolate_gamma(prob.mesh,
                                                      example.gamma_star))
-    u = prob.forward(op)
+    u_a, u_i = prob.forward(op)
     rng = np.random.default_rng(0)
-    prob.derivative(u, rng.uniform(-1.0, 1.0, seg_i.size), op)
-    prob.adjoint(u, rng.uniform(-1.0, 1.0, u[..., seg_a].shape), op)
-    solves_per_march = 1 if example.kind == "elliptic" else nt
-    assert iterations == [1] * (3 * solves_per_march)
+    prob.derivative(u_i, rng.uniform(-1.0, 1.0, seg_i.size), op)
+    prob.adjoint(u_a, rng.uniform(-1.0, 1.0, u_a.shape), op)
+    if example.kind == "elliptic":
+        # the condensation's anchor, then its check and the three solves
+        assert iterations == [1]
+        assert edge_solves == [seg_i.shape] * 4
+    else:
+        assert iterations == [1] * (3 * nt)
+        assert edge_solves == []
 
 
 def _edge_shifted_stiffness():

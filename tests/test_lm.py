@@ -45,12 +45,18 @@ class _JacobiEllipticProblem(EllipticProblem):
         return (self.base + fem.assemble_boundary_mass(
             self.mesh, SegmentTag.INACCESSIBLE, gamma)).tocsr()
 
-    def forward(self, op):
+    def field(self, op):
         return reference_cg.solve_spd(op, self.load, tol=1e-10)
 
-    def adjoint(self, u, p, op):
-        load = self.boundary_loads(SegmentTag.ACCESSIBLE, u, p)
-        return reference_cg.solve_spd(op, load, tol=1e-10)
+    def forward(self, op):
+        u = self.field(op)
+        return (u[self.mesh.segment_nodes(SegmentTag.ACCESSIBLE)],
+                u[self.mesh.segment_nodes(SegmentTag.INACCESSIBLE)])
+
+    def adjoint(self, u_a, p, op):
+        load = self.boundary_loads(SegmentTag.ACCESSIBLE, u_a, p)
+        w = reference_cg.solve_spd(op, load, tol=1e-10)
+        return w[self.mesh.segment_nodes(SegmentTag.INACCESSIBLE)]
 
 
 def _elliptic_setup(nx=8, ny=16, delta=0.02, seed=0, jacobi=False):
@@ -252,6 +258,34 @@ def test_run_names_the_iteration_whose_solve_missed_solve_tol(monkeypatch):
     assert isinstance(err.__cause__, fem.ConvergenceFailure)
     assert err.state.k == 1
     assert len(err.state.history) == 1
+
+
+def test_elliptic_run_solves_on_the_edge_alone(monkeypatch):
+    """An elliptic L-M iterate makes no full-mesh solve: the run's full
+    solves (fem.solve_spd, BlockLDLT.solve) are those of building its
+    condensation, as many for 15 iterations as for 5."""
+    prob, gamma_star, z, gamma0 = _elliptic_setup()
+    calls = {"solve_spd": 0, "solve": 0}
+    solve_spd, solve = fem.solve_spd, fem.BlockLDLT.solve
+
+    def counted_solve_spd(*args, **kwargs):
+        calls["solve_spd"] += 1
+        return solve_spd(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "solve_spd", counted_solve_spd)
+    monkeypatch.setattr(fem.BlockLDLT, "solve", counted_solve)
+    counts = []
+    for iterations in (5, 15):
+        calls.update(solve_spd=0, solve=0)
+        state = lm.run(dataclasses.replace(prob), gamma0, z,
+                       lm.LmConfig(eps=1e-12, max_iters=iterations))
+        assert state.k == iterations
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == {"solve_spd": 1, "solve": 1}
 
 
 # ---------------------------------------------------------------------------

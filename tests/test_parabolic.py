@@ -48,11 +48,15 @@ def test_steady_state_agrees_with_stationary_solve():
     gamma = np.full(17, 1.5)
     stationary = ell.EllipticProblem(mesh=mesh, a=1.0, c=0.0, f=1.0,
                                      g=2.0, h=0.5)
-    u_inf = stationary.forward(stationary.operator(gamma))
+    u_inf = stationary.field(stationary.operator(gamma))
     marching = par.ParabolicProblem(mesh=mesh, a=1.0, f=1.0, g=2.0, h=0.5,
                                     u0=0.0, T=60.0, nt=60)
-    u = marching.forward(marching.operator(gamma))
+    u = marching.field(marching.operator(gamma))
     np.testing.assert_allclose(u[-1], u_inf, atol=1e-8)
+    # and so do the traces of the protocol, the stationary ones condensed
+    for trace, trace_inf in zip(marching.forward(marching.operator(gamma)),
+                                stationary.forward(stationary.operator(gamma))):
+        np.testing.assert_allclose(trace[-1], trace_inf, atol=1e-8)
 
 
 def test_build_operator_rejects_gamma_outside_box():
@@ -85,8 +89,9 @@ def test_derivative_starts_from_rest():
     example, mesh, gamma = setup(nt=4)
     op = par.build_operator(example.problem, gamma)
     u = par.solve_forward_parabolic(example.problem, op)
-    d = np.ones(mesh.segment_nodes(SegmentTag.INACCESSIBLE).size)
-    w = par.solve_derivative_parabolic(example.problem, u, d, op)
+    seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
+    d = np.ones(seg_i.size)
+    w = par.solve_derivative_parabolic(example.problem, u[:, seg_i], d, op)
     assert np.all(w[0] == 0.0)
     assert np.any(w[1] != 0.0)
 
@@ -101,8 +106,8 @@ def test_adjoint_identity_single_pair():
     rng = np.random.default_rng(5)
     d = rng.uniform(-1.0, 1.0, seg_i.size)
     p = rng.uniform(-1.0, 1.0, (prob.nt + 1, seg_a.size))
-    w = par.solve_derivative_parabolic(prob, u, d, op)
-    ws = par.solve_adjoint_parabolic(prob, u, p, op)
+    w = par.solve_derivative_parabolic(prob, u[:, seg_i], d, op)
+    ws = par.solve_adjoint_parabolic(prob, u[:, seg_a], p, op)
     lhs = par.space_time_inner(mesh, SegmentTag.ACCESSIBLE, w[:, seg_a],
                                u[:, seg_a] * p, prob.dt)
     rhs = par.space_time_inner(mesh, SegmentTag.INACCESSIBLE,
@@ -120,9 +125,9 @@ def test_adjoint_ignores_the_initial_weight_level():
     u = par.solve_forward_parabolic(prob, op)
     rng = np.random.default_rng(9)
     p = rng.uniform(-1.0, 1.0, (prob.nt + 1, seg_a.size))
-    ws1 = par.solve_adjoint_parabolic(prob, u, p, op)
+    ws1 = par.solve_adjoint_parabolic(prob, u[:, seg_a], p, op)
     p[0] = 777.0
-    ws2 = par.solve_adjoint_parabolic(prob, u, p, op)
+    ws2 = par.solve_adjoint_parabolic(prob, u[:, seg_a], p, op)
     np.testing.assert_array_equal(ws1, ws2)
     # level 0 is no unknown of the transposed march, so it stays zero
     assert np.all(ws1[0] == 0.0)
@@ -134,7 +139,7 @@ def test_adjoint_rejects_wrong_level_count():
     u = par.solve_forward_parabolic(example.problem, op)
     seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
     with pytest.raises(ValueError):
-        par.solve_adjoint_parabolic(example.problem, u,
+        par.solve_adjoint_parabolic(example.problem, u[:, seg_a],
                                     np.ones((3, seg_a.size)), op)
 
 

@@ -6,6 +6,8 @@ example sequence a fixed function of the test, so every run sees the same
 cases.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,13 +33,13 @@ def test_adjoint_identity_on_random_meshes(example_id, nx, ny, nt, seed):
     rng = np.random.default_rng(seed)
     gamma = rng.uniform(prob.gamma_min, prob.gamma_max, seg_i.size)
     op = prob.operator(gamma)
-    u = prob.forward(op)
+    u_a, u_i = prob.forward(op)
     d = rng.uniform(-1.0, 1.0, seg_i.size)
-    p = rng.uniform(-1.0, 1.0, u[..., seg_a].shape)
-    w = prob.derivative(u, d, op)
-    ws = prob.adjoint(u, p, op)
-    lhs = prob.inner(SegmentTag.ACCESSIBLE, w[..., seg_a], u[..., seg_a] * p)
-    rhs = prob.inner(SegmentTag.INACCESSIBLE, u[..., seg_i] * d, ws[..., seg_i])
+    p = rng.uniform(-1.0, 1.0, u_a.shape)
+    w_a = prob.derivative(u_i, d, op)
+    ws_i = prob.adjoint(u_a, p, op)
+    lhs = prob.inner(SegmentTag.ACCESSIBLE, w_a, u_a * p)
+    rhs = prob.inner(SegmentTag.INACCESSIBLE, u_i * d, ws_i)
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
     assert gap <= ex.ADJOINT_TOL
 
@@ -123,6 +125,71 @@ def test_grouped_block_factor_agrees_with_the_column_factor(
     by_column = fem.BlockLDLT(prob.base, columns).complete(
         fem.boundary_mass_block(prob.mesh, tag, gamma)).solve(b)
     assert np.linalg.norm(x - by_column) <= 1e-12 * np.linalg.norm(by_column)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(nx=st.integers(1, 12),
+       ny=st.one_of(st.integers(1, 40),
+                    st.integers(fem._BLOCK_WIDTH - 2, fem._BLOCK_WIDTH + 8)),
+       k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(nx=1, ny=8, k=1, seed=0)                  # one leading column
+@example(nx=10, ny=32, k=2, seed=1)                # g = 4 leaves a group of 2
+@example(nx=3, ny=fem._BLOCK_WIDTH, k=3, seed=2)   # a column is a block
+def test_condensed_traces_match_full_field_solves(nx, ny, k, seed):
+    """The stationary problem's traces come from its interior condensed
+    onto the Robin edge, anchored at the operator of its first reduced
+    solve; at another gamma in the box they match full-field solves of
+    that operator to 1e-12: the forward traces u_a and u_i, the adjoint
+    trace w_i for a random weight p, and the accessible derivative
+    traces for a (k, segment) stack of directions."""
+    prob = ex.make_example("5.1", nx=nx, ny=ny).problem
+    seg_i = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
+    seg_a = prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)
+    rng = np.random.default_rng(seed)
+    anchor, gamma = rng.uniform(prob.gamma_min, prob.gamma_max,
+                                (2, seg_i.size))
+    prob.forward(prob.operator(anchor))
+    op = prob.operator(gamma)
+    u = fem.solve_spd(op, prob.load)
+    p = rng.uniform(-1.0, 1.0, seg_a.size)
+    d = rng.uniform(-1.0, 1.0, (k, seg_i.size))
+    w = fem.solve_spd(op, prob.boundary_loads(SegmentTag.ACCESSIBLE,
+                                              u[seg_a], p))
+    D = fem.solve_spd(op, prob.boundary_loads(SegmentTag.INACCESSIBLE,
+                                              u[seg_i], d).T).T
+    u_a, u_i = prob.forward(op)
+    pairs = [(u_a, u[seg_a]), (u_i, u[seg_i]),
+             (prob.adjoint(u_a, p, op), w[seg_i]),
+             (prob.derivative(u_i, d, op), D[:, seg_a])]
+    for condensed, full in pairs:
+        assert condensed.shape == full.shape
+        assert np.linalg.norm(condensed - full) <= 1e-12 * np.linalg.norm(full)
+
+
+@pytest.mark.parametrize("piece", ["Z", "load"])
+def test_condensation_check_catches_one_perturbed_entry(monkeypatch, piece):
+    """The condensation is checked once, when it is built: one entry of Z
+    (seen by the probe column) or of the condensed load (seen by the
+    anchor's edge trace) moved by 1e-6 misses SOLVE_TOL, and the L-M run
+    that builds it fails in its first iteration."""
+    example = ex.make_example("5.1", nx=4, ny=8)
+    prob = example.problem
+    z = ex.exact_observation(example)
+    gamma = np.full(prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE).size, 2.0)
+    condensed = fem.BlockLDLT._condensed
+
+    def perturbed(self, b, rows):
+        out = condensed(self, b, rows)
+        getattr(out, piece).flat[0] += 1e-6
+        return out
+
+    monkeypatch.setattr(fem.BlockLDLT, "_condensed", perturbed)
+    with pytest.raises(fem.ConvergenceFailure,
+                       match=f"condensation missed SOLVE_TOL in {piece}"):
+        prob.forward(prob.operator(gamma))
+    with pytest.raises(lm.LmRunError, match="iteration 1 failed") as info:
+        lm.run(dataclasses.replace(prob), gamma, z, lm.LmConfig(eps=1e-3))
+    assert isinstance(info.value.__cause__, fem.ConvergenceFailure)
 
 
 @pytest.mark.parametrize("example_id", ["5.1", "5.3"])
