@@ -12,7 +12,9 @@ factor of the cached base K_a + M_c, completed with the dense edge block
 of B_gamma), the data load and the boundary loads come from there.  The
 derivative and adjoint right-hand sides are the boundary loads of
 -(d * u_i) on the inaccessible side and of -(p * u_a) on the accessible
-side, each one product with the segment's cached load map.
+side, each one product with the segment's mass, and they live on the
+edge and on the accessible nodes alone, where the reduced solves take
+them.
 
 The three solves return traces and run on the Robin edge alone.  The
 first of them condenses the interior onto the edge once per problem
@@ -152,8 +154,7 @@ def solve_derivative(
     stack of directions gives one trace per row from one edge solve with
     k right-hand sides.
     """
-    seg_i = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
-    load = prob.boundary_loads(SegmentTag.INACCESSIBLE, u_i, d)[..., seg_i]
+    load = prob.boundary_loads(SegmentTag.INACCESSIBLE, u_i, d)
     return -(prob.condensed(op).Z @ fem.solve_edge(op, load.T)).T
 
 
@@ -168,8 +169,7 @@ def solve_adjoint(
 
     Same operator as the forward solve; the load c is the boundary load
     of -(p * u_a), which lives on the accessible nodes, and the trace is
-    Sigma^{-1} (-Z_a^T c_a).
+    Sigma^{-1} (-Z_a^T c).
     """
-    seg_a = prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)
-    load = prob.boundary_loads(SegmentTag.ACCESSIBLE, u_a, p)[seg_a]
+    load = prob.boundary_loads(SegmentTag.ACCESSIBLE, u_a, p)
     return fem.solve_edge(op, -(prob.condensed(op).Z.T @ load))

@@ -441,8 +441,8 @@ def oracle_optimality_check(
     r = z - solved["u_a"]
     m = seg_i.size
     D = prob.derivative(solved["u_i"], np.eye(m), solved["op"]).T
-    Ma = fem.segment_mass(mesh, SegmentTag.ACCESSIBLE).toarray()
-    Mi = fem.segment_mass(mesh, SegmentTag.INACCESSIBLE).toarray()
+    Ma = mesh.segments[SegmentTag.ACCESSIBLE].mass
+    Mi = mesh.segments[SegmentTag.INACCESSIBLE].mass
     H = D.T @ Ma @ D + beta * Mi
     rhs = D.T @ (Ma @ r)
     s_gn = np.linalg.solve(H, rhs)

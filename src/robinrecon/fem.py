@@ -2,11 +2,15 @@
 
 All matrices built here are symmetric.  Domain integrals use the 3-point
 edge-midpoint rule on triangles, which is exact for products of two P1
-functions, so the mass matrix is the consistent one.  Boundary integrals
-use 2-point Gauss per edge, exact for cubics, so a linearly interpolated
-weight times two P1 basis functions is integrated without error.  Keeping
-the quadrature exact at this degree is what makes the discrete adjoint
-identity hold to solver precision downstream.
+functions, so the mass matrix is the consistent one.  Every boundary
+integral of a nodal segment field is taken with the exact P1 segment
+mass, segment_mass, in closed form per edge (Segment.weighted_mass): the
+Robin block B_gamma is the mass of the nodal gamma, and boundary_inner,
+the boundary loads and the space-time inner products apply the
+unweighted mass each segment keeps (Segment.mass).  Only data sampled
+from a callable (assemble_boundary_load) use quadrature on a segment,
+2-point Gauss per edge.  Keeping the integrals exact is what makes the
+discrete adjoint identity hold to solver precision downstream.
 
 Boundary fields (Robin coefficients, measurement residuals, directions)
 are plain 1-D arrays indexed by the sorted node list of one segment, see
@@ -29,17 +33,17 @@ one product with the inverse of its pivot and the same residual check.
 
 RobinProblem is the Robin system both problem kinds share: the admissible
 box of gamma, the operator S = base + B_gamma, the data load of f, g and
-h, and the boundary loads -P_tag (x * u), u a segment trace, that are
-the right-hand sides of every derivative and adjoint solve.  The factor
-orders the unknowns by mesh column, x outer and y inner, groups the
-leading columns into blocks of about _BLOCK_WIDTH unknowns, and keeps
-the inaccessible edge x = lx, the only place B_gamma touches, alone as
-its last block.  The gamma-free base is factored once per problem, up to
-the Schur complement Sigma_0 of that edge (base_factor); an operator is
-that factor completed with the dense edge block B_gamma[I, I], I the
-edge nodes, and nothing more.  P_tag, the boundary-load map of a segment
-(boundary_load_map), is built once per problem, so those loads are one
-product for a single trace and for a time series alike.
+h, and the boundary loads -(x * u) M, u a segment trace and M the
+segment mass, that are the right-hand sides of every derivative and
+adjoint solve, on the segment's nodes alone.  The factor orders the
+unknowns by mesh column, x outer and y inner, groups the leading columns
+into blocks of about _BLOCK_WIDTH unknowns, and keeps the inaccessible
+edge x = lx, the only place B_gamma touches, alone as its last block.
+The gamma-free base is factored once per problem, up to the Schur
+complement Sigma_0 of that edge (base_factor); an operator is that
+factor completed with the dense edge block B_gamma[I, I] =
+segment_mass(mesh, INACCESSIBLE, gamma), I the edge nodes, and nothing
+more.
 """
 
 from __future__ import annotations
@@ -621,135 +625,67 @@ def assemble_load(mesh: Mesh, f) -> np.ndarray:
     return out[0] if single else out
 
 
-def _gauss_points(mesh: Mesh, tag: SegmentTag):
-    """Coordinates x, y of the two Gauss points of every segment edge,
-    each of shape (k, 2)."""
+def assemble_boundary_load(mesh: Mesh, tag: SegmentTag, g) -> np.ndarray:
+    """Boundary load vector, entries integral over the segment of g * phi_i.
+
+    g is a scalar or a vectorized callable of (x, y), sampled at the two
+    Gauss points of every segment edge, or a list of them, one per
+    level, which gives a (levels, n_nodes) array as for assemble_load,
+    each row bit for bit the load of its weight alone.  The load of a
+    nodal segment field is its product with the segment mass, see
+    RobinProblem.boundary_loads.
+    """
+    weights, single = _per_level(g)
     seg = mesh.segments[tag]
     p0 = mesh.nodes[seg.edges[:, 0]]
     p1 = mesh.nodes[seg.edges[:, 1]]
     gx = p0[:, 0, None] + _GAUSS_XI[None, :] * (p1[:, 0] - p0[:, 0])[:, None]
     gy = p0[:, 1, None] + _GAUSS_XI[None, :] * (p1[:, 1] - p0[:, 1])[:, None]
-    return gx, gy
-
-
-def _boundary_weight_at_gauss(mesh: Mesh, tag: SegmentTag, weight,
-                              points=None) -> np.ndarray:
-    """Weight values at the two Gauss points of every segment edge.
-
-    A callable is sampled at the physical Gauss points, those of
-    _gauss_points unless given; an array is taken as nodal values on the
-    segment and interpolated linearly along each edge; a scalar is
-    broadcast.
-    """
-    seg = mesh.segments[tag]
-    if callable(weight):
-        return _coeff_on_points(weight, *(points or _gauss_points(mesh, tag)))
-    w = np.asarray(weight, dtype=float)
-    if w.ndim == 0:
-        return np.full((seg.edges.shape[0], 2), float(w))
-    if w.shape != seg.nodes.shape:
-        raise ValueError(
-            f"boundary weight has {w.shape[0]} entries, "
-            f"segment {tag.name} has {seg.nodes.shape[0]} nodes"
-        )
-    w0 = w[seg.local[:, 0]]
-    w1 = w[seg.local[:, 1]]
-    return w0[:, None] * (1.0 - _GAUSS_XI)[None, :] + w1[:, None] * _GAUSS_XI[None, :]
-
-
-def _edge_mass_blocks(mesh: Mesh, tag: SegmentTag, weight) -> np.ndarray:
-    """Weighted 2x2 mass block of every segment edge, shape (k, 2, 2).
-
-    Exact for a nodal weight (a cubic integrand per edge), hence linear in
-    the nodal weight values, which the derivative solver relies on."""
-    seg = mesh.segments[tag]
-    w_gauss = _boundary_weight_at_gauss(mesh, tag, weight)
-    phi = np.stack([1.0 - _GAUSS_XI, _GAUSS_XI], axis=0)       # (2, q)
-    # local 2x2 block per edge: length * sum_q wq * w(xi_q) phi_i phi_j
-    return np.einsum(
-        "q,eq,iq,jq->eij", _GAUSS_W, w_gauss, phi, phi
-    ) * seg.length[:, None, None]
-
-
-def assemble_boundary_mass(mesh: Mesh, tag: SegmentTag, weight) -> sparse.csr_matrix:
-    """Weighted boundary mass on one segment, entry (i, j) the integral
-    of weight * phi_i * phi_j, as a global sparse matrix: the reference
-    assembly of B_gamma, of which operators hold only boundary_mass_block."""
-    edges = mesh.segments[tag].edges
-    rows = np.repeat(edges, 2, axis=1).ravel()
-    cols = np.tile(edges, (1, 2)).ravel()
-    n = mesh.n_nodes
-    return sparse.coo_matrix(
-        (_edge_mass_blocks(mesh, tag, weight).ravel(), (rows, cols)),
-        shape=(n, n),
-    ).tocsr()
-
-
-def boundary_mass_block(mesh: Mesh, tag: SegmentTag, weight) -> np.ndarray:
-    """The segment's own block of assemble_boundary_mass, as a dense
-    matrix in the segment's node numbering (Mesh.segment_nodes): all of
-    B_gamma that an operator holds."""
-    local = mesh.segments[tag].local
-    ns = mesh.segments[tag].nodes.size
-    index = (np.repeat(local, 2, axis=1) * ns + np.tile(local, (1, 2))).ravel()
-    return np.bincount(index, _edge_mass_blocks(mesh, tag, weight).ravel(),
-                       minlength=ns * ns).reshape(ns, ns)
-
-
-def assemble_boundary_load(mesh: Mesh, tag: SegmentTag, g) -> np.ndarray:
-    """Boundary load vector, entries integral over the segment of g * phi_i.
-
-    g is one weight (see _boundary_weight_at_gauss) or a list of them,
-    one per level, which gives a (levels, n_nodes) array as for
-    assemble_load, each row bit for bit the load of its weight alone.
-    """
-    weights, single = _per_level(g)
-    seg = mesh.segments[tag]
-    points = _gauss_points(mesh, tag) if any(map(callable, weights)) else None
     phi = np.stack([1.0 - _GAUSS_XI, _GAUSS_XI], axis=0)
     length = seg.length[:, None]
     index = seg.edges.ravel()
     out = np.empty((len(weights), mesh.n_nodes))
     for row, weight in zip(out, weights):
-        g_gauss = _boundary_weight_at_gauss(mesh, tag, weight, points)
+        g_gauss = _coeff_on_points(weight, gx, gy)
         contrib = np.einsum("q,eq,iq->ei", _GAUSS_W, g_gauss, phi) * length
         row[:] = np.bincount(index, contrib.ravel(), minlength=mesh.n_nodes)
     return out[0] if single else out
 
 
-def segment_mass(mesh: Mesh, tag: SegmentTag) -> sparse.csr_matrix:
-    """Unweighted mass matrix of one segment in its local node numbering."""
-    seg = mesh.segments[tag]
-    ns = seg.nodes.shape[0]
-    l6 = seg.length / 6.0
-    local = seg.local
-    data = np.column_stack([2.0 * l6, l6, l6, 2.0 * l6]).ravel()
-    rows = np.column_stack([local[:, 0], local[:, 0], local[:, 1], local[:, 1]]).ravel()
-    cols = np.column_stack([local[:, 0], local[:, 1], local[:, 0], local[:, 1]]).ravel()
-    return sparse.coo_matrix((data, (rows, cols)), shape=(ns, ns)).tocsr()
-
-
-def boundary_load_map(mesh: Mesh, tag: SegmentTag) -> sparse.csr_matrix:
-    """Linear map P of a nodal segment field g to its boundary load.
-
-    P has shape (n_nodes, segment nodes); P @ g equals
-    assemble_boundary_load(mesh, tag, g) up to rounding, since the load of
-    a linearly interpolated weight is the segment mass applied to its
-    nodal values, scattered to the global node ids.
+def segment_mass(mesh: Mesh, tag: SegmentTag, weight=1.0) -> np.ndarray:
+    """Exact P1 mass of a weight on one segment, dense in the segment's
+    node numbering (Mesh.segment_nodes): entry (i, j) the integral of
+    weight * phi_i * phi_j.  weight is a scalar or nodal values on the
+    segment (Segment.weighted_mass); the unweighted mass is kept as
+    Segment.mass.  Raises ValueError, naming the segment, when a nodal
+    weight has the wrong size.
     """
     seg = mesh.segments[tag]
-    M = segment_mass(mesh, tag).tocoo()
+    w = np.asarray(weight, dtype=float)
+    if w.ndim == 0:
+        w = np.full(seg.nodes.shape, float(w))
+    if w.shape != seg.nodes.shape:
+        raise ValueError(
+            f"boundary weight has shape {w.shape}, "
+            f"segment {tag.name} has {seg.nodes.size} nodes"
+        )
+    return seg.weighted_mass(w)
+
+
+def assemble_boundary_mass(mesh: Mesh, tag: SegmentTag, weight) -> sparse.csr_matrix:
+    """segment_mass embedded in the global node numbering, as a sparse
+    matrix: the reference assembly of B_gamma, of which operators hold
+    only the segment block."""
+    block = sparse.coo_matrix(segment_mass(mesh, tag, weight))
+    nodes = mesh.segments[tag].nodes
+    n = mesh.n_nodes
     return sparse.csr_matrix(
-        (M.data, (seg.nodes[M.row], M.col)),
-        shape=(mesh.n_nodes, seg.nodes.shape[0]),
-    )
+        (block.data, (nodes[block.row], nodes[block.col])), shape=(n, n))
 
 
 def boundary_inner(mesh: Mesh, tag: SegmentTag, u: np.ndarray, v: np.ndarray) -> float:
-    """L2 inner product of two segment fields (linear interpolation per edge).
-
-    Exact for the quadratic integrand of two P1 segment functions.
-    """
+    """L2 inner product of two segment fields (linear interpolation per
+    edge), u @ M @ v with the segment mass M: exact."""
     seg = mesh.segments[tag]
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -758,10 +694,7 @@ def boundary_inner(mesh: Mesh, tag: SegmentTag, u: np.ndarray, v: np.ndarray) ->
             f"segment {tag.name} has {seg.nodes.shape[0]} nodes, "
             f"got fields of size {u.shape} and {v.shape}"
         )
-    u0, u1 = u[seg.local[:, 0]], u[seg.local[:, 1]]
-    v0, v1 = v[seg.local[:, 0]], v[seg.local[:, 1]]
-    per_edge = seg.length / 6.0 * (2.0 * u0 * v0 + u0 * v1 + u1 * v0 + 2.0 * u1 * v1)
-    return float(per_edge.sum())
+    return float(u @ (seg.mass @ v))
 
 
 def boundary_norm(mesh: Mesh, tag: SegmentTag, u: np.ndarray) -> float:
@@ -787,10 +720,11 @@ class RobinProblem:
 
     A subclass is a frozen dataclass with the fields mesh, gamma_min and
     gamma_max and a gamma-free matrix ``base``; the operator of a Robin
-    coefficient gamma is base + B_gamma, B_gamma the boundary mass of
+    coefficient gamma is base + B_gamma, B_gamma the segment mass of
     gamma on the inaccessible segment.  Like base, the factor of base is
     computed on first use and kept, so every operator of the problem
-    shares its leading pivots.
+    shares its leading pivots.  The boundary loads of the derivative and
+    adjoint solves are segment loads, products with the segment mass.
     """
 
     def __post_init__(self):
@@ -815,12 +749,13 @@ class RobinProblem:
 
     def robin_operator(self, gamma: np.ndarray) -> BlockLDLT:
         """base + B_gamma for a nodal gamma in the box, factored: base_factor
-        completed with B_gamma[I, I], the inaccessible edge's block and the
-        only one B_gamma touches."""
+        completed with B_gamma[I, I] = segment_mass(mesh, INACCESSIBLE,
+        gamma), the inaccessible edge's block and the only one B_gamma
+        touches."""
         gamma = np.asarray(gamma, dtype=float)
         require_in_box(gamma, self.gamma_min, self.gamma_max)
         return self.base_factor.complete(
-            boundary_mass_block(self.mesh, SegmentTag.INACCESSIBLE, gamma))
+            segment_mass(self.mesh, SegmentTag.INACCESSIBLE, gamma))
 
     def data_load(self, f, g, h) -> np.ndarray:
         """Load of the volume source f, the Robin data g on the inaccessible
@@ -838,18 +773,22 @@ class RobinProblem:
             b += load
         return b
 
-    @cached_property
-    def load_maps(self) -> dict[SegmentTag, sparse.csr_matrix]:
-        """P_tag of every segment, see boundary_load_map."""
-        return {tag: boundary_load_map(self.mesh, tag) for tag in SegmentTag}
-
     def boundary_loads(self, tag: SegmentTag, u: np.ndarray,
                        x: np.ndarray) -> np.ndarray:
-        """Boundary load of -(x * u) on segment tag, for every row of u.
+        """Boundary load of -(x * u) on segment tag, for every row of u, on
+        the segment's nodes alone: -(x * u) M, M the segment mass.
 
         u is the trace of a field on the segment, one segment field or a
         (levels, segment nodes) series, x a segment field or a series of
-        them; the result is one nodal load, or one per level.
+        them; the result is one segment load, or one per level.  Raises
+        ValueError unless the last axis of u and of x is the segment's
+        node count.
         """
-        xu = np.asarray(x, dtype=float) * u
-        return -(self.load_maps[tag] @ xu.T).T
+        mass = self.mesh.segments[tag].mass
+        u = np.asarray(u, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if u.shape[-1:] != mass.shape[:1] or x.shape[-1:] != mass.shape[:1]:
+            raise ValueError(
+                f"segment {tag.name} has {mass.shape[0]} nodes, got a trace "
+                f"of shape {u.shape} and a field of shape {x.shape}")
+        return -((x * u) @ mass)

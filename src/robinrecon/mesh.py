@@ -8,13 +8,17 @@ Robin coefficient lives), the remaining three sides form the accessible
 segment (where measurements are taken).  Classification also computes,
 once, everything the boundary integrals need of a segment: its sorted
 node list, its edges with their lengths and their local indices into
-that list.
+that list.  A segment gives the exact P1 mass of a nodal weight on it
+(Segment.weighted_mass) and keeps its unweighted mass (Segment.mass),
+with which every boundary integral of a nodal field is taken.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -35,12 +39,37 @@ class Segment:
     edges : (k, 2) int array, the segment's boundary edges as node pairs.
     local : (k, 2) int array, positions of the edge endpoints in nodes.
     length : (k,) float array, edge lengths.
+    mass : (ns, ns) float array, the unweighted mass, computed on first
+        use and kept.
     """
 
     nodes: np.ndarray
     edges: np.ndarray
     local: np.ndarray
     length: np.ndarray
+
+    def weighted_mass(self, w: np.ndarray) -> np.ndarray:
+        """Exact P1 mass of the nodal weight w, shape (ns,), as a dense
+        (ns, ns) array: entry (i, j) is the integral over the segment of
+        w phi_i phi_j, w interpolated linearly along each edge.  On an
+        edge of length l with end values w0, w1 the block is (l / 12)
+        [[3 w0 + w1, w0 + w1], [w0 + w1, w0 + 3 w1]], linear in w."""
+        ns = self.nodes.size
+        a, b = self.local.T
+        w0, w1 = w[a], w[b]
+        l12 = self.length / 12.0
+        off = l12 * (w0 + w1)
+        index = np.concatenate([a * (ns + 1), b * (ns + 1), a * ns + b,
+                                b * ns + a])
+        values = np.concatenate([l12 * (3.0 * w0 + w1), l12 * (w0 + 3.0 * w1),
+                                 off, off])
+        return np.bincount(index, values, minlength=ns * ns).reshape(ns, ns)
+
+    @cached_property
+    def mass(self) -> np.ndarray:
+        mass = self.weighted_mass(np.ones(self.nodes.size))
+        mass.flags.writeable = False
+        return mass
 
 
 @dataclass(frozen=True)
@@ -103,8 +132,10 @@ def build_rect_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
     Returns a mesh with (nx+1)(ny+1) nodes, 2*nx*ny triangles and
     2*(nx+ny) boundary edges.
     """
-    if nx < 1 or ny < 1:
-        raise ValueError(f"cell counts must be positive, got nx={nx}, ny={ny}")
+    for name, count in (("nx", nx), ("ny", ny)):
+        if not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(
+                f"cell count {name} must be a positive integer, got {count!r}")
     if lx <= 0 or ly <= 0:
         raise ValueError(f"side lengths must be positive, got lx={lx}, ly={ly}")
 

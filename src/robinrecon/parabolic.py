@@ -5,11 +5,12 @@ holding the nodal field at time t_n = n * dt.  Every solve is one march,
 _march: step n solves S x_n = (M/dt) x_{n-1} + L_n with the constant
 operator S = M/dt + K_a + B_gamma.  The forward march starts from the
 initial value with the data loads, the derivative march from zero with
-the boundary loads of -(d * u_n).  The adjoint is the algebraic
-transpose of the derivative march: the same march over the boundary
-loads of -(p * u_n) taken from level N down to 1, flipped back, so the
-level-N load enters the first solve.  Level 0 is no unknown of that
-march and stays zero.  Pairing trajectories with the right-endpoint rule
+the boundary loads of -(d * u_n), segment loads that the march adds at
+the segment's nodes.  The adjoint is the algebraic transpose of the
+derivative march: the same march over the boundary loads of -(p * u_n)
+taken from level N down to 1, flipped back, so the level-N load enters
+the first solve.  Level 0 is no unknown of that march and stays zero.
+Pairing trajectories with the right-endpoint rule
 (weight dt on levels 1..N, nothing on level 0) makes the space-time
 adjoint identity hold to solver precision, not just to O(dt); starting
 from an explicit zero terminal value and loading levels N-1..0 instead
@@ -18,10 +19,11 @@ would leave an O(dt) gap.
 ParabolicProblem is a fem.RobinProblem, which supplies the box check,
 the operator (the factor of the cached base M/dt + K_a, completed with
 the dense edge block of B_gamma) and the boundary loads of all levels
-at once.  The mass M and the data loads of every level are cached on
-the problem too; the loads are one data_load call over the data frozen
-at each time level, so the quadrature geometry is computed once per
-problem, not once per level.
+at once, one product of the trace series with the segment mass.  The
+mass M and the data loads of every level are cached on the problem too;
+the loads are one data_load call over the data frozen at each time
+level, so the quadrature geometry is computed once per problem, not
+once per level.
 
 ParabolicProblem carries the same problem protocol as EllipticProblem:
 operator, forward, derivative and adjoint wrap the march functions below
@@ -36,6 +38,7 @@ accessible segment.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,8 +76,10 @@ class ParabolicProblem(fem.RobinProblem):
         # written so that NaN fails the checks too
         if not self.T > 0.0:
             raise ValueError(f"final time must be positive, got {self.T}")
-        if self.nt < 1:
-            raise ValueError(f"need at least one time step, got nt={self.nt}")
+        if not isinstance(self.nt, numbers.Integral) or self.nt < 1:
+            raise ValueError(
+                f"nt must be a positive integer number of time steps, "
+                f"got {self.nt!r}")
         super().__post_init__()
 
     @property
@@ -170,14 +175,15 @@ def _initial_field(prob: ParabolicProblem) -> np.ndarray:
 
 
 def _march(prob: ParabolicProblem, op, loads: np.ndarray,
-           start: np.ndarray) -> np.ndarray:
+           start: np.ndarray, at=slice(None)) -> np.ndarray:
     """Implicit Euler from start: row n solves S x_n = (M/dt) x_{n-1} +
-    loads[n] with the factored op.  loads[0] is not read."""
+    L_n with the factored op, L_n the load loads[n] at the nodes at
+    (every node unless given).  loads[0] is not read."""
     X = np.empty((prob.nt + 1, prob.mesh.n_nodes))
     X[0] = start
     for n in range(1, prob.nt + 1):
         b = prob.mass @ (X[n - 1] / prob.dt)
-        b += loads[n]
+        b[at] += loads[n]
         X[n] = fem.solve_spd(op, b)
     return X
 
@@ -207,7 +213,7 @@ def solve_derivative_parabolic(
     on the inaccessible side at each step.
     """
     loads = prob.boundary_loads(SegmentTag.INACCESSIBLE, u_i, d)
-    return _march(prob, op, loads, np.zeros(prob.mesh.n_nodes))
+    return _march(prob, op, loads, np.zeros(prob.mesh.n_nodes), prob._seg_i)
 
 
 def solve_adjoint_parabolic(
@@ -231,7 +237,8 @@ def solve_adjoint_parabolic(
     loads = prob.boundary_loads(SegmentTag.ACCESSIBLE, u_a, p)
     # level 0 in place, levels 1..N reversed; the reordering is its own inverse
     order = np.r_[0, prob.nt:0:-1]
-    return _march(prob, op, loads[order], np.zeros(prob.mesh.n_nodes))[order]
+    return _march(prob, op, loads[order], np.zeros(prob.mesh.n_nodes),
+                  prob._seg_a)[order]
 
 
 def time_integral_boundary(series: np.ndarray, dt: float) -> np.ndarray:
@@ -259,10 +266,10 @@ def space_time_inner(
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError(f"series shapes differ: {u.shape} vs {v.shape}")
-    M = fem.segment_mass(mesh, tag)
+    M = mesh.segments[tag].mass
     if u.ndim != 2 or u.shape[1] != M.shape[0]:
         raise ValueError(
             f"segment {tag.name} has {M.shape[0]} nodes, got series of "
             f"shape {u.shape}"
         )
-    return dt * float(np.sum((M @ u[1:].T) * v[1:].T))
+    return dt * float(np.sum((u[1:] @ M) * v[1:]))

@@ -143,6 +143,11 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         experiments.ExperimentSpec(example_id="5.1", gamma0="best")
     assert experiments.ExperimentSpec(example_id="5.3").kind == "parabolic"
+    for example_id, field in (("5.1", "nx"), ("5.3", "ny"), ("5.3", "nt")):
+        spec = experiments.ExperimentSpec(example_id=example_id,
+                                          **{field: 2.5})
+        with pytest.raises(ValueError, match=f"{field} must be a positive"):
+            experiments.run_experiment(spec)
 
 
 def test_run_experiment_collects_everything():

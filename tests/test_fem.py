@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 import reference_cg
+import reference_quadrature
 from robinrecon import experiments, fem
 from robinrecon.elliptic import EllipticProblem
 from robinrecon.mesh import SegmentTag, build_rect_mesh, classify_boundary
@@ -75,22 +76,27 @@ def test_boundary_mass_is_exact_for_cubics():
     mesh = make_mesh()
     y_global = nodal(mesh, lambda x, y: y)
     ones = np.ones(mesh.n_nodes)
-    B = fem.assemble_boundary_mass(mesh, SegmentTag.INACCESSIBLE, lambda x, y: y)
+    y = y_global[mesh.segment_nodes(SegmentTag.INACCESSIBLE)]
+    B = fem.assemble_boundary_mass(mesh, SegmentTag.INACCESSIBLE, y)
     # integral over x = 1 of y * 1 * y dy = 8/3, a cubic integrand
     assert ones @ (B @ y_global) == pytest.approx(8.0 / 3.0, rel=1e-13)
     assert ones @ (B @ ones) == pytest.approx(LY ** 2 / 2.0, rel=1e-13)
 
 
 def test_boundary_mass_callable_matches_nodal_array():
-    """A linear weight interpolates exactly, both input forms must agree."""
+    """Linear fields interpolate exactly, so the mass of a nodal linear
+    weight applied to a nodal linear field is the load of their product
+    as a callable, sampled by the Gauss rule of assemble_boundary_load."""
     mesh = make_mesh()
     seg = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
     weight = 1.0 + 0.5 * mesh.nodes[seg, 1]
+    field = np.zeros(mesh.n_nodes)
+    field[seg] = 2.0 - mesh.nodes[seg, 1]
     B_arr = fem.assemble_boundary_mass(mesh, SegmentTag.INACCESSIBLE, weight)
-    B_fn = fem.assemble_boundary_mass(
-        mesh, SegmentTag.INACCESSIBLE, lambda x, y: 1.0 + 0.5 * y
+    load_fn = fem.assemble_boundary_load(
+        mesh, SegmentTag.INACCESSIBLE, lambda x, y: (1.0 + 0.5 * y) * (2.0 - y)
     )
-    np.testing.assert_allclose(B_arr.toarray(), B_fn.toarray(), atol=1e-14)
+    np.testing.assert_allclose(B_arr @ field, load_fn, atol=1e-14)
 
 
 def test_boundary_mass_rejects_missized_weight():
@@ -133,32 +139,46 @@ def test_segment_mass_matches_inner_product():
     assert u @ (M @ v) == pytest.approx(direct, rel=1e-13)
 
 
-def test_boundary_load_map_matches_boundary_load():
+def test_boundary_loads_match_the_per_level_quadrature():
+    """The problem's boundary loads of -(x * u) on a time series, with x
+    one field per level (the adjoint) or one field for all levels (the
+    derivative), are segment loads: those of the per-level Gauss
+    quadrature of the interpolated field."""
     mesh = make_mesh()
-    for tag in SegmentTag:
-        seg = mesh.segment_nodes(tag)
-        g = np.random.default_rng(3).standard_normal(seg.size)
-        P = fem.boundary_load_map(mesh, tag)
-        assert P.shape == (mesh.n_nodes, seg.size)
-        np.testing.assert_allclose(P @ g, fem.assemble_boundary_load(mesh, tag, g),
-                                   rtol=1e-13, atol=1e-15)
-    # the problem's boundary loads of -(x * u) on a time series, with x one
-    # field per level (the adjoint) or one field for all levels (the
-    # derivative), against the per-level quadrature
     prob = EllipticProblem(mesh=mesh, a=1.0, c=1.0, f=0.0, g=0.0, h=0.0)
     rng = np.random.default_rng(4)
-    u = rng.standard_normal((5, mesh.n_nodes))
     for tag in SegmentTag:
-        seg = mesh.segment_nodes(tag)
-        for x in (rng.standard_normal((5, seg.size)), rng.standard_normal(seg.size)):
-            xs = np.broadcast_to(x, (5, seg.size))
+        seg = mesh.segments[tag]
+        u = rng.standard_normal((5, seg.nodes.size))
+        for x in (rng.standard_normal((5, seg.nodes.size)),
+                  rng.standard_normal(seg.nodes.size)):
+            xs = np.broadcast_to(x, u.shape)
             expected = np.array([
-                -fem.assemble_boundary_load(mesh, tag, xs[n] * u[n, seg])
+                -reference_quadrature.gauss_mass(seg, xs[n] * u[n]).sum(axis=1)
                 for n in range(5)
             ])
-            loads = prob.boundary_loads(tag, u[:, seg], x)
+            loads = prob.boundary_loads(tag, u, x)
             assert loads.shape == u.shape
             np.testing.assert_allclose(loads, expected, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("example_id", ["5.1", "5.3"])
+def test_boundary_loads_reject_a_field_of_another_size(example_id):
+    """A direction or weight whose last axis is not the segment's node
+    count fails in derivative and adjoint of both kinds instead of
+    broadcasting, and so does a trace of the wrong size."""
+    prob = experiments.make_example(example_id, nx=4, ny=8, nt=3).problem
+    n_edge = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE).size
+    op = prob.operator(np.full(n_edge, 2.0))
+    u_a, u_i = prob.forward(op)
+    with pytest.raises(ValueError, match="segment INACCESSIBLE has 9 nodes"):
+        prob.derivative(u_i, np.array([1.0]), op)
+    with pytest.raises(ValueError, match="segment ACCESSIBLE has 17 nodes"):
+        prob.adjoint(u_a, np.ones(u_a.shape)[..., :1], op)
+    with pytest.raises(ValueError, match="segment INACCESSIBLE"):
+        prob.derivative(u_i[..., :-1], np.ones(n_edge - 1), op)
+    with pytest.raises(ValueError, match="segment ACCESSIBLE"):
+        prob.boundary_loads(SegmentTag.ACCESSIBLE, u_a, 1.0)
 
 
 def test_a_source_may_return_its_own_points():
@@ -269,7 +289,7 @@ def test_solve_spd_rejects_a_factor_that_does_not_solve_its_matrix(
     tag = SegmentTag.INACCESSIBLE
     gamma = np.full(prob.mesh.segment_nodes(tag).size, 2.0)
     op = prob.operator(gamma)
-    edge = fem.boundary_mass_block(prob.mesh, tag, gamma)
+    edge = fem.segment_mass(prob.mesh, tag, gamma)
     spd_inverse = fem._spd_inverse
     monkeypatch.setattr(fem, "_spd_inverse",
                         lambda P: spd_inverse(P - 0.5 * edge))
@@ -321,7 +341,7 @@ def test_solve_spd_names_the_column_that_missed_solve_tol(monkeypatch):
     tag = SegmentTag.INACCESSIBLE
     gamma = np.full(prob.mesh.segment_nodes(tag).size, 2.0)
     prob.operator(gamma)
-    edge = fem.boundary_mass_block(prob.mesh, tag, gamma)
+    edge = fem.segment_mass(prob.mesh, tag, gamma)
     spd_inverse = fem._spd_inverse
     monkeypatch.setattr(fem, "_spd_inverse",
                         lambda P: spd_inverse(P - 0.5 * edge))

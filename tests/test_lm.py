@@ -54,7 +54,9 @@ class _JacobiEllipticProblem(EllipticProblem):
                 u[self.mesh.segment_nodes(SegmentTag.INACCESSIBLE)])
 
     def adjoint(self, u_a, p, op):
-        load = self.boundary_loads(SegmentTag.ACCESSIBLE, u_a, p)
+        load = np.zeros(self.mesh.n_nodes)
+        load[self.mesh.segment_nodes(SegmentTag.ACCESSIBLE)] = \
+            self.boundary_loads(SegmentTag.ACCESSIBLE, u_a, p)
         w = reference_cg.solve_spd(op, load, tol=1e-10)
         return w[self.mesh.segment_nodes(SegmentTag.INACCESSIBLE)]
 
@@ -244,7 +246,7 @@ def test_run_names_the_iteration_whose_solve_missed_solve_tol(monkeypatch):
         built.append(gamma)
         if len(built) == 1:
             return build(self, gamma)
-        edge = fem.boundary_mass_block(self.mesh, SegmentTag.INACCESSIBLE, gamma)
+        edge = fem.segment_mass(self.mesh, SegmentTag.INACCESSIBLE, gamma)
         with monkeypatch.context() as patch:
             patch.setattr(fem, "_spd_inverse",
                           lambda P: spd_inverse(P - 0.5 * edge))

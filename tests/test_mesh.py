@@ -114,6 +114,11 @@ def test_build_rejects_bad_dimensions():
         build_rect_mesh(0, 4, 1.0, 2.0)
     with pytest.raises(ValueError):
         build_rect_mesh(4, 4, -1.0, 2.0)
+    with pytest.raises(ValueError, match="nx must be a positive integer"):
+        build_rect_mesh(2.5, 4, 1.0, 2.0)
+    with pytest.raises(ValueError, match="ny must be a positive integer"):
+        build_rect_mesh(4, 4.0, 1.0, 2.0)
+    assert build_rect_mesh(np.int64(2), np.int32(3), 1.0, 2.0).n_nodes == 12
 
 
 def test_segment_data_is_consistent_and_read_only():
@@ -123,6 +128,6 @@ def test_segment_data_is_consistent_and_read_only():
         seg = mesh.segments[tag]
         np.testing.assert_array_equal(seg.nodes[seg.local], seg.edges)
         assert seg.length.sum() == pytest.approx(perimeter, rel=1e-14)
-        for array in (seg.nodes, seg.edges, seg.local, seg.length):
+        for array in (seg.nodes, seg.edges, seg.local, seg.length, seg.mass):
             with pytest.raises(ValueError):
                 array[0] = 0

@@ -76,6 +76,11 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         par.ParabolicProblem(mesh=mesh, a=1.0, f=0.0, g=0.0, h=0.0,
                              u0=0.0, T=1.0, nt=0)
+    with pytest.raises(ValueError, match="nt must be a positive integer"):
+        par.ParabolicProblem(mesh=mesh, a=1.0, f=0.0, g=0.0, h=0.0,
+                             u0=0.0, T=1.0, nt=2.5)
+    assert par.ParabolicProblem(mesh=mesh, a=1.0, f=0.0, g=0.0, h=0.0,
+                                u0=0.0, T=1.0, nt=np.int64(4)).dt == 0.25
     nan = float("nan")
     for bad in ({"T": nan}, {"gamma_min": 0.0}, {"gamma_min": nan},
                 {"gamma_min": 2.0, "gamma_max": 1.0}, {"gamma_max": nan}):

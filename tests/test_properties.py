@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_cg
+import reference_quadrature
 from robinrecon import experiments as ex
 from robinrecon import fem
 from robinrecon import lm
@@ -123,7 +124,7 @@ def test_grouped_block_factor_agrees_with_the_column_factor(
     x = prob.operator(gamma).solve(b)
     assert np.linalg.norm(b - S @ x) <= fem.SOLVE_TOL * np.linalg.norm(b)
     by_column = fem.BlockLDLT(prob.base, columns).complete(
-        fem.boundary_mass_block(prob.mesh, tag, gamma)).solve(b)
+        fem.segment_mass(prob.mesh, tag, gamma)).solve(b)
     assert np.linalg.norm(x - by_column) <= 1e-12 * np.linalg.norm(by_column)
 
 
@@ -153,10 +154,13 @@ def test_condensed_traces_match_full_field_solves(nx, ny, k, seed):
     u = fem.solve_spd(op, prob.load)
     p = rng.uniform(-1.0, 1.0, seg_a.size)
     d = rng.uniform(-1.0, 1.0, (k, seg_i.size))
-    w = fem.solve_spd(op, prob.boundary_loads(SegmentTag.ACCESSIBLE,
-                                              u[seg_a], p))
-    D = fem.solve_spd(op, prob.boundary_loads(SegmentTag.INACCESSIBLE,
-                                              u[seg_i], d).T).T
+    # the segment loads scattered to the mesh
+    loads = np.zeros((k + 1, prob.mesh.n_nodes))
+    loads[0, seg_a] = prob.boundary_loads(SegmentTag.ACCESSIBLE, u[seg_a], p)
+    loads[1:, seg_i] = prob.boundary_loads(SegmentTag.INACCESSIBLE,
+                                           u[seg_i], d)
+    w = fem.solve_spd(op, loads[0])
+    D = fem.solve_spd(op, loads[1:].T).T
     u_a, u_i = prob.forward(op)
     pairs = [(u_a, u[seg_a]), (u_i, u[seg_i]),
              (prob.adjoint(u_a, p, op), w[seg_i]),
@@ -226,50 +230,50 @@ def test_surrogate_minimizer_beats_random_probes(example_id, nx, ny, nt, seed):
        seed=st.integers(0, 2**32 - 1))
 def test_segment_mass_is_spd_and_gives_the_inner_product(tag, nx, ny, seed):
     """The segment mass is symmetric positive definite, and u @ M @ v is
-    boundary_inner(u, v), to rounding relative to the segment norms."""
+    boundary_inner(u, v), to rounding relative to the segment norms.  The
+    mass of a positive nodal weight is that of the 2-point Gauss rule on
+    the interpolated weight, to rounding relative to its largest entry."""
     mesh = classify_boundary(build_rect_mesh(nx, ny, ex.LX, ex.LY))
     M = fem.segment_mass(mesh, tag)
-    assert (M != M.T).nnz == 0
-    assert np.linalg.eigvalsh(M.toarray()).min() > 0.0
+    assert np.array_equal(M, M.T)
+    assert np.linalg.eigvalsh(M).min() > 0.0
     rng = np.random.default_rng(seed)
     u, v = rng.uniform(-1.0, 1.0, (2, M.shape[0]))
     scale = np.sqrt((u @ M @ u) * (v @ M @ v))
     assert abs(u @ M @ v - fem.boundary_inner(mesh, tag, u, v)) <= 1e-14 * scale
+    w = rng.uniform(0.1, 10.0, M.shape[0])
+    weighted = fem.segment_mass(mesh, tag, w)
+    gauss = reference_quadrature.gauss_mass(mesh.segments[tag], w)
+    assert np.abs(weighted - gauss).max() <= 1e-14 * np.abs(gauss).max()
 
 
-def _load_source(kind: str, rng: np.random.Generator, nodes: int):
+def _load_source(kind: str, rng: np.random.Generator):
     """A load source of the given kind with coefficients drawn from rng:
-    a scalar, a vectorized callable of (x, y) or nodal segment values."""
+    a scalar or a vectorized callable of (x, y)."""
     if kind == "scalar":
         return float(rng.uniform(-2.0, 2.0))
-    if kind == "callable":
-        a, b, c = rng.uniform(-2.0, 2.0, 3)
-        return lambda x, y: a + b * x * y + np.cos(c * y)
-    return rng.uniform(-2.0, 2.0, nodes)
+    a, b, c = rng.uniform(-2.0, 2.0, 3)
+    return lambda x, y: a + b * x * y + np.cos(c * y)
 
 
 @pytest.mark.parametrize("tag", [None, *SegmentTag])
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(nx=st.integers(1, 6), ny=st.integers(1, 8),
-       kinds=st.lists(st.sampled_from(["scalar", "callable", "nodal"]),
+       kinds=st.lists(st.sampled_from(["scalar", "callable"]),
                       min_size=1, max_size=6),
        seed=st.integers(0, 2**32 - 1))
 def test_a_list_of_sources_loads_each_level_like_a_single_call(
         tag, nx, ny, kinds, seed):
     """assemble_load (tag None) and assemble_boundary_load of a list of
     sources give one row per source, each bit for bit the load of that
-    source alone, whatever mix of scalars, callables and (on a segment)
-    nodal arrays the list holds."""
+    source alone, whatever mix of scalars and callables the list holds."""
     mesh = classify_boundary(build_rect_mesh(nx, ny, ex.LX, ex.LY))
     rng = np.random.default_rng(seed)
     if tag is None:
-        kinds = ["callable" if kind == "nodal" else kind for kind in kinds]
         assemble = lambda source: fem.assemble_load(mesh, source)
-        nodes = 0
     else:
         assemble = lambda source: fem.assemble_boundary_load(mesh, tag, source)
-        nodes = mesh.segment_nodes(tag).size
-    sources = [_load_source(kind, rng, nodes) for kind in kinds]
+    sources = [_load_source(kind, rng) for kind in kinds]
     loads = assemble(sources)
     assert loads.shape == (len(sources), mesh.n_nodes)
     singles = [assemble(source) for source in sources]
