@@ -42,42 +42,56 @@ def _parse_gamma0(text: str):
         ) from None
 
 
-def _parse_list(convert):
-    """Parser of a comma-separated list whose entries convert takes."""
-    def parse(text: str) -> tuple:
+class _ListOf:
+    """Converter of a comma-separated list of what convert takes.  A sweep
+    runs one job per entry; its default is the one spec default."""
+
+    def __init__(self, convert):
+        self.convert = convert
+
+    def __call__(self, text: str) -> tuple:
         items = [piece.strip() for piece in text.split(",") if piece.strip()]
         if not items:
             raise argparse.ArgumentTypeError(f"empty list {text!r}")
         try:
-            return tuple(convert(piece) for piece in items)
+            return tuple(self.convert(piece) for piece in items)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"bad {convert.__name__} list {text!r}"
+                f"bad {self.convert.__name__} list {text!r}"
             ) from None
-    return parse
 
 
-# field -> (converter, default); None as a default means "required".
-_RUN_FIELDS = {
-    "example": (str, None),
-    "nx": (int, 16),
-    "ny": (int, 32),
-    "nt": (int, 64),
-    "delta": (float, 0.02),
-    "seed": (int, 0),
-    "eps": (float, None),
-    "gamma0": (_parse_gamma0, 2.0),
-    "A": (float, 1.0),
-    "max_iters": (int, 100),
-    "out": (str, "results"),
+# Every run and sweep setting, once: name -> (converter under run,
+# converter under sweep, help), None where a command lacks the setting.
+# The name is the config key and, '-' for '_', the flag.  The default is
+# the ExperimentSpec field's (example is example_id, which has none and
+# so must be given); out and jobs have the CLI's own.
+_SETTINGS = {
+    "example": (str, str, "registered example id (e.g. 5.1)"),
+    "nx": (int, int, "cells across the short side"),
+    "ny": (int, int, "cells across the long side"),
+    "nt": (int, int, "time steps (parabolic only)"),
+    "delta": (float, _ListOf(float),
+              "relative noise level (sweep: comma-separated levels)"),
+    "seed": (int, _ListOf(int),
+             "noise realization seed (sweep: comma-separated seeds)"),
+    "eps": (float, float, "relative-change stopping tolerance"),
+    "gamma0": (_parse_gamma0, _parse_gamma0,
+               "constant initial guess, or 'exact'"),
+    "A": (float, float, "surrogate majorization constant"),
+    "max_iters": (int, int, "iteration cap"),
+    "out": (str, str, "output directory"),
+    "jobs": (None, int, "concurrent runs"),
 }
+_CLI_DEFAULTS = {"out": "results", "jobs": 1}
+_SPEC_NAME = {"example": "example_id"}
 
-_SWEEP_FIELDS = dict(_RUN_FIELDS)
-_SWEEP_FIELDS.update({
-    "delta": (_parse_list(float), (0.02,)),
-    "seed": (_parse_list(int), (0,)),
-    "jobs": (int, 1),
-})
+
+def _converters(command: str) -> dict:
+    """name -> converter of every setting the command has, in table order."""
+    column = ("run", "sweep").index(command)
+    return {name: row[column] for name, row in _SETTINGS.items()
+            if row[column] is not None}
 
 
 def _read_config(path: str) -> dict:
@@ -94,41 +108,38 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _merge_settings(args, fields: dict) -> dict:
+def _merge_settings(args) -> dict:
     """Apply precedence: command line over config file over defaults."""
+    converters = _converters(args.command)
     config = _read_config(args.config) if args.config else {}
-    unknown = set(config) - set(fields)
+    unknown = set(config) - set(converters)
     if unknown:
         raise ValueError(
             f"unknown config key(s): {', '.join(sorted(unknown))}"
         )
     merged = {}
-    for name, (convert, default) in fields.items():
+    for name, convert in converters.items():
         flag_value = getattr(args, name)
         if flag_value is not None:
             merged[name] = flag_value
         elif name in config:
             merged[name] = convert(config[name])
         else:
+            default = _CLI_DEFAULTS.get(name, getattr(
+                experiments.ExperimentSpec, _SPEC_NAME.get(name, name), None))
+            if isinstance(convert, _ListOf):  # a grid of the one default
+                default = (default,)
             merged[name] = default
     if merged["example"] is None:
         raise ValueError("an example id is required (--example or config file)")
     return merged
 
 
-def _make_spec(settings: dict, delta=None, seed=None) -> experiments.ExperimentSpec:
-    return experiments.ExperimentSpec(
-        example_id=settings["example"],
-        nx=settings["nx"],
-        ny=settings["ny"],
-        nt=settings["nt"],
-        delta=settings["delta"] if delta is None else delta,
-        seed=settings["seed"] if seed is None else seed,
-        gamma0=settings["gamma0"],
-        eps=settings["eps"],
-        A=settings["A"],
-        max_iters=settings["max_iters"],
-    )
+def _make_spec(settings: dict, **grid) -> experiments.ExperimentSpec:
+    """The spec of the settings; grid sets delta and seed of a sweep job."""
+    kwargs = {_SPEC_NAME.get(name, name): value
+              for name, value in settings.items() if name not in _CLI_DEFAULTS}
+    return experiments.ExperimentSpec(**{**kwargs, **grid})
 
 
 def _write_history(path: Path, history) -> None:
@@ -157,17 +168,15 @@ def _write_summary(path: Path, entries: list) -> None:
 
 
 def cmd_run(args) -> int:
-    settings = _merge_settings(args, _RUN_FIELDS)
+    settings = _merge_settings(args)
     spec = _make_spec(settings)
     out = Path(settings["out"])
     out.mkdir(parents=True, exist_ok=True)
-    summary = [
-        ("example", spec.example_id),
-        ("nx", spec.nx), ("ny", spec.ny), ("nt", spec.nt),
-        ("delta", _fmt(spec.delta)), ("seed", spec.seed),
-        ("gamma0", spec.gamma0), ("A", _fmt(spec.A)),
-        ("max_iters", spec.max_iters),
-    ]
+    # the spec's settings, eps the tolerance the run stops by
+    values = [(name, getattr(spec, _SPEC_NAME.get(name, name)))
+              for name in _SETTINGS if name not in _CLI_DEFAULTS]
+    summary = [(name, _fmt(value) if isinstance(value, float) else value)
+               for name, value in values]
     start = time.perf_counter()
     try:
         result = experiments.run_experiment(spec)
@@ -230,7 +239,7 @@ def _sweep_row(entry: dict) -> list:
 
 
 def cmd_sweep(args) -> int:
-    settings = _merge_settings(args, _SWEEP_FIELDS)
+    settings = _merge_settings(args)
     # Rows are keyed by (delta, seed), so a repeated entry would rerun
     # the same job and repeat its row.
     for name in ("delta", "seed"):
@@ -306,22 +315,6 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
-def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value settings file")
-    parser.add_argument("--example", help="registered example id (e.g. 5.1)")
-    parser.add_argument("--nx", type=int, help="cells across the short side")
-    parser.add_argument("--ny", type=int, help="cells across the long side")
-    parser.add_argument("--nt", type=int, help="time steps (parabolic only)")
-    parser.add_argument("--eps", type=float,
-                        help="relative-change stopping tolerance")
-    parser.add_argument("--gamma0", type=_parse_gamma0,
-                        help="constant initial guess, or 'exact'")
-    parser.add_argument("--A", type=float, help="surrogate majorization constant")
-    parser.add_argument("--max-iters", type=int, dest="max_iters",
-                        help="iteration cap")
-    parser.add_argument("--out", help="output directory")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robinrecon",
@@ -330,20 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="one reconstruction, full artifacts")
-    _add_shared_flags(p_run)
-    p_run.add_argument("--delta", type=float, help="relative noise level")
-    p_run.add_argument("--seed", type=int, help="noise realization seed")
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="grid of noise levels and seeds")
-    _add_shared_flags(p_sweep)
-    p_sweep.add_argument("--delta", type=_parse_list(float),
-                         help="comma-separated noise levels")
-    p_sweep.add_argument("--seed", type=_parse_list(int),
-                         help="comma-separated seeds")
-    p_sweep.add_argument("--jobs", type=int, help="concurrent runs")
-    p_sweep.set_defaults(func=cmd_sweep)
+    for command, func, help_text in (
+            ("run", cmd_run, "one reconstruction, full artifacts"),
+            ("sweep", cmd_sweep, "grid of noise levels and seeds")):
+        p_command = sub.add_parser(command, help=help_text)
+        p_command.add_argument("--config", help="flat key = value settings file")
+        for name, convert in _converters(command).items():
+            p_command.add_argument("--" + name.replace("_", "-"), dest=name,
+                                   type=convert, help=_SETTINGS[name][2])
+        p_command.set_defaults(func=func)
 
     p_verify = sub.add_parser("verify", help="fast verification battery")
     p_verify.add_argument("--only", help="substring filter on check names")

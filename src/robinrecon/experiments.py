@@ -25,6 +25,7 @@ data generation and the convergence ratios take the full forward field
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -111,12 +112,49 @@ class Example:
     u_exact: object
 
 
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One reconstruction job, fully determined and cheap to pickle."""
+
+    example_id: str
+    nx: int = 16
+    ny: int = 32
+    nt: int = 64
+    delta: float = 0.02
+    seed: int = 0
+    gamma0: float | str = 2.0
+    eps: float | None = None  # None: the kind's DEFAULT_EPS, set on creation
+    A: float = 1.0
+    max_iters: int = 100
+
+    def __post_init__(self):
+        if self.example_id not in _REGISTRY:
+            known = ", ".join(EXAMPLE_IDS)
+            raise ValueError(
+                f"unknown example id {self.example_id!r}; known ids: {known}"
+            )
+        if not self.delta >= 0.0:
+            raise ValueError(f"noise level must be nonnegative, got {self.delta}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(
+                f"noise seed must be a non-negative integer, got {self.seed!r}")
+        if isinstance(self.gamma0, str) and self.gamma0 != "exact":
+            raise ValueError(
+                f"gamma0 must be a number or 'exact', got {self.gamma0!r}"
+            )
+        if self.eps is None:
+            object.__setattr__(self, "eps", DEFAULT_EPS[self.kind])
+
+    @property
+    def kind(self) -> str:
+        return _REGISTRY[self.example_id][0]
+
+
 def make_example(
     example_id: str,
-    nx: int = 16,
-    ny: int = 32,
-    nt: int = 64,
-    T: float = FINAL_TIME,
+    nx: int = ExperimentSpec.nx,
+    ny: int = ExperimentSpec.ny,
+    nt: int = ExperimentSpec.nt,
 ) -> Example:
     """Build one registered example on an nx-by-ny mesh."""
     if example_id not in _REGISTRY:
@@ -137,7 +175,7 @@ def make_example(
     problem = par.ParabolicProblem(
         mesh=mesh, a=1.0,
         f=_f_parabolic, g=_make_g_parabolic(gamma_star), h=0.0,
-        u0=0.0, T=T, nt=nt,
+        u0=0.0, T=FINAL_TIME, nt=nt,
     )
     return Example(example_id, kind, problem, gamma_star, _u_parabolic)
 
@@ -201,41 +239,6 @@ def add_noise(z: np.ndarray, delta: float, seed: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """One reconstruction job, fully determined and cheap to pickle."""
-
-    example_id: str
-    nx: int = 16
-    ny: int = 32
-    nt: int = 64
-    T: float = FINAL_TIME
-    delta: float = 0.02
-    seed: int = 0
-    gamma0: float | str = 2.0
-    eps: float | None = None
-    A: float = 1.0
-    max_iters: int = 100
-    residual_floor: float | None = None
-
-    def __post_init__(self):
-        if self.example_id not in _REGISTRY:
-            known = ", ".join(EXAMPLE_IDS)
-            raise ValueError(
-                f"unknown example id {self.example_id!r}; known ids: {known}"
-            )
-        if not self.delta >= 0.0:
-            raise ValueError(f"noise level must be nonnegative, got {self.delta}")
-        if isinstance(self.gamma0, str) and self.gamma0 != "exact":
-            raise ValueError(
-                f"gamma0 must be a number or 'exact', got {self.gamma0!r}"
-            )
-
-    @property
-    def kind(self) -> str:
-        return _REGISTRY[self.example_id][0]
-
-
-@dataclass(frozen=True)
 class ExperimentResult:
     """Everything the reporting layer needs from one finished job."""
 
@@ -253,11 +256,9 @@ class ExperimentResult:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run the reconstruction a spec describes and collect the results."""
-    eps = DEFAULT_EPS[spec.kind] if spec.eps is None else spec.eps
-    cfg = lm.LmConfig(eps=eps, A=spec.A, max_iters=spec.max_iters,
-                      residual_floor=spec.residual_floor)
+    cfg = lm.LmConfig(eps=spec.eps, A=spec.A, max_iters=spec.max_iters)
     example = make_example(spec.example_id, nx=spec.nx, ny=spec.ny,
-                           nt=spec.nt, T=spec.T)
+                           nt=spec.nt)
     prob = example.problem
     mesh = prob.mesh
     seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)

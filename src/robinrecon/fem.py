@@ -491,17 +491,23 @@ def _checked_solve(solve, matvec, b: np.ndarray):
     return x, 1
 
 
-def _coeff_on_points(coeff, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _coeff_on_points(coeff, x: np.ndarray, y: np.ndarray,
+                     name: str) -> np.ndarray:
     """Evaluate a scalar constant or a vectorized callable on points.
 
     Samples that already have the points' shape and dtype are returned
-    as they are, not copied; callers only read them.
+    as they are, not copied; callers only read them.  Anything else (a
+    nodal array, say) raises TypeError naming the argument.
     """
     if callable(coeff):
         values = np.asarray(coeff(x, y), dtype=float)
         if values.shape == x.shape:
             return values
         return np.broadcast_to(values, x.shape).copy()
+    if np.ndim(coeff) != 0:
+        raise TypeError(
+            f"{name} must be a scalar or a vectorized callable of (x, y), "
+            f"got an array of shape {np.shape(coeff)}")
     return np.full(x.shape, float(coeff))
 
 
@@ -546,7 +552,7 @@ def assemble_stiffness(mesh: Mesh, a) -> sparse.csr_matrix:
     """
     p, area, b, c = _triangle_geometry(mesh)
     centroid = p.mean(axis=1)
-    a_val = _coeff_on_points(a, centroid[:, 0], centroid[:, 1])
+    a_val = _coeff_on_points(a, centroid[:, 0], centroid[:, 1], "a")
     if np.any(a_val <= 0.0):
         raise ValueError("diffusion coefficient must be positive everywhere")
     scale = a_val / (4.0 * area)
@@ -583,7 +589,7 @@ def assemble_mass(mesh: Mesh, c) -> sparse.csr_matrix:
     without quadrature error.  Negative samples are rejected.
     """
     mid, area = _edge_midpoints(mesh)
-    c_val = _coeff_on_points(c, mid[:, :, 0], mid[:, :, 1])   # (m, 3)
+    c_val = _coeff_on_points(c, mid[:, :, 0], mid[:, :, 1], "c")  # (m, 3)
     if np.any(c_val < 0.0):
         raise ValueError("mass coefficient must be nonnegative")
     # sum_q (area/3) c_q phi(q) phi(q)^T
@@ -620,7 +626,7 @@ def assemble_load(mesh: Mesh, f) -> np.ndarray:
     index = mesh.triangles.ravel()
     out = np.empty((len(sources), mesh.n_nodes))
     for row, source in zip(out, sources):
-        local = weight * (_coeff_on_points(source, x, y) @ _MID_PHI)  # (m, 3)
+        local = weight * (_coeff_on_points(source, x, y, "f") @ _MID_PHI)  # (m, 3)
         row[:] = np.bincount(index, local.ravel(), minlength=mesh.n_nodes)
     return out[0] if single else out
 
@@ -646,7 +652,7 @@ def assemble_boundary_load(mesh: Mesh, tag: SegmentTag, g) -> np.ndarray:
     index = seg.edges.ravel()
     out = np.empty((len(weights), mesh.n_nodes))
     for row, weight in zip(out, weights):
-        g_gauss = _coeff_on_points(weight, gx, gy)
+        g_gauss = _coeff_on_points(weight, gx, gy, f"g on segment {tag.name}")
         contrib = np.einsum("q,eq,iq->ei", _GAUSS_W, g_gauss, phi) * length
         row[:] = np.bincount(index, contrib.ravel(), minlength=mesh.n_nodes)
     return out[0] if single else out

@@ -28,6 +28,23 @@ HISTORY_HEADER = "iter,residual,beta,rel_change,rel_error"
 PROFILE_HEADER = "y,gamma_exact,gamma_reconstructed"
 SWEEP_HEADER = "delta,seed,iterations,stop_reason,final_error"
 
+# The settings of run and sweep, flag -> (config key, default), as they
+# stood before one table declared them; a change here changes the
+# command line.
+_SHARED_SURFACE = {
+    "--example": ("example", None), "--nx": ("nx", 16), "--ny": ("ny", 32),
+    "--nt": ("nt", 64), "--eps": ("eps", None), "--gamma0": ("gamma0", 2.0),
+    "--A": ("A", 1.0), "--max-iters": ("max_iters", 100),
+    "--out": ("out", "results"),
+}
+FROZEN_SURFACE = {
+    "run": {**_SHARED_SURFACE,
+            "--delta": ("delta", 0.02), "--seed": ("seed", 0)},
+    "sweep": {**_SHARED_SURFACE,
+              "--delta": ("delta", (0.02,)), "--seed": ("seed", (0,)),
+              "--jobs": ("jobs", 1)},
+}
+
 
 def _lines(path):
     return path.read_text().splitlines()
@@ -46,6 +63,8 @@ def test_run_writes_all_artifacts(tmp_path):
     assert "status = ok" in summary
     assert "stop_reason = rel_change" in summary
     assert "iterations = 12" in summary
+    # the tolerance the run stopped by, the kind's default here
+    assert "eps = 0.002" in summary
 
 
 def test_run_numbers_round_trip_at_full_precision(tmp_path):
@@ -57,6 +76,60 @@ def test_run_numbers_round_trip_at_full_precision(tmp_path):
     spec = experiments.ExperimentSpec(example_id="5.1", nx=8, ny=16)
     result = experiments.run_experiment(spec)
     assert residual == result.history[0].residual
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_settings_surface_is_frozen(tmp_path, command):
+    """Each setting's flag, config key and default."""
+    surface = FROZEN_SURFACE[command]
+    parser = cli.build_parser()
+    sub = parser._subparsers._group_actions[0].choices[command]
+    flags = {option: action.dest for action in sub._actions
+             for option in action.option_strings
+             if action.dest not in ("help", "config")}
+    assert flags == {flag: key for flag, (key, _) in surface.items()}
+    defaults = {key: default for key, default in surface.values()}
+    args = parser.parse_args([command, "--example", "5.1"])
+    assert cli._merge_settings(args) == {**defaults, "example": "5.1"}
+    # every key is a config key, read by the flag's converter
+    def text(value):
+        return ",".join(map(str, value)) if isinstance(value, tuple) else value
+
+    config = tmp_path / "all.cfg"
+    config.write_text("example = 5.1\neps = 0.001\n" + "".join(
+        f"{key} = {text(value)}\n"
+        for key, value in defaults.items() if value is not None))
+    args = parser.parse_args([command, "--config", str(config)])
+    assert cli._merge_settings(args) == {**defaults, "example": "5.1",
+                                         "eps": 0.001}
+
+
+def test_run_hands_run_experiment_the_spec_defaults(tmp_path, monkeypatch):
+    specs = []
+
+    def record(spec):
+        specs.append(spec)
+        raise lm.LmRunError("stopped here", lm.LmState(k=0, gamma=None,
+                                                       history=[]))
+
+    monkeypatch.setattr(experiments, "run_experiment", record)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--example", "5.1"]) == 1
+    assert specs == [experiments.ExperimentSpec(example_id="5.1")]
+    # and the default output directory
+    assert "eps = 0.002" in (tmp_path / "results" / "summary.txt").read_text()
+
+
+def test_summary_lists_the_settings_the_run_used(tmp_path):
+    out = tmp_path / "results"
+    assert cli.main(["run", "--example", "5.1", "--nx", "4", "--ny", "8",
+                     "--eps", "0.01", "--gamma0", "0.3",
+                     "--out", str(out)]) == 0
+    assert _lines(out / "summary.txt")[:10] == [
+        "example = 5.1", "nx = 4", "ny = 8", "nt = 64", "delta = 0.02",
+        "seed = 0", "eps = 0.01", "gamma0 = 0.29999999999999999", "A = 1",
+        "max_iters = 100",
+    ]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -208,14 +281,17 @@ def test_sweep_rejects_duplicate_entries(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("command, config, flags", [
-    ("sweep", "seed = a,b\n", []),
-    ("run", "gamma0 = junk\n", []),
-    ("sweep", "", ["--jobs", "-3"]),
-    ("run", "", ["--eps", "nan"]),
-], ids=["sweep-config-seed", "run-config-gamma0", "sweep-jobs", "run-eps-nan"])
+@pytest.mark.parametrize("command, config, flags, named", [
+    ("sweep", "seed = a,b\n", [], "'a,b'"),
+    ("run", "gamma0 = junk\n", [], "gamma0"),
+    ("sweep", "", ["--jobs", "-3"], "--jobs"),
+    ("run", "", ["--eps", "nan"], "eps"),
+    ("run", "", ["--seed", "-1"], "seed"),
+    ("sweep", "seed = 0,-2\n", [], "seed"),
+], ids=["sweep-config-seed", "run-config-gamma0", "sweep-jobs", "run-eps-nan",
+        "run-seed-negative", "sweep-config-seed-negative"])
 def test_bad_setting_exits_2_with_message(tmp_path, capsys, monkeypatch,
-                                          command, config, flags):
+                                          command, config, flags, named):
     def unreachable(*args, **kwargs):
         raise AssertionError("a bad setting must fail before any set-up")
 
@@ -226,7 +302,8 @@ def test_bad_setting_exits_2_with_message(tmp_path, capsys, monkeypatch,
     code = cli.main([command, "--example", "5.1", "--nx", "4", "--ny", "8",
                      "--config", str(path), "--out", str(out)] + flags)
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
     assert not (out / "history.csv").exists()
     assert not (out / "sweep.csv").exists()
 

@@ -142,7 +142,15 @@ def test_spec_validation():
         experiments.ExperimentSpec(example_id="5.1", delta=float("nan"))
     with pytest.raises(ValueError):
         experiments.ExperimentSpec(example_id="5.1", gamma0="best")
+    for seed in (-1, 1.0, "0"):
+        with pytest.raises(ValueError, match="noise seed must be a non-neg"):
+            experiments.ExperimentSpec(example_id="5.1", seed=seed)
+    assert experiments.ExperimentSpec(example_id="5.1", seed=np.int64(3)).seed == 3
     assert experiments.ExperimentSpec(example_id="5.3").kind == "parabolic"
+    # eps left unset is the kind's default tolerance
+    for example_id, kind in (("5.2", "elliptic"), ("5.4", "parabolic")):
+        assert (experiments.ExperimentSpec(example_id=example_id).eps
+                == experiments.DEFAULT_EPS[kind])
     for example_id, field in (("5.1", "nx"), ("5.3", "ny"), ("5.3", "nt")):
         spec = experiments.ExperimentSpec(example_id=example_id,
                                           **{field: 2.5})

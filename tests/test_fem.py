@@ -105,6 +105,22 @@ def test_boundary_mass_rejects_missized_weight():
         fem.assemble_boundary_mass(mesh, SegmentTag.INACCESSIBLE, np.ones(5))
 
 
+@pytest.mark.parametrize("assemble, name", [
+    (fem.assemble_load, "f"),
+    (fem.assemble_mass, "c"),
+    (fem.assemble_stiffness, "a"),
+    (lambda mesh, g: fem.assemble_boundary_load(
+        mesh, SegmentTag.INACCESSIBLE, g), "g"),
+], ids=["load", "mass", "stiffness", "boundary-load"])
+def test_nodal_array_coefficient_is_rejected_by_name(assemble, name):
+    """The volume and boundary assemblies sample their data at quadrature
+    points, so they take scalars and callables, not nodal arrays."""
+    mesh = make_mesh(2, 2)
+    with pytest.raises(TypeError, match=(
+            rf"^{name}\b.* must be a scalar or a vectorized callable")):
+        assemble(mesh, np.ones(mesh.n_nodes))
+
+
 def test_boundary_load_on_the_accessible_segment():
     mesh = make_mesh()
     b = fem.assemble_boundary_load(mesh, SegmentTag.ACCESSIBLE, 1.0)
