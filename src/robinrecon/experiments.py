@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -144,10 +144,14 @@ class ExperimentSpec:
             )
         if self.eps is None:
             object.__setattr__(self, "eps", DEFAULT_EPS[self.kind])
+        self.lm_config()  # LmConfig alone checks eps, A and max_iters
 
     @property
     def kind(self) -> str:
         return _REGISTRY[self.example_id][0]
+
+    def lm_config(self) -> lm.LmConfig:
+        return lm.LmConfig(eps=self.eps, A=self.A, max_iters=self.max_iters)
 
 
 def make_example(
@@ -240,7 +244,13 @@ def add_noise(z: np.ndarray, delta: float, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Everything the reporting layer needs from one finished job."""
+    """Everything the reporting layer needs from one job.
+
+    A run that failed in the L-M loop is a result too: stop_reason is
+    "error", error its message ("" for a finished run), and the rest
+    describes its last completed iterate (final_error is NaN when no
+    iteration completed).
+    """
 
     spec: ExperimentSpec
     kind: str
@@ -252,11 +262,15 @@ class ExperimentResult:
     stop_reason: str = ""
     final_error: float = float("nan")
     wall_time: float = 0.0
+    error: str = ""
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Run the reconstruction a spec describes and collect the results."""
-    cfg = lm.LmConfig(eps=spec.eps, A=spec.A, max_iters=spec.max_iters)
+    """Run the reconstruction a spec describes and collect the results.
+
+    A failure in the L-M loop (lm.LmRunError) gives the result of the
+    last completed iterate; anything before the loop raises.
+    """
     example = make_example(spec.example_id, nx=spec.nx, ny=spec.ny,
                            nt=spec.nt)
     prob = example.problem
@@ -271,7 +285,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     fem.require_in_box(gamma0, prob.gamma_min, prob.gamma_max, name="gamma0")
     z = add_noise(exact_observation(example), spec.delta, spec.seed)
     start = time.perf_counter()
-    state = lm.run(prob, gamma0, z, cfg, gamma_star=gamma_exact)
+    error = ""
+    try:
+        state = lm.run(prob, gamma0, z, spec.lm_config(),
+                       gamma_star=gamma_exact)
+    except lm.LmRunError as exc:
+        state, error = replace(exc.state, stop_reason="error"), str(exc)
     wall = time.perf_counter() - start
     return ExperimentResult(
         spec=spec,
@@ -282,8 +301,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         history=state.history,
         iterations=state.k,
         stop_reason=state.stop_reason,
-        final_error=state.history[-1].rel_error,
+        final_error=(state.history[-1].rel_error if state.history
+                     else float("nan")),
         wall_time=wall,
+        error=error,
     )
 
 

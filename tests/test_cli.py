@@ -7,6 +7,7 @@ it is on PATH, otherwise ``python -m robinrecon``.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import os
 import shutil
@@ -109,8 +110,10 @@ def test_run_hands_run_experiment_the_spec_defaults(tmp_path, monkeypatch):
 
     def record(spec):
         specs.append(spec)
-        raise lm.LmRunError("stopped here", lm.LmState(k=0, gamma=None,
-                                                       history=[]))
+        return experiments.ExperimentResult(
+            spec=spec, kind=spec.kind, y=None, gamma_exact=None,
+            gamma_reconstructed=None, history=[], stop_reason="error",
+            error="stopped here")
 
     monkeypatch.setattr(experiments, "run_experiment", record)
     monkeypatch.chdir(tmp_path)
@@ -192,10 +195,10 @@ def test_run_error_exit_still_writes_history(tmp_path, monkeypatch, capsys):
     ]
     state = lm.LmState(k=1, gamma=np.ones(3), history=rows)
 
-    def boom(spec):
+    def boom(*args, **kwargs):
         raise lm.LmRunError("iteration 2 failed: solver stalled", state)
 
-    monkeypatch.setattr(experiments, "run_experiment", boom)
+    monkeypatch.setattr(lm, "run", boom)
     out = tmp_path / "broken"
     # an earlier run left its profile in the same directory
     out.mkdir()
@@ -207,6 +210,7 @@ def test_run_error_exit_still_writes_history(tmp_path, monkeypatch, capsys):
     assert history[0] == HISTORY_HEADER and len(history) == 2
     summary = (out / "summary.txt").read_text()
     assert "status = error" in summary
+    assert "error = iteration 2 failed: solver stalled" in summary
     assert "iterations = 1" in summary
     assert not (out / "profile.csv").exists()
 
@@ -229,6 +233,47 @@ def test_sweep_table_order_and_content(tmp_path):
     assert table[0][2:] == table[1][2:]
     # and noise should not help
     assert float(table[2][4]) >= float(table[0][4])
+
+
+@pytest.mark.parametrize("completed", [1, 0])
+def test_failed_sweep_job_is_an_error_row(tmp_path, monkeypatch, capsys,
+                                          completed):
+    """A job whose L-M loop fails after `completed` iterations is a row
+    with stop reason "error" and the last completed error, empty when no
+    iteration completed; the other jobs keep their rows."""
+    args = ["sweep", "--example", "5.1", "--nx", "4", "--ny", "8",
+            "--seed", "0,1", "--jobs", "1"]
+    assert cli.main(args + ["--out", str(tmp_path / "ok")]) == 0
+    ok_rows = _lines(tmp_path / "ok" / "sweep.csv")
+    real_run = lm.run
+    states = []
+
+    def fail_for_seed_1(prob, gamma0, z, cfg, gamma_star=None):
+        if not states:  # seed 0 runs first
+            states.append(real_run(prob, gamma0, z, cfg, gamma_star=gamma_star))
+            return states[-1]
+        state = lm.LmState(k=0, gamma=gamma0)
+        if completed:
+            state = real_run(prob, gamma0, z,
+                             dataclasses.replace(cfg, max_iters=completed),
+                             gamma_star=gamma_star)
+        states.append(state)
+        raise lm.LmRunError(
+            f"iteration {completed + 1} failed: solver stalled", state)
+
+    monkeypatch.setattr(lm, "run", fail_for_seed_1)
+    capsys.readouterr()
+    out = tmp_path / "failed"
+    assert cli.main(args + ["--out", str(out)]) == 1
+    lines = _lines(out / "sweep.csv")
+    assert lines[:2] == ok_rows[:2]
+    history = states[1].history
+    last_error = "%.17g" % history[-1].rel_error if history else ""
+    assert lines[2] == f"0.02,1,{completed},error,{last_error}"
+    assert len(lines) == 3
+    err = capsys.readouterr().err
+    assert (f"delta 0.02 seed 1: iteration {completed + 1} failed: "
+            "solver stalled") in err
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
@@ -288,8 +333,9 @@ def test_sweep_rejects_duplicate_entries(tmp_path, capsys):
     ("run", "", ["--eps", "nan"], "eps"),
     ("run", "", ["--seed", "-1"], "seed"),
     ("sweep", "seed = 0,-2\n", [], "seed"),
+    ("sweep", "", ["--eps", "nan"], "eps"),
 ], ids=["sweep-config-seed", "run-config-gamma0", "sweep-jobs", "run-eps-nan",
-        "run-seed-negative", "sweep-config-seed-negative"])
+        "run-seed-negative", "sweep-config-seed-negative", "sweep-eps-nan"])
 def test_bad_setting_exits_2_with_message(tmp_path, capsys, monkeypatch,
                                           command, config, flags, named):
     def unreachable(*args, **kwargs):
@@ -304,8 +350,23 @@ def test_bad_setting_exits_2_with_message(tmp_path, capsys, monkeypatch,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
-    assert not (out / "history.csv").exists()
-    assert not (out / "sweep.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("sweep", "seed = a,b", "seed"),
+    ("run", "nx = x", "nx"),
+], ids=["sweep-seed", "run-nx"])
+def test_bad_config_value_names_the_file_and_the_key(tmp_path, capsys,
+                                                     command, line, key):
+    config = tmp_path / "job.cfg"
+    config.write_text(f"example = 5.1\n{line}\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(config) in err
+    assert f"{key}:" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
