@@ -243,8 +243,8 @@ def cmd_sweep(args) -> int:
                       file=sys.stderr)
 
         # a pool forks all its workers at once, so no more than there are
-        # runs; run_experiment is looked up through its module, where a
-        # wrapper (the benchmark's job recorder) may stand in for it
+        # runs; it pickles run_experiment by module and name, so a stand-in
+        # there (the benchmark's job recorder) must carry both, as wraps does
         workers = min(settings["jobs"], len(specs))
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -31,7 +31,10 @@ def _fixture_run(example_id: str, seed: int) -> experiments.ExperimentResult:
     if key not in _RUNS:
         spec = experiments.ExperimentSpec(example_id=example_id, seed=seed)
         _RUNS[key] = experiments.run_experiment(spec)
-    return _RUNS[key]
+    result = _RUNS[key]
+    # a run that failed in its L-M loop fails every criterion that uses it
+    assert not result.error, f"example {example_id} seed {seed}: {result.error}"
+    return result
 
 
 def _report(number: int, ok: bool, details: str) -> None:

@@ -8,6 +8,7 @@ it is on PATH, otherwise ``python -m robinrecon``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib
 import os
 import shutil
@@ -285,6 +286,25 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
 
 
+def test_pooled_sweep_runs_a_stand_in_for_run_experiment(tmp_path,
+                                                          monkeypatch):
+    """The pool pickles run_experiment by module and name, so a wrapper
+    that carries its name (as the benchmark's job recorder does) runs in
+    the workers."""
+    original = experiments.run_experiment
+
+    @functools.wraps(original)
+    def stand_in(spec):
+        return dataclasses.replace(original(spec), stop_reason="wrapped")
+
+    monkeypatch.setattr(experiments, "run_experiment", stand_in)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--example", "5.1", "--nx", "4", "--ny", "8",
+                     "--seed", "0,1", "--jobs", "2", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in _lines(out / "sweep.csv")[1:]]
+    assert [row[3] for row in rows] == ["wrapped", "wrapped"]
+
+
 def test_sweep_pool_never_outnumbers_its_jobs(tmp_path, monkeypatch):
     """A process pool forks all its workers at once, so --jobs caps the
     pool at the number of runs; a single run needs no pool at all."""
@@ -383,6 +403,8 @@ def test_gamma0_outside_the_box_fails_before_data_generation(
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "gamma0" in err
+    if command == "run":  # run creates --out only once the run is done
+        assert not (tmp_path / "out").exists()
 
 
 def test_failed_sweep_keeps_the_table_of_an_earlier_one(tmp_path, capsys):

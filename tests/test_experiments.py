@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from robinrecon import elliptic as ell
-from robinrecon import experiments, fem
+from robinrecon import experiments, fem, lm
 from robinrecon.mesh import SegmentTag
 
 # integral of the example 5.1 coefficient over the segment, by hand:
@@ -176,8 +178,47 @@ def test_run_experiment_exact_start_noise_free():
         example_id="5.1", nx=8, ny=16, delta=0.0, gamma0="exact"
     )
     result = experiments.run_experiment(spec)
+    assert not result.error
     assert result.iterations == 1
     assert result.final_error == 0.0
+
+
+@pytest.mark.parametrize("completed", [2, 0])
+def test_run_experiment_returns_a_failed_loop_as_a_result(monkeypatch,
+                                                          completed):
+    """An LmRunError becomes the result of the last completed iterate;
+    final_error is NaN when no iteration completed."""
+    real_run = lm.run
+
+    def fail(prob, gamma0, z, cfg, gamma_star=None):
+        state = lm.LmState(k=0, gamma=gamma0)
+        if completed:
+            state = real_run(prob, gamma0, z,
+                             dataclasses.replace(cfg, max_iters=completed),
+                             gamma_star=gamma_star)
+        raise lm.LmRunError(f"iteration {completed + 1} failed", state)
+
+    monkeypatch.setattr(lm, "run", fail)
+    spec = experiments.ExperimentSpec(example_id="5.1", nx=4, ny=8)
+    result = experiments.run_experiment(spec)
+    assert result.error == f"iteration {completed + 1} failed"
+    assert result.stop_reason == "error"
+    assert result.iterations == len(result.history) == completed
+    assert result.gamma_reconstructed.shape == result.y.shape
+    if completed:
+        assert result.final_error == result.history[-1].rel_error
+    else:
+        assert np.isnan(result.final_error)
+
+
+def test_run_experiment_raises_outside_the_loop(monkeypatch):
+    def fail(*args, **kwargs):
+        raise fem.LinearSolveError("data solve failed")
+
+    monkeypatch.setattr(experiments, "exact_observation", fail)
+    spec = experiments.ExperimentSpec(example_id="5.1", nx=4, ny=8)
+    with pytest.raises(fem.LinearSolveError, match="data solve failed"):
+        experiments.run_experiment(spec)
 
 
 @pytest.mark.parametrize("example_id", ["5.1", "5.3"])
@@ -202,6 +243,7 @@ def test_run_experiment_builds_gamma_free_pieces_once(monkeypatch, example_id):
                             counted(name, getattr(fem.BlockLDLT, name)))
     spec = experiments.ExperimentSpec(example_id=example_id, nx=4, ny=8, nt=4)
     result = experiments.run_experiment(spec)
+    assert not result.error
     assert result.iterations > 1
     # one operator for the data, one per iterate
     assert calls == {"assemble_stiffness": 1, "assemble_mass": 1,
