@@ -222,39 +222,43 @@ def cmd_sweep(args) -> int:
         for seed in settings["seed"]
     ]
     out = Path(settings["out"])
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
     # Progress goes to a side file, which replaces sweep.csv only once the
     # sweep completes: a sweep that fails keeps the table of an earlier one.
     partial = out / "sweep.csv.partial"
     completed = {}
-    with open(partial, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_SWEEP_HEADER)
-        fh.flush()
-
-        def record(result: experiments.ExperimentResult) -> None:
-            spec = result.spec
-            completed[(spec.delta, spec.seed)] = result
-            writer.writerow(_sweep_row(result))
+    # The jobs differ only in delta and seed, so they share one setup:
+    # built before --out exists, inherited by forked pool workers.
+    with experiments.shared_setup(specs[0]):
+        out.mkdir(parents=True, exist_ok=True)
+        with open(partial, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(_SWEEP_HEADER)
             fh.flush()
-            if result.error:
-                print(f"delta {spec.delta:g} seed {spec.seed}: {result.error}",
-                      file=sys.stderr)
 
-        # a pool forks all its workers at once, so no more than there are
-        # runs; it pickles run_experiment by module and name, so a stand-in
-        # there (the benchmark's job recorder) must carry both, as wraps does
-        workers = min(settings["jobs"], len(specs))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(experiments.run_experiment, spec)
-                           for spec in specs]
-                for future in as_completed(futures):
-                    record(future.result())
-        else:
-            for spec in specs:
-                record(experiments.run_experiment(spec))
+            def record(result: experiments.ExperimentResult) -> None:
+                spec = result.spec
+                completed[(spec.delta, spec.seed)] = result
+                writer.writerow(_sweep_row(result))
+                fh.flush()
+                if result.error:
+                    print(f"delta {spec.delta:g} seed {spec.seed}: "
+                          f"{result.error}", file=sys.stderr)
+
+            # a pool forks all its workers at once, so no more than there
+            # are runs; it pickles run_experiment by module and name, so a
+            # stand-in there (the benchmark's job recorder) must carry
+            # both, as wraps does
+            workers = min(settings["jobs"], len(specs))
+            if workers > 1:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    futures = [pool.submit(experiments.run_experiment, spec)
+                               for spec in specs]
+                    for future in as_completed(futures):
+                        record(future.result())
+            else:
+                for spec in specs:
+                    record(experiments.run_experiment(spec))
 
     # Rewrite in the deterministic (delta, seed) request order; the
     # incremental file above only guarantees progress is not lost.

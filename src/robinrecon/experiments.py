@@ -21,10 +21,14 @@ manufactured-solution convergence ratios.  The probes run on the traces
 of the problem protocol, the same checked solves as the reconstruction;
 data generation and the convergence ratios take the full forward field
 (field), so the data do not depend on the stationary condensation.
+
+The jobs of a sweep differ only in their noise: prepare builds the rest
+of a job (a Setup), and shared_setup lets all of them take one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import numbers
 import time
 from dataclasses import dataclass, field, replace
@@ -265,38 +269,94 @@ class ExperimentResult:
     error: str = ""
 
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Run the reconstruction a spec describes and collect the results.
+@dataclass(frozen=True)
+class Setup:
+    """The part of a job that its noise does not touch: the example,
+    whose problem caches its base, base factor and data loads, and the
+    read-only exact coefficient, initial guess and noise-free data."""
 
-    A failure in the L-M loop (lm.LmRunError) gives the result of the
-    last completed iterate; anything before the loop raises.
+    example: Example
+    gamma_exact: np.ndarray
+    gamma0: np.ndarray
+    z_exact: np.ndarray
+
+
+def prepare(spec: ExperimentSpec) -> Setup:
+    """Build the setup of a spec; its delta and seed play no part.
+
+    gamma0 is checked against the box before the data generation, which
+    is a whole forward solve.
     """
     example = make_example(spec.example_id, nx=spec.nx, ny=spec.ny,
                            nt=spec.nt)
     prob = example.problem
-    mesh = prob.mesh
-    seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
-    gamma_exact = interpolate_gamma(mesh, example.gamma_star)
+    gamma_exact = interpolate_gamma(prob.mesh, example.gamma_star)
     if isinstance(spec.gamma0, str):
         gamma0 = gamma_exact.copy()
     else:
-        gamma0 = np.full(seg_i.size, float(spec.gamma0))
-    # checked before the data generation, which is a whole forward solve
+        gamma0 = np.full(gamma_exact.size, float(spec.gamma0))
     fem.require_in_box(gamma0, prob.gamma_min, prob.gamma_max, name="gamma0")
-    z = add_noise(exact_observation(example), spec.delta, spec.seed)
+    z_exact = exact_observation(example)
+    for array in (gamma_exact, gamma0, z_exact):
+        array.flags.writeable = False
+    return Setup(example, gamma_exact, gamma0, z_exact)
+
+
+def _setup_key(spec: ExperimentSpec) -> tuple:
+    """What a spec's setup depends on: all of it but the noise and the
+    L-M settings."""
+    return spec.example_id, spec.nx, spec.ny, spec.nt, spec.gamma0
+
+
+# Setups that run_experiment takes instead of building its own, by key.
+_SHARED: dict[tuple, Setup] = {}
+
+
+@contextlib.contextmanager
+def shared_setup(spec: ExperimentSpec):
+    """Within the block, every run_experiment of a spec that differs from
+    spec only in delta, seed or the L-M settings takes one setup, built
+    here, and so do the processes forked within it; others build their
+    own.  A stationary problem is also condensed here, at the operator of
+    gamma0, as the first step of each run would otherwise do.  Yields the
+    setup."""
+    setup = prepare(spec)
+    if setup.example.kind == "elliptic":
+        prob = setup.example.problem
+        prob.condensed(prob.operator(setup.gamma0))
+    key = _setup_key(spec)
+    _SHARED[key] = setup
+    try:
+        yield setup
+    finally:
+        del _SHARED[key]
+
+
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+    """Run the reconstruction a spec describes and collect the results.
+
+    The setup is the one shared_setup holds for the spec, or built here.
+    A failure in the L-M loop (lm.LmRunError) gives the result of the
+    last completed iterate; anything before the loop raises.
+    """
+    setup = _SHARED.get(_setup_key(spec))
+    if setup is None:
+        setup = prepare(spec)
+    mesh = setup.example.problem.mesh
+    z = add_noise(setup.z_exact, spec.delta, spec.seed)
     start = time.perf_counter()
     error = ""
     try:
-        state = lm.run(prob, gamma0, z, spec.lm_config(),
-                       gamma_star=gamma_exact)
+        state = lm.run(setup.example.problem, setup.gamma0, z,
+                       spec.lm_config(), gamma_star=setup.gamma_exact)
     except lm.LmRunError as exc:
         state, error = replace(exc.state, stop_reason="error"), str(exc)
     wall = time.perf_counter() - start
     return ExperimentResult(
         spec=spec,
-        kind=example.kind,
-        y=mesh.nodes[seg_i, 1].copy(),
-        gamma_exact=gamma_exact,
+        kind=setup.example.kind,
+        y=mesh.nodes[mesh.segment_nodes(SegmentTag.INACCESSIBLE), 1].copy(),
+        gamma_exact=setup.gamma_exact,
         gamma_reconstructed=state.gamma,
         history=state.history,
         iterations=state.k,

@@ -277,13 +277,71 @@ def test_failed_sweep_job_is_an_error_row(tmp_path, monkeypatch, capsys,
             "solver stalled") in err
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    args = ["sweep", "--example", "5.1", "--nx", "8", "--ny", "16",
-            "--delta", "0.01,0.02", "--seed", "0,1"]
+SMALL_SWEEP = ["--nx", "4", "--ny", "8", "--nt", "4",
+               "--delta", "0.01,0.02", "--seed", "0,1"]
+
+
+@pytest.mark.parametrize("example_id", ["5.1", "5.3"])
+def test_sweep_parallel_matches_serial(tmp_path, example_id):
+    args = ["sweep", "--example", example_id] + SMALL_SWEEP
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     assert cli.main(args + ["--out", str(serial)]) == 0
     assert cli.main(args + ["--out", str(parallel), "--jobs", "2"]) == 0
     assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("example_id", ["5.1", "5.3"])
+def test_sweep_rows_are_those_of_lone_runs(tmp_path, example_id):
+    """A sweep's jobs share one setup; each row is still, bit for bit,
+    the row of a lone run_experiment of its spec."""
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--example", example_id, "--out", str(out)]
+                    + SMALL_SWEEP) == 0
+    lone = [cli._sweep_row(experiments.run_experiment(
+                experiments.ExperimentSpec(example_id=example_id, nx=4, ny=8,
+                                           nt=4, delta=delta, seed=seed)))
+            for delta in (0.01, 0.02) for seed in (0, 1)]
+    assert _lines(out / "sweep.csv")[1:] == [
+        ",".join(map(str, row)) for row in lone]
+
+
+@pytest.mark.parametrize("outcome, code", [
+    ("ok", 0), ("error-row", 1), ("gamma0", 2), ("out-is-a-file", 2),
+])
+def test_sweep_releases_its_setup(tmp_path, monkeypatch, capsys, outcome,
+                                  code):
+    """The 4 jobs of a sweep build one example; whatever the sweep's
+    exit, nothing stays registered after it, and a lone run_experiment
+    builds its own setup."""
+    out = tmp_path / "sweep"
+    args = ["sweep", "--example", "5.1", "--jobs", "1"] + SMALL_SWEEP
+    if outcome == "error-row":
+        def fail(prob, gamma0, z, cfg, gamma_star=None):
+            raise lm.LmRunError("iteration 1 failed: solver stalled",
+                                lm.LmState(k=0, gamma=gamma0))
+
+        monkeypatch.setattr(lm, "run", fail)
+    elif outcome == "gamma0":
+        args += ["--gamma0", "50"]
+    elif outcome == "out-is-a-file":
+        out.write_text("not a directory\n")
+    builds = []
+    original = experiments.make_example
+
+    def counted(example_id, **sizes):
+        builds.append(example_id)
+        return original(example_id, **sizes)
+
+    monkeypatch.setattr(experiments, "make_example", counted)
+    assert cli.main(args + ["--out", str(out)]) == code
+    assert builds == ["5.1"]
+    if code < 2:
+        rows = [line.split(",") for line in _lines(out / "sweep.csv")[1:]]
+        assert [row[3] == "error" for row in rows] == [code == 1] * 4
+    assert experiments._SHARED == {}
+    experiments.run_experiment(experiments.ExperimentSpec(
+        example_id="5.1", nx=4, ny=8, nt=4, delta=0.01, seed=0))
+    assert builds == ["5.1", "5.1"]
 
 
 def test_pooled_sweep_runs_a_stand_in_for_run_experiment(tmp_path,
@@ -403,8 +461,8 @@ def test_gamma0_outside_the_box_fails_before_data_generation(
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "gamma0" in err
-    if command == "run":  # run creates --out only once the run is done
-        assert not (tmp_path / "out").exists()
+    # run creates --out once the run is done, sweep once its setup is
+    assert not (tmp_path / "out").exists()
 
 
 def test_failed_sweep_keeps_the_table_of_an_earlier_one(tmp_path, capsys):

@@ -252,6 +252,101 @@ def test_run_experiment_builds_gamma_free_pieces_once(monkeypatch, example_id):
 
 
 @pytest.mark.parametrize("example_id", ["5.1", "5.3"])
+def test_shared_setup_gives_the_results_of_lone_runs(example_id):
+    """Jobs that take a shared setup, the stationary condensation
+    included, reproduce lone runs bit for bit."""
+    base = experiments.ExperimentSpec(example_id=example_id, nx=4, ny=8,
+                                      nt=4)
+    specs = [dataclasses.replace(base, delta=delta, seed=seed)
+             for delta in (0.0, 0.02) for seed in (0, 1)]
+    lone = [experiments.run_experiment(spec) for spec in specs]
+    with experiments.shared_setup(base):
+        shared = [experiments.run_experiment(spec) for spec in specs]
+    for a, b in zip(lone, shared):
+        assert not a.error and not b.error
+        assert a.history == b.history
+        assert (a.iterations, a.stop_reason) == (b.iterations, b.stop_reason)
+        for name in ("y", "gamma_exact", "gamma_reconstructed"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_shared_setup_serves_only_its_key_and_only_within_its_block(
+        monkeypatch):
+    builds = []
+    original = experiments.make_example
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "make_example", counted)
+    spec = experiments.ExperimentSpec(example_id="5.1", nx=4, ny=8)
+    with experiments.shared_setup(spec):
+        assert len(builds) == 1
+        # delta, seed and the L-M settings do not touch the setup
+        experiments.run_experiment(dataclasses.replace(
+            spec, delta=0.05, seed=3, eps=1e-2, A=2.0, max_iters=5))
+        assert len(builds) == 1
+        # the mesh and the initial guess do
+        experiments.run_experiment(dataclasses.replace(spec, ny=10))
+        experiments.run_experiment(dataclasses.replace(spec, gamma0=3.0))
+        assert len(builds) == 3
+    experiments.run_experiment(spec)
+    assert len(builds) == 4
+
+
+@pytest.mark.parametrize("example_id", ["5.1", "5.3"])
+def test_shared_setup_arrays_are_read_only(monkeypatch, example_id):
+    """No job can change the noise-free data, the exact coefficient or
+    the initial guess that the next job takes."""
+    seen = []
+    real_run = lm.run
+
+    def recording(prob, gamma0, z, cfg, gamma_star=None):
+        seen.append((gamma0, gamma_star))
+        return real_run(prob, gamma0, z, cfg, gamma_star=gamma_star)
+
+    monkeypatch.setattr(lm, "run", recording)
+    spec = experiments.ExperimentSpec(example_id=example_id, nx=4, ny=8,
+                                      nt=4)
+    with experiments.shared_setup(spec) as setup:
+        result = experiments.run_experiment(spec)
+    (gamma0, gamma_star), = seen
+    assert gamma0 is setup.gamma0 and gamma_star is setup.gamma_exact
+    assert result.gamma_exact is setup.gamma_exact
+    for array in (setup.z_exact, setup.gamma_exact, setup.gamma0):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+    # the noisy data and the iterates are the job's own
+    assert result.gamma_reconstructed.flags.writeable
+
+
+def test_shared_setup_condenses_a_stationary_problem_once(monkeypatch):
+    condensed = []
+    original = fem.BlockLDLT.condense
+
+    def counted(self, *args):
+        condensed.append(self)
+        return original(self, *args)
+
+    monkeypatch.setattr(fem.BlockLDLT, "condense", counted)
+    spec = experiments.ExperimentSpec(example_id="5.1", nx=4, ny=8)
+    with experiments.shared_setup(spec):
+        assert len(condensed) == 1
+        for seed in (0, 1):
+            experiments.run_experiment(dataclasses.replace(spec, seed=seed))
+        assert len(condensed) == 1
+    # a lone run's setup does not condense; its first step does, inside
+    # the timed loop
+    experiments.prepare(spec)
+    assert len(condensed) == 1
+    result = experiments.run_experiment(spec)
+    assert len(condensed) == 2
+    assert result.iterations > 1
+
+
+@pytest.mark.parametrize("example_id", ["5.1", "5.3"])
 def test_exact_observation_assembles_the_data_load_before_the_factor(
         monkeypatch, example_id):
     """The data load's assembly transient comes before the base factor's
