@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from . import fem
 from .mesh import Mesh, SegmentTag
@@ -68,7 +67,7 @@ class EllipticProblem(fem.RobinProblem):
     gamma_max: float = 10.0
 
     @cached_property
-    def base(self) -> sparse.csr_matrix:
+    def base(self) -> fem.SymBand:
         """K_a + M_c, the part of the operator that gamma does not touch."""
         return (fem.assemble_stiffness(self.mesh, self.a)
                 + fem.assemble_mass(self.mesh, self.c))

@@ -34,6 +34,9 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+# loaded with the module, not on the first noise draw, so that the forked
+# workers of a sweep share it with their parent
+import numpy.random  # noqa: F401
 
 from . import elliptic as ell
 from . import fem

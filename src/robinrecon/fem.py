@@ -22,6 +22,15 @@ of a march: the quadrature geometry is computed once per call, each
 source sampled once, and each level scattered with one np.bincount, so
 a row is bit for bit the load of its source alone.
 
+The matrices (assemble_stiffness, assemble_mass, assemble_boundary_mass)
+are SymBands, symmetric matrices stored by their upper diagonals: in
+node order a P1 matrix of the structured mesh has four, summed from the
+element entries on and above the diagonal by one np.bincount.  Their sums
+make each problem's base, their product with a vector or with columns is
+the march's mass product and the residual check of every full solve, and
+BlockLDLT cuts its blocks from their diagonals; the module needs numpy
+alone.
+
 solve_spd is the one full solve: one application of a completed
 BlockLDLT, a block LDL^T factor in mesh-column order, and one residual
 check against SOLVE_TOL, the tolerance of every library solve, for one
@@ -50,10 +59,9 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from .mesh import Mesh, SegmentTag, signed_areas
 
@@ -78,6 +86,135 @@ class CurvatureBreakdown(LinearSolveError):
     factorization is not positive definite."""
 
 
+class SymBand:
+    """A symmetric n x n matrix stored by its upper diagonals.
+
+    offsets lists the stored diagonals, ascending, and data, of shape
+    (len(offsets), n), their entries: data[j, i] = A[i, i + offsets[j]],
+    zero past the end of the diagonal; A is symmetric, so the diagonals
+    below are not stored.  In node order a P1 matrix of the structured
+    mesh has four, offsets 0, 1, nx + 1 and nx + 2 (the diagonal of each
+    cell runs from lower left to upper right), and a segment mass two.
+    The data are read-only.
+
+    from_entries sums entries on and above the diagonal with one
+    np.bincount, no sort; from_block embeds a dense symmetric block.  A
+    SymBand adds to another, divides by a scalar, and multiplies one
+    vector or an (n, m) array of columns with @: for each signed
+    diagonal, d and -d of every stored d, the rows of x it reaches are
+    gathered through one precomputed index (an index past either end is
+    clipped and weighted zero), and one product with a vector of ones
+    sums them.  nnz counts the nonzero entries of the whole matrix,
+    toarray gives it dense.
+    """
+
+    def __init__(self, offsets, data: np.ndarray):
+        self.offsets = tuple(int(d) for d in offsets)
+        self.data = data
+        self.data.flags.writeable = False
+        self.shape = (data.shape[1], data.shape[1])
+
+    @classmethod
+    def from_entries(cls, n: int, rows: np.ndarray, cols: np.ndarray,
+                     values: np.ndarray) -> "SymBand":
+        """The n x n symmetric matrix with the entries values at (rows,
+        cols), rows <= cols, and their mirror images, duplicates summed:
+        the diagonals present are read off a bincount of the offsets, and
+        the entries keyed by (diagonal, row) summed by a second one."""
+        rows = np.ravel(rows)
+        offset = np.ravel(cols) - rows
+        present = np.bincount(offset) > 0
+        offsets = np.flatnonzero(present)
+        key = (np.cumsum(present) - 1)[offset]
+        del offset
+        key *= n
+        key += rows
+        data = np.bincount(key, np.ravel(values), minlength=offsets.size * n)
+        return cls(offsets, data.reshape(offsets.size, n))
+
+    @classmethod
+    def from_block(cls, n: int, nodes: np.ndarray,
+                   block: np.ndarray) -> "SymBand":
+        """The n x n matrix that is the dense symmetric block at the rows
+        and columns nodes, zero elsewhere; raises ValueError unless block
+        is a symmetric array of order nodes.size."""
+        block = np.asarray(block, dtype=float)
+        if block.shape != (nodes.size, nodes.size) or \
+                not np.array_equal(block, block.T):
+            raise ValueError(f"a symmetric block of order {nodes.size} is "
+                             f"needed, got an array of shape {block.shape}")
+        i, j = np.nonzero(block)
+        rows, cols = nodes[i], nodes[j]
+        upper = rows <= cols
+        return cls.from_entries(n, rows[upper], cols[upper],
+                                block[i, j][upper])
+
+    @classmethod
+    def from_dense(cls, A: np.ndarray) -> "SymBand":
+        """The SymBand of a dense symmetric array."""
+        return cls.from_block(len(A), np.arange(len(A)), A)
+
+    @cached_property
+    def nnz(self) -> int:
+        return sum(np.count_nonzero(v) * (2 if d else 1)
+                   for d, v in zip(self.offsets, self.data))
+
+    def toarray(self) -> np.ndarray:
+        n = self.shape[0]
+        A = np.zeros(self.shape)
+        for d, v in zip(self.offsets, self.data):
+            i = np.arange(n - d)
+            A[i, i + d] = A[i + d, i] = v[:n - d]
+        return A
+
+    def __add__(self, other: "SymBand") -> "SymBand":
+        if not isinstance(other, SymBand):
+            return NotImplemented
+        if other.shape != self.shape:
+            raise ValueError(f"shapes differ: {self.shape} and {other.shape}")
+        offsets = sorted(set(self.offsets) | set(other.offsets))
+        data = np.zeros((len(offsets), self.shape[0]))
+        for term in (self, other):
+            data[[offsets.index(d) for d in term.offsets]] += term.data
+        return SymBand(offsets, data)
+
+    def __truediv__(self, scalar: float) -> "SymBand":
+        return SymBand(self.offsets, self.data / float(scalar))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        values, index, ones = self._gather
+        taken = x[index]
+        if x.ndim == 1:
+            taken *= values
+            return ones @ taken
+        taken *= values[:, :, None]
+        return (ones @ taken.reshape(ones.size, -1)).reshape(x.shape)
+
+    @cached_property
+    def _gather(self):
+        """The signed diagonals in the order of _gather_index, (s, n), row
+        i of diagonal d, d or -d, weighting x[i + d] (a diagonal below is
+        the one above shifted down), and _gather_index's index and ones."""
+        n = self.shape[0]
+        values = []
+        for d, v in zip(self.offsets, self.data):
+            values.append(v)
+            if d:
+                values.append(np.concatenate([np.zeros(d), v[:n - d]]))
+        return (np.array(values), *_gather_index(self.offsets, n))
+
+
+@lru_cache(maxsize=8)
+def _gather_index(offsets: tuple, n: int):
+    """The (s, n) index of the rows of x that each signed diagonal, d and
+    then -d for every stored d (0 once), reaches in row i, i + d clipped
+    to the matrix, and s ones."""
+    signed = np.array([s for d in offsets for s in ((d, -d) if d else (0,))])
+    index = np.clip(np.arange(n) + signed[:, None], 0, n - 1)
+    index.flags.writeable = False
+    return index, np.ones(signed.size)
+
+
 class BlockLDLT:
     """Block LDL^T factor of an SPD matrix that is block tridiagonal in a
     given order of its unknowns.
@@ -96,7 +233,7 @@ class BlockLDLT:
 
     The last pivot is set apart, so that a change confined to the last
     diagonal block costs one factorization of its order.  BlockLDLT(base,
-    blocks) factors the leading pivots of the sparse ``base`` and keeps
+    blocks) factors the leading pivots of the SymBand ``base`` and keeps
     the last one unfactored as ``schur``, the Schur complement of the
     last block; it need not be definite (a pure Neumann base is
     singular).  complete(last) is the factor of base plus the dense
@@ -108,18 +245,19 @@ class BlockLDLT:
 
     solve applies the inverse of the completed matrix by one forward and
     one backward sweep over the blocks; the backward sweep multiplies
-    only the columns of D_k^{-1} that C_{k+1}^T reaches, for grouped mesh
-    columns the last column of block k.  matvec applies the matrix,
-    base @ x plus last @ x[blocks[-1]]; both take one vector or an (n, m)
-    array of columns, and solve_spd checks the one with the other.  nnz
-    is that of base.
+    only the rows of D_k^{-1} (D_k^{-1} is symmetric) that C_{k+1}^T
+    reaches, for grouped mesh columns the last column of block k.  matvec
+    applies the matrix, one banded product with base plus last, whose
+    diagonals are folded into a copy of base's on the first call; both
+    take one vector or an (n, m) array of columns, and solve_spd checks
+    the one with the other.  nnz is that of base.
 
     Raises CurvatureBreakdown when a pivot is not positive definite, and
     ValueError when blocks is no ordering of the unknowns or the matrix
     couples blocks that are not neighbours.
     """
 
-    def __init__(self, base: sparse.spmatrix, blocks):
+    def __init__(self, base: SymBand, blocks):
         self.base = base
         self.blocks = [np.asarray(block) for block in blocks]
         nb = len(self.blocks)
@@ -161,6 +299,7 @@ class BlockLDLT:
         """The factor of base plus last on the last diagonal block; see
         the class docstring."""
         factor = copy.copy(self)
+        factor.__dict__.pop("_operator", None)
         factor._edge = np.zeros_like(self.schur) if last is None else last
         factor._last = _invert_pivot(self.schur + factor._edge,
                                      len(self._dinv), len(self._dinv) + 1)
@@ -172,9 +311,13 @@ class BlockLDLT:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x, A the matrix of the completed factor."""
-        y = self.base @ x
-        y[self.blocks[-1]] += self._edge @ x[self.blocks[-1]]
-        return y
+        return self._operator @ x
+
+    @cached_property
+    def _operator(self) -> SymBand:
+        """base plus the edge block on the last diagonal block."""
+        n = self.base.shape[0]
+        return self.base + SymBand.from_block(n, self.blocks[-1], self._edge)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with A x = b, up to rounding, for b of shape (n,) or (n, m)."""
@@ -309,7 +452,7 @@ class BlockLDLT:
         for d, lo, hi, v in coupling[k + 1]:
             d -= reach.start
             y[lo + d:hi + d] += v * xn[lo:hi]
-        return self._dinv[k][:, reach] @ y
+        return self._dinv[k][reach].T @ y
 
 
 @dataclass(frozen=True)
@@ -338,14 +481,12 @@ class Condensation:
     u_edge: np.ndarray
 
 
-def _split_blocks(matrix: sparse.spmatrix, order: np.ndarray,
-                  widths: np.ndarray):
+def _split_blocks(matrix: SymBand, order: np.ndarray, widths: np.ndarray):
     """The diagonal blocks A_k and the couplings C_k = A[k, k - 1] (C_0 is
     zero) of matrix, its unknowns taken in the given order and cut into
     blocks of the given widths, as two lists indexed by k.  Each block is
     the list of its nonzero diagonals (d, lo, hi, v) by ascending d:
-    entry (i, i + d) is v[i - lo] for lo <= i < hi, duplicate entries
-    summed."""
+    entry (i, i + d) is v[i - lo] for lo <= i < hi."""
     n = matrix.shape[0]
     position = np.full(n, -1)
     position[order] = np.arange(order.size)
@@ -353,9 +494,17 @@ def _split_blocks(matrix: sparse.spmatrix, order: np.ndarray,
         raise ValueError("blocks must list every unknown exactly once")
     block_of = np.repeat(np.arange(widths.size), widths)
     start = np.cumsum(widths) - widths
-    coo = sparse.coo_matrix(matrix)
-    row_block = block_of[position[coo.row]]
-    lag = row_block - block_of[position[coo.col]]
+    # the nonzero entries of both triangles, from the stored diagonals
+    rows, cols, data = [], [], []
+    for d, v in zip(matrix.offsets, matrix.data):
+        i = np.flatnonzero(v)
+        for r, c in [(i, i + d), (i + d, i)] if d else [(i, i)]:
+            rows.append(r)
+            cols.append(c)
+            data.append(v[i])
+    rows, cols, data = (np.concatenate(a) for a in (rows, cols, data))
+    row_block = block_of[position[rows]]
+    lag = row_block - block_of[position[cols]]
     if np.any(np.abs(lag) > 1):
         raise ValueError("the matrix couples blocks that are not neighbours")
     # every entry on or below the block diagonal lies on diagonal d = col
@@ -363,11 +512,15 @@ def _split_blocks(matrix: sparse.spmatrix, order: np.ndarray,
     # are not read
     keep = lag >= 0
     row_block, lag = row_block[keep], lag[keep]
-    row = position[coo.row[keep]] - start[row_block]
-    col = position[coo.col[keep]] - start[row_block - lag]
+    row = position[rows[keep]] - start[row_block]
+    col = position[cols[keep]] - start[row_block - lag]
     reach = widths.max() - 1
     key = ((row_block * 2 + lag) * (2 * reach + 1)) + (col - row + reach)
-    keys, diagonal_of = np.unique(key, return_inverse=True)
+    # the keys present, ascending, and the rank of each entry's key among
+    # them, from a presence map over the key range
+    present = np.bincount(key) > 0
+    keys = np.flatnonzero(present)
+    diagonal_of = (np.cumsum(present) - 1)[key]
     block_lag, ds = np.divmod(keys, 2 * reach + 1)
     ks, lags = np.divmod(block_lag, 2)
     ds -= reach
@@ -375,7 +528,7 @@ def _split_blocks(matrix: sparse.spmatrix, order: np.ndarray,
     his = np.minimum(widths[ks], widths[ks - lags] - ds)
     offset = np.cumsum(his - los) - (his - los)
     values = np.bincount(offset[diagonal_of] + row - los[diagonal_of],
-                         coo.data[keep], minlength=int((his - los).sum()))
+                         data[keep], minlength=int((his - los).sum()))
     out = ([[] for _ in widths], [[] for _ in widths])
     for k, lg, d, lo, hi, o in zip(ks.tolist(), lags.tolist(), ds.tolist(),
                                    los.tolist(), his.tolist(),
@@ -470,25 +623,33 @@ def solve_edge(op: BlockLDLT, r: np.ndarray) -> np.ndarray:
 def _checked_solve(solve, matvec, b: np.ndarray):
     """x = solve(b), checked column by column against SOLVE_TOL with
     matvec, and the number of solve applications (0 for b = 0)."""
-    n = b.shape[0]
-    norm_b = [np.linalg.norm(column) for column in b.reshape(n, -1).T]
+    if b.ndim == 1:
+        norm = np.linalg.norm(b)
+        if not norm:
+            return np.zeros(b.shape), 0
+        x = solve(b)
+        _check_residual(np.linalg.norm(b - matvec(x)), norm, "")
+        return x, 1
+    norm_b = [np.linalg.norm(column) for column in b.T]
     if not any(norm_b):
         return np.zeros(b.shape), 0
     x = solve(b)
-    residuals = (b - matvec(x)).reshape(n, -1).T
-    for j, (norm, r, x_j) in enumerate(zip(norm_b, residuals,
-                                            x.reshape(n, -1).T)):
+    residuals = (b - matvec(x)).T
+    for j, (norm, r, x_j) in enumerate(zip(norm_b, residuals, x.T)):
         if norm == 0.0:
             x_j[:] = 0.0
             continue
-        residual = np.linalg.norm(r)
-        if not residual <= SOLVE_TOL * norm:
-            column = f" in column {j}" if b.ndim == 2 else ""
-            raise ConvergenceFailure(
-                f"block solve missed SOLVE_TOL{column}: residual "
-                f"{residual:.3e}, target {SOLVE_TOL * norm:.3e}"
-            )
+        _check_residual(np.linalg.norm(r), norm, f" in column {j}")
     return x, 1
+
+
+def _check_residual(residual: float, norm: float, where: str) -> None:
+    """Raise ConvergenceFailure unless residual <= SOLVE_TOL * norm."""
+    if not residual <= SOLVE_TOL * norm:
+        raise ConvergenceFailure(
+            f"block solve missed SOLVE_TOL{where}: residual "
+            f"{residual:.3e}, target {SOLVE_TOL * norm:.3e}"
+        )
 
 
 def _coeff_on_points(coeff, x: np.ndarray, y: np.ndarray,
@@ -531,18 +692,23 @@ def _triangle_geometry(mesh: Mesh):
     return p, area, b, c
 
 
-def _scatter(mesh: Mesh, local: np.ndarray) -> sparse.csr_matrix:
-    """Sum (m, 3, 3) local matrices into the global sparse matrix."""
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    n = mesh.n_nodes
-    return sparse.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(n, n)
-    ).tocsr()
+# The local entries (i, j) on and above the diagonal of a triangle.
+_UPPER = np.triu_indices(3)
 
 
-def assemble_stiffness(mesh: Mesh, a) -> sparse.csr_matrix:
+def _scatter(mesh: Mesh, upper: np.ndarray) -> SymBand:
+    """Sum symmetric local matrices into the global SymBand, given by
+    their (m, 6) entries on and above the diagonal (_UPPER).  Each
+    transient goes as soon as it is used, as the geometry does in the
+    callers: at 64 x 128 an assembly peaks at about 5 MB."""
+    a, b = (mesh.triangles[:, i] for i in _UPPER)
+    rows = np.minimum(a, b)
+    cols = np.maximum(a, b, out=a)
+    del b
+    return SymBand.from_entries(mesh.n_nodes, rows, cols, upper)
+
+
+def assemble_stiffness(mesh: Mesh, a) -> SymBand:
     """Stiffness matrix, entries integral of a * grad(phi_i) . grad(phi_j).
 
     The diffusion coefficient is evaluated once per triangle at the
@@ -556,10 +722,10 @@ def assemble_stiffness(mesh: Mesh, a) -> sparse.csr_matrix:
     if np.any(a_val <= 0.0):
         raise ValueError("diffusion coefficient must be positive everywhere")
     scale = a_val / (4.0 * area)
-    local = scale[:, None, None] * (
-        b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
-    )
-    return _scatter(mesh, local)
+    i, j = _UPPER
+    upper = scale[:, None] * (b[:, i] * b[:, j] + c[:, i] * c[:, j])
+    del p, area, b, c
+    return _scatter(mesh, upper)
 
 
 # P1 basis values at the three edge midpoints of the reference triangle.
@@ -581,7 +747,7 @@ def _edge_midpoints(mesh: Mesh):
     return p, area
 
 
-def assemble_mass(mesh: Mesh, c) -> sparse.csr_matrix:
+def assemble_mass(mesh: Mesh, c) -> SymBand:
     """Mass matrix, entries integral of c * phi_i * phi_j.
 
     Midpoint quadrature is exact for the P1 x P1 product, so constant c
@@ -592,12 +758,11 @@ def assemble_mass(mesh: Mesh, c) -> sparse.csr_matrix:
     c_val = _coeff_on_points(c, mid[:, :, 0], mid[:, :, 1], "c")  # (m, 3)
     if np.any(c_val < 0.0):
         raise ValueError("mass coefficient must be nonnegative")
-    # sum_q (area/3) c_q phi(q) phi(q)^T
-    outer = _MID_PHI[:, :, None] * _MID_PHI[:, None, :]        # (3, 3, 3)
-    local = (area[:, None, None] / 3.0) * np.einsum(
-        "mq,qij->mij", c_val, outer
-    )
-    return _scatter(mesh, local)
+    # sum_q (area/3) c_q phi_i(q) phi_j(q), for i <= j
+    i, j = _UPPER
+    upper = (area[:, None] / 3.0) * (c_val @ (_MID_PHI[:, i] * _MID_PHI[:, j]))
+    del mid, area, c_val
+    return _scatter(mesh, upper)
 
 
 def _per_level(source) -> tuple[list, bool]:
@@ -678,15 +843,11 @@ def segment_mass(mesh: Mesh, tag: SegmentTag, weight=1.0) -> np.ndarray:
     return seg.weighted_mass(w)
 
 
-def assemble_boundary_mass(mesh: Mesh, tag: SegmentTag, weight) -> sparse.csr_matrix:
-    """segment_mass embedded in the global node numbering, as a sparse
-    matrix: the reference assembly of B_gamma, of which operators hold
-    only the segment block."""
-    block = sparse.coo_matrix(segment_mass(mesh, tag, weight))
-    nodes = mesh.segments[tag].nodes
-    n = mesh.n_nodes
-    return sparse.csr_matrix(
-        (block.data, (nodes[block.row], nodes[block.col])), shape=(n, n))
+def assemble_boundary_mass(mesh: Mesh, tag: SegmentTag, weight) -> SymBand:
+    """segment_mass embedded in the global node numbering: the reference
+    assembly of B_gamma, of which operators hold only the segment block."""
+    return SymBand.from_block(mesh.n_nodes, mesh.segments[tag].nodes,
+                              segment_mass(mesh, tag, weight))
 
 
 def boundary_inner(mesh: Mesh, tag: SegmentTag, u: np.ndarray, v: np.ndarray) -> float:

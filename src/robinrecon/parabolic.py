@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from . import fem
 from .mesh import Mesh, SegmentTag
@@ -90,12 +89,12 @@ class ParabolicProblem(fem.RobinProblem):
         return self.dt * np.arange(self.nt + 1)
 
     @cached_property
-    def mass(self) -> sparse.csr_matrix:
+    def mass(self) -> fem.SymBand:
         """Consistent mass matrix M."""
         return fem.assemble_mass(self.mesh, 1.0)
 
     @cached_property
-    def base(self) -> sparse.csr_matrix:
+    def base(self) -> fem.SymBand:
         """M/dt + K_a, the part of the operator that gamma does not touch."""
         return self.mass / self.dt + fem.assemble_stiffness(self.mesh, self.a)
 

@@ -8,13 +8,12 @@ the library's exception types.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from robinrecon import fem
 
 
 def solve_spd(
-    A: sparse.spmatrix,
+    A: fem.SymBand,
     b: np.ndarray,
     tol: float = fem.SOLVE_TOL,
     max_iter: int | None = None,
@@ -52,7 +51,7 @@ def solve_spd(
             stats["iterations"] = 0
         return np.zeros(n)
 
-    diag = A.diagonal()
+    diag = A.data[A.offsets.index(0)]   # the stored main diagonal
     if np.any(diag <= 0.0):
         bad = int(np.argmin(diag))
         raise fem.CurvatureBreakdown(

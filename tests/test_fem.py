@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from scipy import sparse
 
 import reference_cg
 import reference_quadrature
 from robinrecon import experiments, fem
 from robinrecon.elliptic import EllipticProblem
-from robinrecon.mesh import SegmentTag, build_rect_mesh, classify_boundary
+from robinrecon.mesh import (SegmentTag, build_rect_mesh, classify_boundary,
+                             triangle_areas)
 
 LX, LY = 1.0, 2.0
 AREA = LX * LY
@@ -228,6 +228,73 @@ def test_a_source_may_return_its_own_points():
 
 
 # ---------------------------------------------------------------------------
+# band matrices
+# ---------------------------------------------------------------------------
+
+def test_p1_matrices_are_stored_by_their_upper_diagonals():
+    """In node order the mass matrix has the diagonals 0, 1, nx + 1 and
+    nx + 2 and is the sum of the element masses (area/12) [[2, 1, 1], [1,
+    2, 1], [1, 1, 2]]; a segment mass on the Robin edge x = lx has the
+    diagonals 0 and nx + 1 and embeds segment_mass."""
+    mesh = make_mesh(3, 5)
+    n = mesh.n_nodes
+    M = fem.assemble_mass(mesh, 1.0)
+    assert M.shape == (n, n)
+    K = fem.assemble_stiffness(mesh, 1.0)
+    assert M.offsets == K.offsets == (0, 1, 4, 5)
+    dense = np.zeros((n, n))
+    tri = mesh.triangles
+    local = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    np.add.at(dense, (tri[:, :, None], tri[:, None, :]),
+              triangle_areas(mesh)[:, None, None] * local)
+    np.testing.assert_allclose(M.toarray(), dense, rtol=1e-14, atol=0.0)
+    tag = SegmentTag.INACCESSIBLE
+    gamma = np.linspace(1.0, 2.0, mesh.ny + 1)
+    B = fem.assemble_boundary_mass(mesh, tag, gamma)
+    assert B.offsets == (0, 4)
+    dense = np.zeros((n, n))
+    nodes = mesh.segment_nodes(tag)
+    dense[np.ix_(nodes, nodes)] = fem.segment_mass(mesh, tag, gamma)
+    np.testing.assert_array_equal(B.toarray(), dense)
+
+
+def test_band_arithmetic_matches_the_dense_arithmetic():
+    """Sums and quotients of band matrices, also of matrices with
+    different diagonals, are those of their dense arrays; entries given
+    twice are summed, and a dense array must be symmetric."""
+    mesh = make_mesh(3, 5)
+    K = fem.assemble_stiffness(mesh, 1.0)
+    M = fem.assemble_mass(mesh, 1.0)
+    B = fem.assemble_boundary_mass(mesh, SegmentTag.INACCESSIBLE, 2.0)
+    k, m, b = K.toarray(), M.toarray(), B.toarray()
+    for band, dense in ((K + M, k + m), (M / 0.1 + K, m / 0.1 + k),
+                        (K + B, k + b), (B + K, b + k)):
+        np.testing.assert_array_equal(band.toarray(), dense)
+    A = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 4.0], [0.0, 4.0, 5.0]])
+    S = fem.SymBand.from_dense(A)
+    assert S.offsets == (0, 1) and S.nnz == 7
+    np.testing.assert_array_equal(S.toarray(), A)
+    twice = fem.SymBand.from_entries(3, np.array([0, 0, 0, 1, 1, 2]),
+                                     np.array([0, 1, 0, 1, 2, 2]),
+                                     np.array([1.0, 1.0, 1.0, 3.0, 4.0, 5.0]))
+    np.testing.assert_array_equal(twice.toarray(), A)
+    with pytest.raises(ValueError, match="symmetric"):
+        fem.SymBand.from_dense(np.triu(A))
+
+
+@pytest.mark.parametrize("nx, ny, nnz", [
+    (8, 16, 969), (16, 32, 3729), (64, 128, 57921)])
+def test_operator_nnz_counts_the_p1_pattern(nx, ny, nnz):
+    """An operator's nnz is that of its base, the entries of the P1
+    pattern: n_nodes + 2 (nx (ny + 1) + (nx + 1) ny + nx ny)."""
+    assert nnz == (nx + 1) * (ny + 1) + 2 * (nx * (ny + 1) + (nx + 1) * ny
+                                             + nx * ny)
+    for example_id in ("5.1", "5.3"):
+        prob = experiments.make_example(example_id, nx=nx, ny=ny, nt=4).problem
+        assert prob.operator(np.full(ny + 1, 2.0)).nnz == prob.base.nnz == nnz
+
+
+# ---------------------------------------------------------------------------
 # solver behavior
 # ---------------------------------------------------------------------------
 
@@ -236,7 +303,7 @@ def reference_system():
     K = fem.assemble_stiffness(mesh, 1.0)
     M = fem.assemble_mass(mesh, 1.0)
     B = fem.assemble_boundary_mass(mesh, SegmentTag.INACCESSIBLE, 2.0)
-    A = (K + M + B).tocsr()
+    A = K + M + B
     b = fem.assemble_load(mesh, lambda x, y: np.cos(np.pi * y) + x)
     return A, b
 
@@ -285,7 +352,7 @@ def test_solve_spd_rejects_bad_tolerance():
 
 
 def test_solve_spd_detects_indefinite_matrix():
-    A = sparse.diags([1.0, -1.0, 1.0]).tocsr()
+    A = fem.SymBand.from_dense(np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(fem.CurvatureBreakdown):
         reference_cg.solve_spd(A, np.ones(3))
 
@@ -469,16 +536,18 @@ def _edge_shifted_stiffness():
     the edge pivot is indefinite."""
     mesh = make_mesh()
     A = (fem.assemble_stiffness(mesh, 1.0) + fem.assemble_mass(mesh, 1.0)
-         - 100.0 * fem.assemble_boundary_mass(mesh, SegmentTag.INACCESSIBLE, 1.0))
-    return A.tocsr(), mesh.columns()
+         + fem.assemble_boundary_mass(mesh, SegmentTag.INACCESSIBLE, -100.0))
+    return A, mesh.columns()
 
 
 @pytest.mark.parametrize("A, blocks", [
-    (sparse.diags([1.0, -1.0, 1.0]).tocsr(), np.arange(3).reshape(3, 1)),
-    (sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])),
+    (fem.SymBand.from_dense(np.diag([1.0, -1.0, 1.0])),
+     np.arange(3).reshape(3, 1)),
+    (fem.SymBand.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]])),
      np.arange(2).reshape(2, 1)),
-    ((fem.assemble_stiffness(make_mesh(), 1.0)
-      - 100.0 * fem.assemble_mass(make_mesh(), 1.0)).tocsr(),
+    (fem.SymBand.from_dense(
+        fem.assemble_stiffness(make_mesh(), 1.0).toarray()
+        - 100.0 * fem.assemble_mass(make_mesh(), 1.0).toarray()),
      make_mesh().columns()),
     _edge_shifted_stiffness(),
 ], ids=["negative-diagonal", "indefinite", "shifted-stiffness", "indefinite-edge"])

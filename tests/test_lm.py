@@ -42,8 +42,8 @@ class _JacobiEllipticProblem(EllipticProblem):
     tolerance the reference run was frozen at."""
 
     def operator(self, gamma):
-        return (self.base + fem.assemble_boundary_mass(
-            self.mesh, SegmentTag.INACCESSIBLE, gamma)).tocsr()
+        return self.base + fem.assemble_boundary_mass(
+            self.mesh, SegmentTag.INACCESSIBLE, gamma)
 
     def field(self, op):
         return reference_cg.solve_spd(op, self.load, tol=1e-10)
