@@ -228,10 +228,7 @@ def exact_observation(example: Example) -> np.ndarray:
     gamma = interpolate_gamma(prob.mesh, example.gamma_star)
     # The cached data load first: assembled after the base factor, its
     # transient would stack on the held pivots and raise the peak memory.
-    if example.kind == "elliptic":
-        prob.load
-    else:
-        prob.loads
+    prob.load
     u = prob.field(prob.operator(gamma))
     return u[..., prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)]
 

@@ -28,8 +28,8 @@ node order a P1 matrix of the structured mesh has four, summed from the
 element entries on and above the diagonal by one np.bincount.  Their sums
 make each problem's base, their product with a vector or with columns is
 the march's mass product and the residual check of every full solve, and
-BlockLDLT cuts its blocks from their diagonals; the module needs numpy
-alone.
+BlockLDLT cuts its pivots and couplings as plain slices of the diagonals
+of the base renumbered into block order; the module needs numpy alone.
 
 solve_spd is the one full solve: one application of a completed
 BlockLDLT, a block LDL^T factor in mesh-column order, and one residual
@@ -227,9 +227,11 @@ class BlockLDLT:
     keeps the inaccessible edge x = lx alone as the last block.  With
     diagonal blocks A_k and couplings C_k = A[k, k - 1], w_k x w_{k-1},
     the pivots are D_0 = A_0 and D_k = A_k - C_k D_{k-1}^{-1} C_k^T.  The
-    factor keeps the dense inverse of every pivot and the couplings by
-    their nonzero diagonals; only the couplings below the diagonal are
-    read, symmetry supplies the rest.
+    matrix is put into block order once, a SymBand of its unknowns
+    renumbered block after block, and every A_k and C_k is cut from that
+    band's diagonals as plain slices.  The factor keeps the dense inverse
+    of every pivot and the couplings by their nonzero diagonals; only the
+    couplings below the diagonal are read, symmetry supplies the rest.
 
     The last pivot is set apart, so that a change confined to the last
     diagonal block costs one factorization of its order.  BlockLDLT(base,
@@ -239,7 +241,8 @@ class BlockLDLT:
     singular).  complete(last) is the factor of base plus the dense
     ``last`` on the last diagonal block, in the order of blocks[-1]
     (zero when not given): it shares the leading pivots and factors
-    schur + last.  Only a completed factor solves.  condense(b, rows)
+    Sigma = schur + last, which it keeps for the residual check of
+    solve_edge.  Only a completed factor solves.  condense(b, rows)
     condenses the leading blocks onto the last for one load b (see
     Condensation), after which solve_edge solves on the last block alone.
 
@@ -261,20 +264,33 @@ class BlockLDLT:
         self.base = base
         self.blocks = [np.asarray(block) for block in blocks]
         nb = len(self.blocks)
-        widths = np.array([block.size for block in self.blocks])
-        ends = np.cumsum(widths)
+        widths = [block.size for block in self.blocks]
         self._spans = [slice(stop - w, stop)
-                       for w, stop in zip(widths.tolist(), ends.tolist())]
+                       for w, stop in zip(widths, np.cumsum(widths).tolist())]
         self._order = np.concatenate(self.blocks)
-        diagonal, self._coupling = _split_blocks(base, self._order, widths)
+        band = _in_block_order(base, self._order, widths)
+        self._coupling = [[]]   # C_0 is zero
         self._dinv = []
-        for k in range(nb):
-            w = self.blocks[k].size
+        for k, span in enumerate(self._spans):
+            w = widths[k]
             pivot = np.zeros((w, w))
             flat = pivot.reshape(-1)
-            for d, lo, hi, v in diagonal[k]:
-                flat[lo * (w + 1) + d:hi * (w + 1) + d:w + 1] = v
+            for d, v in zip(band.offsets, band.data):
+                if d < w:
+                    # diagonal d of the pivot and its mirror image
+                    flat[d::w + 1][:w - d] = flat[d * w::w + 1][:w - d] = \
+                        v[span.start:span.stop - d]
             if k:
+                # entry (i, i + d) of C_k is that of the band at row
+                # span.start - offset + i, offset = w_{k-1} - d
+                coupling = []
+                for offset, v in zip(band.offsets[::-1], band.data[::-1]):
+                    d = widths[k - 1] - offset
+                    lo, hi = max(0, -d), min(w, offset)
+                    v = v[span.start - offset + lo:span.start - offset + hi]
+                    if np.any(v):
+                        coupling.append((d, lo, hi, v))
+                self._coupling.append(coupling)
                 # pivot -= C_k D_{k-1}^{-1} C_k^T: the rows of C_k D_{k-1}^{-1},
                 # then, since D_{k-1} is symmetric, those of C_k times its
                 # transpose D_{k-1}^{-1} C_k^T
@@ -301,7 +317,8 @@ class BlockLDLT:
         factor = copy.copy(self)
         factor.__dict__.pop("_operator", None)
         factor._edge = np.zeros_like(self.schur) if last is None else last
-        factor._last = _invert_pivot(self.schur + factor._edge,
+        factor._sigma = self.schur + factor._edge
+        factor._last = _invert_pivot(factor._sigma,
                                      len(self._dinv), len(self._dinv) + 1)
         return factor
 
@@ -481,60 +498,29 @@ class Condensation:
     u_edge: np.ndarray
 
 
-def _split_blocks(matrix: SymBand, order: np.ndarray, widths: np.ndarray):
-    """The diagonal blocks A_k and the couplings C_k = A[k, k - 1] (C_0 is
-    zero) of matrix, its unknowns taken in the given order and cut into
-    blocks of the given widths, as two lists indexed by k.  Each block is
-    the list of its nonzero diagonals (d, lo, hi, v) by ascending d:
-    entry (i, i + d) is v[i - lo] for lo <= i < hi."""
+def _in_block_order(matrix: SymBand, order: np.ndarray, widths) -> SymBand:
+    """matrix with its unknowns taken in the given order, as a SymBand:
+    each nonzero entry on and above the diagonal moved to its positions
+    in that order.  Raises ValueError unless order lists every unknown
+    once and, cut into blocks of the given widths, the matrix couples
+    only neighbouring blocks."""
     n = matrix.shape[0]
     position = np.full(n, -1)
     position[order] = np.arange(order.size)
     if order.size != n or np.any(position < 0):
         raise ValueError("blocks must list every unknown exactly once")
-    block_of = np.repeat(np.arange(widths.size), widths)
-    start = np.cumsum(widths) - widths
-    # the nonzero entries of both triangles, from the stored diagonals
-    rows, cols, data = [], [], []
+    rows, cols, values = [], [], []
     for d, v in zip(matrix.offsets, matrix.data):
         i = np.flatnonzero(v)
-        for r, c in [(i, i + d), (i + d, i)] if d else [(i, i)]:
-            rows.append(r)
-            cols.append(c)
-            data.append(v[i])
-    rows, cols, data = (np.concatenate(a) for a in (rows, cols, data))
-    row_block = block_of[position[rows]]
-    lag = row_block - block_of[position[cols]]
-    if np.any(np.abs(lag) > 1):
+        p, q = position[i], position[i + d]
+        rows.append(np.minimum(p, q))
+        cols.append(np.maximum(p, q))
+        values.append(v[i])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    block_of = np.repeat(np.arange(len(widths)), widths)
+    if np.any(block_of[cols] - block_of[rows] > 1):
         raise ValueError("the matrix couples blocks that are not neighbours")
-    # every entry on or below the block diagonal lies on diagonal d = col
-    # - row of block (row_block, lag); those of lag -1 mirror lag 1 and
-    # are not read
-    keep = lag >= 0
-    row_block, lag = row_block[keep], lag[keep]
-    row = position[rows[keep]] - start[row_block]
-    col = position[cols[keep]] - start[row_block - lag]
-    reach = widths.max() - 1
-    key = ((row_block * 2 + lag) * (2 * reach + 1)) + (col - row + reach)
-    # the keys present, ascending, and the rank of each entry's key among
-    # them, from a presence map over the key range
-    present = np.bincount(key) > 0
-    keys = np.flatnonzero(present)
-    diagonal_of = (np.cumsum(present) - 1)[key]
-    block_lag, ds = np.divmod(keys, 2 * reach + 1)
-    ks, lags = np.divmod(block_lag, 2)
-    ds -= reach
-    los = np.maximum(0, -ds)
-    his = np.minimum(widths[ks], widths[ks - lags] - ds)
-    offset = np.cumsum(his - los) - (his - los)
-    values = np.bincount(offset[diagonal_of] + row - los[diagonal_of],
-                         data[keep], minlength=int((his - los).sum()))
-    out = ([[] for _ in widths], [[] for _ in widths])
-    for k, lg, d, lo, hi, o in zip(ks.tolist(), lags.tolist(), ds.tolist(),
-                                   los.tolist(), his.tolist(),
-                                   offset.tolist()):
-        out[lg][k].append((d, lo, hi, values[o:o + hi - lo]))
-    return out
+    return SymBand.from_entries(n, rows, cols, np.concatenate(values))
 
 
 def _invert_pivot(pivot: np.ndarray, k: int, nb: int) -> np.ndarray:
@@ -616,8 +602,7 @@ def solve_edge(op: BlockLDLT, r: np.ndarray) -> np.ndarray:
     """
     if op._last is None:
         raise ValueError("the last pivot is not factored, see complete")
-    return _checked_solve(op._last.__matmul__,
-                          lambda x: op.schur @ x + op._edge @ x, r)[0]
+    return _checked_solve(op._last.__matmul__, op._sigma.__matmul__, r)[0]
 
 
 def _checked_solve(solve, matvec, b: np.ndarray):

@@ -20,10 +20,10 @@ ParabolicProblem is a fem.RobinProblem, which supplies the box check,
 the operator (the factor of the cached base M/dt + K_a, completed with
 the dense edge block of B_gamma) and the boundary loads of all levels
 at once, one product of the trace series with the segment mass.  The
-mass M and the data loads of every level are cached on the problem too;
-the loads are one data_load call over the data frozen at each time
-level, so the quadrature geometry is computed once per problem, not
-once per level.
+mass M and load, the data loads of every level, are cached on the
+problem too; load is one data_load call over the data frozen at each
+time level, so the quadrature geometry is computed once per problem,
+not once per level.
 
 ParabolicProblem carries the same problem protocol as EllipticProblem:
 operator, forward, derivative and adjoint wrap the march functions below
@@ -85,9 +85,6 @@ class ParabolicProblem(fem.RobinProblem):
     def dt(self) -> float:
         return self.T / self.nt
 
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.nt + 1)
-
     @cached_property
     def mass(self) -> fem.SymBand:
         """Consistent mass matrix M."""
@@ -99,7 +96,7 @@ class ParabolicProblem(fem.RobinProblem):
         return self.mass / self.dt + fem.assemble_stiffness(self.mesh, self.a)
 
     @cached_property
-    def loads(self) -> np.ndarray:
+    def load(self) -> np.ndarray:
         """Read-only (nt + 1, n_nodes) data loads, row n at time t_n.
 
         Row n collects the volume source, the Robin data and the flux
@@ -196,7 +193,7 @@ def solve_forward_parabolic(
     Each step solves S u_n = (M/dt) u_{n-1} + loads(t_n), data evaluated
     at the new time level.  Returns the full (nt + 1, n_nodes) trajectory.
     """
-    return _march(prob, op, prob.loads, _initial_field(prob))
+    return _march(prob, op, prob.load, _initial_field(prob))
 
 
 def solve_derivative_parabolic(

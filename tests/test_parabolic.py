@@ -151,7 +151,7 @@ def test_adjoint_rejects_wrong_level_count():
 def test_data_loads_collect_all_data_terms_per_level():
     example, mesh, gamma = setup(4, 8, nt=3)
     prob = example.problem
-    L = prob.loads
+    L = prob.load
     assert L.shape == (prob.nt + 1, mesh.n_nodes)
     assert np.all(L[0] == 0.0)
     for n in range(1, prob.nt + 1):
@@ -182,7 +182,7 @@ def test_data_loads_sample_each_source_once_per_level():
         mesh=mesh, a=1.0, f=sampled("f"), g=sampled("g"), h=sampled("h"),
         u0=0.0, T=1.0, nt=5,
     )
-    prob.loads
+    prob.load
     times = [n * prob.dt for n in prob.levels]
     assert samples == {"f": times, "g": times, "h": times}
 
@@ -207,7 +207,7 @@ def test_data_loads_mix_scalar_and_time_dependent_data(f, g):
                                                frozen[1])
         expected += fem.assemble_boundary_load(mesh, SegmentTag.ACCESSIBLE,
                                                0.25)
-        np.testing.assert_array_equal(prob.loads[n], expected)
+        np.testing.assert_array_equal(prob.load[n], expected)
 
 
 def test_time_integral_right_endpoint_rule():

@@ -128,6 +128,46 @@ def test_grouped_block_factor_agrees_with_the_column_factor(
     assert np.linalg.norm(x - by_column) <= 1e-12 * np.linalg.norm(by_column)
 
 
+@pytest.mark.parametrize("example_id", ["5.1", "5.3"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(nx=st.integers(1, 10), ny=st.integers(1, 24), grouped=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(nx=3, ny=fem._BLOCK_WIDTH, grouped=True, seed=0)  # a column is a block
+@example(nx=10, ny=32, grouped=True, seed=1)    # g = 4 leaves a group of 2
+def test_block_factor_matches_the_dense_matrix(example_id, nx, ny, grouped,
+                                               seed):
+    """The factor of the gamma-free base, by the _BLOCK_WIDTH grouping of
+    the mesh columns or by a random one, holds the dense matrix's own
+    pieces: schur is the Schur complement A_II - A_IL A_LL^{-1} A_LI of
+    the last block I to 1e-12 relative, and each coupling C_k, rebuilt
+    from its diagonals, is A[blocks[k]][:, blocks[k - 1]] exactly."""
+    prob = ex.make_example(example_id, nx=nx, ny=ny, nt=4).problem
+    columns = prob.mesh.columns()
+    if grouped:
+        factor = prob.base_factor
+    else:
+        rng = np.random.default_rng(seed)
+        cuts = rng.choice(np.arange(1, nx + 1), rng.integers(1, nx + 1),
+                          replace=False)
+        factor = fem.BlockLDLT(prob.base, [
+            group.ravel() for group in np.split(columns, np.sort(cuts))])
+    blocks = factor.blocks
+    np.testing.assert_array_equal(np.concatenate(blocks), columns.ravel())
+    A = prob.base.toarray()
+    lead, last = np.concatenate(blocks[:-1]), blocks[-1]
+    schur = A[np.ix_(last, last)] - A[np.ix_(last, lead)] @ np.linalg.solve(
+        A[np.ix_(lead, lead)], A[np.ix_(lead, last)])
+    assert np.linalg.norm(factor.schur - schur) <= \
+        1e-12 * np.linalg.norm(schur)
+    assert factor._coupling[0] == []
+    for k in range(1, len(blocks)):
+        C = np.zeros((blocks[k].size, blocks[k - 1].size))
+        for d, lo, hi, v in factor._coupling[k]:
+            i = np.arange(lo, hi)
+            C[i, i + d] = v
+        np.testing.assert_array_equal(C, A[np.ix_(blocks[k], blocks[k - 1])])
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(nx=st.integers(1, 12),
        ny=st.one_of(st.integers(1, 40),
