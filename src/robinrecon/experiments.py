@@ -108,6 +108,15 @@ _REGISTRY = {
 EXAMPLE_IDS = tuple(sorted(_REGISTRY))
 
 
+def _registered(example_id: str):
+    """The (kind, gamma_star) entry of a registered example id; raises
+    ValueError naming the known ids for any other."""
+    if example_id not in _REGISTRY:
+        known = ", ".join(EXAMPLE_IDS)
+        raise ValueError(f"unknown example id {example_id!r}; known ids: {known}")
+    return _REGISTRY[example_id]
+
+
 @dataclass(frozen=True)
 class Example:
     """A registered setup: problem data, exact coefficient, exact state."""
@@ -135,11 +144,7 @@ class ExperimentSpec:
     max_iters: int = 100
 
     def __post_init__(self):
-        if self.example_id not in _REGISTRY:
-            known = ", ".join(EXAMPLE_IDS)
-            raise ValueError(
-                f"unknown example id {self.example_id!r}; known ids: {known}"
-            )
+        _registered(self.example_id)
         if not self.delta >= 0.0:
             raise ValueError(f"noise level must be nonnegative, got {self.delta}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
@@ -168,10 +173,7 @@ def make_example(
     nt: int = ExperimentSpec.nt,
 ) -> Example:
     """Build one registered example on an nx-by-ny mesh."""
-    if example_id not in _REGISTRY:
-        known = ", ".join(EXAMPLE_IDS)
-        raise ValueError(f"unknown example id {example_id!r}; known ids: {known}")
-    kind, gamma_star = _REGISTRY[example_id]
+    kind, gamma_star = _registered(example_id)
     if example_id == "5.2" and ny % 2 != 0:
         # The exact coefficient of 5.2 has a kink at y = 1; an odd ny
         # would smear it across an element.

@@ -39,6 +39,9 @@ condenses the leading blocks onto the last for one load (Condensation:
 the condensed load, the rows a of A_LL^{-1} A_LI and one checked full
 solve as anchor), after which solve_edge solves on the last block alone,
 one product with the inverse of its pivot and the same residual check.
+The condensation is checked with these two solves and no residual of
+its own: one probe load on the last block, solved in full and on the
+edge, and the edge solve of the condensed load against the anchor.
 
 RobinProblem is the Robin system both problem kinds share: the admissible
 box of gamma, the operator S = base + B_gamma, the data load of f, g and
@@ -340,11 +343,8 @@ class BlockLDLT:
         """x with A x = b, up to rounding, for b of shape (n,) or (n, m)."""
         if self._last is None:
             raise ValueError("the last pivot is not factored, see complete")
-        ordered = b[self._order]
-        x = [ordered[span] for span in self._spans]
-        coupling = self._shaped_coupling(b.ndim)
-        self._forward(x, self._dinv + [self._last], coupling)
-        self._backward(x, coupling)
+        ordered, x = self._eliminate(b, self._dinv + [self._last])
+        self._backward(x, self._shaped_coupling(b.ndim))
         out = np.empty_like(ordered)
         out[self._order] = ordered
         return out
@@ -359,11 +359,13 @@ class BlockLDLT:
         from the block backward recursion X_k = -D_k^{-1} C_{k+1}^T
         X_{k+1}, started at D^{-1} C_I^T on the last leading block, one
         block at a time, of which only the rows in a are kept.  Then the
-        result is checked once: one probe column x = A_LL^{-1} A_LI v
-        must meet SOLVE_TOL on its leading residual and agree with Z v at
-        the rows to SOLVE_TOL, and the edge solve of the condensed load
-        must give u on I to SOLVE_TOL.  Raises ConvergenceFailure when a
-        check misses.  Needs at least one leading block; b has shape (n,).
+        result is checked once, by checked solves alone: at the rows, the
+        solve_spd of the probe load c = linspace(1, 2) on I must agree
+        with -Z Sigma^{-1} c, Sigma^{-1} c its solve_edge, to SOLVE_TOL,
+        and the solve_edge of the condensed load must give u on I to
+        SOLVE_TOL.  Raises ConvergenceFailure when a check or one of its
+        solves misses.  Needs at least one leading block; b has shape
+        (n,).
         """
         condensed = self._condensed(b, np.asarray(rows))
         self._check_condensation(condensed)
@@ -373,7 +375,7 @@ class BlockLDLT:
         """The Condensation of b at rows, unchecked."""
         edge = self.blocks[-1]
         anchor = solve_spd(self, b)[np.r_[rows, edge]]
-        load = self._eliminate(b)[1][-1].copy()
+        load = self._eliminate(b, self._dinv)[1][-1].copy()
         at = np.argsort(self._order)[rows]   # positions in block order
         coupling = self._shaped_coupling(2)
         Z = np.empty((rows.size, edge.size))
@@ -391,42 +393,25 @@ class BlockLDLT:
                             u_rows=anchor[:rows.size],
                             u_edge=anchor[rows.size:])
 
-    def _eliminate(self, b):
-        """b in block order after the forward sweep over the leading
-        blocks, whose last block then holds the condensed load b_I -
-        A_IL A_LL^{-1} b_L, and its blocks as views."""
+    def _eliminate(self, b, dinv):
+        """b in block order after the forward sweep with the pivot
+        inverses dinv, and its blocks as views.  With the leading pivots
+        alone, the last block then holds the condensed load b_I - A_IL
+        A_LL^{-1} b_L."""
         ordered = b[self._order]
         x = [ordered[span] for span in self._spans]
-        self._forward(x, self._dinv, self._shaped_coupling(b.ndim))
+        self._forward(x, dinv, self._shaped_coupling(b.ndim))
         return ordered, x
 
     def _check_condensation(self, condensed) -> None:
-        """Raise ConvergenceFailure unless the probe column and the
-        condensed load meet SOLVE_TOL; see condense."""
-        lead = self._spans[-1].start
+        """Raise ConvergenceFailure unless the probe and the condensed
+        load meet SOLVE_TOL; see condense."""
         edge = self.blocks[-1]
-        v = np.zeros(self._order.size)
-        v[edge] = np.linspace(1.0, 2.0, edge.size)
-        coupled = self.base @ v
-        v = v[edge]
-        ordered, x = self._eliminate(coupled)
-        self._backward(x[:-1], self._coupling)
-        probe = np.zeros_like(coupled)
-        probe[self._order[:lead]] = ordered[:lead]
-        del ordered, x
-        # the leading residual of the probe, and its norm of reference
-        r = self.base @ probe
-        r -= coupled
-        r[edge] = coupled[edge] = 0.0
-        residual = np.linalg.norm(r)
-        target = SOLVE_TOL * np.linalg.norm(coupled)
-        if not residual <= target:
-            raise ConvergenceFailure(
-                f"condensation missed SOLVE_TOL in its probe: leading "
-                f"residual {residual:.3e}, target {target:.3e}")
-        probe[edge] = -v
+        c = np.zeros(self._order.size)
+        c[edge] = np.linspace(1.0, 2.0, edge.size)
         for name, exact, condensed_value in (
-                ("Z", probe[condensed.rows], condensed.Z @ v),
+                ("Z", solve_spd(self, c)[condensed.rows],
+                 -(condensed.Z @ solve_edge(self, c[edge]))),
                 ("load", condensed.u_edge,
                  solve_edge(self, condensed.load))):
             gap = np.linalg.norm(exact - condensed_value)

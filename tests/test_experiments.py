@@ -383,10 +383,11 @@ def test_oracle_orders_the_three_model_values():
 
 
 def test_oracle_reuses_the_operator_and_state_of_its_step(monkeypatch):
-    """Two operators (the data's and the iterate's), two full solves (the
-    data's and the one that anchors the condensation) and four edge
-    solves: the condensation's check, the step's forward and adjoint
-    solves, and one Jacobian solve with a column per segment direction."""
+    """Two operators (the data's and the iterate's), three full solves
+    (the data's, and the anchor and the probe of the condensation) and
+    five edge solves: the two of the condensation's check, the step's
+    forward and adjoint solves, and one Jacobian solve with a column per
+    segment direction."""
     calls = {"operator": 0, "solve": 0, "edge": 0}
     assemble_operator = ell.assemble_operator
     solve_spd, solve_edge = fem.solve_spd, fem.solve_edge
@@ -407,7 +408,7 @@ def test_oracle_reuses_the_operator_and_state_of_its_step(monkeypatch):
     monkeypatch.setattr(fem, "solve_spd", solve)
     monkeypatch.setattr(fem, "solve_edge", edge)
     experiments.run_oracle_check(seed=0)
-    assert calls == {"operator": 2, "solve": 2, "edge": 4}
+    assert calls == {"operator": 2, "solve": 3, "edge": 5}
 
 
 def test_oracle_steps_shrink_in_the_strong_regularization_limit():

@@ -264,8 +264,9 @@ def test_run_names_the_iteration_whose_solve_missed_solve_tol(monkeypatch):
 
 def test_elliptic_run_solves_on_the_edge_alone(monkeypatch):
     """An elliptic L-M iterate makes no full-mesh solve: the run's full
-    solves (fem.solve_spd, BlockLDLT.solve) are those of building its
-    condensation, as many for 15 iterations as for 5."""
+    solves (fem.solve_spd, BlockLDLT.solve) are the two of building its
+    condensation, its anchor and its checked probe, as many for 15
+    iterations as for 5."""
     prob, gamma_star, z, gamma0 = _elliptic_setup()
     calls = {"solve_spd": 0, "solve": 0}
     solve_spd, solve = fem.solve_spd, fem.BlockLDLT.solve
@@ -287,7 +288,7 @@ def test_elliptic_run_solves_on_the_edge_alone(monkeypatch):
                        lm.LmConfig(eps=1e-12, max_iters=iterations))
         assert state.k == iterations
         counts.append(dict(calls))
-    assert counts[0] == counts[1] == {"solve_spd": 1, "solve": 1}
+    assert counts[0] == counts[1] == {"solve_spd": 2, "solve": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,17 @@ def test_condensation_check_catches_one_perturbed_entry(monkeypatch, piece):
     assert isinstance(info.value.__cause__, fem.ConvergenceFailure)
 
 
+def test_condensation_check_catches_a_corrupted_leading_pivot():
+    """A fault in the leading factor, the first pivot inverse scaled by 1
+    + 1e-6 in one entry, fails the checked solves that build the
+    condensation."""
+    prob = ex.make_example("5.1", nx=16, ny=32).problem
+    prob.base_factor._dinv[0][0, 0] *= 1.0 + 1e-6
+    gamma = np.full(prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE).size, 2.0)
+    with pytest.raises(fem.ConvergenceFailure, match="SOLVE_TOL"):
+        prob.forward(prob.operator(gamma))
+
+
 @pytest.mark.parametrize("example_id", ["5.1", "5.3"])
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(nx=st.integers(1, 6), ny=st.integers(1, 8), nt=st.integers(1, 6),
