@@ -13,27 +13,27 @@ from a callable (assemble_boundary_load) use quadrature on a segment,
 discrete adjoint identity hold to solver precision downstream.
 
 Boundary fields (Robin coefficients, measurement residuals, directions)
-are plain 1-D arrays indexed by the sorted node list of one segment, see
-Mesh.segment_nodes; the segment geometry comes precomputed with the
-mesh (Mesh.segments).  Nodal fields on the whole mesh are 1-D arrays of
-length n_nodes.  The load assemblies (assemble_load,
+are plain 1-D arrays indexed by the node list of one segment, in (y, x)
+order, see Mesh.segment_nodes; the segment geometry comes precomputed
+with the mesh (Mesh.segments).  Nodal fields on the whole mesh are 1-D
+arrays of length n_nodes.  The load assemblies (assemble_load,
 assemble_boundary_load) take one source or a list of them, one per level
 of a march: the quadrature geometry is computed once per call, each
 source sampled once, and each level scattered with one np.bincount, so
 a row is bit for bit the load of its source alone.
 
 The matrices (assemble_stiffness, assemble_mass, assemble_boundary_mass)
-are SymBands, symmetric matrices stored by their upper diagonals: in
-node order a P1 matrix of the structured mesh has four, summed from the
-element entries on and above the diagonal by one np.bincount.  Their sums
-make each problem's base, their product with a vector or with columns is
-the march's mass product and the residual check of every full solve, and
-BlockLDLT cuts its pivots and couplings as plain slices of the diagonals
-of the base renumbered into block order; the module needs numpy alone.
+are SymBands, symmetric matrices stored by their upper diagonals: a P1
+matrix of the structured mesh has four, summed from the element entries
+on and above the diagonal by one np.bincount.  Their sums make each
+problem's base, their product with a vector or with columns is the
+march's mass product and the residual check of every full solve, and
+BlockLDLT cuts its pivots and couplings as plain slices of the base's
+diagonals; the module needs numpy alone.
 
 solve_spd is the one full solve: one application of a completed
-BlockLDLT, a block LDL^T factor in mesh-column order, and one residual
-check against SOLVE_TOL, the tolerance of every library solve, for one
+BlockLDLT, a block LDL^T factor in node order, and one residual check
+against SOLVE_TOL, the tolerance of every library solve, for one
 right-hand side or an (n, m) array of them.  BlockLDLT.condense
 condenses the leading blocks onto the last for one load (Condensation:
 the condensed load, the rows a of A_LL^{-1} A_LI and one checked full
@@ -47,10 +47,11 @@ RobinProblem is the Robin system both problem kinds share: the admissible
 box of gamma, the operator S = base + B_gamma, the data load of f, g and
 h, and the boundary loads -(x * u) M, u a segment trace and M the
 segment mass, that are the right-hand sides of every derivative and
-adjoint solve, on the segment's nodes alone.  The factor orders the
-unknowns by mesh column, x outer and y inner, groups the leading columns
-into blocks of about _BLOCK_WIDTH unknowns, and keeps the inaccessible
-edge x = lx, the only place B_gamma touches, alone as its last block.
+adjoint solve, on the segment's nodes alone.  The mesh numbers its
+nodes by column, x outer and y inner, and the factor takes them in that
+order: it groups the leading columns into blocks of about _BLOCK_WIDTH
+unknowns and keeps the inaccessible edge x = lx, the only place B_gamma
+touches, alone as its last block.
 The gamma-free base is factored once per problem, up to the Schur
 complement Sigma_0 of that edge (base_factor); an operator is that
 factor completed with the dense edge block B_gamma[I, I] =
@@ -95,9 +96,10 @@ class SymBand:
     offsets lists the stored diagonals, ascending, and data, of shape
     (len(offsets), n), their entries: data[j, i] = A[i, i + offsets[j]],
     zero past the end of the diagonal; A is symmetric, so the diagonals
-    below are not stored.  In node order a P1 matrix of the structured
-    mesh has four, offsets 0, 1, nx + 1 and nx + 2 (the diagonal of each
-    cell runs from lower left to upper right), and a segment mass two.
+    below are not stored.  A P1 matrix of the structured mesh has four,
+    offsets 0, 1, ny + 1 and ny + 2 (the diagonal of each cell runs from
+    lower left to upper right), and a segment mass on the edge x = lx
+    two, offsets 0 and 1.
     The data are read-only.
 
     from_entries sums entries on and above the diagonal with one
@@ -219,35 +221,33 @@ def _gather_index(offsets: tuple, n: int):
 
 
 class BlockLDLT:
-    """Block LDL^T factor of an SPD matrix that is block tridiagonal in a
-    given order of its unknowns.
+    """Block LDL^T factor of an SPD matrix that is block tridiagonal in
+    the order of its unknowns.
 
-    ``blocks`` is a sequence of index arrays, block k listing its
-    unknowns (a 2-D array gives its rows); together they list every
-    unknown once, and the matrix couples block k to blocks k - 1, k and
-    k + 1 only.  Blocks may differ in width.  RobinProblem.base_factor
-    groups the leading mesh columns by about _BLOCK_WIDTH unknowns and
-    keeps the inaccessible edge x = lx alone as the last block.  With
-    diagonal blocks A_k and couplings C_k = A[k, k - 1], w_k x w_{k-1},
-    the pivots are D_0 = A_0 and D_k = A_k - C_k D_{k-1}^{-1} C_k^T.  The
-    matrix is put into block order once, a SymBand of its unknowns
-    renumbered block after block, and every A_k and C_k is cut from that
-    band's diagonals as plain slices.  The factor keeps the dense inverse
-    of every pivot and the couplings by their nonzero diagonals; only the
+    ``widths`` lists the widths of consecutive blocks, block k the next
+    w_k unknowns; they sum to the order of the matrix, and the matrix
+    couples block k to blocks k - 1, k and k + 1 only.  Blocks may differ
+    in width.  RobinProblem.base_factor groups the leading mesh columns
+    by about _BLOCK_WIDTH unknowns and keeps the inaccessible edge x = lx
+    alone as the last block.  With diagonal blocks A_k and couplings C_k
+    = A[k, k - 1], w_k x w_{k-1}, the pivots are D_0 = A_0 and D_k = A_k
+    - C_k D_{k-1}^{-1} C_k^T; every A_k and C_k is cut from the band's
+    diagonals as plain slices.  The factor keeps the dense inverse of
+    every pivot and the couplings by their nonzero diagonals; only the
     couplings below the diagonal are read, symmetry supplies the rest.
 
     The last pivot is set apart, so that a change confined to the last
     diagonal block costs one factorization of its order.  BlockLDLT(base,
-    blocks) factors the leading pivots of the SymBand ``base`` and keeps
+    widths) factors the leading pivots of the SymBand ``base`` and keeps
     the last one unfactored as ``schur``, the Schur complement of the
     last block; it need not be definite (a pure Neumann base is
     singular).  complete(last) is the factor of base plus the dense
-    ``last`` on the last diagonal block, in the order of blocks[-1]
-    (zero when not given): it shares the leading pivots and factors
-    Sigma = schur + last, which it keeps for the residual check of
-    solve_edge.  Only a completed factor solves.  condense(b, rows)
-    condenses the leading blocks onto the last for one load b (see
-    Condensation), after which solve_edge solves on the last block alone.
+    ``last`` on the last diagonal block (zero when not given): it shares
+    the leading pivots and factors Sigma = schur + last, which it keeps
+    for the residual check of solve_edge.  Only a completed factor
+    solves.  condense(b, rows) condenses the leading blocks onto the last
+    for one load b (see Condensation), after which solve_edge solves on
+    the last block alone.
 
     solve applies the inverse of the completed matrix by one forward and
     one backward sweep over the blocks; the backward sweep multiplies
@@ -259,26 +259,33 @@ class BlockLDLT:
     the one with the other.  nnz is that of base.
 
     Raises CurvatureBreakdown when a pivot is not positive definite, and
-    ValueError when blocks is no ordering of the unknowns or the matrix
-    couples blocks that are not neighbours.
+    ValueError when the widths are not positive or do not sum to the
+    order of the matrix, or the matrix couples blocks that are not
+    neighbours.
     """
 
-    def __init__(self, base: SymBand, blocks):
+    def __init__(self, base: SymBand, widths):
         self.base = base
-        self.blocks = [np.asarray(block) for block in blocks]
-        nb = len(self.blocks)
-        widths = [block.size for block in self.blocks]
+        widths = [int(w) for w in widths]
+        n = base.shape[0]
+        if min(widths, default=0) < 1 or sum(widths) != n:
+            raise ValueError("blocks must list every unknown exactly once")
+        block_of = np.repeat(np.arange(len(widths)), widths)
+        for d, v in zip(base.offsets, base.data):
+            i = np.flatnonzero(v[:n - d])
+            if np.any(block_of[i + d] - block_of[i] > 1):
+                raise ValueError(
+                    "the matrix couples blocks that are not neighbours")
+        nb = len(widths)
         self._spans = [slice(stop - w, stop)
                        for w, stop in zip(widths, np.cumsum(widths).tolist())]
-        self._order = np.concatenate(self.blocks)
-        band = _in_block_order(base, self._order, widths)
         self._coupling = [[]]   # C_0 is zero
         self._dinv = []
         for k, span in enumerate(self._spans):
             w = widths[k]
             pivot = np.zeros((w, w))
             flat = pivot.reshape(-1)
-            for d, v in zip(band.offsets, band.data):
+            for d, v in zip(base.offsets, base.data):
                 if d < w:
                     # diagonal d of the pivot and its mirror image
                     flat[d::w + 1][:w - d] = flat[d * w::w + 1][:w - d] = \
@@ -287,7 +294,7 @@ class BlockLDLT:
                 # entry (i, i + d) of C_k is that of the band at row
                 # span.start - offset + i, offset = w_{k-1} - d
                 coupling = []
-                for offset, v in zip(band.offsets[::-1], band.data[::-1]):
+                for offset, v in zip(base.offsets[::-1], base.data[::-1]):
                     d = widths[k - 1] - offset
                     lo, hi = max(0, -d), min(w, offset)
                     v = v[span.start - offset + lo:span.start - offset + hi]
@@ -297,7 +304,7 @@ class BlockLDLT:
                 # pivot -= C_k D_{k-1}^{-1} C_k^T: the rows of C_k D_{k-1}^{-1},
                 # then, since D_{k-1} is symmetric, those of C_k times its
                 # transpose D_{k-1}^{-1} C_k^T
-                T = np.zeros((w, self.blocks[k - 1].size))
+                T = np.zeros((w, widths[k - 1]))
                 for d, lo, hi, v in self._coupling[k]:
                     T[lo:hi] += v[:, None] * self._dinv[k - 1][lo + d:hi + d]
                 T = T.T.copy()
@@ -336,18 +343,17 @@ class BlockLDLT:
     @cached_property
     def _operator(self) -> SymBand:
         """base plus the edge block on the last diagonal block."""
-        n = self.base.shape[0]
-        return self.base + SymBand.from_block(n, self.blocks[-1], self._edge)
+        edge = self._spans[-1]
+        return self.base + SymBand.from_block(
+            self.base.shape[0], np.arange(edge.start, edge.stop), self._edge)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with A x = b, up to rounding, for b of shape (n,) or (n, m)."""
         if self._last is None:
             raise ValueError("the last pivot is not factored, see complete")
-        ordered, x = self._eliminate(b, self._dinv + [self._last])
-        self._backward(x, self._shaped_coupling(b.ndim))
-        out = np.empty_like(ordered)
-        out[self._order] = ordered
-        return out
+        x, blocks = self._eliminate(b, self._dinv + [self._last])
+        self._backward(blocks, self._shaped_coupling(b.ndim))
+        return x
 
     def condense(self, b: np.ndarray, rows: np.ndarray) -> "Condensation":
         """The leading blocks L condensed onto the last block I, for the
@@ -373,42 +379,40 @@ class BlockLDLT:
 
     def _condensed(self, b, rows) -> "Condensation":
         """The Condensation of b at rows, unchecked."""
-        edge = self.blocks[-1]
-        anchor = solve_spd(self, b)[np.r_[rows, edge]]
+        edge = self._spans[-1]
+        anchor = solve_spd(self, b)
         load = self._eliminate(b, self._dinv)[1][-1].copy()
-        at = np.argsort(self._order)[rows]   # positions in block order
         coupling = self._shaped_coupling(2)
-        Z = np.empty((rows.size, edge.size))
+        Z = np.empty((rows.size, edge.stop - edge.start))
         # the backward sweep over a zero forward elimination, from -1 on
         # the last block: block k of [A_LL^{-1} A_LI; -1], one at a time
-        X = -np.eye(edge.size)
+        X = -np.eye(Z.shape[1])
         for k in range(len(self._spans) - 1, -1, -1):
             if k < len(self._dinv):
                 X = self._upper(k, X, coupling)
                 np.negative(X, out=X)
             span = self._spans[k]
-            here = (at >= span.start) & (at < span.stop)
-            Z[here] = X[at[here] - span.start]
-        return Condensation(rows=rows, load=load, Z=Z,
-                            u_rows=anchor[:rows.size],
-                            u_edge=anchor[rows.size:])
+            here = (rows >= span.start) & (rows < span.stop)
+            Z[here] = X[rows[here] - span.start]
+        return Condensation(rows=rows, load=load, Z=Z, u_rows=anchor[rows],
+                            u_edge=anchor[edge].copy())
 
     def _eliminate(self, b, dinv):
-        """b in block order after the forward sweep with the pivot
-        inverses dinv, and its blocks as views.  With the leading pivots
-        alone, the last block then holds the condensed load b_I - A_IL
-        A_LL^{-1} b_L."""
-        ordered = b[self._order]
-        x = [ordered[span] for span in self._spans]
-        self._forward(x, dinv, self._shaped_coupling(b.ndim))
-        return ordered, x
+        """A copy of b after the forward sweep with the pivot inverses
+        dinv, and its blocks as views.  With the leading pivots alone, the
+        last block then holds the condensed load b_I - A_IL A_LL^{-1}
+        b_L."""
+        x = b.copy()
+        blocks = [x[span] for span in self._spans]
+        self._forward(blocks, dinv, self._shaped_coupling(b.ndim))
+        return x, blocks
 
     def _check_condensation(self, condensed) -> None:
         """Raise ConvergenceFailure unless the probe and the condensed
         load meet SOLVE_TOL; see condense."""
-        edge = self.blocks[-1]
-        c = np.zeros(self._order.size)
-        c[edge] = np.linspace(1.0, 2.0, edge.size)
+        edge = self._spans[-1]
+        c = np.zeros(self.base.shape[0])
+        c[edge] = np.linspace(1.0, 2.0, edge.stop - edge.start)
         for name, exact, condensed_value in (
                 ("Z", solve_spd(self, c)[condensed.rows],
                  -(condensed.Z @ solve_edge(self, c[edge]))),
@@ -481,31 +485,6 @@ class Condensation:
     Z: np.ndarray
     u_rows: np.ndarray
     u_edge: np.ndarray
-
-
-def _in_block_order(matrix: SymBand, order: np.ndarray, widths) -> SymBand:
-    """matrix with its unknowns taken in the given order, as a SymBand:
-    each nonzero entry on and above the diagonal moved to its positions
-    in that order.  Raises ValueError unless order lists every unknown
-    once and, cut into blocks of the given widths, the matrix couples
-    only neighbouring blocks."""
-    n = matrix.shape[0]
-    position = np.full(n, -1)
-    position[order] = np.arange(order.size)
-    if order.size != n or np.any(position < 0):
-        raise ValueError("blocks must list every unknown exactly once")
-    rows, cols, values = [], [], []
-    for d, v in zip(matrix.offsets, matrix.data):
-        i = np.flatnonzero(v)
-        p, q = position[i], position[i + d]
-        rows.append(np.minimum(p, q))
-        cols.append(np.maximum(p, q))
-        values.append(v[i])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    block_of = np.repeat(np.arange(len(widths)), widths)
-    if np.any(block_of[cols] - block_of[rows] > 1):
-        raise ValueError("the matrix couples blocks that are not neighbours")
-    return SymBand.from_entries(n, rows, cols, np.concatenate(values))
 
 
 def _invert_pivot(pivot: np.ndarray, k: int, nb: int) -> np.ndarray:
@@ -683,13 +662,13 @@ def assemble_stiffness(mesh: Mesh, a) -> SymBand:
 
     The diffusion coefficient is evaluated once per triangle at the
     centroid; P1 gradients are constant per element so this is the exact
-    element integral for piecewise constant a.  Non-positive samples are
-    rejected, an elliptic operator needs a > 0.
+    element integral for piecewise constant a.  Non-positive and NaN
+    samples are rejected, an elliptic operator needs a > 0.
     """
     p, area, b, c = _triangle_geometry(mesh)
     centroid = p.mean(axis=1)
     a_val = _coeff_on_points(a, centroid[:, 0], centroid[:, 1], "a")
-    if np.any(a_val <= 0.0):
+    if not np.all(a_val > 0.0):
         raise ValueError("diffusion coefficient must be positive everywhere")
     scale = a_val / (4.0 * area)
     i, j = _UPPER
@@ -722,11 +701,11 @@ def assemble_mass(mesh: Mesh, c) -> SymBand:
 
     Midpoint quadrature is exact for the P1 x P1 product, so constant c
     reproduces the consistent mass matrix (area/12) [[2,1,1],[1,2,1],[1,1,2]]
-    without quadrature error.  Negative samples are rejected.
+    without quadrature error.  Negative and NaN samples are rejected.
     """
     mid, area = _edge_midpoints(mesh)
     c_val = _coeff_on_points(c, mid[:, :, 0], mid[:, :, 1], "c")  # (m, 3)
-    if np.any(c_val < 0.0):
+    if not np.all(c_val >= 0.0):
         raise ValueError("mass coefficient must be nonnegative")
     # sum_q (area/3) c_q phi_i(q) phi_j(q), for i <= j
     i, j = _UPPER
@@ -873,16 +852,15 @@ class RobinProblem:
 
     @cached_property
     def base_factor(self) -> BlockLDLT:
-        """The block factor of base in mesh-column order: every pivot but
+        """The block factor of base over the mesh columns: every pivot but
         the last, and the Schur complement Sigma_0 of the last column, the
-        inaccessible edge, unfactored.  The leading columns are grouped g
-        at a time, g the column count nearest to _BLOCK_WIDTH unknowns (at
-        least one); the last group holds what is left over."""
-        *leading, edge = self.mesh.columns()
-        g = max(1, round(_BLOCK_WIDTH / edge.size))
-        groups = [np.concatenate(leading[i:i + g])
-                  for i in range(0, len(leading), g)]
-        return BlockLDLT(self.base, groups + [edge])
+        inaccessible edge, unfactored.  The nx leading columns are grouped
+        g at a time, g the column count nearest to _BLOCK_WIDTH unknowns
+        (at least one); the last group holds what is left over."""
+        nx, column = self.mesh.nx, self.mesh.ny + 1
+        g = max(1, round(_BLOCK_WIDTH / column))
+        return BlockLDLT(self.base, [min(g, nx - i) * column
+                                     for i in range(0, nx, g)] + [column])
 
     def robin_operator(self, gamma: np.ndarray) -> BlockLDLT:
         """base + B_gamma for a nodal gamma in the box, factored: base_factor

@@ -2,15 +2,18 @@
 
 The domain (0, lx) x (0, ly) is split into nx * ny equal cells and each
 cell is cut along its lower-left to upper-right diagonal, giving two
-counterclockwise triangles per cell.  Boundary edges carry a segment tag
-once classified: the side x = lx is the inaccessible segment (where the
-Robin coefficient lives), the remaining three sides form the accessible
-segment (where measurements are taken).  Classification also computes,
-once, everything the boundary integrals need of a segment: its sorted
-node list, its edges with their lengths and their local indices into
-that list.  A segment gives the exact P1 mass of a nodal weight on it
-(Segment.weighted_mass) and keeps its unweighted mass (Segment.mass),
-with which every boundary integral of a nodal field is taken.
+counterclockwise triangles per cell.  The nodes are numbered column by
+column, x outer and y inner, so a mesh column is a run of consecutive
+ids and the side x = lx is the last one.  Boundary edges carry a segment
+tag once classified: the side x = lx is the inaccessible segment (where
+the Robin coefficient lives), the remaining three sides form the
+accessible segment (where measurements are taken).  Classification also
+computes, once, everything the boundary integrals need of a segment: its
+node list in (y, x) order, its edges with their lengths and their local
+indices into that list.  A segment gives the exact P1 mass of a nodal
+weight on it (Segment.weighted_mass) and keeps its unweighted mass
+(Segment.mass), with which every boundary integral of a nodal field is
+taken.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ class Segment:
 
     Attributes
     ----------
-    nodes : (ns,) int array, sorted unique node ids on the segment.
+    nodes : (ns,) int array, the unique node ids on the segment, ordered
+        by (y, x) of their positions.
     edges : (k, 2) int array, the segment's boundary edges as node pairs.
     local : (k, 2) int array, positions of the edge endpoints in nodes.
     length : (k,) float array, edge lengths.
@@ -101,33 +105,23 @@ class Mesh:
         return self.nodes.shape[0]
 
     def segment_nodes(self, tag: SegmentTag) -> np.ndarray:
-        """Sorted unique node ids on the given boundary segment.
-
-        On the inaccessible side the ascending-id order coincides with
-        ascending y, which the profile output relies on.
-        """
+        """The node ids on the given boundary segment, ordered by (y, x),
+        so the inaccessible side ascends in y, which the profile output
+        relies on; see Segment.nodes."""
         if tag not in self.segments:
             raise ValueError("mesh boundary has not been classified yet")
         return self.segments[tag].nodes
-
-    def columns(self) -> np.ndarray:
-        """Node ids by mesh column, shape (nx + 1, ny + 1).
-
-        Row i lists the column x = x_i from bottom to top, so the last row
-        is the side x = lx in ascending id order, the node order of the
-        inaccessible segment.
-        """
-        return np.arange(self.n_nodes).reshape(self.ny + 1, self.nx + 1).T
 
 
 def build_rect_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
     """Build the structured triangulation of (0, lx) x (0, ly).
 
-    Nodes are numbered lexicographically, id = j * (nx + 1) + i for grid
-    position (i, j), so ids increase along x first, then y.  Each cell is
-    split along the lower-left to upper-right diagonal.  Boundary edges
-    are stored counterclockwise (bottom, right, top, left) and untagged;
-    call classify_boundary to assign segment tags.
+    Nodes are numbered column by column, id = i * (ny + 1) + j for grid
+    position (i, j), so ids increase along y first, then x.  Each cell is
+    split along the lower-left to upper-right diagonal; cells are listed
+    by j, then i.  Boundary edges are stored counterclockwise (bottom,
+    right, top, left) and untagged; call classify_boundary to assign
+    segment tags.
 
     Returns a mesh with (nx+1)(ny+1) nodes, 2*nx*ny triangles and
     2*(nx+ny) boundary edges.
@@ -136,17 +130,20 @@ def build_rect_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
         if not isinstance(count, numbers.Integral) or count < 1:
             raise ValueError(
                 f"cell count {name} must be a positive integer, got {count!r}")
-    if lx <= 0 or ly <= 0:
+    # written so that NaN fails the check too
+    if not (lx > 0 and ly > 0):
         raise ValueError(f"side lengths must be positive, got lx={lx}, ly={ly}")
 
     # linspace pins the first and last coordinates to exactly 0 and the
     # side length, so boundary tests can compare x == lx without slack.
     xs = np.linspace(0.0, lx, nx + 1)
     ys = np.linspace(0.0, ly, ny + 1)
-    xv, yv = np.meshgrid(xs, ys, indexing="xy")
+    xv, yv = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.column_stack([xv.ravel(), yv.ravel()])
 
-    grid = np.arange((nx + 1) * (ny + 1), dtype=np.int64).reshape(ny + 1, nx + 1)
+    # grid[j, i] is the id of grid position (i, j)
+    grid = np.arange((nx + 1) * (ny + 1),
+                     dtype=np.int64).reshape(nx + 1, ny + 1).T
     # cell (i, j) gives (ll, lr, ur) and (ll, ur, ul), cells ordered by j
     # then i, so row 2k and 2k + 1 belong to cell k = j * nx + i
     ll = grid[:-1, :-1].ravel()
@@ -176,9 +173,12 @@ def build_rect_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
 
 def _segment(mesh: Mesh, edges: np.ndarray) -> Segment:
     nodes = np.unique(edges)
+    x, y = mesh.nodes[nodes].T
+    nodes = nodes[np.lexsort((x, y))]
+    position = np.empty(mesh.n_nodes, dtype=np.intp)
+    position[nodes] = np.arange(nodes.size)
     d = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
-    seg = Segment(nodes=nodes, edges=edges,
-                  local=np.searchsorted(nodes, edges),
+    seg = Segment(nodes=nodes, edges=edges, local=position[edges],
                   length=np.hypot(d[:, 0], d[:, 1]))
     for array in (seg.nodes, seg.edges, seg.local, seg.length):
         array.flags.writeable = False

@@ -121,6 +121,26 @@ def test_nodal_array_coefficient_is_rejected_by_name(assemble, name):
         assemble(mesh, np.ones(mesh.n_nodes))
 
 
+@pytest.mark.parametrize("coeff", [
+    np.nan,
+    lambda x, y: np.where(x > 0.5, np.nan, 1.0),
+], ids=["constant", "nan-on-part"])
+def test_a_nan_coefficient_is_rejected_when_assembled(coeff):
+    """NaN fails every comparison, so the sign checks of a and c are
+    written to reject it, also through the problem's operator."""
+    mesh = make_mesh(2, 2)
+    with pytest.raises(ValueError, match="diffusion coefficient must be"):
+        fem.assemble_stiffness(mesh, coeff)
+    with pytest.raises(ValueError, match="mass coefficient must be"):
+        fem.assemble_mass(mesh, coeff)
+    gamma = np.ones(mesh.ny + 1)
+    for name in ("a", "c"):
+        coefficients = {"a": 1.0, "c": 1.0, name: coeff}
+        prob = EllipticProblem(mesh=mesh, f=1.0, g=0.0, h=0.0, **coefficients)
+        with pytest.raises(ValueError, match="coefficient must be"):
+            prob.operator(gamma)
+
+
 def test_boundary_load_on_the_accessible_segment():
     mesh = make_mesh()
     b = fem.assemble_boundary_load(mesh, SegmentTag.ACCESSIBLE, 1.0)
@@ -232,16 +252,16 @@ def test_a_source_may_return_its_own_points():
 # ---------------------------------------------------------------------------
 
 def test_p1_matrices_are_stored_by_their_upper_diagonals():
-    """In node order the mass matrix has the diagonals 0, 1, nx + 1 and
-    nx + 2 and is the sum of the element masses (area/12) [[2, 1, 1], [1,
-    2, 1], [1, 1, 2]]; a segment mass on the Robin edge x = lx has the
-    diagonals 0 and nx + 1 and embeds segment_mass."""
+    """Numbered by column, the mass matrix has the diagonals 0, 1, ny + 1
+    and ny + 2 and is the sum of the element masses (area/12) [[2, 1, 1],
+    [1, 2, 1], [1, 1, 2]]; a segment mass on the Robin edge x = lx has
+    the diagonals 0 and 1 and embeds segment_mass."""
     mesh = make_mesh(3, 5)
     n = mesh.n_nodes
     M = fem.assemble_mass(mesh, 1.0)
     assert M.shape == (n, n)
     K = fem.assemble_stiffness(mesh, 1.0)
-    assert M.offsets == K.offsets == (0, 1, 4, 5)
+    assert M.offsets == K.offsets == (0, 1, 6, 7)
     dense = np.zeros((n, n))
     tri = mesh.triangles
     local = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -251,7 +271,7 @@ def test_p1_matrices_are_stored_by_their_upper_diagonals():
     tag = SegmentTag.INACCESSIBLE
     gamma = np.linspace(1.0, 2.0, mesh.ny + 1)
     B = fem.assemble_boundary_mass(mesh, tag, gamma)
-    assert B.offsets == (0, 4)
+    assert B.offsets == (0, 1)
     dense = np.zeros((n, n))
     nodes = mesh.segment_nodes(tag)
     dense[np.ix_(nodes, nodes)] = fem.segment_mass(mesh, tag, gamma)
@@ -308,8 +328,13 @@ def reference_system():
     return A, b
 
 
+def column_widths(mesh):
+    """One block per mesh column."""
+    return [mesh.ny + 1] * (mesh.nx + 1)
+
+
 def reference_factor(A):
-    return fem.BlockLDLT(A, make_mesh().columns()).complete()
+    return fem.BlockLDLT(A, column_widths(make_mesh())).complete()
 
 
 # The test_solve_spd_* tests below cover reference_cg.solve_spd, the
@@ -437,19 +462,24 @@ def test_solve_spd_names_the_column_that_missed_solve_tol(monkeypatch):
 
 def test_block_factor_needs_its_last_pivot_before_it_solves():
     A, b = reference_system()
-    leading = fem.BlockLDLT(A, make_mesh().columns())
+    leading = fem.BlockLDLT(A, column_widths(make_mesh()))
     with pytest.raises(ValueError, match="last pivot"):
         leading.solve(b)
 
 
 def test_block_factor_rejects_an_order_that_is_not_block_tridiagonal():
+    """Blocks narrower than the band couple blocks that are not
+    neighbours; widths must be positive and sum to the order."""
     A, _ = reference_system()
     mesh = make_mesh()
-    rows = np.arange(mesh.n_nodes).reshape(mesh.ny + 1, mesh.nx + 1)
+    column = mesh.ny + 1
     with pytest.raises(ValueError, match="neighbours"):
-        fem.BlockLDLT(A, np.concatenate([rows[::2], rows[1::2]]))
-    with pytest.raises(ValueError, match="every unknown"):
-        fem.BlockLDLT(A, np.zeros_like(mesh.columns()))
+        fem.BlockLDLT(A, [column // 2, column - column // 2]
+                      + [column] * mesh.nx)
+    for widths in ([column] * mesh.nx, [column] * (mesh.nx + 2),
+                   [0] + [column] * (mesh.nx + 1)):
+        with pytest.raises(ValueError, match="every unknown"):
+            fem.BlockLDLT(A, widths)
 
 
 def test_operators_of_one_problem_share_the_leading_factor():
@@ -480,9 +510,10 @@ def test_backward_sweep_reaches_only_the_coupled_mesh_column():
     prob = experiments.make_example("5.1", nx=16, ny=32).problem
     column = prob.mesh.ny + 1
     grouped = prob.base_factor
-    assert [block.size for block in grouped.blocks[:-1]] == [4 * column] * 4
+    assert [span.stop - span.start for span in grouped._spans[:-1]] == \
+        [4 * column] * 4
     assert grouped._reach == [slice(3 * column - 1, 4 * column)] * 4
-    by_column = fem.BlockLDLT(prob.base, prob.mesh.columns())
+    by_column = fem.BlockLDLT(prob.base, column_widths(prob.mesh))
     assert by_column._reach == [slice(0, column)] * prob.mesh.nx
 
 
@@ -554,31 +585,29 @@ def _edge_shifted_stiffness():
     mesh = make_mesh()
     A = (fem.assemble_stiffness(mesh, 1.0) + fem.assemble_mass(mesh, 1.0)
          + fem.assemble_boundary_mass(mesh, SegmentTag.INACCESSIBLE, -100.0))
-    return A, mesh.columns()
+    return A, column_widths(mesh)
 
 
-@pytest.mark.parametrize("A, blocks", [
-    (fem.SymBand.from_dense(np.diag([1.0, -1.0, 1.0])),
-     np.arange(3).reshape(3, 1)),
-    (fem.SymBand.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]])),
-     np.arange(2).reshape(2, 1)),
+@pytest.mark.parametrize("A, widths", [
+    (fem.SymBand.from_dense(np.diag([1.0, -1.0, 1.0])), [1, 1, 1]),
+    (fem.SymBand.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]])), [1, 1]),
     (fem.SymBand.from_dense(
         fem.assemble_stiffness(make_mesh(), 1.0).toarray()
         - 100.0 * fem.assemble_mass(make_mesh(), 1.0).toarray()),
-     make_mesh().columns()),
+     column_widths(make_mesh())),
     _edge_shifted_stiffness(),
 ], ids=["negative-diagonal", "indefinite", "shifted-stiffness", "indefinite-edge"])
-def test_block_factor_rejects_non_spd_matrix(A, blocks):
+def test_block_factor_rejects_non_spd_matrix(A, widths):
     with pytest.raises(fem.LinearSolveError) as info:
-        fem.BlockLDLT(A, blocks).complete()
+        fem.BlockLDLT(A, widths).complete()
     assert isinstance(info.value, fem.CurvatureBreakdown)
     assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
 def test_block_factor_rejects_an_indefinite_edge_pivot_on_completion():
-    A, blocks = _edge_shifted_stiffness()
-    leading = fem.BlockLDLT(A, blocks)
-    nb = blocks.shape[0]
+    A, widths = _edge_shifted_stiffness()
+    leading = fem.BlockLDLT(A, widths)
+    nb = len(widths)
     with pytest.raises(fem.CurvatureBreakdown,
                        match=f"pivot block {nb - 1} of {nb} "):
         leading.complete()

@@ -61,7 +61,7 @@ def _per_cell_connectivity(nx, ny):
     """Triangles and boundary edges built one cell and one edge at a time,
     the oracle of the vectorized build_rect_mesh."""
     def nid(i, j):
-        return j * (nx + 1) + i
+        return i * (ny + 1) + j
 
     triangles = []
     for j in range(ny):
@@ -87,20 +87,48 @@ def test_build_matches_the_per_cell_construction(nx, ny):
         np.testing.assert_array_equal(got, want)
     xs, ys = np.linspace(0.0, LX, nx + 1), np.linspace(0.0, LY, ny + 1)
     np.testing.assert_array_equal(
-        mesh.nodes, [(x, y) for y in ys for x in xs])
+        mesh.nodes, [(x, y) for x in xs for y in ys])
 
 
-def test_columns_list_the_nodes_by_x_with_the_inaccessible_side_last():
+def test_nodes_are_numbered_by_column_with_the_inaccessible_side_last():
+    """Id i (ny + 1) + j sits at (x_i, y_j), so a mesh column is a run of
+    ids ascending in y, and the last ny + 1 ids are the inaccessible
+    segment in ascending y."""
     mesh = make_mesh()
-    columns = mesh.columns()
-    assert columns.shape == (NX + 1, NY + 1)
-    assert sorted(columns.ravel()) == list(range(mesh.n_nodes))
+    xs, ys = np.linspace(0.0, LX, NX + 1), np.linspace(0.0, LY, NY + 1)
+    for i in range(NX + 1):
+        for j in range(NY + 1):
+            assert tuple(mesh.nodes[i * (NY + 1) + j]) == (xs[i], ys[j])
+    columns = np.arange(mesh.n_nodes).reshape(NX + 1, NY + 1)
     for i, column in enumerate(columns):
-        assert np.all(mesh.nodes[column, 0] == mesh.nodes[columns[i, 0], 0])
+        assert np.all(mesh.nodes[column, 0] == xs[i])
         assert np.all(np.diff(mesh.nodes[column, 1]) > 0.0)
     assert np.all(np.diff(mesh.nodes[columns[:, 0], 0]) > 0.0)
     np.testing.assert_array_equal(
         columns[-1], mesh.segment_nodes(SegmentTag.INACCESSIBLE))
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (3, 5), (NX, NY)])
+def test_segments_list_their_nodes_by_y_then_x(nx, ny):
+    """Both segments list their nodes in (y, x) order, not by id: the
+    order that the data, the noise and the profiles follow.  Each lists
+    every node of its edges once, and local indexes into that list."""
+    mesh = classify_boundary(build_rect_mesh(nx, ny, LX, LY))
+    for tag in SegmentTag:
+        seg = mesh.segments[tag]
+        x, y = mesh.nodes[seg.nodes].T
+        dx, dy = np.diff(x), np.diff(y)
+        assert np.all((dy > 0.0) | ((dy == 0.0) & (dx > 0.0)))
+        np.testing.assert_array_equal(np.sort(seg.nodes),
+                                      np.unique(seg.edges))
+        np.testing.assert_array_equal(seg.nodes[seg.local], seg.edges)
+    # the accessible segment: the bottom row, the left side upwards, then
+    # the top row, each row from left to right
+    nodes = mesh.nodes[mesh.segment_nodes(SegmentTag.ACCESSIBLE)]
+    xs, ys = np.linspace(0.0, LX, nx + 1), np.linspace(0.0, LY, ny + 1)
+    want = ([(x, 0.0) for x in xs] + [(0.0, y) for y in ys[1:-1]]
+            + [(x, LY) for x in xs])
+    np.testing.assert_array_equal(nodes, want)
 
 
 def test_unclassified_mesh_refuses_segment_queries():
@@ -119,6 +147,13 @@ def test_build_rejects_bad_dimensions():
     with pytest.raises(ValueError, match="ny must be a positive integer"):
         build_rect_mesh(4, 4.0, 1.0, 2.0)
     assert build_rect_mesh(np.int64(2), np.int32(3), 1.0, 2.0).n_nodes == 12
+
+
+@pytest.mark.parametrize("lx, ly", [(np.nan, LY), (LX, np.nan)],
+                         ids=["nan-lx", "nan-ly"])
+def test_build_rejects_a_nan_side_length(lx, ly):
+    with pytest.raises(ValueError, match="side lengths must be positive"):
+        build_rect_mesh(4, 4, lx, ly)
 
 
 def test_segment_data_is_consistent_and_read_only():

@@ -92,6 +92,11 @@ def test_block_factor_solves_the_operator(example_id, nx, ny, nt, seed):
     assert np.linalg.norm(factored - jacobi) <= 1e-9 * np.linalg.norm(jacobi)
 
 
+def _blocks(factor):
+    """The node ids of each block of a factor, a run of consecutive ids."""
+    return [np.arange(span.start, span.stop) for span in factor._spans]
+
+
 @pytest.mark.parametrize("example_id", ["5.1", "5.3"])
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(nx=st.integers(1, 12),
@@ -103,17 +108,18 @@ def test_block_factor_solves_the_operator(example_id, nx, ny, nt, seed):
 @example(nx=3, ny=fem._BLOCK_WIDTH, seed=2)   # a column is a block
 def test_grouped_block_factor_agrees_with_the_column_factor(
         example_id, nx, ny, seed):
-    """The base factor's blocks list every unknown once: the leading mesh
-    columns g at a time, g the column count nearest to _BLOCK_WIDTH
-    unknowns (at least one, the last group what is left over), and the
-    Robin edge alone last.  Its solves meet SOLVE_TOL on the assembled
-    operator and agree with those of one block per mesh column."""
+    """The base factor's blocks list every unknown once, in node order:
+    the leading mesh columns g at a time, g the column count nearest to
+    _BLOCK_WIDTH unknowns (at least one, the last group what is left
+    over), and the Robin edge alone last.  Its solves meet SOLVE_TOL on
+    the assembled operator and agree with those of one block per mesh
+    column."""
     prob = ex.make_example(example_id, nx=nx, ny=ny, nt=4).problem
     tag = SegmentTag.INACCESSIBLE
-    columns = prob.mesh.columns()
-    blocks = prob.base_factor.blocks
+    blocks = _blocks(prob.base_factor)
     g = max(1, round(fem._BLOCK_WIDTH / (ny + 1)))
-    np.testing.assert_array_equal(np.concatenate(blocks), columns.ravel())
+    np.testing.assert_array_equal(np.concatenate(blocks),
+                                  np.arange(prob.mesh.n_nodes))
     assert [block.size for block in blocks[:-1]] == \
         [min(g, nx - i) * (ny + 1) for i in range(0, nx, g)]
     np.testing.assert_array_equal(blocks[-1], prob.mesh.segment_nodes(tag))
@@ -123,7 +129,7 @@ def test_grouped_block_factor_agrees_with_the_column_factor(
     b = rng.standard_normal(prob.mesh.n_nodes)
     x = prob.operator(gamma).solve(b)
     assert np.linalg.norm(b - S @ x) <= fem.SOLVE_TOL * np.linalg.norm(b)
-    by_column = fem.BlockLDLT(prob.base, columns).complete(
+    by_column = fem.BlockLDLT(prob.base, [ny + 1] * (nx + 1)).complete(
         fem.segment_mass(prob.mesh, tag, gamma)).solve(b)
     assert np.linalg.norm(x - by_column) <= 1e-12 * np.linalg.norm(by_column)
 
@@ -142,17 +148,17 @@ def test_block_factor_matches_the_dense_matrix(example_id, nx, ny, grouped,
     the last block I to 1e-12 relative, and each coupling C_k, rebuilt
     from its diagonals, is A[blocks[k]][:, blocks[k - 1]] exactly."""
     prob = ex.make_example(example_id, nx=nx, ny=ny, nt=4).problem
-    columns = prob.mesh.columns()
     if grouped:
         factor = prob.base_factor
     else:
         rng = np.random.default_rng(seed)
         cuts = rng.choice(np.arange(1, nx + 1), rng.integers(1, nx + 1),
                           replace=False)
-        factor = fem.BlockLDLT(prob.base, [
-            group.ravel() for group in np.split(columns, np.sort(cuts))])
-    blocks = factor.blocks
-    np.testing.assert_array_equal(np.concatenate(blocks), columns.ravel())
+        factor = fem.BlockLDLT(
+            prob.base, np.diff(np.r_[0, np.sort(cuts), nx + 1]) * (ny + 1))
+    blocks = _blocks(factor)
+    np.testing.assert_array_equal(np.concatenate(blocks),
+                                  np.arange(prob.mesh.n_nodes))
     A = prob.base.toarray()
     lead, last = np.concatenate(blocks[:-1]), blocks[-1]
     schur = A[np.ix_(last, last)] - A[np.ix_(last, lead)] @ np.linalg.solve(
