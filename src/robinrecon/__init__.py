@@ -18,7 +18,7 @@ from .experiments import (
     relative_error,
     run_experiment,
 )
-from .lm import LmConfig, LmState, TraceGuardError, run
+from .lm import LmConfig, LmState, run
 from .mesh import Mesh, SegmentTag, build_rect_mesh, classify_boundary
 from .parabolic import ParabolicProblem, solve_forward_parabolic
 
@@ -34,7 +34,6 @@ __all__ = [
     "Mesh",
     "ParabolicProblem",
     "SegmentTag",
-    "TraceGuardError",
     "add_noise",
     "build_rect_mesh",
     "classify_boundary",

@@ -4,15 +4,15 @@ Three solves share one symmetric operator K_a + M_c + B_gamma:
 
 * forward: the state u given the Robin coefficient gamma,
 * derivative: the sensitivity of u to a perturbation d of gamma,
-* adjoint: the transfer of an accessible-side residual weight p back to
-  the inaccessible side.
+* adjoint: the transfer of an accessible-side load weight q, the data
+  misfit in the outer loop, back to the inaccessible side.
 
 EllipticProblem is a fem.RobinProblem: the box check, the operator (the
 factor of the cached base K_a + M_c, completed with the dense edge block
 of B_gamma), the data load and the boundary loads come from there.  The
 derivative and adjoint right-hand sides are the boundary loads of
--(d * u_i) on the inaccessible side and of -(p * u_a) on the accessible
-side, each one product with the segment's mass, and they live on the
+-(d * u_i) on the inaccessible side and of -q on the accessible side,
+each one product with the segment's mass, and they live on the
 edge and on the accessible nodes alone, where the reduced solves take
 them.
 
@@ -31,9 +31,8 @@ verification probes run on, shared with ParabolicProblem: operator,
 forward, derivative and adjoint wrap the module functions below (each
 solve is checked against fem.SOLVE_TOL, so they take only the
 operator), field is the full-field solve (fem.solve_spd) for the checks
-that need one, inner is the segment inner product, integrate is the
-identity (a stationary field is its own gradient), and levels selects
-the whole trace as the one level that carries weight.
+that need one, inner is the segment inner product, and integrate is
+the identity (a stationary field is its own gradient).
 """
 
 from __future__ import annotations
@@ -94,8 +93,6 @@ class EllipticProblem(fem.RobinProblem):
     # Problem protocol.  The methods reach the module functions through
     # their global names at call time, so a rebinding of those names holds.
 
-    levels = (...,)  # the whole trace is the one weighted level
-
     def operator(self, gamma: np.ndarray) -> fem.BlockLDLT:
         return assemble_operator(self, gamma)
 
@@ -105,8 +102,8 @@ class EllipticProblem(fem.RobinProblem):
     def derivative(self, u_i, d, op) -> np.ndarray:
         return solve_derivative(self, u_i, d, op)
 
-    def adjoint(self, u_a, p, op) -> np.ndarray:
-        return solve_adjoint(self, u_a, p, op)
+    def adjoint(self, q, op) -> np.ndarray:
+        return solve_adjoint(self, q, op)
 
     def field(self, op) -> np.ndarray:
         return fem.solve_spd(op, self.load)
@@ -153,22 +150,22 @@ def solve_derivative(
     stack of directions gives one trace per row from one edge solve with
     k right-hand sides.
     """
-    load = prob.boundary_loads(SegmentTag.INACCESSIBLE, u_i, d)
+    tag = SegmentTag.INACCESSIBLE
+    load = prob.boundary_loads(tag, prob.segment_fields(tag, d) * u_i)
     return -(prob.condensed(op).Z @ fem.solve_edge(op, load.T)).T
 
 
 def solve_adjoint(
     prob: EllipticProblem,
-    u_a: np.ndarray,
-    p: np.ndarray,
+    q: np.ndarray,
     op: fem.BlockLDLT,
 ) -> np.ndarray:
     """Inaccessible trace of the adjoint state for an accessible-side
-    weight p.
+    weight q.
 
     Same operator as the forward solve; the load c is the boundary load
-    of -(p * u_a), which lives on the accessible nodes, and the trace is
+    of -q, which lives on the accessible nodes, and the trace is
     Sigma^{-1} (-Z_a^T c).
     """
-    load = prob.boundary_loads(SegmentTag.ACCESSIBLE, u_a, p)
+    load = prob.boundary_loads(SegmentTag.ACCESSIBLE, q)
     return fem.solve_edge(op, -(prob.condensed(op).Z.T @ load))

@@ -409,9 +409,10 @@ def adjoint_identity_errors(
 ) -> IdentityCheck:
     """Probe the derivative/adjoint duality with random direction pairs.
 
-    For each trial, a random segment direction d and accessible weight p
-    are drawn; the check compares the accessible pairing of the derivative
-    trace against the inaccessible pairing of the adjoint trace.
+    For each trial, a random segment direction d and accessible weight q
+    are drawn; the check compares the accessible pairing <J d, q> of the
+    derivative trace against the inaccessible pairing <u_i d, w_i> of the
+    adjoint trace for the weight q.
     Both sides hinge only on transposition of one matrix, so the gap is
     bounded by the accuracy of the solves, far below ADJOINT_TOL.
     """
@@ -421,10 +422,10 @@ def adjoint_identity_errors(
     errors = np.empty(n_trials)
     for i in range(n_trials):
         d = rng.uniform(-1.0, 1.0, u_i.shape[-1])
-        p = rng.uniform(-1.0, 1.0, u_a.shape)
+        q = rng.uniform(-1.0, 1.0, u_a.shape)
         w_a = prob.derivative(u_i, d, op)
-        ws_i = prob.adjoint(u_a, p, op)
-        lhs = prob.inner(SegmentTag.ACCESSIBLE, w_a, u_a * p)
+        ws_i = prob.adjoint(q, op)
+        lhs = prob.inner(SegmentTag.ACCESSIBLE, w_a, q)
         rhs = prob.inner(SegmentTag.INACCESSIBLE, u_i * d, ws_i)
         errors[i] = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
     return IdentityCheck(errors=errors)

@@ -45,9 +45,9 @@ edge, and the edge solve of the condensed load against the anchor.
 
 RobinProblem is the Robin system both problem kinds share: the admissible
 box of gamma, the operator S = base + B_gamma, the data load of f, g and
-h, and the boundary loads -(x * u) M, u a segment trace and M the
-segment mass, that are the right-hand sides of every derivative and
-adjoint solve, on the segment's nodes alone.  The mesh numbers its
+h, and the boundary loads -(x M), x a segment field and M the segment
+mass, that are the right-hand sides of every derivative and adjoint
+solve, on the segment's nodes alone.  The mesh numbers its
 nodes by column, x outer and y inner, and the factor takes them in that
 order: it groups the leading columns into blocks of about _BLOCK_WIDTH
 unknowns and keeps the inaccessible edge x = lx, the only place B_gamma
@@ -888,22 +888,19 @@ class RobinProblem:
             b += load
         return b
 
-    def boundary_loads(self, tag: SegmentTag, u: np.ndarray,
-                       x: np.ndarray) -> np.ndarray:
-        """Boundary load of -(x * u) on segment tag, for every row of u, on
-        the segment's nodes alone: -(x * u) M, M the segment mass.
-
-        u is the trace of a field on the segment, one segment field or a
-        (levels, segment nodes) series, x a segment field or a series of
-        them; the result is one segment load, or one per level.  Raises
-        ValueError unless the last axis of u and of x is the segment's
-        node count.
-        """
-        mass = self.mesh.segments[tag].mass
-        u = np.asarray(u, dtype=float)
+    def segment_fields(self, tag: SegmentTag, x) -> np.ndarray:
+        """x as a float array of fields on segment tag, one or a stack of
+        them; ValueError, naming the segment, unless the last axis of x is
+        the segment's node count, so that no field broadcasts across it."""
         x = np.asarray(x, dtype=float)
-        if u.shape[-1:] != mass.shape[:1] or x.shape[-1:] != mass.shape[:1]:
-            raise ValueError(
-                f"segment {tag.name} has {mass.shape[0]} nodes, got a trace "
-                f"of shape {u.shape} and a field of shape {x.shape}")
-        return -((x * u) @ mass)
+        n = self.mesh.segments[tag].nodes.size
+        if x.shape[-1:] != (n,):
+            raise ValueError(f"segment {tag.name} has {n} nodes, got a field "
+                             f"of shape {x.shape}")
+        return x
+
+    def boundary_loads(self, tag: SegmentTag, x) -> np.ndarray:
+        """Boundary load -(x M) of the fields x on segment tag, M the
+        segment mass, on the segment's nodes alone: one load for a segment
+        field, one per row for a stack or series (see segment_fields)."""
+        return -(self.segment_fields(tag, x) @ self.mesh.segments[tag].mass)

@@ -1,16 +1,17 @@
 """Outer Levenberg-Marquardt loop for the boundary coefficient.
 
-Each iteration measures the data misfit on the accessible segment, sets
-the regularization weight beta to the squared misfit, solves one adjoint
-problem, and updates the coefficient by the closed-form minimizer of a
-quadratic surrogate: delta = u * w / (A + beta) on the inaccessible
-segment, followed by nodal clamping to the problem's admissible box
-[gamma_min, gamma_max], the same box its operator accepts.
+Each iteration measures the data misfit r = z - u on the accessible
+segment, sets the regularization weight beta to its squared norm, solves
+one adjoint problem loaded by r, and updates the coefficient by the
+closed-form minimizer of a quadratic surrogate: delta = u * w / (A +
+beta) on the inaccessible segment, followed by nodal clamping to the
+problem's admissible box [gamma_min, gamma_max], the same box its
+operator accepts.
 
 Both problem kinds run the same code through the problem protocol of
 EllipticProblem and ParabolicProblem (operator, forward, adjoint, inner,
-integrate, levels); only those methods know whether a trace is one
-segment field or a time series.  The loop sees traces only: forward
+integrate); only those methods know whether a trace is one segment field
+or a time series.  The loop sees traces only: forward
 gives the accessible and inaccessible traces, adjoint the inaccessible
 trace of the adjoint state.  A step builds and factors the operator
 once, from the problem's cached gamma-free base plus the Robin mass of
@@ -18,7 +19,7 @@ the iterate, and passes it to both the forward and the adjoint solve.
 A march solves each level with a direct block solve plus one residual
 check against fem.SOLVE_TOL; a stationary step solves on the Robin edge
 alone, after the problem condensed its interior once in the run's first
-step.  A trace closer to zero than TRACE_GUARD ends the step.
+step.
 
 Exactness notes.  The residual norm is computed first, as the square root
 of the misfit inner product, and beta is literally residual * residual,
@@ -30,6 +31,7 @@ because both terms of the quadratic use the same one.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,18 +40,6 @@ from . import elliptic as ell
 from . import fem
 from . import parabolic as par
 from .mesh import SegmentTag
-
-# Smallest |u| tolerated on the accessible trace before the division errors out.
-TRACE_GUARD = 1e-8
-
-
-class TraceGuardError(RuntimeError):
-    """The forward trace on the accessible segment came too close to zero.
-
-    The update divides the residual by that trace, so a near-zero value
-    is a hard error rather than something to smooth over.
-    """
-
 
 class LmRunError(RuntimeError):
     """A step failed mid-run; carries the last good state for postmortem."""
@@ -64,11 +54,12 @@ class LmConfig:
     """Knobs of the outer loop.
 
     eps is the relative-change stopping tolerance, A the surrogate
-    majorization constant.  residual_floor, when set, stops the run once
+    majorization constant, max_iters the iteration cap, a positive
+    integer.  residual_floor, when set, stops the run once
     the measured residual norm drops below it (the computable half of a
     noise-level stopping rule).  The admissible box of gamma is the
-    problem's own (gamma_min, gamma_max); the trace guard is TRACE_GUARD
-    and every solve is checked against fem.SOLVE_TOL.
+    problem's own (gamma_min, gamma_max), and every solve is checked
+    against fem.SOLVE_TOL.
     """
 
     eps: float
@@ -82,8 +73,9 @@ class LmConfig:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if not self.A > 0.0:
             raise ValueError(f"A must be positive, got {self.A}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(
+                f"max_iters must be a positive integer, got {self.max_iters!r}")
         if self.residual_floor is not None and not self.residual_floor > 0.0:
             raise ValueError(
                 f"residual_floor must be positive, got {self.residual_floor}"
@@ -120,43 +112,17 @@ class LmState:
     stop_reason: str | None = None
 
 
-def _check_guard(u_a: np.ndarray, seg_nodes: np.ndarray, levels) -> None:
-    """Raise TraceGuardError where |u_a| < TRACE_GUARD.
-
-    u_a is the accessible trace on the weighted levels: one segment field,
-    or one row per entry of levels for a march, in which case the message
-    names the first level that fails.
-    """
-    small = np.abs(u_a) < TRACE_GUARD
-    if not small.any():
-        return
-    where = ""
-    if small.ndim == 2:
-        row = int(np.flatnonzero(small.any(axis=1))[0])
-        where = f"time level {levels[row]}: "
-        u_a, small = u_a[row], small[row]
-    bad = np.flatnonzero(small)
-    ids = ", ".join(str(seg_nodes[j]) for j in bad[:5])
-    more = "" if bad.size <= 5 else f" (+{bad.size - 5} more)"
-    raise TraceGuardError(
-        f"{where}|u| < {TRACE_GUARD:g} on the accessible segment at node(s) "
-        f"{ids}{more}; smallest |u| = {np.abs(u_a[bad]).min():.3e}"
-    )
-
-
 def _quantities(prob, gamma: np.ndarray, z: np.ndarray,
                 solved: dict | None = None) -> tuple[float, float, np.ndarray]:
     """Residual norm, beta and the raw update direction on the segment.
 
     z is the accessible trace the forward solve is compared with: one
     segment field for a stationary problem, one per time level for a
-    march.  Only the levels the problem weights are guarded and divided;
-    elsewhere the adjoint weight stays zero (a zero initial value would
-    make the initial level 0/0).  solved, when given, receives {"op":
-    op, "u_a": u_a, "u_i": u_i}, the operator of gamma and the traces of
-    its forward state.
+    march.  The misfit r = z - u_a is the adjoint's weight, level 0 of a
+    march included: no march reads it.  solved, when given, receives
+    {"op": op, "u_a": u_a, "u_i": u_i}, the operator of gamma and the
+    traces of its forward state.
     """
-    seg_a = prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("data z holds non-finite values (NaN or inf)")
@@ -169,12 +135,7 @@ def _quantities(prob, gamma: np.ndarray, z: np.ndarray,
     r = z - u_a
     residual_norm = float(np.sqrt(prob.inner(SegmentTag.ACCESSIBLE, r, r)))
     beta = residual_norm * residual_norm
-    levels = prob.levels
-    weighted = u_a[levels]
-    _check_guard(weighted, seg_a, levels)
-    p = np.zeros_like(r)
-    p[levels] = r[levels] / weighted
-    w_i = prob.adjoint(u_a, p, op)
+    w_i = prob.adjoint(r, op)
     grad = prob.integrate(u_i * w_i)
     return residual_norm, beta, grad
 
@@ -276,7 +237,7 @@ def run(
     for _ in range(cfg.max_iters):
         try:
             state = step(prob, state, z, cfg, gamma_star=gamma_star)
-        except (TraceGuardError, fem.LinearSolveError) as exc:
+        except fem.LinearSolveError as exc:
             raise LmRunError(
                 f"iteration {state.k + 1} failed: {exc}", state=state
             ) from exc

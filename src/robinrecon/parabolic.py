@@ -7,33 +7,31 @@ operator S = M/dt + K_a + B_gamma.  The forward march starts from the
 initial value with the data loads, the derivative march from zero with
 the boundary loads of -(d * u_n), segment loads that the march adds at
 the segment's nodes.  The adjoint is the algebraic transpose of the
-derivative march: the same march over the boundary loads of -(p * u_n)
-taken from level N down to 1, flipped back, so the level-N load enters
-the first solve.  Level 0 is no unknown of that march and stays zero.
-Pairing trajectories with the right-endpoint rule
-(weight dt on levels 1..N, nothing on level 0) makes the space-time
-adjoint identity hold to solver precision, not just to O(dt); starting
-from an explicit zero terminal value and loading levels N-1..0 instead
-would leave an O(dt) gap.
+derivative march: the same march over the boundary loads of the
+accessible weights -q_n taken from level N down to 1, flipped back, so
+the level-N load enters the first solve.  Level 0 is no unknown of that
+march and stays zero, and its weight q_0 is never read.  Pairing
+trajectories with the right-endpoint rule (weight dt on levels 1..N,
+nothing on level 0) makes the space-time adjoint identity hold to solver
+precision, not just to O(dt); starting from an explicit zero terminal
+value and loading levels N-1..0 instead would leave an O(dt) gap.
 
 ParabolicProblem is a fem.RobinProblem, which supplies the box check,
 the operator (the factor of the cached base M/dt + K_a, completed with
 the dense edge block of B_gamma) and the boundary loads of all levels
-at once, one product of the trace series with the segment mass.  The
-mass M and load, the data loads of every level, are cached on the
-problem too; load is one data_load call over the data frozen at each
-time level, so the quadrature geometry is computed once per problem,
-not once per level.
+at once, one product of a series of segment fields with the segment
+mass.  The mass M and load, the data loads of every level, are cached
+on the problem too; load is one data_load call over the data frozen at
+each time level, so the quadrature geometry is computed once per
+problem, not once per level.
 
 ParabolicProblem carries the same problem protocol as EllipticProblem:
 operator, forward, derivative and adjoint wrap the march functions below
 (every step is a direct block solve checked against fem.SOLVE_TOL) and
 slice their trajectories to the traces the protocol returns, field is
-the forward march itself, inner is space_time_inner, integrate is
-time_integral_boundary, and levels are 1..nt, the levels the
-right-endpoint rule weights.  The derivative and adjoint marches take
-the forward trace series they need, on the inaccessible and the
-accessible segment.
+the forward march itself, inner is space_time_inner, and integrate is
+time_integral_boundary, both weighting no level 0.  The derivative march
+takes the inaccessible trace series of the forward march.
 """
 
 from __future__ import annotations
@@ -103,7 +101,7 @@ class ParabolicProblem(fem.RobinProblem):
         data at t_n, all levels in one data_load call.  Row 0 stays zero:
         no step solves for level 0.
         """
-        times = [n * self.dt for n in self.levels]
+        times = [n * self.dt for n in range(1, self.nt + 1)]
         loads = self.data_load(*(_over_times(data, times)
                                  for data in (self.f, self.g, self.h)))
         L = np.zeros((self.nt + 1, self.mesh.n_nodes))
@@ -121,10 +119,6 @@ class ParabolicProblem(fem.RobinProblem):
     def _seg_i(self) -> np.ndarray:
         return self.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
 
-    @property
-    def levels(self) -> range:
-        return range(1, self.nt + 1)
-
     def operator(self, gamma: np.ndarray) -> fem.BlockLDLT:
         return build_operator(self, gamma)
 
@@ -135,8 +129,8 @@ class ParabolicProblem(fem.RobinProblem):
     def derivative(self, u_i, d, op) -> np.ndarray:
         return solve_derivative_parabolic(self, u_i, d, op)[:, self._seg_a]
 
-    def adjoint(self, u_a, p, op) -> np.ndarray:
-        return solve_adjoint_parabolic(self, u_a, p, op)[:, self._seg_i]
+    def adjoint(self, q, op) -> np.ndarray:
+        return solve_adjoint_parabolic(self, q, op)[:, self._seg_i]
 
     def field(self, op) -> np.ndarray:
         return solve_forward_parabolic(self, op)
@@ -208,29 +202,28 @@ def solve_derivative_parabolic(
     for op.  Starts from zero and takes the boundary load of -(d * u_n)
     on the inaccessible side at each step.
     """
-    loads = prob.boundary_loads(SegmentTag.INACCESSIBLE, u_i, d)
+    tag = SegmentTag.INACCESSIBLE
+    loads = prob.boundary_loads(tag, prob.segment_fields(tag, d) * u_i)
     return _march(prob, op, loads, np.zeros(prob.mesh.n_nodes), prob._seg_i)
 
 
 def solve_adjoint_parabolic(
     prob: ParabolicProblem,
-    u_a: np.ndarray,
-    p: np.ndarray,
+    q: np.ndarray,
     op: fem.BlockLDLT,
 ) -> np.ndarray:
-    """Adjoint trajectory for accessible-side weights p, backward in time.
+    """Adjoint trajectory for accessible-side weights q, backward in time.
 
-    u_a is the accessible trace series of the forward trajectory for op.
-    p has shape (nt + 1, accessible node count); row 0 is never used since
+    q has shape (nt + 1, accessible node count); row 0 is never used since
     the right-endpoint pairing gives the initial level zero weight.  The
     sweep is the exact transpose of the derivative march: the march over
-    the boundary loads of -(p * u) taken from level N down to 1, so the
-    first solve already carries the level-N load.  Level 0 is no unknown
-    of the transposed march and stays zero.
+    the boundary loads of -q taken from level N down to 1, so the first
+    solve already carries the level-N load.  Level 0 is no unknown of the
+    transposed march and stays zero.
     """
-    if len(p) != prob.nt + 1:
-        raise ValueError(f"weight series has {len(p)} levels, expected {prob.nt + 1}")
-    loads = prob.boundary_loads(SegmentTag.ACCESSIBLE, u_a, p)
+    if len(q) != prob.nt + 1:
+        raise ValueError(f"weight series has {len(q)} levels, expected {prob.nt + 1}")
+    loads = prob.boundary_loads(SegmentTag.ACCESSIBLE, q)
     # level 0 in place, levels 1..N reversed; the reordering is its own inverse
     order = np.r_[0, prob.nt:0:-1]
     return _march(prob, op, loads[order], np.zeros(prob.mesh.n_nodes),

@@ -99,10 +99,10 @@ def test_adjoint_identity_single_pair():
     u_a, u_i = ell.solve_forward(example.problem, op)
     rng = np.random.default_rng(3)
     d = rng.uniform(-1.0, 1.0, seg_i.size)
-    p = rng.uniform(-1.0, 1.0, seg_a.size)
+    q = rng.uniform(-1.0, 1.0, seg_a.size)
     w_a = ell.solve_derivative(example.problem, u_i, d, op)
-    ws_i = ell.solve_adjoint(example.problem, u_a, p, op)
-    lhs = fem.boundary_inner(mesh, SegmentTag.ACCESSIBLE, w_a, u_a * p)
+    ws_i = ell.solve_adjoint(example.problem, q, op)
+    lhs = fem.boundary_inner(mesh, SegmentTag.ACCESSIBLE, w_a, q)
     rhs = fem.boundary_inner(mesh, SegmentTag.INACCESSIBLE, u_i * d, ws_i)
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 

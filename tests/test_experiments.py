@@ -148,6 +148,10 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="noise seed must be a non-neg"):
             experiments.ExperimentSpec(example_id="5.1", seed=seed)
     assert experiments.ExperimentSpec(example_id="5.1", seed=np.int64(3)).seed == 3
+    # the iteration cap is checked before any output exists
+    for max_iters in (2.5, float("nan")):
+        with pytest.raises(ValueError, match="max_iters"):
+            experiments.ExperimentSpec(example_id="5.1", max_iters=max_iters)
     assert experiments.ExperimentSpec(example_id="5.3").kind == "parabolic"
     # eps left unset is the kind's default tolerance
     for example_id, kind in (("5.2", "elliptic"), ("5.4", "parabolic")):

@@ -176,10 +176,10 @@ def test_segment_mass_matches_inner_product():
 
 
 def test_boundary_loads_match_the_per_level_quadrature():
-    """The problem's boundary loads of -(x * u) on a time series, with x
-    one field per level (the adjoint) or one field for all levels (the
-    derivative), are segment loads: those of the per-level Gauss
-    quadrature of the interpolated field."""
+    """The problem's boundary loads of a series of segment fields x * u,
+    with x one field per level or one field for all levels (the
+    derivative's d * u_i), are segment loads: those of the per-level
+    Gauss quadrature of the interpolated field."""
     mesh = make_mesh()
     prob = EllipticProblem(mesh=mesh, a=1.0, c=1.0, f=0.0, g=0.0, h=0.0)
     rng = np.random.default_rng(4)
@@ -193,7 +193,7 @@ def test_boundary_loads_match_the_per_level_quadrature():
                 -reference_quadrature.gauss_mass(seg, xs[n] * u[n]).sum(axis=1)
                 for n in range(5)
             ])
-            loads = prob.boundary_loads(tag, u, x)
+            loads = prob.boundary_loads(tag, x * u)
             assert loads.shape == u.shape
             np.testing.assert_allclose(loads, expected, rtol=1e-14, atol=1e-15)
 
@@ -210,11 +210,11 @@ def test_boundary_loads_reject_a_field_of_another_size(example_id):
     with pytest.raises(ValueError, match="segment INACCESSIBLE has 9 nodes"):
         prob.derivative(u_i, np.array([1.0]), op)
     with pytest.raises(ValueError, match="segment ACCESSIBLE has 17 nodes"):
-        prob.adjoint(u_a, np.ones(u_a.shape)[..., :1], op)
+        prob.adjoint(np.ones(u_a.shape)[..., :1], op)
     with pytest.raises(ValueError, match="segment INACCESSIBLE"):
         prob.derivative(u_i[..., :-1], np.ones(n_edge - 1), op)
     with pytest.raises(ValueError, match="segment ACCESSIBLE"):
-        prob.boundary_loads(SegmentTag.ACCESSIBLE, u_a, 1.0)
+        prob.boundary_loads(SegmentTag.ACCESSIBLE, 1.0)
 
 
 def test_a_source_may_return_its_own_points():
@@ -551,7 +551,7 @@ def test_factored_solves_meet_solve_tol_in_one_iteration(
     u_a, u_i = prob.forward(op)
     rng = np.random.default_rng(0)
     prob.derivative(u_i, rng.uniform(-1.0, 1.0, seg_i.size), op)
-    prob.adjoint(u_a, rng.uniform(-1.0, 1.0, u_a.shape), op)
+    prob.adjoint(rng.uniform(-1.0, 1.0, u_a.shape), op)
     if example.kind == "elliptic":
         # the condensation's anchor and its probe, the probe's and the
         # load's edge solves, then the three solves
