@@ -17,9 +17,11 @@ measurements would of course not be this kind.
 The second half of the module is a verification battery shared by the
 command line and the test suite: adjoint identity probes, derivative
 finite-difference decay, a dense Gauss-Newton oracle on a tiny mesh, and
-manufactured-solution convergence ratios.  The probes run on the traces
-of the problem protocol, the same checked solves as the reconstruction;
-data generation and the convergence ratios take the full forward field
+manufactured-solution convergence ratios.  The probes take no settings:
+their meshes, seed, steps and noise level are module constants next to
+the thresholds they are held to.  The probes run on the traces of the
+problem protocol, the same checked solves as the reconstruction; data
+generation and the convergence ratios take the full forward field
 (field), so the data do not depend on the stationary condensation.
 
 The jobs of a sweep differ only in their noise: prepare builds the rest
@@ -29,6 +31,8 @@ of a job (a Setup), and shared_setup lets all of them take one.
 from __future__ import annotations
 
 import contextlib
+import functools
+import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
@@ -42,7 +46,8 @@ from . import elliptic as ell
 from . import fem
 from . import lm
 from . import parabolic as par
-from .mesh import Mesh, SegmentTag, build_rect_mesh, classify_boundary
+from .mesh import (Mesh, SegmentTag, build_rect_mesh, classify_boundary,
+                   require_positive_int)
 
 LX = 1.0
 LY = 2.0
@@ -54,6 +59,17 @@ ADJOINT_TOL = 1e-12
 FD_ORDER_BAND = (0.7, 1.3)
 ELLIPTIC_RATIO_MIN = 3.5
 PARABOLIC_RATIO_MIN = 1.8
+
+# Settings of the verification probes: the (nx, ny, nt) of the adjoint
+# and derivative probes, and the (nx, ny), noise level and majorization
+# constant of the oracle.
+PROBE_MESH = (8, 16, 16)
+ADJOINT_TRIALS = 20
+ADJOINT_SEED = 2024
+FD_STEPS = (1e-2, 1e-3, 1e-4)
+ORACLE_MESH = (4, 8)
+ORACLE_DELTA = 0.02
+ORACLE_A = 1.0
 
 
 def _gamma_51(y):
@@ -145,8 +161,10 @@ class ExperimentSpec:
 
     def __post_init__(self):
         _registered(self.example_id)
-        if not self.delta >= 0.0:
-            raise ValueError(f"noise level must be nonnegative, got {self.delta}")
+        require_positive_int(self.nx, "cell count nx")
+        require_positive_int(self.ny, "cell count ny")
+        require_positive_int(self.nt, "step count nt")
+        _require_noise_level(self.delta)
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(
                 f"noise seed must be a non-negative integer, got {self.seed!r}")
@@ -235,14 +253,20 @@ def exact_observation(example: Example) -> np.ndarray:
     return u[..., prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)]
 
 
+def _require_noise_level(delta: float) -> None:
+    # written so that NaN fails the check too
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(
+            f"noise level must be nonnegative and finite, got {delta}")
+
+
 def add_noise(z: np.ndarray, delta: float, seed: int) -> np.ndarray:
     """Multiplicative uniform noise: each entry scaled by (1 + delta * R).
 
     R is drawn i.i.d. uniform on [-1, 1] from numpy's seeded default
     generator (PCG64), so the same seed always gives the same data.
     """
-    if not delta >= 0.0:
-        raise ValueError(f"noise level must be nonnegative, got {delta}")
+    _require_noise_level(delta)
     z = np.asarray(z, dtype=float)
     rng = np.random.default_rng(seed)
     return z * (1.0 + delta * rng.uniform(-1.0, 1.0, size=z.shape))
@@ -396,31 +420,25 @@ def _probe_setup(kind: str, nx: int, ny: int, nt: int):
     example = make_example(_PROBE_EXAMPLES[kind], nx=nx, ny=ny, nt=nt)
     prob = example.problem
     gamma = interpolate_gamma(prob.mesh, example.gamma_star)
-    return prob, gamma, prob.operator(gamma)
+    return example, gamma, prob.operator(gamma)
 
 
-def adjoint_identity_errors(
-    kind: str,
-    nx: int = 8,
-    ny: int = 16,
-    nt: int = 16,
-    n_trials: int = 20,
-    seed: int = 2024,
-) -> IdentityCheck:
+def adjoint_identity_errors(kind: str) -> IdentityCheck:
     """Probe the derivative/adjoint duality with random direction pairs.
 
-    For each trial, a random segment direction d and accessible weight q
-    are drawn; the check compares the accessible pairing <J d, q> of the
-    derivative trace against the inaccessible pairing <u_i d, w_i> of the
+    For each of ADJOINT_TRIALS trials on the PROBE_MESH, a random segment
+    direction d and accessible weight q are drawn; the check compares the
+    accessible pairing <J d, q> of the derivative trace against the inaccessible pairing <u_i d, w_i> of the
     adjoint trace for the weight q.
     Both sides hinge only on transposition of one matrix, so the gap is
     bounded by the accuracy of the solves, far below ADJOINT_TOL.
     """
-    prob, gamma, op = _probe_setup(kind, nx, ny, nt)
+    example, gamma, op = _probe_setup(kind, *PROBE_MESH)
+    prob = example.problem
     u_a, u_i = prob.forward(op)
-    rng = np.random.default_rng(seed)
-    errors = np.empty(n_trials)
-    for i in range(n_trials):
+    rng = np.random.default_rng(ADJOINT_SEED)
+    errors = np.empty(ADJOINT_TRIALS)
+    for i in range(ADJOINT_TRIALS):
         d = rng.uniform(-1.0, 1.0, u_i.shape[-1])
         q = rng.uniform(-1.0, 1.0, u_a.shape)
         w_a = prob.derivative(u_i, d, op)
@@ -433,21 +451,15 @@ def adjoint_identity_errors(
 
 @dataclass(frozen=True)
 class FdCheck:
-    """Finite-difference consistency of the derivative solver."""
+    """Finite-difference errors of the derivative solver, one per FD_STEPS."""
 
-    eps_values: tuple
     errors: np.ndarray
     order: float
 
 
-def derivative_fd_check(
-    kind: str,
-    eps_values: tuple = (1e-2, 1e-3, 1e-4),
-    nx: int = 8,
-    ny: int = 16,
-    nt: int = 16,
-) -> FdCheck:
-    """Forward-difference decay of the linearization error on the data trace.
+def derivative_fd_check(kind: str) -> FdCheck:
+    """Forward-difference decay of the linearization error on the data
+    trace, on the PROBE_MESH with the steps FD_STEPS.
 
     The probe direction is constant one.  For a constant direction the
     quadrature of the coefficient-weighted boundary mass commutes with
@@ -455,7 +467,8 @@ def derivative_fd_check(
     remainder and decays linearly in the step, which is what the fitted
     order asserts.
     """
-    prob, gamma, op = _probe_setup(kind, nx, ny, nt)
+    example, gamma, op = _probe_setup(kind, *PROBE_MESH)
+    prob = example.problem
     u_a, u_i = prob.forward(op)
     d = np.ones(u_i.shape[-1])
     w_a = prob.derivative(u_i, d, op)
@@ -464,14 +477,13 @@ def derivative_fd_check(
         return np.sqrt(prob.inner(SegmentTag.ACCESSIBLE, x, x))
 
     ref = norm(w_a)
-    errors = np.empty(len(eps_values))
-    for i, eps in enumerate(eps_values):
+    errors = np.empty(len(FD_STEPS))
+    for i, eps in enumerate(FD_STEPS):
         gamma_eps = gamma + eps * d
         u_eps_a, _ = prob.forward(prob.operator(gamma_eps))
         errors[i] = norm((u_eps_a - u_a) / eps - w_a) / ref
-    slope = np.polyfit(np.log(np.asarray(eps_values)), np.log(errors), 1)[0]
-    return FdCheck(eps_values=tuple(eps_values), errors=errors,
-                   order=float(slope))
+    slope = np.polyfit(np.log(np.asarray(FD_STEPS)), np.log(errors), 1)[0]
+    return FdCheck(errors=errors, order=float(slope))
 
 
 @dataclass(frozen=True)
@@ -494,10 +506,10 @@ def oracle_optimality_check(
     prob: ell.EllipticProblem,
     gamma_k: np.ndarray,
     z: np.ndarray,
-    A: float = 1.0,
     beta_override: float | None = None,
 ) -> OracleReport:
-    """Compare one surrogate step against the dense linearized subproblem.
+    """Compare one surrogate step, of majorization constant ORACLE_A,
+    against the dense linearized subproblem.
 
     Builds the derivative operator from one derivative solve with a
     column per segment basis direction, on the operator and forward
@@ -513,19 +525,17 @@ def oracle_optimality_check(
     if not isinstance(prob, ell.EllipticProblem):
         raise TypeError("the oracle is implemented for the stationary problem")
     mesh = prob.mesh
-    seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
     gamma_k = np.asarray(gamma_k, dtype=float)
     z = np.asarray(z, dtype=float)
 
-    solved = {}
-    residual_norm, beta, grad = lm._quantities(prob, gamma_k, z, solved)
+    residual_norm, beta, grad, op, u_a, u_i = lm._quantities(prob, gamma_k, z)
     if beta_override is not None:
         beta = float(beta_override)
-    s_surrogate = grad / (A + beta)
+    s_surrogate = grad / (ORACLE_A + beta)
 
-    r = z - solved["u_a"]
-    m = seg_i.size
-    D = prob.derivative(solved["u_i"], np.eye(m), solved["op"]).T
+    r = z - u_a
+    m = grad.size
+    D = prob.derivative(u_i, np.eye(m), op).T
     Ma = mesh.segments[SegmentTag.ACCESSIBLE].mass
     Mi = mesh.segments[SegmentTag.INACCESSIBLE].mass
     H = D.T @ Ma @ D + beta * Mi
@@ -558,21 +568,16 @@ def oracle_optimality_check(
     )
 
 
-def run_oracle_check(
-    seed: int = 0,
-    nx: int = 4,
-    ny: int = 8,
-    delta: float = 0.02,
-    A: float = 1.0,
-) -> OracleReport:
-    """Oracle comparison on the tiny mesh with a random iterate near exact."""
-    example = make_example("5.1", nx=nx, ny=ny)
+def run_oracle_check(seed: int = 0) -> OracleReport:
+    """Oracle comparison of 5.1 on the ORACLE_MESH, with the noise and a
+    random iterate near exact drawn from seed."""
+    example = make_example("5.1", *ORACLE_MESH)
     mesh = example.problem.mesh
     gamma_exact = interpolate_gamma(mesh, example.gamma_star)
-    z = add_noise(exact_observation(example), delta, seed)
+    z = add_noise(exact_observation(example), ORACLE_DELTA, seed)
     rng = np.random.default_rng(seed + 1)
     gamma_k = gamma_exact + rng.uniform(-0.2, 0.2, gamma_exact.size)
-    return oracle_optimality_check(example.problem, gamma_k, z, A=A)
+    return oracle_optimality_check(example.problem, gamma_k, z)
 
 
 def domain_l2_error(mesh: Mesh, u: np.ndarray, exact) -> float:
@@ -610,12 +615,11 @@ def fem_convergence_check(kind: str) -> ConvergenceCheck:
     """
     errors = []
     for nx, ny, nt in ((8, 16, 8), (16, 32, 16)):
-        prob, _, op = _probe_setup(kind, nx, ny, nt)
-        u = prob.field(op)
-        exact = _u_elliptic
-        if kind == "parabolic":  # compare at the final time
-            u = u[-1]
-            exact = lambda x, y: _u_parabolic(x, y, prob.T)
+        example, _, op = _probe_setup(kind, nx, ny, nt)
+        prob = example.problem
+        u, exact = prob.field(op), example.u_exact
+        if u.ndim == 2:  # a march: compare at the final time
+            u, exact = u[-1], functools.partial(exact, t=prob.T)
         errors.append(domain_l2_error(prob.mesh, u, exact))
     return ConvergenceCheck(coarse_error=errors[0], fine_error=errors[1])
 
@@ -646,7 +650,7 @@ def _check_derivative(kind: str) -> CheckResult:
     return CheckResult(
         name=f"derivative-{kind}",
         passed=lo <= report.order <= hi,
-        details=(f"fd errors [{errs}] for steps {report.eps_values}, "
+        details=(f"fd errors [{errs}] for steps {FD_STEPS}, "
                  f"fitted order {report.order:.3f} (band [{lo}, {hi}])"),
     )
 

@@ -113,6 +113,12 @@ class Mesh:
         return self.segments[tag].nodes
 
 
+def require_positive_int(value, name: str) -> None:
+    """Raise ValueError unless value is a positive numbers.Integral."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def build_rect_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
     """Build the structured triangulation of (0, lx) x (0, ly).
 
@@ -126,10 +132,8 @@ def build_rect_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
     Returns a mesh with (nx+1)(ny+1) nodes, 2*nx*ny triangles and
     2*(nx+ny) boundary edges.
     """
-    for name, count in (("nx", nx), ("ny", ny)):
-        if not isinstance(count, numbers.Integral) or count < 1:
-            raise ValueError(
-                f"cell count {name} must be a positive integer, got {count!r}")
+    require_positive_int(nx, "cell count nx")
+    require_positive_int(ny, "cell count ny")
     # written so that NaN fails the check too
     if not (lx > 0 and ly > 0):
         raise ValueError(f"side lengths must be positive, got lx={lx}, ly={ly}")

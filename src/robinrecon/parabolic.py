@@ -36,14 +36,13 @@ takes the inaccessible trace series of the forward march.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import fem
-from .mesh import Mesh, SegmentTag
+from .mesh import Mesh, SegmentTag, require_positive_int
 
 
 @dataclass(frozen=True)
@@ -73,10 +72,7 @@ class ParabolicProblem(fem.RobinProblem):
         # written so that NaN fails the checks too
         if not self.T > 0.0:
             raise ValueError(f"final time must be positive, got {self.T}")
-        if not isinstance(self.nt, numbers.Integral) or self.nt < 1:
-            raise ValueError(
-                f"nt must be a positive integer number of time steps, "
-                f"got {self.nt!r}")
+        require_positive_int(self.nt, "step count nt")
         super().__post_init__()
 
     @property

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import surrogate
 from robinrecon import cli, experiments, fem, lm
 from robinrecon.mesh import SegmentTag
 
@@ -131,9 +132,10 @@ def _replay_with_probes(example_id: str, rng: np.random.Generator,
     worst_margin = -np.inf
     iterations = 0
     for k in range(1, 101):
-        residual, beta, grad = lm._quantities(prob, gamma, z)
+        residual, beta, grad, *_ = lm._quantities(prob, gamma, z)
         update = gamma + grad / (1.0 + beta)
-        objective = lm.make_surrogate_objective(prob, gamma, z, beta)
+        objective = surrogate.make_surrogate_objective(prob, gamma, grad,
+                                                       beta)
         j_update = objective(update)
         for _ in range(n_probes):
             probe = update + rng.uniform(-0.05, 0.05, update.size)

@@ -157,11 +157,18 @@ def test_spec_validation():
     for example_id, kind in (("5.2", "elliptic"), ("5.4", "parabolic")):
         assert (experiments.ExperimentSpec(example_id=example_id).eps
                 == experiments.DEFAULT_EPS[kind])
+    # the mesh and step counts and the noise level are checked when the
+    # spec is made, by the checks of the mesh and the problem
     for example_id, field in (("5.1", "nx"), ("5.3", "ny"), ("5.3", "nt")):
-        spec = experiments.ExperimentSpec(example_id=example_id,
-                                          **{field: 2.5})
         with pytest.raises(ValueError, match=f"{field} must be a positive"):
-            experiments.run_experiment(spec)
+            experiments.ExperimentSpec(example_id=example_id,
+                                       **{field: 2.5})
+    for field, bad in (("ny", float("nan")), ("nt", 0), ("nx", -1),
+                       ("ny", "8")):
+        with pytest.raises(ValueError, match=f"{field} must be a positive"):
+            experiments.ExperimentSpec(example_id="5.1", **{field: bad})
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        experiments.ExperimentSpec(example_id="5.1", delta=float("inf"))
 
 
 def test_run_experiment_collects_everything():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import reference_cg
 import reference_quadrature
+import surrogate
 from robinrecon import experiments as ex
 from robinrecon import fem
 from robinrecon import lm
@@ -268,12 +269,13 @@ def test_surrogate_minimizer_beats_random_probes(example_id, nx, ny, nt, seed):
     z = ex.add_noise(ex.exact_observation(example), 0.02, seed)
     gamma_k = rng.uniform(prob.gamma_min, prob.gamma_max, seg_i.size)
     A = rng.uniform(0.5, 2.0)
-    residual, beta, grad = lm._quantities(prob, gamma_k, z)
+    residual, beta, grad, *_ = lm._quantities(prob, gamma_k, z)
     update = gamma_k + grad / (A + beta)
     state = lm.run(prob, gamma_k, z, lm.LmConfig(eps=1e-3, A=A, max_iters=1))
     assert np.array_equal(state.gamma,
                           np.clip(update, prob.gamma_min, prob.gamma_max))
-    objective = lm.make_surrogate_objective(prob, gamma_k, z, beta, A=A)
+    objective = surrogate.make_surrogate_objective(prob, gamma_k, grad, beta,
+                                                   A=A)
     j_min = objective(update)
     assert j_min <= objective(gamma_k)
     for _ in range(10):
