@@ -13,10 +13,11 @@ flags, with '#' comments.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import experiments, fem
@@ -204,6 +205,10 @@ def _sweep_row(result: experiments.ExperimentResult) -> list:
 
 
 def cmd_sweep(args) -> int:
+    """One job per (delta, seed), in that request order, and one row of
+    sweep.csv per job, written as its result arrives in that order; a job
+    that failed in its L-M loop is an error row and its message a line on
+    stderr.  Exits 1 if any job failed."""
     settings = _merge_settings(args)
     # Rows are keyed by (delta, seed), so a repeated entry would rerun
     # the same job and repeat its row.
@@ -223,49 +228,36 @@ def cmd_sweep(args) -> int:
     ]
     out = Path(settings["out"])
     path = out / "sweep.csv"
-    # Progress goes to a side file, which replaces sweep.csv only once the
-    # sweep completes: a sweep that fails keeps the table of an earlier one.
+    # Rows go to a side file, which replaces sweep.csv only once the sweep
+    # completes: a sweep that fails keeps the table of an earlier one, and
+    # a killed one leaves the rows before its first unfinished job.
     partial = out / "sweep.csv.partial"
-    completed = {}
+    failed = 0
     # The jobs differ only in delta and seed, so they share one setup:
     # built before --out exists, inherited by forked pool workers.
-    with experiments.shared_setup(specs[0]):
+    with experiments.shared_setup(specs[0]), contextlib.ExitStack() as stack:
         out.mkdir(parents=True, exist_ok=True)
-        with open(partial, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_SWEEP_HEADER)
+        fh = stack.enter_context(open(partial, "w", newline=""))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_SWEEP_HEADER)
+        fh.flush()
+        # a pool forks all its workers at once, so no more than there are
+        # runs; it pickles run_experiment by module and name, so a stand-in
+        # there (the benchmark's job recorder) must carry both, as wraps
+        # does
+        workers = min(settings["jobs"], len(specs))
+        run_all = map
+        if workers > 1:
+            run_all = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers)).map
+        for result in run_all(experiments.run_experiment, specs):
+            writer.writerow(_sweep_row(result))
             fh.flush()
-
-            def record(result: experiments.ExperimentResult) -> None:
-                spec = result.spec
-                completed[(spec.delta, spec.seed)] = result
-                writer.writerow(_sweep_row(result))
-                fh.flush()
-                if result.error:
-                    print(f"delta {spec.delta:g} seed {spec.seed}: "
-                          f"{result.error}", file=sys.stderr)
-
-            # a pool forks all its workers at once, so no more than there
-            # are runs; it pickles run_experiment by module and name, so a
-            # stand-in there (the benchmark's job recorder) must carry
-            # both, as wraps does
-            workers = min(settings["jobs"], len(specs))
-            if workers > 1:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [pool.submit(experiments.run_experiment, spec)
-                               for spec in specs]
-                    for future in as_completed(futures):
-                        record(future.result())
-            else:
-                for spec in specs:
-                    record(experiments.run_experiment(spec))
-
-    # Rewrite in the deterministic (delta, seed) request order; the
-    # incremental file above only guarantees progress is not lost.
-    _write_csv(partial, _SWEEP_HEADER,
-               (_sweep_row(completed[(spec.delta, spec.seed)]) for spec in specs))
+            if result.error:
+                failed += 1
+                print(f"delta {result.spec.delta:g} seed {result.spec.seed}: "
+                      f"{result.error}", file=sys.stderr)
     os.replace(partial, path)
-    failed = sum(1 for result in completed.values() if result.error)
     print(f"{len(specs)} runs ({failed} failed), table in {path}")
     return 1 if failed else 0
 

@@ -35,7 +35,7 @@ import functools
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 # loaded with the module, not on the first noise draw, so that the forked
@@ -133,6 +133,13 @@ def _registered(example_id: str):
     return _REGISTRY[example_id]
 
 
+def _require_kink_node(example_id: str, ny: int) -> None:
+    # The exact coefficient of 5.2 has a kink at y = 1; an odd ny would
+    # smear it across an element.
+    if example_id == "5.2" and ny % 2 != 0:
+        raise ValueError("example 5.2 needs an even ny so y = 1 is a node")
+
+
 @dataclass(frozen=True)
 class Example:
     """A registered setup: problem data, exact coefficient, exact state."""
@@ -163,6 +170,7 @@ class ExperimentSpec:
         _registered(self.example_id)
         require_positive_int(self.nx, "cell count nx")
         require_positive_int(self.ny, "cell count ny")
+        _require_kink_node(self.example_id, self.ny)
         require_positive_int(self.nt, "step count nt")
         _require_noise_level(self.delta)
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
@@ -192,10 +200,7 @@ def make_example(
 ) -> Example:
     """Build one registered example on an nx-by-ny mesh."""
     kind, gamma_star = _registered(example_id)
-    if example_id == "5.2" and ny % 2 != 0:
-        # The exact coefficient of 5.2 has a kink at y = 1; an odd ny
-        # would smear it across an element.
-        raise ValueError("example 5.2 needs an even ny so y = 1 is a node")
+    _require_kink_node(example_id, ny)
     mesh = classify_boundary(build_rect_mesh(nx, ny, LX, LY))
     if kind == "elliptic":
         problem = ell.EllipticProblem(
@@ -283,7 +288,6 @@ class ExperimentResult:
     """
 
     spec: ExperimentSpec
-    kind: str
     y: np.ndarray
     gamma_exact: np.ndarray
     gamma_reconstructed: np.ndarray
@@ -344,12 +348,14 @@ def shared_setup(spec: ExperimentSpec):
     spec only in delta, seed or the L-M settings takes one setup, built
     here, and so do the processes forked within it; others build their
     own.  A stationary problem is also condensed here, at the operator of
-    gamma0, as the first step of each run would otherwise do.  Yields the
-    setup."""
+    gamma0, as the first step of each run would otherwise do.  A solve
+    failure of that condensation is left to each run's first step, which
+    meets it again and ends its run with it.  Yields the setup."""
     setup = prepare(spec)
     if setup.example.kind == "elliptic":
         prob = setup.example.problem
-        prob.condensed(prob.operator(setup.gamma0))
+        with contextlib.suppress(fem.LinearSolveError):
+            prob.condensed(prob.operator(setup.gamma0))
     key = _setup_key(spec)
     _SHARED[key] = setup
     try:
@@ -362,8 +368,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run the reconstruction a spec describes and collect the results.
 
     The setup is the one shared_setup holds for the spec, or built here.
-    A failure in the L-M loop (lm.LmRunError) gives the result of the
-    last completed iterate; anything before the loop raises.
+    The result is that of the state lm.run ends at, a failed step's
+    included (stop_reason "error"); anything before the loop raises.
     """
     setup = _SHARED.get(_setup_key(spec))
     if setup is None:
@@ -371,16 +377,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     mesh = setup.example.problem.mesh
     z = add_noise(setup.z_exact, spec.delta, spec.seed)
     start = time.perf_counter()
-    error = ""
-    try:
-        state = lm.run(setup.example.problem, setup.gamma0, z,
-                       spec.lm_config(), gamma_star=setup.gamma_exact)
-    except lm.LmRunError as exc:
-        state, error = replace(exc.state, stop_reason="error"), str(exc)
+    state = lm.run(setup.example.problem, setup.gamma0, z, spec.lm_config(),
+                   gamma_star=setup.gamma_exact)
     wall = time.perf_counter() - start
     return ExperimentResult(
         spec=spec,
-        kind=setup.example.kind,
         y=mesh.nodes[mesh.segment_nodes(SegmentTag.INACCESSIBLE), 1].copy(),
         gamma_exact=setup.gamma_exact,
         gamma_reconstructed=state.gamma,
@@ -390,7 +391,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         final_error=(state.history[-1].rel_error if state.history
                      else float("nan")),
         wall_time=wall,
-        error=error,
+        error=state.error,
     )
 
 

@@ -44,25 +44,20 @@ from . import fem
 from . import parabolic as par
 from .mesh import SegmentTag, require_positive_int
 
-class LmRunError(RuntimeError):
-    """A step failed mid-run; carries the last good state for postmortem."""
-
-    def __init__(self, message: str, state: "LmState"):
-        super().__init__(message)
-        self.state = state
-
 
 @dataclass(frozen=True)
 class LmConfig:
     """Knobs of the outer loop.
 
     eps is the relative-change stopping tolerance, A the surrogate
-    majorization constant (finite: an infinite A would make every step
-    zero), max_iters the iteration cap, a positive integer.
-    residual_floor, when set, stops the run once the measured residual
-    norm drops below it (the computable half of a noise-level stopping
-    rule).  The admissible box of gamma is the problem's own (gamma_min,
-    gamma_max), and every solve is checked against fem.SOLVE_TOL.
+    majorization constant, max_iters the iteration cap, a positive
+    integer.  residual_floor, when set, stops the run once the measured
+    residual norm drops below it (the computable half of a noise-level
+    stopping rule).  eps, A and residual_floor are positive and finite:
+    an infinite one would end every run after its first step (eps,
+    residual_floor) or make every step zero (A).  The admissible box of
+    gamma is the problem's own (gamma_min, gamma_max), and every solve is
+    checked against fem.SOLVE_TOL.
     """
 
     eps: float
@@ -71,16 +66,14 @@ class LmConfig:
     residual_floor: float | None = None
 
     def __post_init__(self):
-        # "not x > 0" rather than "x <= 0", so that NaN is rejected too.
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if not 0.0 < self.A < math.inf:
-            raise ValueError(f"A must be positive and finite, got {self.A}")
+        floor = self.residual_floor
+        for name, value in (("eps", self.eps), ("A", self.A),
+                            ("residual_floor", 1.0 if floor is None else floor)):
+            # written so that NaN fails the check too
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
         require_positive_int(self.max_iters, "max_iters")
-        if self.residual_floor is not None and not self.residual_floor > 0.0:
-            raise ValueError(
-                f"residual_floor must be positive, got {self.residual_floor}"
-            )
 
 
 @dataclass(frozen=True)
@@ -104,13 +97,14 @@ class HistoryRow:
 @dataclass(frozen=True)
 class LmState:
     """Iterate k, the history of the steps that led to it and, once the
-    run ends, why it stopped.  The latest measured residual is
-    history[-1].residual."""
+    run ends, why it stopped; error is the message of a failed step ("" if
+    none).  The latest measured residual is history[-1].residual."""
 
     k: int
     gamma: np.ndarray
     history: list[HistoryRow] = field(default_factory=list)
     stop_reason: str | None = None
+    error: str = ""
 
 
 def _quantities(prob, gamma: np.ndarray, z: np.ndarray):
@@ -208,8 +202,9 @@ def run(
     Stops on relative change <= eps ("rel_change"), on the measured
     residual dropping below cfg.residual_floor when one is configured
     ("residual_floor"), or on the iteration cap ("max_iters"); the final
-    state's stop_reason records which.  A failing step raises LmRunError
-    carrying the last completed state so the history is not lost.
+    state's stop_reason records which.  A step whose solve fails
+    (fem.LinearSolveError) ends the run at the last completed state, with
+    stop_reason "error" and error "iteration k failed: <message>".
     """
     seg_i = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
     gamma0 = np.array(gamma0, dtype=float)
@@ -225,9 +220,8 @@ def run(
         try:
             state = step(prob, state, z, cfg, gamma_star=gamma_star)
         except fem.LinearSolveError as exc:
-            raise LmRunError(
-                f"iteration {state.k + 1} failed: {exc}", state=state
-            ) from exc
+            return replace(state, stop_reason="error",
+                           error=f"iteration {state.k + 1} failed: {exc}")
         if state.history[-1].rel_change <= cfg.eps:
             reason = "rel_change"
             break

@@ -14,7 +14,6 @@ import os
 import shutil
 import subprocess
 import sys
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +111,7 @@ def test_run_hands_run_experiment_the_spec_defaults(tmp_path, monkeypatch):
     def record(spec):
         specs.append(spec)
         return experiments.ExperimentResult(
-            spec=spec, kind=spec.kind, y=None, gamma_exact=None,
+            spec=spec, y=None, gamma_exact=None,
             gamma_reconstructed=None, history=[], stop_reason="error",
             error="stopped here")
 
@@ -194,10 +193,12 @@ def test_run_error_exit_still_writes_history(tmp_path, monkeypatch, capsys):
         lm.HistoryRow(k=1, residual=0.5, beta=0.25, rel_change=0.1,
                       rel_error=None, n_clamped=0),
     ]
-    state = lm.LmState(k=1, gamma=np.ones(3), history=rows)
+    state = lm.LmState(k=1, gamma=np.ones(3), history=rows,
+                       stop_reason="error",
+                       error="iteration 2 failed: solver stalled")
 
     def boom(*args, **kwargs):
-        raise lm.LmRunError("iteration 2 failed: solver stalled", state)
+        return state
 
     monkeypatch.setattr(lm, "run", boom)
     out = tmp_path / "broken"
@@ -258,9 +259,10 @@ def test_failed_sweep_job_is_an_error_row(tmp_path, monkeypatch, capsys,
             state = real_run(prob, gamma0, z,
                              dataclasses.replace(cfg, max_iters=completed),
                              gamma_star=gamma_star)
-        states.append(state)
-        raise lm.LmRunError(
-            f"iteration {completed + 1} failed: solver stalled", state)
+        states.append(dataclasses.replace(
+            state, stop_reason="error",
+            error=f"iteration {completed + 1} failed: solver stalled"))
+        return states[-1]
 
     monkeypatch.setattr(lm, "run", fail_for_seed_1)
     capsys.readouterr()
@@ -305,6 +307,30 @@ def test_sweep_rows_are_those_of_lone_runs(tmp_path, example_id):
         ",".join(map(str, row)) for row in lone]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failed_shared_condensation_is_an_error_row_per_job(
+        tmp_path, monkeypatch, capsys, jobs):
+    """The shared setup condenses a stationary problem at gamma0's
+    operator, outside every L-M loop.  A solve failure there does not end
+    the sweep: each job meets it again in its first step, so every job is
+    an error row, reported on stderr in request order, and the sweep
+    exits 1."""
+    def fail(self, *args, **kwargs):
+        raise fem.ConvergenceFailure("condensation missed SOLVE_TOL in Z")
+
+    monkeypatch.setattr(fem.BlockLDLT, "condense", fail)
+    out = tmp_path / "sweep"
+    capsys.readouterr()
+    assert cli.main(["sweep", "--example", "5.1", "--jobs", jobs,
+                     "--out", str(out)] + SMALL_SWEEP) == 1
+    grid = [(delta, seed) for delta in ("0.01", "0.02") for seed in "01"]
+    assert _lines(out / "sweep.csv")[1:] == [
+        f"{delta},{seed},0,error," for delta, seed in grid]
+    assert capsys.readouterr().err.splitlines() == [
+        f"delta {delta} seed {seed}: iteration 1 failed: condensation "
+        "missed SOLVE_TOL in Z" for delta, seed in grid]
+
+
 @pytest.mark.parametrize("outcome, code", [
     ("ok", 0), ("error-row", 1), ("gamma0", 2), ("out-is-a-file", 2),
 ])
@@ -317,8 +343,8 @@ def test_sweep_releases_its_setup(tmp_path, monkeypatch, capsys, outcome,
     args = ["sweep", "--example", "5.1", "--jobs", "1"] + SMALL_SWEEP
     if outcome == "error-row":
         def fail(prob, gamma0, z, cfg, gamma_star=None):
-            raise lm.LmRunError("iteration 1 failed: solver stalled",
-                                lm.LmState(k=0, gamma=gamma0))
+            return lm.LmState(k=0, gamma=gamma0, stop_reason="error",
+                              error="iteration 1 failed: solver stalled")
 
         monkeypatch.setattr(lm, "run", fail)
     elif outcome == "gamma0":
@@ -378,10 +404,8 @@ def test_sweep_pool_never_outnumbers_its_jobs(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
     args = ["sweep", "--example", "5.1", "--nx", "4", "--ny", "8",

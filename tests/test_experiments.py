@@ -67,6 +67,9 @@ def test_make_example_rejects_unknown_id():
 def test_example_52_requires_even_cell_count():
     with pytest.raises(ValueError, match="even"):
         experiments.make_example("5.2", nx=4, ny=7)
+    # and a spec, when it is made, before any run builds the example
+    with pytest.raises(ValueError, match="even"):
+        experiments.ExperimentSpec(example_id="5.2", ny=3)
 
 
 def test_interpolate_gamma_accepts_matching_array_only():
@@ -174,7 +177,6 @@ def test_spec_validation():
 def test_run_experiment_collects_everything():
     spec = experiments.ExperimentSpec(example_id="5.1", nx=8, ny=16)
     result = experiments.run_experiment(spec)
-    assert result.kind == "elliptic"
     assert result.stop_reason == "rel_change"
     assert result.iterations == len(result.history) == 12
     assert result.y.shape == result.gamma_exact.shape == (17,)
@@ -197,22 +199,21 @@ def test_run_experiment_exact_start_noise_free():
 @pytest.mark.parametrize("completed", [2, 0])
 def test_run_experiment_returns_a_failed_loop_as_a_result(monkeypatch,
                                                           completed):
-    """An LmRunError becomes the result of the last completed iterate;
-    final_error is NaN when no iteration completed."""
-    real_run = lm.run
+    """A solve failure in the L-M loop gives the result of the last
+    completed iterate; final_error is NaN when no iteration completed."""
+    quantities = lm._quantities
+    calls = []
 
-    def fail(prob, gamma0, z, cfg, gamma_star=None):
-        state = lm.LmState(k=0, gamma=gamma0)
-        if completed:
-            state = real_run(prob, gamma0, z,
-                             dataclasses.replace(cfg, max_iters=completed),
-                             gamma_star=gamma_star)
-        raise lm.LmRunError(f"iteration {completed + 1} failed", state)
+    def fail_after_completed(*args):
+        calls.append(args)
+        if len(calls) > completed:
+            raise fem.ConvergenceFailure("solver stalled")
+        return quantities(*args)
 
-    monkeypatch.setattr(lm, "run", fail)
+    monkeypatch.setattr(lm, "_quantities", fail_after_completed)
     spec = experiments.ExperimentSpec(example_id="5.1", nx=4, ny=8)
     result = experiments.run_experiment(spec)
-    assert result.error == f"iteration {completed + 1} failed"
+    assert result.error == f"iteration {completed + 1} failed: solver stalled"
     assert result.stop_reason == "error"
     assert result.iterations == len(result.history) == completed
     assert result.gamma_reconstructed.shape == result.y.shape
