@@ -15,7 +15,6 @@ from .experiments import (
     ExperimentSpec,
     add_noise,
     make_example,
-    relative_error,
     run_experiment,
 )
 from .lm import LmConfig, LmState, run
@@ -38,7 +37,6 @@ __all__ = [
     "build_rect_mesh",
     "classify_boundary",
     "make_example",
-    "relative_error",
     "run",
     "run_experiment",
     "solve_forward",

@@ -25,7 +25,11 @@ generation and the convergence ratios take the full forward field
 (field), so the data do not depend on the stationary condensation.
 
 The jobs of a sweep differ only in their noise: prepare builds the rest
-of a job (a Setup), and shared_setup lets all of them take one.
+of a job (a Setup), its example, exact coefficient and noise-free data,
+and shared_setup lets all of them take one.  The oracle builds its
+example with prepare too.  What a problem builds in its first L-M step,
+the stationary condensation, is no part of a setup: each process builds
+it there once.
 """
 
 from __future__ import annotations
@@ -173,7 +177,8 @@ class ExperimentSpec:
         _require_kink_node(self.example_id, self.ny)
         require_positive_int(self.nt, "step count nt")
         _require_noise_level(self.delta)
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if (not isinstance(self.seed, numbers.Integral)
+                or isinstance(self.seed, bool) or self.seed < 0):
             raise ValueError(
                 f"noise seed must be a non-negative integer, got {self.seed!r}")
         if isinstance(self.gamma0, str) and self.gamma0 != "exact":
@@ -217,29 +222,11 @@ def make_example(
 
 
 def interpolate_gamma(mesh: Mesh, gamma_star) -> np.ndarray:
-    """Nodal values of a coefficient on the inaccessible segment.
-
-    Accepts a callable of the arc coordinate y or an already nodal array
-    (validated for size).
-    """
+    """Nodal values of a coefficient, a callable of the arc coordinate y,
+    on the inaccessible segment."""
     seg = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
-    if callable(gamma_star):
-        vals = np.asarray(gamma_star(mesh.nodes[seg, 1]), dtype=float)
-        return vals * np.ones(seg.size)
-    vals = np.asarray(gamma_star, dtype=float)
-    if vals.shape != seg.shape:
-        raise ValueError(
-            f"coefficient has shape {vals.shape}, segment has {seg.shape}"
-        )
-    return vals
-
-
-def relative_error(mesh: Mesh, gamma_k: np.ndarray, gamma_star) -> float:
-    """Relative segment L2 error of an iterate against the exact coefficient."""
-    exact = interpolate_gamma(mesh, gamma_star)
-    tag = SegmentTag.INACCESSIBLE
-    diff = np.asarray(gamma_k, dtype=float) - exact
-    return fem.boundary_norm(mesh, tag, diff) / fem.boundary_norm(mesh, tag, exact)
+    vals = np.asarray(gamma_star(mesh.nodes[seg, 1]), dtype=float)
+    return vals * np.ones(seg.size)
 
 
 def exact_observation(example: Example) -> np.ndarray:
@@ -347,15 +334,9 @@ def shared_setup(spec: ExperimentSpec):
     """Within the block, every run_experiment of a spec that differs from
     spec only in delta, seed or the L-M settings takes one setup, built
     here, and so do the processes forked within it; others build their
-    own.  A stationary problem is also condensed here, at the operator of
-    gamma0, as the first step of each run would otherwise do.  A solve
-    failure of that condensation is left to each run's first step, which
-    meets it again and ends its run with it.  Yields the setup."""
+    own.  Whatever a problem builds in its first L-M step (the stationary
+    condensation) is built there, once per process.  Yields the setup."""
     setup = prepare(spec)
-    if setup.example.kind == "elliptic":
-        prob = setup.example.problem
-        with contextlib.suppress(fem.LinearSolveError):
-            prob.condensed(prob.operator(setup.gamma0))
     key = _setup_key(spec)
     _SHARED[key] = setup
     try:
@@ -572,13 +553,12 @@ def oracle_optimality_check(
 def run_oracle_check(seed: int = 0) -> OracleReport:
     """Oracle comparison of 5.1 on the ORACLE_MESH, with the noise and a
     random iterate near exact drawn from seed."""
-    example = make_example("5.1", *ORACLE_MESH)
-    mesh = example.problem.mesh
-    gamma_exact = interpolate_gamma(mesh, example.gamma_star)
-    z = add_noise(exact_observation(example), ORACLE_DELTA, seed)
+    setup = prepare(ExperimentSpec("5.1", *ORACLE_MESH))
+    z = add_noise(setup.z_exact, ORACLE_DELTA, seed)
     rng = np.random.default_rng(seed + 1)
+    gamma_exact = setup.gamma_exact
     gamma_k = gamma_exact + rng.uniform(-0.2, 0.2, gamma_exact.size)
-    return oracle_optimality_check(example.problem, gamma_k, z)
+    return oracle_optimality_check(setup.example.problem, gamma_k, z)
 
 
 def domain_l2_error(mesh: Mesh, u: np.ndarray, exact) -> float:

@@ -625,7 +625,8 @@ def _triangle_points(mesh: Mesh):
     """Vertex coordinates (m, 3, 2) and areas of every triangle."""
     p = mesh.nodes[mesh.triangles]
     area = signed_areas(p)
-    if np.any(area <= 0.0):
+    # written so that NaN fails the check too
+    if not np.all(area > 0.0):
         raise ValueError("mesh contains a non-positively oriented triangle")
     return p, area
 

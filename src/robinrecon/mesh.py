@@ -18,6 +18,7 @@ taken.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -114,8 +115,10 @@ class Mesh:
 
 
 def require_positive_int(value, name: str) -> None:
-    """Raise ValueError unless value is a positive numbers.Integral."""
-    if not isinstance(value, numbers.Integral) or value < 1:
+    """Raise ValueError unless value is a positive numbers.Integral other
+    than a bool."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < 1):
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -135,8 +138,9 @@ def build_rect_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
     require_positive_int(nx, "cell count nx")
     require_positive_int(ny, "cell count ny")
     # written so that NaN fails the check too
-    if not (lx > 0 and ly > 0):
-        raise ValueError(f"side lengths must be positive, got lx={lx}, ly={ly}")
+    if not (0 < lx < math.inf and 0 < ly < math.inf):
+        raise ValueError(
+            f"side lengths must be positive and finite, got lx={lx}, ly={ly}")
 
     # linspace pins the first and last coordinates to exactly 0 and the
     # side length, so boundary tests can compare x == lx without slack.

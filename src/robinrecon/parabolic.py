@@ -152,14 +152,6 @@ def _over_times(data, times: list[float]):
     return data
 
 
-def _initial_field(prob: ParabolicProblem) -> np.ndarray:
-    if callable(prob.u0):
-        return np.asarray(
-            prob.u0(prob.mesh.nodes[:, 0], prob.mesh.nodes[:, 1]), dtype=float
-        ) * np.ones(prob.mesh.n_nodes)
-    return np.full(prob.mesh.n_nodes, float(prob.u0))
-
-
 def _march(prob: ParabolicProblem, op, loads: np.ndarray,
            start: np.ndarray, at=slice(None)) -> np.ndarray:
     """Implicit Euler from start: row n solves S x_n = (M/dt) x_{n-1} +
@@ -183,7 +175,9 @@ def solve_forward_parabolic(
     Each step solves S u_n = (M/dt) u_{n-1} + loads(t_n), data evaluated
     at the new time level.  Returns the full (nt + 1, n_nodes) trajectory.
     """
-    return _march(prob, op, prob.load, _initial_field(prob))
+    x, y = prob.mesh.nodes.T
+    u0 = fem._coeff_on_points(prob.u0, x, y, "u0")
+    return _march(prob, op, prob.load, u0)
 
 
 def solve_derivative_parabolic(

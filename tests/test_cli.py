@@ -310,11 +310,11 @@ def test_sweep_rows_are_those_of_lone_runs(tmp_path, example_id):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_failed_shared_condensation_is_an_error_row_per_job(
         tmp_path, monkeypatch, capsys, jobs):
-    """The shared setup condenses a stationary problem at gamma0's
-    operator, outside every L-M loop.  A solve failure there does not end
-    the sweep: each job meets it again in its first step, so every job is
-    an error row, reported on stderr in request order, and the sweep
-    exits 1."""
+    """A stationary problem is condensed in the first step of a job's
+    L-M loop, and a failed condensation is not kept.  A solve failure
+    there does not end the sweep: each job meets it again in its first
+    step, so every job is an error row, reported on stderr in request
+    order, and the sweep exits 1."""
     def fail(self, *args, **kwargs):
         raise fem.ConvergenceFailure("condensation missed SOLVE_TOL in Z")
 
@@ -329,6 +329,25 @@ def test_failed_shared_condensation_is_an_error_row_per_job(
     assert capsys.readouterr().err.splitlines() == [
         f"delta {delta} seed {seed}: iteration 1 failed: condensation "
         "missed SOLVE_TOL in Z" for delta, seed in grid]
+
+
+def test_no_pool_worker_condenses_twice(tmp_path, monkeypatch):
+    """The shared setup does not condense; each worker condenses its
+    problem in the first step it runs and keeps it for its later jobs."""
+    log = tmp_path / "condense.log"
+    original = fem.BlockLDLT.condense
+
+    def logged(self, *args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return original(self, *args)
+
+    monkeypatch.setattr(fem.BlockLDLT, "condense", logged)
+    assert cli.main(["sweep", "--example", "5.1", "--jobs", "2",
+                     "--out", str(tmp_path / "sweep")] + SMALL_SWEEP) == 0
+    pids = log.read_text().split()
+    assert pids and str(os.getpid()) not in pids
+    assert len(set(pids)) == len(pids)
 
 
 @pytest.mark.parametrize("outcome, code", [

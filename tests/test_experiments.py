@@ -72,16 +72,6 @@ def test_example_52_requires_even_cell_count():
         experiments.ExperimentSpec(example_id="5.2", ny=3)
 
 
-def test_interpolate_gamma_accepts_matching_array_only():
-    example = experiments.make_example("5.1", nx=4, ny=8)
-    mesh = example.problem.mesh
-    values = np.linspace(1.0, 2.0, 9)
-    out = experiments.interpolate_gamma(mesh, values)
-    assert np.array_equal(out, values)
-    with pytest.raises(ValueError):
-        experiments.interpolate_gamma(mesh, values[:-1])
-
-
 # ---------------------------------------------------------------------------
 # observations and noise
 
@@ -126,14 +116,6 @@ def test_add_noise_is_seed_deterministic():
     assert not np.array_equal(a, c)
 
 
-def test_relative_error_normalization():
-    example = experiments.make_example("5.1", nx=8, ny=16)
-    mesh = example.problem.mesh
-    gamma = experiments.interpolate_gamma(mesh, example.gamma_star)
-    assert experiments.relative_error(mesh, gamma, example.gamma_star) == 0.0
-    assert experiments.relative_error(mesh, 2.0 * gamma, example.gamma_star) == 1.0
-
-
 # ---------------------------------------------------------------------------
 # experiment plumbing
 
@@ -147,7 +129,7 @@ def test_spec_validation():
         experiments.ExperimentSpec(example_id="5.1", delta=float("nan"))
     with pytest.raises(ValueError):
         experiments.ExperimentSpec(example_id="5.1", gamma0="best")
-    for seed in (-1, 1.0, "0"):
+    for seed in (-1, 1.0, "0", True, False):
         with pytest.raises(ValueError, match="noise seed must be a non-neg"):
             experiments.ExperimentSpec(example_id="5.1", seed=seed)
     assert experiments.ExperimentSpec(example_id="5.1", seed=np.int64(3)).seed == 3
@@ -167,7 +149,7 @@ def test_spec_validation():
             experiments.ExperimentSpec(example_id=example_id,
                                        **{field: 2.5})
     for field, bad in (("ny", float("nan")), ("nt", 0), ("nx", -1),
-                       ("ny", "8")):
+                       ("ny", "8"), ("nx", True)):
         with pytest.raises(ValueError, match=f"{field} must be a positive"):
             experiments.ExperimentSpec(example_id="5.1", **{field: bad})
     with pytest.raises(ValueError, match="nonnegative and finite"):
@@ -265,8 +247,9 @@ def test_run_experiment_builds_gamma_free_pieces_once(monkeypatch, example_id):
 
 @pytest.mark.parametrize("example_id", ["5.1", "5.3"])
 def test_shared_setup_gives_the_results_of_lone_runs(example_id):
-    """Jobs that take a shared setup, the stationary condensation
-    included, reproduce lone runs bit for bit."""
+    """Jobs that take a shared setup, and with its problem the stationary
+    condensation that the first of them built, reproduce lone runs bit
+    for bit."""
     base = experiments.ExperimentSpec(example_id=example_id, nx=4, ny=8,
                                       nt=4)
     specs = [dataclasses.replace(base, delta=delta, seed=seed)
@@ -345,7 +328,6 @@ def test_shared_setup_condenses_a_stationary_problem_once(monkeypatch):
     monkeypatch.setattr(fem.BlockLDLT, "condense", counted)
     spec = experiments.ExperimentSpec(example_id="5.1", nx=4, ny=8)
     with experiments.shared_setup(spec):
-        assert len(condensed) == 1
         for seed in (0, 1):
             experiments.run_experiment(dataclasses.replace(spec, seed=seed))
         assert len(condensed) == 1

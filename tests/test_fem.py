@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,17 @@ def test_a_nan_coefficient_is_rejected_when_assembled(coeff):
         prob = EllipticProblem(mesh=mesh, f=1.0, g=0.0, h=0.0, **coefficients)
         with pytest.raises(ValueError, match="coefficient must be"):
             prob.operator(gamma)
+
+
+def test_a_nan_node_fails_the_orientation_check():
+    """A NaN area fails every comparison, so the orientation check is
+    written to reject it rather than assemble a NaN matrix."""
+    mesh = make_mesh(2, 2)
+    nodes = mesh.nodes.copy()
+    nodes[0, 0] = np.nan
+    bad = dataclasses.replace(mesh, nodes=nodes)
+    with pytest.raises(ValueError, match="non-positively oriented"):
+        fem.assemble_stiffness(bad, 1.0)
 
 
 def test_boundary_load_on_the_accessible_segment():

@@ -110,7 +110,7 @@ def test_config_rejects_bad_values():
 def test_config_rejects_a_non_integral_max_iters():
     """An iteration cap that is no integer fails when the config is made,
     naming the field, not later in the loop's range()."""
-    for bad in (2.5, 3.0, float("nan"), "3"):
+    for bad in (2.5, 3.0, float("nan"), "3", True):
         with pytest.raises(ValueError, match="max_iters"):
             lm.LmConfig(eps=1e-3, max_iters=bad)
     assert lm.LmConfig(eps=1e-3, max_iters=np.int64(3)).max_iters == 3

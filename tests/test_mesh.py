@@ -146,6 +146,12 @@ def test_build_rejects_bad_dimensions():
         build_rect_mesh(2.5, 4, 1.0, 2.0)
     with pytest.raises(ValueError, match="ny must be a positive integer"):
         build_rect_mesh(4, 4.0, 1.0, 2.0)
+    # a bool is a numbers.Integral, but no cell count
+    with pytest.raises(ValueError, match="nx must be a positive integer"):
+        build_rect_mesh(True, 2, 1.0, 1.0)
+    with pytest.raises(ValueError, match="side lengths must be positive "
+                                         "and finite"):
+        build_rect_mesh(2, 2, np.inf, 1.0)
     assert build_rect_mesh(np.int64(2), np.int32(3), 1.0, 2.0).n_nodes == 12
 
 

@@ -41,6 +41,20 @@ def test_initial_level_is_the_interpolated_start():
     )
 
 
+def test_an_array_initial_value_is_rejected_by_name():
+    """u0 is sampled at the nodes like every other coefficient, so it is
+    a scalar or a vectorized callable, not a nodal array."""
+    mesh = classify_boundary(build_rect_mesh(4, 8, 1.0, 2.0))
+    prob = par.ParabolicProblem(
+        mesh=mesh, a=1.0, f=0.0, g=1.0, h=0.0,
+        u0=np.zeros(mesh.n_nodes), T=1.0, nt=2,
+    )
+    op = prob.operator(np.full(9, 1.0))
+    with pytest.raises(TypeError, match=(
+            r"^u0 must be a scalar or a vectorized callable")):
+        prob.forward(op)
+
+
 def test_steady_state_agrees_with_stationary_solve():
     """Time-constant data marched far: the march must settle on the
     stationary solution of the same operator (no reaction term)."""
