@@ -7,7 +7,7 @@ columns a line plot of exact versus reconstructed coefficient needs.
 
 Flag values win over config-file values, which win over built-in
 defaults.  The config file is flat "key = value" text mirroring the
-flags, with '#' comments.
+flags, each key once, with '#' comments.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import experiments, fem
+from . import experiments, fem, mesh
 
 _FMT = "%.17g"
 
@@ -95,7 +95,7 @@ def _converters(command: str) -> dict:
 
 
 def _read_config(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment; keys mirror the flags."""
+    """Flat key = value lines, each key once; '#' starts a comment."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -104,7 +104,10 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -219,8 +222,7 @@ def cmd_sweep(args) -> int:
             raise ValueError(
                 f"duplicate --{name} entries: {', '.join(map(str, repeated))}"
             )
-    if settings["jobs"] < 1:
-        raise ValueError(f"--jobs must be at least 1, got {settings['jobs']}")
+    mesh.require_positive_int(settings["jobs"], "--jobs")
     specs = [
         _make_spec(settings, delta=delta, seed=seed)
         for delta in settings["delta"]

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -51,7 +50,7 @@ from . import fem
 from . import lm
 from . import parabolic as par
 from .mesh import (Mesh, SegmentTag, build_rect_mesh, classify_boundary,
-                   require_positive_int)
+                   require_finite, require_positive_int)
 
 LX = 1.0
 LY = 2.0
@@ -176,15 +175,12 @@ class ExperimentSpec:
         require_positive_int(self.ny, "cell count ny")
         _require_kink_node(self.example_id, self.ny)
         require_positive_int(self.nt, "step count nt")
-        _require_noise_level(self.delta)
-        if (not isinstance(self.seed, numbers.Integral)
-                or isinstance(self.seed, bool) or self.seed < 0):
+        _require_noise_setting(self.delta, self.seed)
+        if not isinstance(self.gamma0, str):
+            require_finite(self.gamma0, "gamma0")
+        elif self.gamma0 != "exact":
             raise ValueError(
-                f"noise seed must be a non-negative integer, got {self.seed!r}")
-        if isinstance(self.gamma0, str) and self.gamma0 != "exact":
-            raise ValueError(
-                f"gamma0 must be a number or 'exact', got {self.gamma0!r}"
-            )
+                f"gamma0 must be a number or 'exact', got {self.gamma0!r}")
         if self.eps is None:
             object.__setattr__(self, "eps", DEFAULT_EPS[self.kind])
         self.lm_config()  # LmConfig alone checks eps, A and max_iters
@@ -245,11 +241,12 @@ def exact_observation(example: Example) -> np.ndarray:
     return u[..., prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)]
 
 
-def _require_noise_level(delta: float) -> None:
-    # written so that NaN fails the check too
-    if not 0.0 <= delta < math.inf:
+def _require_noise_setting(delta: float, seed: int) -> None:
+    require_finite(delta, "noise level delta", positive=False)
+    if (not isinstance(seed, numbers.Integral) or isinstance(seed, bool)
+            or seed < 0):
         raise ValueError(
-            f"noise level must be nonnegative and finite, got {delta}")
+            f"noise seed must be a non-negative integer, got {seed!r}")
 
 
 def add_noise(z: np.ndarray, delta: float, seed: int) -> np.ndarray:
@@ -258,7 +255,7 @@ def add_noise(z: np.ndarray, delta: float, seed: int) -> np.ndarray:
     R is drawn i.i.d. uniform on [-1, 1] from numpy's seeded default
     generator (PCG64), so the same seed always gives the same data.
     """
-    _require_noise_level(delta)
+    _require_noise_setting(delta, seed)
     z = np.asarray(z, dtype=float)
     rng = np.random.default_rng(seed)
     return z * (1.0 + delta * rng.uniform(-1.0, 1.0, size=z.shape))

@@ -67,7 +67,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .mesh import Mesh, SegmentTag, signed_areas
+from .mesh import Mesh, SegmentTag, require_finite, signed_areas
 
 # 2-point Gauss on the unit interval [0, 1]
 _GAUSS_XI = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -845,10 +845,9 @@ class RobinProblem:
     """
 
     def __post_init__(self):
-        # written so that NaN fails the checks too
-        if not self.gamma_min > 0.0:
-            raise ValueError(f"gamma_min must be positive, got {self.gamma_min}")
-        if not self.gamma_max >= self.gamma_min:
+        require_finite(self.gamma_min, "gamma_min")
+        require_finite(self.gamma_max, "gamma_max")
+        if self.gamma_max < self.gamma_min:
             raise ValueError("gamma_max must not be below gamma_min")
 
     @cached_property

@@ -34,7 +34,6 @@ the claim with the quadratic itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,7 +41,7 @@ import numpy as np
 from . import elliptic as ell
 from . import fem
 from . import parabolic as par
-from .mesh import SegmentTag, require_positive_int
+from .mesh import SegmentTag, require_finite, require_positive_int
 
 
 @dataclass(frozen=True)
@@ -66,13 +65,10 @@ class LmConfig:
     residual_floor: float | None = None
 
     def __post_init__(self):
-        floor = self.residual_floor
-        for name, value in (("eps", self.eps), ("A", self.A),
-                            ("residual_floor", 1.0 if floor is None else floor)):
-            # written so that NaN fails the check too
-            if not 0.0 < value < math.inf:
-                raise ValueError(
-                    f"{name} must be positive and finite, got {value}")
+        require_finite(self.eps, "eps")
+        require_finite(self.A, "A")
+        if self.residual_floor is not None:
+            require_finite(self.residual_floor, "residual_floor")
         require_positive_int(self.max_iters, "max_iters")
 
 

@@ -122,6 +122,15 @@ def require_positive_int(value, name: str) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+def require_finite(value, name: str, positive: bool = True) -> None:
+    """Raise ValueError unless value is a finite numbers.Real other than a
+    bool, and > 0 (positive) or >= 0 (not positive)."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not (0 < value < math.inf or not positive and value == 0)):
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
+
+
 def build_rect_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
     """Build the structured triangulation of (0, lx) x (0, ly).
 
@@ -137,10 +146,8 @@ def build_rect_mesh(nx: int, ny: int, lx: float, ly: float) -> Mesh:
     """
     require_positive_int(nx, "cell count nx")
     require_positive_int(ny, "cell count ny")
-    # written so that NaN fails the check too
-    if not (0 < lx < math.inf and 0 < ly < math.inf):
-        raise ValueError(
-            f"side lengths must be positive and finite, got lx={lx}, ly={ly}")
+    require_finite(lx, "side lengths")
+    require_finite(ly, "side lengths")
 
     # linspace pins the first and last coordinates to exactly 0 and the
     # side length, so boundary tests can compare x == lx without slack.

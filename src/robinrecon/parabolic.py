@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fem
-from .mesh import Mesh, SegmentTag, require_positive_int
+from .mesh import Mesh, SegmentTag, require_finite, require_positive_int
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,7 @@ class ParabolicProblem(fem.RobinProblem):
     gamma_max: float = 10.0
 
     def __post_init__(self):
-        # written so that NaN fails the checks too
-        if not self.T > 0.0:
-            raise ValueError(f"final time must be positive, got {self.T}")
+        require_finite(self.T, "final time T")
         require_positive_int(self.nt, "step count nt")
         super().__post_init__()
 

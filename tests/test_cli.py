@@ -188,6 +188,21 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert "mesh_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines, line, key", [
+    ("nx = 4\nnx = 6\n", 3, "nx"),
+    ("max-iters = 5\nmax_iters = 7\n", 3, "max_iters"),
+], ids=["same-spelling", "dash-and-underscore"])
+def test_repeated_config_key_is_rejected(tmp_path, capsys, lines, line, key):
+    """A repeated key would silently keep its last value."""
+    config = tmp_path / "job.cfg"
+    config.write_text("example = 5.1\n" + lines)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert (f"{config}:{line}: repeated key '{key}'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_run_error_exit_still_writes_history(tmp_path, monkeypatch, capsys):
     rows = [
         lm.HistoryRow(k=1, residual=0.5, beta=0.25, rel_change=0.1,

@@ -55,7 +55,8 @@ def test_problem_validates_bounds():
         ell.EllipticProblem(mesh=mesh, a=1.0, c=1.0, f=0.0, g=0.0, h=0.0,
                             gamma_min=2.0, gamma_max=1.0)
     nan = float("nan")
-    for bounds in ({"gamma_min": nan}, {"gamma_max": nan}):
+    for bounds in ({"gamma_min": nan}, {"gamma_max": nan},
+                   {"gamma_max": float("inf")}):
         with pytest.raises(ValueError):
             ell.EllipticProblem(mesh=mesh, a=1.0, c=1.0, f=0.0, g=0.0, h=0.0,
                                 **bounds)

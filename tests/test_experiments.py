@@ -105,6 +105,11 @@ def test_add_noise_rejects_bad_levels():
     for delta in (-0.1, np.nan):
         with pytest.raises(ValueError):
             experiments.add_noise(z, delta, seed=0)
+    # the spec's own checks: a bool is no noise level and no seed
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
+        experiments.add_noise(z, True, seed=0)
+    with pytest.raises(ValueError, match="noise seed must be a non-neg"):
+        experiments.add_noise(z, 0.02, seed=True)
 
 
 def test_add_noise_is_seed_deterministic():
@@ -154,6 +159,14 @@ def test_spec_validation():
             experiments.ExperimentSpec(example_id="5.1", **{field: bad})
     with pytest.raises(ValueError, match="nonnegative and finite"):
         experiments.ExperimentSpec(example_id="5.1", delta=float("inf"))
+    # every real setting is a finite numbers.Real other than a bool; an
+    # array gamma0 is no constant guess
+    inf, nan = float("inf"), float("nan")
+    for field, bad in (("delta", True), ("gamma0", True), ("gamma0", inf),
+                       ("gamma0", nan), ("gamma0", np.full(17, 2.0)),
+                       ("eps", True), ("eps", inf), ("A", True), ("A", nan)):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            experiments.ExperimentSpec(example_id="5.1", **{field: bad})
 
 
 def test_run_experiment_collects_everything():

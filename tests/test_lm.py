@@ -105,6 +105,9 @@ def test_config_rejects_bad_values():
                 {"eps": inf}, {"residual_floor": inf}):
         with pytest.raises(ValueError):
             lm.LmConfig(**{"eps": 1e-3, **bad})
+    # a bool is a numbers.Real, but no tolerance
+    with pytest.raises(ValueError, match="residual_floor must be positive"):
+        lm.LmConfig(eps=1e-3, residual_floor=True)
 
 
 def test_config_rejects_a_non_integral_max_iters():

@@ -152,6 +152,9 @@ def test_build_rejects_bad_dimensions():
     with pytest.raises(ValueError, match="side lengths must be positive "
                                          "and finite"):
         build_rect_mesh(2, 2, np.inf, 1.0)
+    with pytest.raises(ValueError, match="side lengths must be positive "
+                                         "and finite"):
+        build_rect_mesh(2, 2, True, 1.0)
     assert build_rect_mesh(np.int64(2), np.int32(3), 1.0, 2.0).n_nodes == 12
 
 

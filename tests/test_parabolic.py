@@ -95,10 +95,13 @@ def test_problem_validation():
                              u0=0.0, T=1.0, nt=2.5)
     assert par.ParabolicProblem(mesh=mesh, a=1.0, f=0.0, g=0.0, h=0.0,
                                 u0=0.0, T=1.0, nt=np.int64(4)).dt == 0.25
-    nan = float("nan")
+    nan, inf = float("nan"), float("inf")
+    # each message names the first setting of its case
     for bad in ({"T": nan}, {"gamma_min": 0.0}, {"gamma_min": nan},
-                {"gamma_min": 2.0, "gamma_max": 1.0}, {"gamma_max": nan}):
-        with pytest.raises(ValueError):
+                {"gamma_max": 1.0, "gamma_min": 2.0}, {"gamma_max": nan},
+                {"T": inf}, {"T": True}, {"gamma_min": inf},
+                {"gamma_max": inf}):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must"):
             par.ParabolicProblem(**{"mesh": mesh, "a": 1.0, "f": 0.0,
                                     "g": 0.0, "h": 0.0, "u0": 0.0, "T": 1.0,
                                     "nt": 4, **bad})
