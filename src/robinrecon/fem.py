@@ -34,7 +34,10 @@ diagonals; the module needs numpy alone.
 solve_spd is the one full solve: one application of a completed
 BlockLDLT, a block LDL^T factor in node order, and one residual check
 against SOLVE_TOL, the tolerance of every library solve, for one
-right-hand side or an (n, m) array of them.  BlockLDLT.condense
+right-hand side or an (n, m) array of them.  A leading block of several
+mesh columns steps by one dense product each way, built once per
+factor; a block of one column and the last block step diagonal by
+diagonal.  BlockLDLT.condense
 condenses the leading blocks onto the last for one load (Condensation:
 the condensed load, the rows a of A_LL^{-1} A_LI and one checked full
 solve as anchor), after which solve_edge solves on the last block alone,
@@ -143,11 +146,7 @@ class SymBand:
         """The n x n matrix that is the dense symmetric block at the rows
         and columns nodes, zero elsewhere; raises ValueError unless block
         is a symmetric array of order nodes.size."""
-        block = np.asarray(block, dtype=float)
-        if block.shape != (nodes.size, nodes.size) or \
-                not np.array_equal(block, block.T):
-            raise ValueError(f"a symmetric block of order {nodes.size} is "
-                             f"needed, got an array of shape {block.shape}")
+        block = _symmetric_block(block, nodes.size)
         i, j = np.nonzero(block)
         rows, cols = nodes[i], nodes[j]
         upper = rows <= cols
@@ -209,6 +208,16 @@ class SymBand:
         return (np.array(values), *_gather_index(self.offsets, n))
 
 
+def _symmetric_block(block, order: int) -> np.ndarray:
+    """block as a float array; raises ValueError, naming its shape, unless
+    it is a symmetric array of order order."""
+    block = np.asarray(block, dtype=float)
+    if block.shape != (order, order) or not np.array_equal(block, block.T):
+        raise ValueError(f"a symmetric block of order {order} is needed, "
+                         f"got an array of shape {block.shape}")
+    return block
+
+
 @lru_cache(maxsize=8)
 def _gather_index(offsets: tuple, n: int):
     """The (s, n) index of the rows of x that each signed diagonal, d and
@@ -235,6 +244,10 @@ class BlockLDLT:
     diagonals as plain slices.  The factor keeps the dense inverse of
     every pivot and the couplings by their nonzero diagonals; only the
     couplings below the diagonal are read, symmetry supplies the rest.
+    A leading block that C_{k+1} reaches only in part, a group of two or
+    more mesh columns, also keeps its two dense steps (_dense_steps):
+    G_k = [-D_k^{-1} C_k | D_k^{-1}], of which D_k^{-1} is a view, and
+    H_k = D_k^{-1} C_{k+1}^T, each cut to the rows its coupling reaches.
 
     The last pivot is set apart, so that a change confined to the last
     diagonal block costs one factorization of its order.  BlockLDLT(base,
@@ -245,14 +258,20 @@ class BlockLDLT:
     ``last`` on the last diagonal block (zero when not given): it shares
     the leading pivots and factors Sigma = schur + last, which it keeps
     for the residual check of solve_edge.  Only a completed factor
-    solves.  condense(b, rows) condenses the leading blocks onto the last
-    for one load b (see Condensation), after which solve_edge solves on
-    the last block alone.
+    solves; last must be a symmetric array of the last block's order.
+    condense(b, rows) condenses the leading blocks onto the last for one
+    load b (see Condensation), after which solve_edge solves on the last
+    block alone.
 
     solve applies the inverse of the completed matrix by one forward and
-    one backward sweep over the blocks; the backward sweep multiplies
-    only the rows of D_k^{-1} (D_k^{-1} is symmetric) that C_{k+1}^T
-    reaches, for grouped mesh columns the last column of block k.  matvec
+    one backward sweep over the blocks.  A block with dense steps takes
+    one product with G_k forward, on the slice of x from the rows of block
+    k - 1 that C_k reads to the end of block k, and one with H_k backward.
+    Any other block, one mesh column or the last, takes one update per
+    diagonal of C_k and one product with D_k^{-1} forward, and backward
+    multiplies only the rows of D_k^{-1} (D_k^{-1} is symmetric) that
+    C_{k+1}^T reaches.  solve and condense share the one forward sweep,
+    _eliminate, and the one backward step, _upper.  matvec
     applies the matrix, one banded product with base plus last, whose
     diagonals are folded into a copy of base's on the first call; both
     take one vector or an (n, m) array of columns, and solve_spd checks
@@ -260,8 +279,9 @@ class BlockLDLT:
 
     Raises CurvatureBreakdown when a pivot is not positive definite, and
     ValueError when the widths are not positive or do not sum to the
-    order of the matrix, or the matrix couples blocks that are not
-    neighbours.
+    order of the matrix, the matrix couples blocks that are not
+    neighbours, or complete is given a last block of the wrong shape or
+    an asymmetric one.
     """
 
     def __init__(self, base: SymBand, widths):
@@ -315,18 +335,50 @@ class BlockLDLT:
         self.schur = pivot
         self._last = None
         # the rows of block k that C_{k+1}^T reaches, one slice around them
-        self._reach = []
-        for coupling in self._coupling[1:]:
-            start = min((lo + d for d, lo, hi, v in coupling), default=0)
-            stop = max((hi + d for d, lo, hi, v in coupling), default=0)
-            self._reach.append(slice(start, max(start, stop)))
+        self._reach = [_around((lo + d, hi + d) for d, lo, hi, v in coupling)
+                       for coupling in self._coupling[1:]]
+        # a leading block that C_{k+1} reaches in part, a group of mesh
+        # columns, steps by one dense product each way; the last never
+        self._dense = [self._dense_steps(k) if reach.stop - reach.start < w
+                       else None
+                       for k, (reach, w) in enumerate(zip(self._reach, widths))
+                       ] + [None]
+
+    def _dense_steps(self, k: int):
+        """The dense steps of leading block k: G_k = [-D_k^{-1} C_k |
+        D_k^{-1}], C_k cut to the rows of block k - 1 it reads (G_0 =
+        D_0^{-1}), with the slice of x it applies to, those rows through
+        the end of block k; and H_k = D_k^{-1} C_{k+1}^T, cut to the rows
+        of block k + 1 that C_{k+1} reaches, with that slice.  Each column
+        of a product with a coupling is a column of D_k^{-1} times an entry
+        of one of its diagonals.  D_k^{-1} becomes a view of G_k, so the
+        two stay one array."""
+        dinv, span = self._dinv[k], self._spans[k]
+        w = span.stop - span.start
+        G, source = dinv, span
+        if k:
+            start = self._reach[k - 1].start
+            source = slice(self._spans[k - 1].start + start, span.stop)
+            m = source.stop - source.start - w
+            G = np.zeros((w, m + w))
+            G[:, m:] = dinv
+            for d, lo, hi, v in self._coupling[k]:
+                G[:, lo + d - start:hi + d - start] -= dinv[:, lo:hi] * v
+            self._dinv[k] = G[:, m:]
+        rows = _around((lo, hi) for d, lo, hi, v in self._coupling[k + 1])
+        H = np.zeros((w, rows.stop - rows.start))
+        for d, lo, hi, v in self._coupling[k + 1]:
+            H[:, lo - rows.start:hi - rows.start] += dinv[:, lo + d:hi + d] * v
+        return G, source, H, rows
 
     def complete(self, last: np.ndarray | None = None) -> "BlockLDLT":
         """The factor of base plus last on the last diagonal block; see
-        the class docstring."""
+        the class docstring.  Raises ValueError, naming its shape, unless
+        last is a symmetric array of the last block's order."""
         factor = copy.copy(self)
         factor.__dict__.pop("_operator", None)
-        factor._edge = np.zeros_like(self.schur) if last is None else last
+        factor._edge = np.zeros_like(self.schur) if last is None else \
+            _symmetric_block(last, len(self.schur))
         factor._sigma = self.schur + factor._edge
         factor._last = _invert_pivot(factor._sigma,
                                      len(self._dinv), len(self._dinv) + 1)
@@ -398,13 +450,27 @@ class BlockLDLT:
                             u_edge=anchor[edge].copy())
 
     def _eliminate(self, b, dinv):
-        """A copy of b after the forward sweep with the pivot inverses
-        dinv, and its blocks as views.  With the leading pivots alone, the
-        last block then holds the condensed load b_I - A_IL A_LL^{-1}
-        b_L."""
+        """A copy of b after the forward sweep x_k <- D_k^{-1} (x_k - C_k
+        x_{k-1}) with the pivot inverses dinv, and its blocks as views; a
+        block past the end of dinv only takes - C_k x_{k-1}.  With the
+        leading pivots alone, the last block then holds the condensed load
+        b_I - A_IL A_LL^{-1} b_L.  A block with dense steps takes one
+        product with G_k; any other, one update per diagonal of C_k and
+        one product with D_k^{-1}."""
         x = b.copy()
         blocks = [x[span] for span in self._spans]
-        self._forward(blocks, dinv, self._shaped_coupling(b.ndim))
+        coupling = self._shaped_coupling(b.ndim)
+        for k, xk in enumerate(blocks):
+            if self._dense[k]:
+                G, source = self._dense[k][:2]
+                xk[...] = G @ x[source]
+                continue
+            if k:
+                xp = blocks[k - 1]
+                for d, lo, hi, v in coupling[k]:
+                    xk[lo:hi] -= v * xp[lo + d:hi + d]
+            if k < len(dinv):
+                xk[...] = dinv[k] @ xk
         return x, blocks
 
     def _check_condensation(self, condensed) -> None:
@@ -433,17 +499,6 @@ class BlockLDLT:
         return [[(d, lo, hi, v[:, None]) for d, lo, hi, v in c]
                 for c in self._coupling]
 
-    def _forward(self, x, dinv, coupling) -> None:
-        """x_k <- D_k^{-1} (x_k - C_k x_{k-1}) over the blocks of x, in
-        place; a block past the end of dinv only takes - C_k x_{k-1}."""
-        for k, xk in enumerate(x):
-            if k:
-                xp = x[k - 1]
-                for d, lo, hi, v in coupling[k]:
-                    xk[lo:hi] -= v * xp[lo + d:hi + d]
-            if k < len(dinv):
-                xk[...] = dinv[k] @ xk
-
     def _backward(self, x, coupling) -> None:
         """x_k <- x_k - D_k^{-1} C_{k+1}^T x_{k+1} over the blocks of x,
         last to first, in place."""
@@ -451,8 +506,12 @@ class BlockLDLT:
             x[k] -= self._upper(k, x[k + 1], coupling)
 
     def _upper(self, k, xn, coupling) -> np.ndarray:
-        """D_k^{-1} C_{k+1}^T xn, with only the columns of D_k^{-1} that
-        C_{k+1}^T xn reaches."""
+        """D_k^{-1} C_{k+1}^T xn: one product with H_k for a block with
+        dense steps, else with only the columns of D_k^{-1} that C_{k+1}^T
+        xn reaches."""
+        if self._dense[k]:
+            H, rows = self._dense[k][2:]
+            return H @ xn[rows]
         reach = self._reach[k]
         y = np.zeros((reach.stop - reach.start,) + xn.shape[1:])
         for d, lo, hi, v in coupling[k + 1]:
@@ -487,6 +546,14 @@ class Condensation:
     u_edge: np.ndarray
 
 
+def _around(ranges) -> slice:
+    """One slice around the ranges (start, stop), empty for none."""
+    ranges = list(ranges)
+    start = min((start for start, stop in ranges), default=0)
+    stop = max((stop for start, stop in ranges), default=0)
+    return slice(start, max(start, stop))
+
+
 def _invert_pivot(pivot: np.ndarray, k: int, nb: int) -> np.ndarray:
     """Inverse of pivot block k of nb, which must be positive definite."""
     try:
@@ -501,8 +568,10 @@ def _invert_pivot(pivot: np.ndarray, k: int, nb: int) -> np.ndarray:
 _SPD_LEAF = 64
 
 # Unknowns per block that RobinProblem.base_factor aims at: a block step
-# costs a fixed few microseconds of calls plus w^2 multiply-adds, which
-# balance near this width.
+# costs a fixed few microseconds of calls plus about w^2 multiply-adds,
+# which balance near this width; with the dense steps of grouped blocks,
+# one vector solve at 16 x 32 took 40, 43, 33, 32 and 38 us at widths 64,
+# 96, 128, 192 and 256 (2-core VM, BLAS on one thread).
 _BLOCK_WIDTH = 128
 
 

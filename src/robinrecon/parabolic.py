@@ -20,8 +20,9 @@ ParabolicProblem is a fem.RobinProblem, which supplies the box check,
 the operator (the factor of the cached base M/dt + K_a, completed with
 the dense edge block of B_gamma) and the boundary loads of all levels
 at once, one product of a series of segment fields with the segment
-mass.  The mass M and load, the data loads of every level, are cached
-on the problem too; load is one data_load call over the data frozen at
+mass.  The step mass M/dt, whose product with the previous level each
+step takes, and load, the data loads of every level, are cached on the
+problem too; load is one data_load call over the data frozen at
 each time level, so the quadrature geometry is computed once per
 problem, not once per level.
 
@@ -78,14 +79,15 @@ class ParabolicProblem(fem.RobinProblem):
         return self.T / self.nt
 
     @cached_property
-    def mass(self) -> fem.SymBand:
-        """Consistent mass matrix M."""
-        return fem.assemble_mass(self.mesh, 1.0)
+    def step_mass(self) -> fem.SymBand:
+        """M/dt, M the consistent mass matrix: the step's product with the
+        previous level."""
+        return fem.assemble_mass(self.mesh, 1.0) / self.dt
 
     @cached_property
     def base(self) -> fem.SymBand:
         """M/dt + K_a, the part of the operator that gamma does not touch."""
-        return self.mass / self.dt + fem.assemble_stiffness(self.mesh, self.a)
+        return self.step_mass + fem.assemble_stiffness(self.mesh, self.a)
 
     @cached_property
     def load(self) -> np.ndarray:
@@ -158,7 +160,7 @@ def _march(prob: ParabolicProblem, op, loads: np.ndarray,
     X = np.empty((prob.nt + 1, prob.mesh.n_nodes))
     X[0] = start
     for n in range(1, prob.nt + 1):
-        b = prob.mass @ (X[n - 1] / prob.dt)
+        b = prob.step_mass @ X[n - 1]
         b[at] += loads[n]
         X[n] = fem.solve_spd(op, b)
     return X

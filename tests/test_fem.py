@@ -514,6 +514,29 @@ def test_operators_of_one_problem_share_the_leading_factor():
         assert np.linalg.norm(b - A @ x) <= 1e-13 * np.linalg.norm(b)
 
 
+def test_block_factor_completes_only_with_a_symmetric_last_block():
+    """complete takes the last diagonal block as a symmetric array of the
+    edge's order: a vector, which would broadcast into every row of Sigma,
+    and an asymmetric block, which would be factored as some other
+    matrix, are refused by shape and symmetry before any pivot is
+    factored."""
+    prob = experiments.make_example("5.1", nx=4, ny=8).problem
+    w = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE).size
+    edge = fem.segment_mass(prob.mesh, SegmentTag.INACCESSIBLE, 2.0)
+    skewed = edge.copy()
+    skewed[0, 1] += 1.0
+    for last, shape in ((np.diag(edge), (w,)), (edge[:-1], (w - 1, w)),
+                        (skewed, (w, w))):
+        with pytest.raises(ValueError, match=(
+                rf"symmetric block of order {w} .* shape \({shape[0]},")):
+            prob.base_factor.complete(last)
+    x = prob.base_factor.complete(edge).solve(prob.load)
+    A = prob.base + fem.assemble_boundary_mass(
+        prob.mesh, SegmentTag.INACCESSIBLE, 2.0)
+    assert np.linalg.norm(prob.load - A @ x) <= \
+        fem.SOLVE_TOL * np.linalg.norm(prob.load)
+
+
 def test_backward_sweep_reaches_only_the_coupled_mesh_column():
     """C_{k+1}^T x_{k+1} reaches only the last mesh column of a grouped
     block, so the backward sweep multiplies only those columns of
@@ -526,8 +549,17 @@ def test_backward_sweep_reaches_only_the_coupled_mesh_column():
     assert [span.stop - span.start for span in grouped._spans[:-1]] == \
         [4 * column] * 4
     assert grouped._reach == [slice(3 * column - 1, 4 * column)] * 4
+    # the dense steps read the same rows: G_k from the reach of block
+    # k - 1 through block k, H_k the first mesh column of block k + 1
+    # (and the zero that starts the second diagonal)
+    assert [step[1] for step in grouped._dense[1:-1]] == \
+        [slice(4 * column * k - column - 1, 4 * column * (k + 1))
+         for k in range(1, 4)]
+    assert [step[3] for step in grouped._dense[:-1]] == \
+        [slice(0, column + 1)] * 3 + [slice(0, column)]
     by_column = fem.BlockLDLT(prob.base, column_widths(prob.mesh))
     assert by_column._reach == [slice(0, column)] * prob.mesh.nx
+    assert by_column._dense == [None] * (prob.mesh.nx + 1)
 
 
 @pytest.mark.parametrize("example_id, nx, ny, nt", [

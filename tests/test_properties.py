@@ -49,9 +49,11 @@ def test_adjoint_identity_on_random_meshes(example_id, nx, ny, nt, seed):
 @pytest.mark.parametrize("example_id", ["5.1", "5.3"])
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(nx=st.integers(1, 6), ny=st.integers(1, 8), nt=st.integers(1, 6))
+@example(nx=10, ny=32, nt=4)   # leading blocks of 132, 132 and 66
 def test_exact_coefficient_is_a_fixed_point(example_id, nx, ny, nt):
     """Noise-free data at the exact coefficient leave nothing to correct:
-    the first step measures a zero residual and stays where it started."""
+    the first step measures a zero residual and stays where it started,
+    with one leading block or several."""
     example = ex.make_example(example_id, nx=nx, ny=ny, nt=nt)
     prob = example.problem
     gamma_star = ex.interpolate_gamma(prob.mesh, example.gamma_star)
@@ -107,14 +109,20 @@ def _blocks(factor):
 @example(nx=1, ny=8, seed=0)                  # one leading column
 @example(nx=10, ny=32, seed=1)                # g = 4 leaves a group of 2
 @example(nx=3, ny=fem._BLOCK_WIDTH, seed=2)   # a column is a block
+@example(nx=4, ny=40, seed=3)                 # a group of 3, then a column
+@example(nx=16, ny=32, seed=4)                # the parabolic-march mesh
+@example(nx=64, ny=128, seed=5)               # the elliptic-fine mesh
 def test_grouped_block_factor_agrees_with_the_column_factor(
         example_id, nx, ny, seed):
     """The base factor's blocks list every unknown once, in node order:
     the leading mesh columns g at a time, g the column count nearest to
     _BLOCK_WIDTH unknowns (at least one, the last group what is left
-    over), and the Robin edge alone last.  Its solves meet SOLVE_TOL on
-    the assembled operator and agree with those of one block per mesh
-    column."""
+    over), and the Robin edge alone last.  A leading block of two or more
+    mesh columns, which its couplings reach in part, takes the dense
+    steps, and a block of one column the diagonal-wise ones.  Its solves
+    of one right-hand side or three meet SOLVE_TOL on the assembled
+    operator and agree with those of one block per mesh column, which
+    takes no dense step."""
     prob = ex.make_example(example_id, nx=nx, ny=ny, nt=4).problem
     tag = SegmentTag.INACCESSIBLE
     blocks = _blocks(prob.base_factor)
@@ -124,15 +132,23 @@ def test_grouped_block_factor_agrees_with_the_column_factor(
     assert [block.size for block in blocks[:-1]] == \
         [min(g, nx - i) * (ny + 1) for i in range(0, nx, g)]
     np.testing.assert_array_equal(blocks[-1], prob.mesh.segment_nodes(tag))
+    assert [step is not None for step in prob.base_factor._dense] == \
+        [block.size > ny + 1 for block in blocks[:-1]] + [False]
     rng = np.random.default_rng(seed)
     gamma = rng.uniform(prob.gamma_min, prob.gamma_max, blocks[-1].size)
     S = prob.base + fem.assemble_boundary_mass(prob.mesh, tag, gamma)
-    b = rng.standard_normal(prob.mesh.n_nodes)
-    x = prob.operator(gamma).solve(b)
-    assert np.linalg.norm(b - S @ x) <= fem.SOLVE_TOL * np.linalg.norm(b)
-    by_column = fem.BlockLDLT(prob.base, [ny + 1] * (nx + 1)).complete(
-        fem.segment_mass(prob.mesh, tag, gamma)).solve(b)
-    assert np.linalg.norm(x - by_column) <= 1e-12 * np.linalg.norm(by_column)
+    column_factor = fem.BlockLDLT(prob.base, [ny + 1] * (nx + 1))
+    assert column_factor._dense == [None] * (nx + 1)
+    column_factor = column_factor.complete(
+        fem.segment_mass(prob.mesh, tag, gamma))
+    for b in (rng.standard_normal(prob.mesh.n_nodes),
+              rng.standard_normal((prob.mesh.n_nodes, 3))):
+        x = prob.operator(gamma).solve(b)
+        assert np.all(np.linalg.norm(b - S @ x, axis=0)
+                      <= fem.SOLVE_TOL * np.linalg.norm(b, axis=0))
+        by_column = column_factor.solve(b)
+        assert np.all(np.linalg.norm(x - by_column, axis=0)
+                      <= 1e-12 * np.linalg.norm(by_column, axis=0))
 
 
 @pytest.mark.parametrize("example_id", ["5.1", "5.3"])
