@@ -145,18 +145,13 @@ class SymBand:
                    block: np.ndarray) -> "SymBand":
         """The n x n matrix that is the dense symmetric block at the rows
         and columns nodes, zero elsewhere; raises ValueError unless block
-        is a symmetric array of order nodes.size."""
+        is a finite symmetric array of order nodes.size."""
         block = _symmetric_block(block, nodes.size)
         i, j = np.nonzero(block)
         rows, cols = nodes[i], nodes[j]
         upper = rows <= cols
         return cls.from_entries(n, rows[upper], cols[upper],
                                 block[i, j][upper])
-
-    @classmethod
-    def from_dense(cls, A: np.ndarray) -> "SymBand":
-        """The SymBand of a dense symmetric array."""
-        return cls.from_block(len(A), np.arange(len(A)), A)
 
     @cached_property
     def nnz(self) -> int:
@@ -210,8 +205,12 @@ class SymBand:
 
 def _symmetric_block(block, order: int) -> np.ndarray:
     """block as a float array; raises ValueError, naming its shape, unless
-    it is a symmetric array of order order."""
+    it is a symmetric array of order order, and one saying so when it
+    holds a non-finite entry."""
     block = np.asarray(block, dtype=float)
+    if block.shape == (order, order) and not np.isfinite(block).all():
+        raise ValueError(f"the symmetric block of order {order} holds "
+                         f"non-finite entries")
     if block.shape != (order, order) or not np.array_equal(block, block.T):
         raise ValueError(f"a symmetric block of order {order} is needed, "
                          f"got an array of shape {block.shape}")
@@ -269,8 +268,8 @@ class BlockLDLT:
     k - 1 that C_k reads to the end of block k, and one with H_k backward.
     Any other block, one mesh column or the last, takes one update per
     diagonal of C_k and one product with D_k^{-1} forward, and backward
-    multiplies only the rows of D_k^{-1} (D_k^{-1} is symmetric) that
-    C_{k+1}^T reaches.  solve and condense share the one forward sweep,
+    one product with the whole D_k^{-1}, since C_{k+1}^T reaches such a
+    block whole.  solve and condense share the one forward sweep,
     _eliminate, and the one backward step, _upper.  matvec
     applies the matrix, one banded product with base plus last, whose
     diagonals are folded into a copy of base's on the first call; both
@@ -280,8 +279,8 @@ class BlockLDLT:
     Raises CurvatureBreakdown when a pivot is not positive definite, and
     ValueError when the widths are not positive or do not sum to the
     order of the matrix, the matrix couples blocks that are not
-    neighbours, or complete is given a last block of the wrong shape or
-    an asymmetric one.
+    neighbours, or complete is given a last block of the wrong shape, an
+    asymmetric one or one with a non-finite entry.
     """
 
     def __init__(self, base: SymBand, widths):
@@ -335,29 +334,29 @@ class BlockLDLT:
         self.schur = pivot
         self._last = None
         # the rows of block k that C_{k+1}^T reaches, one slice around them
-        self._reach = [_around((lo + d, hi + d) for d, lo, hi, v in coupling)
-                       for coupling in self._coupling[1:]]
+        reach = [_around((lo + d, hi + d) for d, lo, hi, v in coupling)
+                 for coupling in self._coupling[1:]]
         # a leading block that C_{k+1} reaches in part, a group of mesh
         # columns, steps by one dense product each way; the last never
-        self._dense = [self._dense_steps(k) if reach.stop - reach.start < w
+        self._dense = [self._dense_steps(k, reach) if r.stop - r.start < w
                        else None
-                       for k, (reach, w) in enumerate(zip(self._reach, widths))
+                       for k, (r, w) in enumerate(zip(reach, widths))
                        ] + [None]
 
-    def _dense_steps(self, k: int):
+    def _dense_steps(self, k: int, reach: list):
         """The dense steps of leading block k: G_k = [-D_k^{-1} C_k |
-        D_k^{-1}], C_k cut to the rows of block k - 1 it reads (G_0 =
-        D_0^{-1}), with the slice of x it applies to, those rows through
-        the end of block k; and H_k = D_k^{-1} C_{k+1}^T, cut to the rows
-        of block k + 1 that C_{k+1} reaches, with that slice.  Each column
-        of a product with a coupling is a column of D_k^{-1} times an entry
-        of one of its diagonals.  D_k^{-1} becomes a view of G_k, so the
-        two stay one array."""
+        D_k^{-1}], C_k cut to the rows of block k - 1 it reads, reach[k -
+        1] (G_0 = D_0^{-1}), with the slice of x it applies to, those rows
+        through the end of block k; and H_k = D_k^{-1} C_{k+1}^T, cut to
+        the rows of block k + 1 that C_{k+1} reaches, with that slice.
+        Each column of a product with a coupling is a column of D_k^{-1}
+        times an entry of one of its diagonals.  D_k^{-1} becomes a view
+        of G_k, so the two stay one array."""
         dinv, span = self._dinv[k], self._spans[k]
         w = span.stop - span.start
         G, source = dinv, span
         if k:
-            start = self._reach[k - 1].start
+            start = reach[k - 1].start
             source = slice(self._spans[k - 1].start + start, span.stop)
             m = source.stop - source.start - w
             G = np.zeros((w, m + w))
@@ -373,8 +372,8 @@ class BlockLDLT:
 
     def complete(self, last: np.ndarray | None = None) -> "BlockLDLT":
         """The factor of base plus last on the last diagonal block; see
-        the class docstring.  Raises ValueError, naming its shape, unless
-        last is a symmetric array of the last block's order."""
+        the class docstring.  Raises ValueError unless last is a finite
+        symmetric array of the last block's order."""
         factor = copy.copy(self)
         factor.__dict__.pop("_operator", None)
         factor._edge = np.zeros_like(self.schur) if last is None else \
@@ -507,17 +506,16 @@ class BlockLDLT:
 
     def _upper(self, k, xn, coupling) -> np.ndarray:
         """D_k^{-1} C_{k+1}^T xn: one product with H_k for a block with
-        dense steps, else with only the columns of D_k^{-1} that C_{k+1}^T
-        xn reaches."""
+        dense steps, else, C_{k+1}^T reaching the whole block, with
+        D_k^{-1}."""
         if self._dense[k]:
             H, rows = self._dense[k][2:]
             return H @ xn[rows]
-        reach = self._reach[k]
-        y = np.zeros((reach.stop - reach.start,) + xn.shape[1:])
+        dinv = self._dinv[k]
+        y = np.zeros(dinv.shape[:1] + xn.shape[1:])
         for d, lo, hi, v in coupling[k + 1]:
-            d -= reach.start
             y[lo + d:hi + d] += v * xn[lo:hi]
-        return self._dinv[k][reach].T @ y
+        return dinv.T @ y
 
 
 @dataclass(frozen=True)

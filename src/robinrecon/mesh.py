@@ -213,11 +213,6 @@ def classify_boundary(mesh: Mesh) -> Mesh:
     return replace(mesh, segments=segments)
 
 
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    """Signed areas of all triangles (positive for counterclockwise)."""
-    return signed_areas(mesh.nodes[mesh.triangles])
-
-
 def signed_areas(p: np.ndarray) -> np.ndarray:
     """Signed areas of the triangles with vertex coordinates p, shape
     (m, 3, 2)."""

@@ -470,8 +470,11 @@ def test_sweep_rejects_duplicate_entries(tmp_path, capsys):
     ("run", "", ["--seed", "-1"], "seed"),
     ("sweep", "seed = 0,-2\n", [], "seed"),
     ("sweep", "", ["--eps", "nan"], "eps"),
+    ("sweep", "seed = ,\n", [], "empty list ','"),
+    ("run", "nx 4\n", [], "expected 'key = value', got 'nx 4'"),
 ], ids=["sweep-config-seed", "run-config-gamma0", "sweep-jobs", "run-eps-nan",
-        "run-seed-negative", "sweep-config-seed-negative", "sweep-eps-nan"])
+        "run-seed-negative", "sweep-config-seed-negative", "sweep-eps-nan",
+        "sweep-config-empty-list", "run-config-line-without-equals"])
 def test_bad_setting_exits_2_with_message(tmp_path, capsys, monkeypatch,
                                           command, config, flags, named):
     def unreachable(*args, **kwargs):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from robinrecon import elliptic as ell
 from robinrecon import experiments, fem, lm
+from robinrecon import parabolic as par
 from robinrecon.mesh import SegmentTag
 
 # integral of the example 5.1 coefficient over the segment, by hand:
@@ -37,10 +39,12 @@ def test_exact_coefficients_at_segment_endpoints():
 
 
 def test_example_kinds():
-    assert experiments.make_example("5.1", nx=4, ny=8).kind == "elliptic"
-    assert experiments.make_example("5.2", nx=4, ny=8).kind == "elliptic"
-    assert experiments.make_example("5.3", nx=4, ny=8, nt=4).kind == "parabolic"
-    assert experiments.make_example("5.4", nx=4, ny=8, nt=4).kind == "parabolic"
+    for example_id, problem_type in (("5.1", ell.EllipticProblem),
+                                     ("5.2", ell.EllipticProblem),
+                                     ("5.3", par.ParabolicProblem),
+                                     ("5.4", par.ParabolicProblem)):
+        example = experiments.make_example(example_id, nx=4, ny=8, nt=4)
+        assert isinstance(example.problem, problem_type)
 
 
 def test_coefficient_51_stays_in_its_analytic_range():
@@ -418,7 +422,18 @@ def test_oracle_reuses_the_operator_and_state_of_its_step(monkeypatch):
     assert calls == {"operator": 2, "solve": 3, "edge": 5}
 
 
-def test_oracle_steps_shrink_in_the_strong_regularization_limit():
+def test_probes_reject_an_unknown_kind_and_the_oracle_a_march():
+    with pytest.raises(ValueError, match="unknown problem kind 'hyperbolic'"):
+        experiments.adjoint_identity_errors("hyperbolic")
+    example = experiments.make_example("5.3", nx=4, ny=8, nt=4)
+    gamma = experiments.interpolate_gamma(example.problem.mesh,
+                                          example.gamma_star)
+    z = experiments.exact_observation(example)
+    with pytest.raises(TypeError, match="implemented for the stationary"):
+        experiments.oracle_optimality_check(example.problem, gamma, z)
+
+
+def test_oracle_steps_shrink_in_the_strong_regularization_limit(monkeypatch):
     example = experiments.make_example("5.1", nx=4, ny=8)
     mesh = example.problem.mesh
     gamma_exact = experiments.interpolate_gamma(mesh, example.gamma_star)
@@ -426,10 +441,18 @@ def test_oracle_steps_shrink_in_the_strong_regularization_limit():
     rng = np.random.default_rng(1)
     gamma_k = gamma_exact + rng.uniform(-0.2, 0.2, gamma_exact.size)
 
+    quantities = lm._quantities
+
     def norms(beta):
-        report = experiments.oracle_optimality_check(
-            example.problem, gamma_k, z, beta_override=beta
-        )
+        # the step's own quantities with the regularization weight beta
+        def with_beta(*args):
+            residual, _, *rest = quantities(*args)
+            return (residual, beta, *rest)
+
+        monkeypatch.setattr(lm, "_quantities", with_beta)
+        report = experiments.oracle_optimality_check(example.problem,
+                                                     gamma_k, z)
+        assert report.beta == beta
         return report.surrogate_step_norm, report.gn_step_norm
 
     mild = norms(1e3)
@@ -451,6 +474,35 @@ def test_domain_l2_error_reproduces_linear_fields():
     assert err < 1e-13
     shifted = experiments.domain_l2_error(mesh, nodal + 1.0, lambda x, y: x + y)
     assert shifted == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+
+def test_full_battery_passes_and_reports_its_numbers():
+    """Every check of the battery, in its order, passes, and its details
+    line gives the measured numbers next to the threshold."""
+    num = r"\d\.\d+e[-+]\d+"
+    fd = (rf"fd errors \[{num}, {num}, {num}\] for steps "
+          rf"\(0\.01, 0\.001, 0\.0001\), fitted order \d\.\d{{3}} "
+          rf"\(band \[0\.7, 1\.3\]\)")
+    adjoint = (rf"worst relative identity gap {num} over 20 probe pairs "
+               rf"\(tol 1e-12\)")
+    details = {
+        "adjoint-elliptic": adjoint,
+        "adjoint-parabolic": adjoint,
+        "derivative-elliptic": fd,
+        "derivative-parabolic": fd,
+        "oracle": (rf"J at iterate {num}, surrogate {num}, dense minimizer "
+                   rf"{num}; normal-equation residual at surrogate {num}, "
+                   rf"at dense minimizer {num}"),
+        "fem-elliptic": (rf"errors {num} -> {num}, ratio \d+\.\d\d "
+                         rf"\(minimum 3\.5\)"),
+        "fem-parabolic": (rf"errors {num} -> {num}, ratio \d+\.\d\d "
+                          rf"\(minimum 1\.8\)"),
+    }
+    results = experiments.verification_battery()
+    assert [r.name for r in results] == list(details)
+    for r in results:
+        assert r.passed, f"{r.name}: {r.details}"
+        assert re.fullmatch(details[r.name], r.details), r.details
 
 
 def test_battery_filter():

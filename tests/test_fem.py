@@ -8,7 +8,7 @@ import reference_quadrature
 from robinrecon import experiments, fem
 from robinrecon.elliptic import EllipticProblem
 from robinrecon.mesh import (SegmentTag, build_rect_mesh, classify_boundary,
-                             triangle_areas)
+                             signed_areas)
 
 LX, LY = 1.0, 2.0
 AREA = LX * LY
@@ -121,6 +121,22 @@ def test_nodal_array_coefficient_is_rejected_by_name(assemble, name):
     with pytest.raises(TypeError, match=(
             rf"^{name}\b.* must be a scalar or a vectorized callable")):
         assemble(mesh, np.ones(mesh.n_nodes))
+
+
+@pytest.mark.parametrize("assemble", [
+    fem.assemble_load, fem.assemble_mass, fem.assemble_stiffness,
+    lambda mesh, g: fem.assemble_boundary_load(
+        mesh, SegmentTag.INACCESSIBLE, g),
+], ids=["load", "mass", "stiffness", "boundary-load"])
+def test_a_callable_returning_a_scalar_assembles_like_the_scalar(assemble):
+    """A vectorized callable may return one value for every point; it is
+    broadcast to the points and assembles bit for bit like that value."""
+    mesh = make_mesh(3, 5)
+    by_callable = assemble(mesh, lambda x, y: 1.5)
+    by_scalar = assemble(mesh, 1.5)
+    if isinstance(by_scalar, fem.SymBand):
+        by_callable, by_scalar = by_callable.toarray(), by_scalar.toarray()
+    np.testing.assert_array_equal(by_callable, by_scalar)
 
 
 @pytest.mark.parametrize("coeff", [
@@ -279,7 +295,7 @@ def test_p1_matrices_are_stored_by_their_upper_diagonals():
     tri = mesh.triangles
     local = (np.ones((3, 3)) + np.eye(3)) / 12.0
     np.add.at(dense, (tri[:, :, None], tri[:, None, :]),
-              triangle_areas(mesh)[:, None, None] * local)
+              signed_areas(mesh.nodes[tri])[:, None, None] * local)
     np.testing.assert_allclose(M.toarray(), dense, rtol=1e-14, atol=0.0)
     tag = SegmentTag.INACCESSIBLE
     gamma = np.linspace(1.0, 2.0, mesh.ny + 1)
@@ -304,7 +320,7 @@ def test_band_arithmetic_matches_the_dense_arithmetic():
                         (K + B, k + b), (B + K, b + k)):
         np.testing.assert_array_equal(band.toarray(), dense)
     A = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 4.0], [0.0, 4.0, 5.0]])
-    S = fem.SymBand.from_dense(A)
+    S = dense_band(A)
     assert S.offsets == (0, 1) and S.nnz == 7
     np.testing.assert_array_equal(S.toarray(), A)
     twice = fem.SymBand.from_entries(3, np.array([0, 0, 0, 1, 1, 2]),
@@ -312,7 +328,13 @@ def test_band_arithmetic_matches_the_dense_arithmetic():
                                      np.array([1.0, 1.0, 1.0, 3.0, 4.0, 5.0]))
     np.testing.assert_array_equal(twice.toarray(), A)
     with pytest.raises(ValueError, match="symmetric"):
-        fem.SymBand.from_dense(np.triu(A))
+        dense_band(np.triu(A))
+    # only two bands of one shape add
+    with pytest.raises(TypeError):
+        K + 1.0
+    with pytest.raises(ValueError,
+                       match=r"shapes differ: \(24, 24\) and \(9, 9\)"):
+        K + fem.assemble_mass(make_mesh(2, 2), 1.0)
 
 
 @pytest.mark.parametrize("nx, ny, nnz", [
@@ -344,6 +366,18 @@ def reference_system():
 def column_widths(mesh):
     """One block per mesh column."""
     return [mesh.ny + 1] * (mesh.nx + 1)
+
+
+def dense_band(A):
+    """The SymBand of a dense symmetric array."""
+    return fem.SymBand.from_block(len(A), np.arange(len(A)), A)
+
+
+def coupled_rows(factor):
+    """For each leading block k, one slice around the rows that C_{k+1}^T
+    reaches."""
+    return [fem._around((lo + d, hi + d) for d, lo, hi, v in coupling)
+            for coupling in factor._coupling[1:]]
 
 
 def reference_factor(A):
@@ -390,7 +424,7 @@ def test_solve_spd_rejects_bad_tolerance():
 
 
 def test_solve_spd_detects_indefinite_matrix():
-    A = fem.SymBand.from_dense(np.diag([1.0, -1.0, 1.0]))
+    A = dense_band(np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(fem.CurvatureBreakdown):
         reference_cg.solve_spd(A, np.ones(3))
 
@@ -515,11 +549,11 @@ def test_operators_of_one_problem_share_the_leading_factor():
 
 
 def test_block_factor_completes_only_with_a_symmetric_last_block():
-    """complete takes the last diagonal block as a symmetric array of the
-    edge's order: a vector, which would broadcast into every row of Sigma,
-    and an asymmetric block, which would be factored as some other
-    matrix, are refused by shape and symmetry before any pivot is
-    factored."""
+    """complete takes the last diagonal block as a finite symmetric array
+    of the edge's order: a vector, which would broadcast into every row of
+    Sigma, and an asymmetric block, which would be factored as some other
+    matrix, are refused by shape and symmetry, and a NaN or an infinite
+    entry as non-finite, before any pivot is factored."""
     prob = experiments.make_example("5.1", nx=4, ny=8).problem
     w = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE).size
     edge = fem.segment_mass(prob.mesh, SegmentTag.INACCESSIBLE, 2.0)
@@ -530,6 +564,12 @@ def test_block_factor_completes_only_with_a_symmetric_last_block():
         with pytest.raises(ValueError, match=(
                 rf"symmetric block of order {w} .* shape \({shape[0]},")):
             prob.base_factor.complete(last)
+    for bad in (np.nan, np.inf, -np.inf):
+        spoiled = edge.copy()
+        spoiled[1, 1] = bad
+        with pytest.raises(ValueError, match=(
+                rf"symmetric block of order {w} holds non-finite")):
+            prob.base_factor.complete(spoiled)
     x = prob.base_factor.complete(edge).solve(prob.load)
     A = prob.base + fem.assemble_boundary_mass(
         prob.mesh, SegmentTag.INACCESSIBLE, 2.0)
@@ -537,18 +577,28 @@ def test_block_factor_completes_only_with_a_symmetric_last_block():
         fem.SOLVE_TOL * np.linalg.norm(prob.load)
 
 
+def test_an_uncompleted_factor_does_not_solve():
+    """The base factor keeps its last pivot unfactored, so neither a full
+    solve nor a solve on the last block runs before complete."""
+    factor = experiments.make_example("5.1", nx=4, ny=8).problem.base_factor
+    with pytest.raises(ValueError, match="not factored, see complete"):
+        factor.solve(np.ones(factor.base.shape[0]))
+    with pytest.raises(ValueError, match="not factored, see complete"):
+        fem.solve_edge(factor, np.ones(len(factor.schur)))
+
+
 def test_backward_sweep_reaches_only_the_coupled_mesh_column():
     """C_{k+1}^T x_{k+1} reaches only the last mesh column of a grouped
-    block, so the backward sweep multiplies only those columns of
-    D_k^{-1}, and the one before them where the diagonal edges' coupling
-    diagonal starts with a zero; a block of one mesh column is reached
-    whole."""
+    block, and the row before it where the diagonal edges' coupling
+    diagonal starts with a zero, so the dense steps read only those rows;
+    a block of one mesh column is reached whole and takes the
+    diagonal-wise step with all of D_k^{-1}."""
     prob = experiments.make_example("5.1", nx=16, ny=32).problem
     column = prob.mesh.ny + 1
     grouped = prob.base_factor
     assert [span.stop - span.start for span in grouped._spans[:-1]] == \
         [4 * column] * 4
-    assert grouped._reach == [slice(3 * column - 1, 4 * column)] * 4
+    assert coupled_rows(grouped) == [slice(3 * column - 1, 4 * column)] * 4
     # the dense steps read the same rows: G_k from the reach of block
     # k - 1 through block k, H_k the first mesh column of block k + 1
     # (and the zero that starts the second diagonal)
@@ -558,7 +608,7 @@ def test_backward_sweep_reaches_only_the_coupled_mesh_column():
     assert [step[3] for step in grouped._dense[:-1]] == \
         [slice(0, column + 1)] * 3 + [slice(0, column)]
     by_column = fem.BlockLDLT(prob.base, column_widths(prob.mesh))
-    assert by_column._reach == [slice(0, column)] * prob.mesh.nx
+    assert coupled_rows(by_column) == [slice(0, column)] * prob.mesh.nx
     assert by_column._dense == [None] * (prob.mesh.nx + 1)
 
 
@@ -597,7 +647,7 @@ def test_factored_solves_meet_solve_tol_in_one_iteration(
     rng = np.random.default_rng(0)
     prob.derivative(u_i, rng.uniform(-1.0, 1.0, seg_i.size), op)
     prob.adjoint(rng.uniform(-1.0, 1.0, u_a.shape), op)
-    if example.kind == "elliptic":
+    if isinstance(prob, EllipticProblem):
         # the condensation's anchor and its probe, the probe's and the
         # load's edge solves, then the three solves
         assert iterations == [1, 1]
@@ -634,9 +684,9 @@ def _edge_shifted_stiffness():
 
 
 @pytest.mark.parametrize("A, widths", [
-    (fem.SymBand.from_dense(np.diag([1.0, -1.0, 1.0])), [1, 1, 1]),
-    (fem.SymBand.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]])), [1, 1]),
-    (fem.SymBand.from_dense(
+    (dense_band(np.diag([1.0, -1.0, 1.0])), [1, 1, 1]),
+    (dense_band(np.array([[1.0, 2.0], [2.0, 1.0]])), [1, 1]),
+    (dense_band(
         fem.assemble_stiffness(make_mesh(), 1.0).toarray()
         - 100.0 * fem.assemble_mass(make_mesh(), 1.0).toarray()),
      column_widths(make_mesh())),

@@ -8,6 +8,7 @@ the acceptance bands; they guard against silent behavioural drift.
 from __future__ import annotations
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -149,6 +150,17 @@ def test_run_validates_initial_guess():
     gamma_nan[3] = np.nan
     with pytest.raises(ValueError, match="gamma0"):
         lm.run(prob, gamma_nan, z, cfg)
+
+
+def test_run_rejects_an_unsupported_problem_type():
+    """The loop steps the two problem types only; any other object, here
+    one with a mesh and a box, fails before its first step."""
+    prob, gamma_star, z, gamma0 = _elliptic_setup()
+    other = types.SimpleNamespace(mesh=prob.mesh, gamma_min=prob.gamma_min,
+                                  gamma_max=prob.gamma_max)
+    with pytest.raises(TypeError,
+                       match="unsupported problem type SimpleNamespace"):
+        lm.run(other, gamma0, z, lm.LmConfig(eps=1e-3))
 
 
 @pytest.mark.parametrize("setup", [_elliptic_setup, _parabolic_setup])

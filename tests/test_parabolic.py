@@ -28,6 +28,16 @@ def test_forward_matches_manufactured_solution():
     assert err == pytest.approx(L2_ERROR_8X16_NT8, rel=1e-6)
 
 
+def test_convergence_check_measures_the_spatial_rate():
+    """The exact state is linear in t, where implicit Euler adds almost no
+    time error, so halving h and dt together cuts the error about
+    fourfold, as halving h does in the stationary check: at least the
+    elliptic floor, well above the first-order PARABOLIC_RATIO_MIN."""
+    coarse, fine = ex.fem_convergence_check("parabolic")
+    assert coarse == pytest.approx(L2_ERROR_8X16_NT8, rel=1e-6)
+    assert coarse / fine >= ex.ELLIPTIC_RATIO_MIN
+
+
 def test_initial_level_is_the_interpolated_start():
     mesh = classify_boundary(build_rect_mesh(4, 8, 1.0, 2.0))
     prob = par.ParabolicProblem(
