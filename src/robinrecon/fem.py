@@ -17,10 +17,12 @@ are plain 1-D arrays indexed by the node list of one segment, in (y, x)
 order, see Mesh.segment_nodes; the segment geometry comes precomputed
 with the mesh (Mesh.segments).  Nodal fields on the whole mesh are 1-D
 arrays of length n_nodes.  The load assemblies (assemble_load,
-assemble_boundary_load) take one source or a list of them, one per level
-of a march: the quadrature geometry is computed once per call, each
-source sampled once, and each level scattered with one np.bincount, so
-a row is bit for bit the load of its source alone.
+assemble_boundary_load) take a scalar or a callable datum, and with the
+times of a march's levels sample a callable of (x, y, t) once for all
+of them, t an array along a leading axis broadcast against the
+quadrature points; each level is weighted and scattered from its view
+of that sample with one np.bincount, so a row is bit for bit the load
+of the datum frozen at its time.
 
 The matrices (assemble_stiffness, assemble_mass, assemble_boundary_mass)
 are SymBands, symmetric matrices stored by their upper diagonals: a P1
@@ -669,21 +671,41 @@ def _check_residual(residual: float, norm: float, where: str) -> None:
 
 
 def _coeff_on_points(coeff, x: np.ndarray, y: np.ndarray,
-                     name: str) -> np.ndarray:
+                     name: str, times=None) -> np.ndarray:
     """Evaluate a scalar constant or a vectorized callable on points.
 
-    Samples that already have the points' shape and dtype are returned
-    as they are, not copied; callers only read them.  Anything else (a
-    nodal array, say) raises TypeError naming the argument.
+    With times, a callable is a datum of (x, y, t), sampled once with t =
+    times[:, None, ...] broadcast against the points, which gives one
+    sample per level, shape (len(times), *x.shape); a TypeError naming
+    the datum, chained from the original error, says that it must be
+    vectorized in t when that call or broadcast fails.  A scalar gives
+    one sample of the points' shape either way.  Samples that already
+    have the full shape and dtype are returned as they are, not copied;
+    callers only read them.  Anything else (a nodal array, say) raises
+    TypeError naming the argument.
     """
-    if callable(coeff):
+    args = "(x, y)" if times is None else "(x, y, t)"
+    if callable(coeff) and times is None:
         values = np.asarray(coeff(x, y), dtype=float)
         if values.shape == x.shape:
             return values
         return np.broadcast_to(values, x.shape).copy()
+    if callable(coeff):
+        t = np.reshape(times, (-1,) + (1,) * x.ndim)
+        shape = t.shape[:1] + x.shape
+        try:
+            values = np.asarray(coeff(x, y, t), dtype=float)
+            if values.shape == shape:
+                return values
+            return np.broadcast_to(values, shape).copy()
+        except (TypeError, ValueError) as err:
+            raise TypeError(
+                f"{name} must be a scalar or a callable of (x, y, t) "
+                f"vectorized in x, y and t, sampled at all {len(t)} levels "
+                f"at once") from err
     if np.ndim(coeff) != 0:
         raise TypeError(
-            f"{name} must be a scalar or a vectorized callable of (x, y), "
+            f"{name} must be a scalar or a vectorized callable of {args}, "
             f"got an array of shape {np.shape(coeff)}")
     return np.full(x.shape, float(coeff))
 
@@ -782,48 +804,40 @@ def assemble_mass(mesh: Mesh, c) -> SymBand:
     return _scatter(mesh, upper)
 
 
-def _per_level(source) -> tuple[list, bool]:
-    """The sources of a load assembly and whether a single one was given:
-    a list holds one source per level, anything else is one source."""
-    if isinstance(source, list):
-        return source, False
-    return [source], True
-
-
-def assemble_load(mesh: Mesh, f) -> np.ndarray:
+def assemble_load(mesh: Mesh, f, times=None) -> np.ndarray:
     """Volume load vector, entries integral of f * phi_i (midpoint rule).
 
-    f is one source or a list of sources, one per level, which gives a
-    (levels, n_nodes) array, row l the load of f[l].  The quadrature
-    geometry is computed once per call and each source sampled once; a
-    level is summed into its row in the same order as a single load, so
-    a row equals the load of its source alone bit for bit.
+    f is a scalar or a vectorized callable of (x, y).  With times, a
+    callable f is a datum of (x, y, t), vectorized in t as well: it is
+    sampled once at all the times and gives a (len(times), n_nodes)
+    array, row l the load at times[l] and bit for bit the load of f
+    frozen at that time; a scalar f still gives one load.
     """
-    sources, single = _per_level(f)
     mid, area = _edge_midpoints(mesh)
     # contiguous coordinates, on which a vectorized source runs faster
     x, y = mid[:, :, 0].copy(), mid[:, :, 1].copy()
     del mid
     weight = area[:, None] / 3.0
     index = mesh.triangles.ravel()
-    out = np.empty((len(sources), mesh.n_nodes))
-    for row, source in zip(out, sources):
-        local = weight * (_coeff_on_points(source, x, y, "f") @ _MID_PHI)  # (m, 3)
+    values = _coeff_on_points(f, x, y, "f", times)  # ([levels,] m, 3)
+    out = np.empty((*values.shape[:-2], mesh.n_nodes))
+    for row, level in zip(out.reshape(-1, mesh.n_nodes),
+                          values.reshape(-1, *x.shape)):
+        local = weight * (level @ _MID_PHI)
         row[:] = np.bincount(index, local.ravel(), minlength=mesh.n_nodes)
-    return out[0] if single else out
+    return out
 
 
-def assemble_boundary_load(mesh: Mesh, tag: SegmentTag, g) -> np.ndarray:
+def assemble_boundary_load(mesh: Mesh, tag: SegmentTag, g, times=None,
+                           name: str = "g") -> np.ndarray:
     """Boundary load vector, entries integral over the segment of g * phi_i.
 
     g is a scalar or a vectorized callable of (x, y), sampled at the two
-    Gauss points of every segment edge, or a list of them, one per
-    level, which gives a (levels, n_nodes) array as for assemble_load,
-    each row bit for bit the load of its weight alone.  The load of a
-    nodal segment field is its product with the segment mass, see
-    RobinProblem.boundary_loads.
+    Gauss points of every segment edge; with times, a callable of (x, y,
+    t) as for assemble_load, which gives one load per time.  An error
+    about g calls it name.  The load of a nodal segment field is its
+    product with the segment mass, see RobinProblem.boundary_loads.
     """
-    weights, single = _per_level(g)
     seg = mesh.segments[tag]
     p0 = mesh.nodes[seg.edges[:, 0]]
     p1 = mesh.nodes[seg.edges[:, 1]]
@@ -832,12 +846,14 @@ def assemble_boundary_load(mesh: Mesh, tag: SegmentTag, g) -> np.ndarray:
     phi = np.stack([1.0 - _GAUSS_XI, _GAUSS_XI], axis=0)
     length = seg.length[:, None]
     index = seg.edges.ravel()
-    out = np.empty((len(weights), mesh.n_nodes))
-    for row, weight in zip(out, weights):
-        g_gauss = _coeff_on_points(weight, gx, gy, f"g on segment {tag.name}")
-        contrib = np.einsum("q,eq,iq->ei", _GAUSS_W, g_gauss, phi) * length
+    values = _coeff_on_points(g, gx, gy, f"{name} on segment {tag.name}",
+                              times)
+    out = np.empty((*values.shape[:-2], mesh.n_nodes))
+    for row, level in zip(out.reshape(-1, mesh.n_nodes),
+                          values.reshape(-1, *gx.shape)):
+        contrib = np.einsum("q,eq,iq->ei", _GAUSS_W, level, phi) * length
         row[:] = np.bincount(index, contrib.ravel(), minlength=mesh.n_nodes)
-    return out[0] if single else out
+    return out
 
 
 def segment_mass(mesh: Mesh, tag: SegmentTag, weight=1.0) -> np.ndarray:
@@ -939,16 +955,16 @@ class RobinProblem:
         return self.base_factor.complete(
             segment_mass(self.mesh, SegmentTag.INACCESSIBLE, gamma))
 
-    def data_load(self, f, g, h) -> np.ndarray:
+    def data_load(self, f, g, h, times=None) -> np.ndarray:
         """Load of the volume source f, the Robin data g on the inaccessible
         segment and the flux data h on the accessible one, summed in that
-        order.  Each is one source or a list of them, one per level (see
-        assemble_load); lists give a (levels, n_nodes) array, to every row
-        of which a single source adds its one load."""
-        b = assemble_load(self.mesh, f)
-        for tag, data in ((SegmentTag.INACCESSIBLE, g),
-                          (SegmentTag.ACCESSIBLE, h)):
-            load = assemble_boundary_load(self.mesh, tag, data)
+        order.  With times, each callable is a datum of (x, y, t) sampled
+        at all of them (see assemble_load) and gives a (levels, n_nodes)
+        array, to every row of which a scalar adds its one load."""
+        b = assemble_load(self.mesh, f, times)
+        for tag, data, name in ((SegmentTag.INACCESSIBLE, g, "g"),
+                                (SegmentTag.ACCESSIBLE, h, "h")):
+            load = assemble_boundary_load(self.mesh, tag, data, times, name)
             if load.ndim > b.ndim:
                 # summed into the larger array; the sum commutes exactly
                 b, load = load, b

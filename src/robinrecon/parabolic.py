@@ -22,8 +22,9 @@ the dense edge block of B_gamma) and the boundary loads of all levels
 at once, one product of a series of segment fields with the segment
 mass.  The step mass M/dt, whose product with the previous level each
 step takes, and load, the data loads of every level, are cached on the
-problem too; load is one data_load call over the data frozen at
-each time level, so the quadrature geometry is computed once per
+problem too; load is one data_load call over the times t_1..t_N, which
+samples each time-dependent datum once for all levels, so the
+quadrature geometry and the datum's t-free part are computed once per
 problem, not once per level.
 
 ParabolicProblem carries the same problem protocol as EllipticProblem:
@@ -52,7 +53,8 @@ class ParabolicProblem(fem.RobinProblem):
 
     a is the diffusion coefficient (scalar or callable of x, y); f, g, h
     are the volume source, Robin data and flux data, each a scalar or a
-    callable of (x, y, t) vectorized in x and y; u0 the initial value
+    callable of (x, y, t) vectorized in x, y and t, whose t is an array
+    of all the levels broadcast against the points; u0 the initial value
     (scalar or callable of x, y); T the final time and nt the number of
     implicit Euler steps.  There is no reaction term in this problem
     class, the operator is M/dt + K_a + B_gamma.
@@ -94,12 +96,12 @@ class ParabolicProblem(fem.RobinProblem):
         """Read-only (nt + 1, n_nodes) data loads, row n at time t_n.
 
         Row n collects the volume source, the Robin data and the flux
-        data at t_n, all levels in one data_load call.  Row 0 stays zero:
-        no step solves for level 0.
+        data at t_n, all levels in one data_load call that samples each
+        datum once.  Row 0 stays zero: no step solves for level 0, and
+        t_0 is never sampled.
         """
-        times = [n * self.dt for n in range(1, self.nt + 1)]
-        loads = self.data_load(*(_over_times(data, times)
-                                 for data in (self.f, self.g, self.h)))
+        loads = self.data_load(self.f, self.g, self.h,
+                               np.arange(1, self.nt + 1) * self.dt)
         L = np.zeros((self.nt + 1, self.mesh.n_nodes))
         L[1:] = loads
         L.flags.writeable = False
@@ -142,14 +144,6 @@ def build_operator(prob: ParabolicProblem, gamma: np.ndarray) -> fem.BlockLDLT:
     """The SPD step matrix S = M/dt + K_a + B_gamma, factored, shared by a
     whole march."""
     return prob.robin_operator(gamma)
-
-
-def _over_times(data, times: list[float]):
-    """A data function frozen at each of the times, one source per level;
-    a scalar, which loads every level alike, passes through once."""
-    if callable(data):
-        return [lambda x, y, t=t: data(x, y, t) for t in times]
-    return data
 
 
 def _march(prob: ParabolicProblem, op, loads: np.ndarray,

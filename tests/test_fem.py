@@ -250,27 +250,28 @@ def test_a_source_may_return_its_own_points():
     """Samples that already have the points' shape are used uncopied: a
     source that returns its own x argument changes neither those
     coordinates nor the mesh, and loads as a copy of them would, for one
-    level and for a list of them."""
+    level and, sampled once, for three times."""
     mesh = make_mesh()
     nodes = mesh.nodes.copy()
+    times = np.array([0.5, 1.0, 1.5])
     seen = []
 
-    def own_x(x, y):
+    def own_x(x, y, t=None):
         seen.append((x, x.copy()))
         return x
 
-    def copy_of_x(x, y):
+    def copy_of_x(x, y, t=None):
         return x.copy()
 
-    for assemble in (lambda f: fem.assemble_load(mesh, f),
-                     lambda f: fem.assemble_boundary_load(
-                         mesh, SegmentTag.ACCESSIBLE, f)):
+    for assemble in (lambda f, *times: fem.assemble_load(mesh, f, *times),
+                     lambda f, *times: fem.assemble_boundary_load(
+                         mesh, SegmentTag.ACCESSIBLE, f, *times)):
         np.testing.assert_array_equal(assemble(own_x), assemble(copy_of_x))
-        np.testing.assert_array_equal(assemble([own_x] * 3),
-                                      assemble([copy_of_x] * 3))
+        np.testing.assert_array_equal(assemble(own_x, times),
+                                      assemble(copy_of_x, times))
     np.testing.assert_array_equal(fem.assemble_mass(mesh, own_x).toarray(),
                                   fem.assemble_mass(mesh, copy_of_x).toarray())
-    assert len(seen) == 9
+    assert len(seen) == 5
     for x, before in seen:
         np.testing.assert_array_equal(x, before)
     np.testing.assert_array_equal(mesh.nodes, nodes)

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,26 +178,32 @@ def test_adjoint_rejects_wrong_level_count():
 
 
 def test_data_loads_collect_all_data_terms_per_level():
-    example, mesh, gamma = setup(4, 8, nt=3)
-    prob = example.problem
-    L = prob.load
-    assert L.shape == (prob.nt + 1, mesh.n_nodes)
-    assert np.all(L[0] == 0.0)
-    for n in range(1, prob.nt + 1):
-        t = n * prob.dt
-        expected = fem.assemble_load(mesh, lambda x, y: prob.f(x, y, t))
-        expected += fem.assemble_boundary_load(
-            mesh, SegmentTag.INACCESSIBLE, lambda x, y: prob.g(x, y, t))
-        expected += fem.assemble_boundary_load(mesh, SegmentTag.ACCESSIBLE,
-                                               prob.h)
-        np.testing.assert_array_equal(L[n], expected)
-    with pytest.raises(ValueError):
-        L[1, 0] = 0.0
+    """Each level's row is bit for bit the sum of the three loads of the
+    data frozen at its time, for both registered examples and at the
+    benchmark's size as well."""
+    for example_id, nx, ny, nt in (("5.3", 4, 8, 3), ("5.4", 4, 8, 3),
+                                   ("5.3", 16, 32, 64), ("5.4", 16, 32, 64)):
+        prob = ex.make_example(example_id, nx=nx, ny=ny, nt=nt).problem
+        mesh = prob.mesh
+        L = prob.load
+        assert L.shape == (prob.nt + 1, mesh.n_nodes)
+        assert np.all(L[0] == 0.0)
+        for n in range(1, prob.nt + 1):
+            t = n * prob.dt
+            expected = fem.assemble_load(mesh, lambda x, y: prob.f(x, y, t))
+            expected += fem.assemble_boundary_load(
+                mesh, SegmentTag.INACCESSIBLE, lambda x, y: prob.g(x, y, t))
+            expected += fem.assemble_boundary_load(
+                mesh, SegmentTag.ACCESSIBLE, prob.h)
+            np.testing.assert_array_equal(L[n], expected)
+        with pytest.raises(ValueError):
+            L[1, 0] = 0.0
 
 
 def test_data_loads_sample_each_source_once_per_level():
     """One data_load call for all levels: every time-dependent source is
-    sampled once at each weighted level t_1..t_N and never at t_0."""
+    called once, with t holding t_1..t_N along its leading axis, so each
+    weighted level is sampled once and t_0 never."""
     mesh = classify_boundary(build_rect_mesh(4, 8, 1.0, 2.0))
     samples = {"f": [], "g": [], "h": []}
 
@@ -210,7 +219,65 @@ def test_data_loads_sample_each_source_once_per_level():
     )
     prob.load
     times = [n * prob.dt for n in range(1, prob.nt + 1)]
-    assert samples == {"f": times, "g": times, "h": times}
+    for t in samples.values():
+        assert len(t) == 1
+        assert t[0].shape == (prob.nt, 1, 1)
+        np.testing.assert_array_equal(t[0].ravel(), times)
+
+
+@pytest.mark.parametrize("kind", ["elliptic", "parabolic"])
+@pytest.mark.parametrize("name", ["f", "g", "h"])
+def test_data_load_names_the_datum_it_rejects(kind, name):
+    """A nodal array given as f, g or h is rejected under the name the
+    problem knows it by, with the arguments a callable of that kind
+    takes."""
+    mesh = classify_boundary(build_rect_mesh(2, 4, 1.0, 2.0))
+    data = {"f": 0.0, "g": 0.0, "h": 0.0, name: np.ones(3)}
+    if kind == "elliptic":
+        prob, args = ell.EllipticProblem(mesh, a=1.0, c=1.0, **data), "x, y"
+    else:
+        prob = par.ParabolicProblem(mesh, a=1.0, u0=0.0, T=1.0, nt=2,
+                                    **data)
+        args = "x, y, t"
+    with pytest.raises(TypeError, match=(
+            rf"^{name}\b.* must be a scalar or a vectorized callable of "
+            rf"\({args}\), got an array of shape \(3,\)$")):
+        prob.load
+
+
+@pytest.mark.parametrize("name, datum", [
+    ("f", lambda x, y, t: x * math.exp(t)),
+    ("g", lambda x, y, t: y * t.ravel()),
+    ("h", lambda x, y, t: t.ravel()),
+], ids=["not-vectorized-in-t", "raises-on-broadcast", "returns-levels-only"])
+def test_data_not_vectorized_in_t_fail_by_name(name, datum):
+    """A time-dependent datum that fails on all levels at once, in its
+    own code or in the broadcast of its sample to (levels, points), is
+    rejected at the load with its name, chained from that failure."""
+    mesh = classify_boundary(build_rect_mesh(2, 4, 1.0, 2.0))
+    data = {"f": 0.0, "g": 0.0, "h": 0.0, name: datum}
+    prob = par.ParabolicProblem(mesh, a=1.0, u0=0.0, T=1.0, nt=4, **data)
+    with pytest.raises(TypeError, match=(
+            rf"^{name}\b.* must be a scalar or a callable of \(x, y, t\) "
+            r"vectorized in x, y and t")) as info:
+        prob.load
+    assert isinstance(info.value.__cause__, (TypeError, ValueError))
+
+
+def test_data_load_memory_at_the_benchmark_size():
+    """Sampling 5.4's data once for all 64 levels at 16 x 32 holds each
+    datum's (levels, points) sample and the temporaries of its formula:
+    f's two (64, 3072) float arrays, 1.5 MiB each, set the peak (3.1 MiB
+    measured).  A third such array held beside them, as weighting all
+    levels at once would, breaks the 4 MiB bound."""
+    prob = ex.make_example("5.4", nx=16, ny=32, nt=64).problem
+    tracemalloc.start()
+    try:
+        prob.load
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0 * 2**20
 
 
 @pytest.mark.parametrize("f, g", [

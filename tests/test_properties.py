@@ -325,37 +325,45 @@ def test_segment_mass_is_spd_and_gives_the_inner_product(tag, nx, ny, seed):
 
 
 def _load_source(kind: str, rng: np.random.Generator):
-    """A load source of the given kind with coefficients drawn from rng:
-    a scalar or a vectorized callable of (x, y)."""
+    """A load source of the given kind with coefficients drawn from rng: a
+    scalar, or a vectorized callable of (x, y, t) that is free of t or
+    uses t as a factor, as the registered examples do."""
     if kind == "scalar":
         return float(rng.uniform(-2.0, 2.0))
     a, b, c = rng.uniform(-2.0, 2.0, 3)
-    return lambda x, y: a + b * x * y + np.cos(c * y)
+    if kind == "t-free":
+        return lambda x, y, t: a + b * x * y + np.cos(c * y)
+    return lambda x, y, t: a + (b * x * y + np.cos(c * y)) * t
 
 
 @pytest.mark.parametrize("tag", [None, *SegmentTag])
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(nx=st.integers(1, 6), ny=st.integers(1, 8),
-       kinds=st.lists(st.sampled_from(["scalar", "callable"]),
-                      min_size=1, max_size=6),
+       kind=st.sampled_from(["scalar", "t-free", "factor"]),
+       times=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=6),
        seed=st.integers(0, 2**32 - 1))
-def test_a_list_of_sources_loads_each_level_like_a_single_call(
-        tag, nx, ny, kinds, seed):
-    """assemble_load (tag None) and assemble_boundary_load of a list of
-    sources give one row per source, each bit for bit the load of that
-    source alone, whatever mix of scalars and callables the list holds."""
+def test_sources_over_times_load_like_frozen_sources(
+        tag, nx, ny, kind, times, seed):
+    """assemble_load (tag None) and assemble_boundary_load of a source
+    over times give one row per time, each bit for bit the load of the
+    source frozen at that time, and a scalar its one load."""
     mesh = classify_boundary(build_rect_mesh(nx, ny, ex.LX, ex.LY))
     rng = np.random.default_rng(seed)
     if tag is None:
-        assemble = lambda source: fem.assemble_load(mesh, source)
+        assemble = lambda *source: fem.assemble_load(mesh, *source)
     else:
-        assemble = lambda source: fem.assemble_boundary_load(mesh, tag, source)
-    sources = [_load_source(kind, rng) for kind in kinds]
-    loads = assemble(sources)
-    assert loads.shape == (len(sources), mesh.n_nodes)
-    singles = [assemble(source) for source in sources]
-    assert all(single.shape == (mesh.n_nodes,) for single in singles)
-    np.testing.assert_array_equal(loads, np.array(singles))
+        assemble = lambda *source: fem.assemble_boundary_load(mesh, tag,
+                                                              *source)
+    source = _load_source(kind, rng)
+    loads = assemble(source, np.array(times))
+    if kind == "scalar":
+        assert loads.shape == (mesh.n_nodes,)
+        np.testing.assert_array_equal(loads, assemble(source))
+        return
+    assert loads.shape == (len(times), mesh.n_nodes)
+    frozen = [assemble(lambda x, y, t=t: source(x, y, t)) for t in times]
+    assert all(load.shape == (mesh.n_nodes,) for load in frozen)
+    np.testing.assert_array_equal(loads, np.array(frozen))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
