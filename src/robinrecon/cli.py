@@ -200,11 +200,16 @@ def cmd_run(args) -> int:
 _SWEEP_HEADER = ["delta", "seed", "iterations", "stop_reason", "final_error"]
 
 
-def _sweep_row(result: experiments.ExperimentResult) -> list:
+def _sweep_job(spec: experiments.ExperimentSpec) -> tuple[list, str]:
+    """One sweep job, in the parent or a pool worker: its row of sweep.csv
+    and its error message ("" for a finished run), all a pool sends back.
+    run_experiment is looked up when the job runs, so a stand-in set on
+    experiments (the benchmark's job recorder) runs in every worker."""
+    result = experiments.run_experiment(spec)
     # no iterate to grade when the first iteration failed
     final_error = _fmt(result.final_error) if result.history else ""
-    return [_fmt(result.spec.delta), result.spec.seed, result.iterations,
-            result.stop_reason, final_error]
+    return [_fmt(spec.delta), spec.seed, result.iterations,
+            result.stop_reason, final_error], result.error
 
 
 def cmd_sweep(args) -> int:
@@ -244,21 +249,19 @@ def cmd_sweep(args) -> int:
         writer.writerow(_SWEEP_HEADER)
         fh.flush()
         # a pool forks all its workers at once, so no more than there are
-        # runs; it pickles run_experiment by module and name, so a stand-in
-        # there (the benchmark's job recorder) must carry both, as wraps
-        # does
+        # runs
         workers = min(settings["jobs"], len(specs))
         run_all = map
         if workers > 1:
             run_all = stack.enter_context(
                 ProcessPoolExecutor(max_workers=workers)).map
-        for result in run_all(experiments.run_experiment, specs):
-            writer.writerow(_sweep_row(result))
+        for spec, (row, error) in zip(specs, run_all(_sweep_job, specs)):
+            writer.writerow(row)
             fh.flush()
-            if result.error:
+            if error:
                 failed += 1
-                print(f"delta {result.spec.delta:g} seed {result.spec.seed}: "
-                      f"{result.error}", file=sys.stderr)
+                print(f"delta {spec.delta:g} seed {spec.seed}: {error}",
+                      file=sys.stderr)
     os.replace(partial, path)
     print(f"{len(specs)} runs ({failed} failed), table in {path}")
     return 1 if failed else 0

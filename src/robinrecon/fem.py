@@ -37,16 +37,20 @@ solve_spd is the one full solve: one application of a completed
 BlockLDLT, a block LDL^T factor in node order, and one residual check
 against SOLVE_TOL, the tolerance of every library solve, for one
 right-hand side or an (n, m) array of them.  A leading block of several
-mesh columns steps by one dense product each way, built once per
-factor; a block of one column and the last block step diagonal by
-diagonal.  BlockLDLT.condense
-condenses the leading blocks onto the last for one load (Condensation:
-the condensed load, the rows a of A_LL^{-1} A_LI and one checked full
-solve as anchor), after which solve_edge solves on the last block alone,
-one product with the inverse of its pivot and the same residual check.
-The condensation is checked with these two solves and no residual of
-its own: one probe load on the last block, solved in full and on the
-edge, and the edge solve of the condensed load against the anchor.
+mesh columns steps by one dense product each way, built once per base
+factor, and so does the last block forward when the block before it
+holds several mesh columns, built once per completed factor on its
+first full solve; a block of one column, and the last block after one,
+step diagonal by diagonal.  The steps of both sweeps are fixed once, so
+a solve only loops over them.  BlockLDLT.condense condenses the leading
+blocks onto the last for one load (Condensation: the condensed load,
+the rows a of A_LL^{-1} A_LI and, as anchor, the rows a of one checked
+full solve and the edge solve of the condensed load), after which
+solve_edge solves on the last block alone, one product with the inverse
+of its pivot and the same residual check.  The condensation is checked
+with these two solves and no residual of its own: one probe load on the
+last block, solved in full and on the edge, and the edge solve of the
+condensed load against the full solve's edge block.
 
 RobinProblem is the Robin system both problem kinds share: the admissible
 box of gamma, the operator S = base + B_gamma, the data load of f, g and
@@ -67,7 +71,8 @@ more.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -245,10 +250,11 @@ class BlockLDLT:
     diagonals as plain slices.  The factor keeps the dense inverse of
     every pivot and the couplings by their nonzero diagonals; only the
     couplings below the diagonal are read, symmetry supplies the rest.
-    A leading block that C_{k+1} reaches only in part, a group of two or
-    more mesh columns, also keeps its two dense steps (_dense_steps):
-    G_k = [-D_k^{-1} C_k | D_k^{-1}], of which D_k^{-1} is a view, and
-    H_k = D_k^{-1} C_{k+1}^T, each cut to the rows its coupling reaches.
+    A coupling diagonal is kept without the zeros at its ends.  A leading
+    block that C_{k+1} reaches only in part, a group of two or more mesh
+    columns, also keeps its two dense steps (_dense_steps): G_k = [-D_k^{-1}
+    C_k | D_k^{-1}], of which D_k^{-1} is a view, and H_k = D_k^{-1}
+    C_{k+1}^T, each cut to the rows its coupling reaches.
 
     The last pivot is set apart, so that a change confined to the last
     diagonal block costs one factorization of its order.  BlockLDLT(base,
@@ -268,11 +274,16 @@ class BlockLDLT:
     one backward sweep over the blocks.  A block with dense steps takes
     one product with G_k forward, on the slice of x from the rows of block
     k - 1 that C_k reads to the end of block k, and one with H_k backward.
-    Any other block, one mesh column or the last, takes one update per
-    diagonal of C_k and one product with D_k^{-1} forward, and backward
-    one product with the whole D_k^{-1}, since C_{k+1}^T reaches such a
-    block whole.  solve and condense share the one forward sweep,
-    _eliminate, and the one backward step, _upper.  matvec
+    The last block takes G_I = [-Sigma^{-1} C_I | Sigma^{-1}] forward
+    exactly when C_I reaches the block before it in part, built on the
+    completed factor's first full solve, so a factor that only solves on
+    its last block never builds it.  Any other block, one mesh column or
+    the last after one, takes one update per diagonal of C_k and one
+    product with D_k^{-1} forward, and backward one product with the
+    whole D_k^{-1}, since C_{k+1}^T reaches such a block whole.  The
+    steps are fixed once (_fix_steps, and _sweep for the last block's),
+    and solve and condense run the same ones, for one vector or an (n, m)
+    array of columns.  matvec
     applies the matrix, one banded product with base plus last, whose
     diagonals are folded into a copy of base's on the first call; both
     take one vector or an (n, m) array of columns, and solve_spd checks
@@ -313,14 +324,19 @@ class BlockLDLT:
                         v[span.start:span.stop - d]
             if k:
                 # entry (i, i + d) of C_k is that of the band at row
-                # span.start - offset + i, offset = w_{k-1} - d
+                # span.start - offset + i, offset = w_{k-1} - d; the zeros
+                # at either end of a diagonal are cut off
                 coupling = []
                 for offset, v in zip(base.offsets[::-1], base.data[::-1]):
                     d = widths[k - 1] - offset
-                    lo, hi = max(0, -d), min(w, offset)
-                    v = v[span.start - offset + lo:span.start - offset + hi]
-                    if np.any(v):
-                        coupling.append((d, lo, hi, v))
+                    lo = max(0, -d)
+                    v = v[span.start - offset + lo:
+                          span.start - offset + min(w, offset)]
+                    nonzero = np.flatnonzero(v)
+                    if nonzero.size:
+                        first, stop = int(nonzero[0]), int(nonzero[-1]) + 1
+                        coupling.append((d, lo + first, lo + stop,
+                                         v[first:stop]))
                 self._coupling.append(coupling)
                 # pivot -= C_k D_{k-1}^{-1} C_k^T: the rows of C_k D_{k-1}^{-1},
                 # then, since D_{k-1} is symmetric, those of C_k times its
@@ -336,41 +352,89 @@ class BlockLDLT:
         self.schur = pivot
         self._last = None
         # the rows of block k that C_{k+1}^T reaches, one slice around them
-        reach = [_around((lo + d, hi + d) for d, lo, hi, v in coupling)
-                 for coupling in self._coupling[1:]]
+        self._reach = [_around((lo + d, hi + d) for d, lo, hi, v in coupling)
+                       for coupling in self._coupling[1:]]
         # a leading block that C_{k+1} reaches in part, a group of mesh
         # columns, steps by one dense product each way; the last never
-        self._dense = [self._dense_steps(k, reach) if r.stop - r.start < w
-                       else None
-                       for k, (r, w) in enumerate(zip(reach, widths))
+        self._dense = [self._dense_steps(k) if r.stop - r.start < w else None
+                       for k, (r, w) in enumerate(zip(self._reach, widths))
                        ] + [None]
+        self._fix_steps()
 
-    def _dense_steps(self, k: int, reach: list):
-        """The dense steps of leading block k: G_k = [-D_k^{-1} C_k |
-        D_k^{-1}], C_k cut to the rows of block k - 1 it reads, reach[k -
-        1] (G_0 = D_0^{-1}), with the slice of x it applies to, those rows
-        through the end of block k; and H_k = D_k^{-1} C_{k+1}^T, cut to
-        the rows of block k + 1 that C_{k+1} reaches, with that slice.
-        Each column of a product with a coupling is a column of D_k^{-1}
-        times an entry of one of its diagonals.  D_k^{-1} becomes a view
-        of G_k, so the two stay one array."""
-        dinv, span = self._dinv[k], self._spans[k]
-        w = span.stop - span.start
-        G, source = dinv, span
-        if k:
-            start = reach[k - 1].start
-            source = slice(self._spans[k - 1].start + start, span.stop)
-            m = source.stop - source.start - w
-            G = np.zeros((w, m + w))
-            G[:, m:] = dinv
-            for d, lo, hi, v in self._coupling[k]:
-                G[:, lo + d - start:hi + d - start] -= dinv[:, lo:hi] * v
-            self._dinv[k] = G[:, m:]
+    def _dense_forward(self, k: int, dinv: np.ndarray):
+        """G_k = [-dinv C_k | dinv], C_k cut to the rows of block k - 1 it
+        reads, self._reach[k - 1] (G_0 = dinv), and the slice of x it
+        applies to, those rows through the end of block k.  Each column of
+        the product with the coupling is a column of dinv times an entry
+        of one of its diagonals."""
+        span = self._spans[k]
+        if not k:
+            return dinv, span
+        start = self._reach[k - 1].start
+        source = slice(self._spans[k - 1].start + start, span.stop)
+        m = source.stop - source.start - len(dinv)
+        G = np.zeros((len(dinv), m + len(dinv)))
+        G[:, m:] = dinv
+        for d, lo, hi, v in self._coupling[k]:
+            G[:, lo + d - start:hi + d - start] -= dinv[:, lo:hi] * v
+        return G, source
+
+    def _dense_steps(self, k: int):
+        """The dense steps of leading block k: G_k with its slice of x (see
+        _dense_forward), and H_k = D_k^{-1} C_{k+1}^T, cut to the rows of
+        block k + 1 that C_{k+1} reaches, with that slice.  D_k^{-1}
+        becomes a view of G_k, so the two stay one array."""
+        dinv = self._dinv[k]
+        G, source = self._dense_forward(k, dinv)
+        self._dinv[k] = G[:, G.shape[1] - len(dinv):]
         rows = _around((lo, hi) for d, lo, hi, v in self._coupling[k + 1])
-        H = np.zeros((w, rows.stop - rows.start))
+        H = np.zeros((len(dinv), rows.stop - rows.start))
         for d, lo, hi, v in self._coupling[k + 1]:
             H[:, lo - rows.start:hi - rows.start] += dinv[:, lo + d:hi + d] * v
         return G, source, H, rows
+
+    def _fix_steps(self) -> None:
+        """The steps of the sweeps over the leading blocks, fixed once per
+        base; see solve.  A forward step (span, couplings, M, source)
+        subtracts each coupling term from x and sets x[span] = M @
+        x[source]: a dense step has no couplings and M = G_k, any other
+        block its couplings, as (rows of x, diagonal, rows of x read), and
+        M = D_k^{-1} on its own rows.  A backward step (span, M, source,
+        couplings), last leading block first, subtracts D_k^{-1} C_{k+1}^T
+        x_{k+1} from x[span]: M @ x[source] for a dense step, M = H_k and
+        source the rows of block k + 1 it reads; else M = D_k^{-1}^T and
+        source all of block k + 1, which _reach_back first maps by the
+        couplings, as (rows of block k, diagonal, rows of block k + 1)."""
+        edge = self._spans[-1]
+        steps = []
+        for k, span in enumerate(self._spans):
+            before = self._spans[k - 1].start
+            couplings = tuple(
+                (slice(span.start + lo, span.start + hi), v,
+                 slice(before + lo + d, before + hi + d))
+                for d, lo, hi, v in self._coupling[k])
+            if k == len(self._dinv):
+                self._edge_couplings = couplings
+            elif self._dense[k]:
+                steps.append((span, (), *self._dense[k][:2]))
+            else:
+                steps.append((span, couplings, self._dinv[k], span))
+        self._leading = steps
+        # condense's sweep: the last block takes its coupling terms alone,
+        # which leave the condensed load b_I - A_IL A_LL^{-1} b_L there
+        self._condensing = steps + [(edge, self._edge_couplings, None, None)]
+        self._backward = []
+        for k in range(len(self._dinv) - 1, -1, -1):
+            span, above = self._spans[k], self._spans[k + 1]
+            if self._dense[k]:
+                H, rows = self._dense[k][2:]
+                self._backward.append((span, H, slice(
+                    above.start + rows.start, above.start + rows.stop), ()))
+            else:
+                # C_{k+1}^T reaches the whole block
+                self._backward.append((span, self._dinv[k].T, above, tuple(
+                    (slice(lo + d, hi + d), v, slice(lo, hi))
+                    for d, lo, hi, v in self._coupling[k + 1])))
 
     def complete(self, last: np.ndarray | None = None) -> "BlockLDLT":
         """The factor of base plus last on the last diagonal block; see
@@ -378,6 +442,7 @@ class BlockLDLT:
         symmetric array of the last block's order."""
         factor = copy.copy(self)
         factor.__dict__.pop("_operator", None)
+        factor.__dict__.pop("_sweep", None)
         factor._edge = np.zeros_like(self.schur) if last is None else \
             _symmetric_block(last, len(self.schur))
         factor._sigma = self.schur + factor._edge
@@ -400,12 +465,30 @@ class BlockLDLT:
         return self.base + SymBand.from_block(
             self.base.shape[0], np.arange(edge.start, edge.stop), self._edge)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with A x = b, up to rounding, for b of shape (n,) or (n, m)."""
+    @cached_property
+    def _sweep(self) -> list:
+        """The forward steps of the completed factor, built on its first
+        full solve: those of the leading blocks and the last block's.  The
+        last block steps densely, G_I = [-Sigma^{-1} C_I | Sigma^{-1}],
+        exactly when C_I reaches the block before it in part, which is
+        when that block steps densely too."""
         if self._last is None:
             raise ValueError("the last pivot is not factored, see complete")
-        x, blocks = self._eliminate(b, self._dinv + [self._last])
-        self._backward(blocks, self._shaped_coupling(b.ndim))
+        edge = self._spans[-1]
+        if len(self._spans) > 1 and self._dense[-2]:
+            G, source = self._dense_forward(len(self._dinv), self._last)
+            return self._leading + [(edge, (), G, source)]
+        return self._leading + [(edge, self._edge_couplings, self._last, edge)]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with A x = b, up to rounding, for b of shape (n,) or (n, m)."""
+        x = b.copy()
+        _forward(x, self._sweep)
+        for span, M, source, couplings in self._backward:
+            y = x[source]
+            if couplings:
+                y = _reach_back(couplings, y, len(M))
+            x[span] -= M @ y
         return x
 
     def condense(self, b: np.ndarray, rows: np.ndarray) -> "Condensation":
@@ -413,111 +496,91 @@ class BlockLDLT:
         load b and the unknowns listed in rows (a), anchored at the
         solution of this completed factor; see Condensation.
 
-        The anchor u is one checked solve_spd of b.  One forward sweep
+        The anchor u is one checked solve_spd of b.  The forward sweep
         over the leading blocks gives the condensed load, and Z comes
         from the block backward recursion X_k = -D_k^{-1} C_{k+1}^T
         X_{k+1}, started at D^{-1} C_I^T on the last leading block, one
-        block at a time, of which only the rows in a are kept.  Then the
-        result is checked once, by checked solves alone: at the rows, the
-        solve_spd of the probe load c = linspace(1, 2) on I must agree
-        with -Z Sigma^{-1} c, Sigma^{-1} c its solve_edge, to SOLVE_TOL,
-        and the solve_edge of the condensed load must give u on I to
-        SOLVE_TOL.  Raises ConvergenceFailure when a check or one of its
-        solves misses.  Needs at least one leading block; b has shape
-        (n,).
+        block at a time by the backward steps, of which only the rows in
+        a are kept.  Then the result is checked once, by checked solves
+        alone: at the rows, the solve_spd of the probe load c =
+        linspace(1, 2) on I must agree with -Z Sigma^{-1} c, Sigma^{-1} c
+        its solve_edge, to SOLVE_TOL, and the solve_edge of the condensed
+        load must give u on I to SOLVE_TOL; that edge solve is u_edge.
+        Raises ConvergenceFailure when a check or one of its solves
+        misses.  Needs at least one leading block; b has shape (n,).
         """
         condensed = self._condensed(b, np.asarray(rows))
-        self._check_condensation(condensed)
-        return condensed
+        return replace(
+            condensed, u_edge=self._check_condensation(condensed))
 
     def _condensed(self, b, rows) -> "Condensation":
-        """The Condensation of b at rows, unchecked."""
+        """The Condensation of b at rows, unchecked, its u_edge the
+        anchor's own edge block."""
         edge = self._spans[-1]
         anchor = solve_spd(self, b)
-        load = self._eliminate(b, self._dinv)[1][-1].copy()
-        coupling = self._shaped_coupling(2)
+        x = b.copy()
+        _forward(x, self._condensing)
         Z = np.empty((rows.size, edge.stop - edge.start))
+
+        def keep(span, X):
+            here = (rows >= span.start) & (rows < span.stop)
+            Z[here] = X[rows[here] - span.start]
+
         # the backward sweep over a zero forward elimination, from -1 on
         # the last block: block k of [A_LL^{-1} A_LI; -1], one at a time
         X = -np.eye(Z.shape[1])
-        for k in range(len(self._spans) - 1, -1, -1):
-            if k < len(self._dinv):
-                X = self._upper(k, X, coupling)
-                np.negative(X, out=X)
-            span = self._spans[k]
-            here = (rows >= span.start) & (rows < span.stop)
-            Z[here] = X[rows[here] - span.start]
-        return Condensation(rows=rows, load=load, Z=Z, u_rows=anchor[rows],
-                            u_edge=anchor[edge].copy())
+        keep(edge, X)
+        for (span, M, source, couplings), above in zip(self._backward,
+                                                       self._spans[:0:-1]):
+            y = X[source.start - above.start:source.stop - above.start]
+            if couplings:
+                y = _reach_back(couplings, y, len(M))
+            X = M @ y
+            np.negative(X, out=X)
+            keep(span, X)
+        return Condensation(rows=rows, load=x[edge].copy(), Z=Z,
+                            u_rows=anchor[rows], u_edge=anchor[edge].copy())
 
-    def _eliminate(self, b, dinv):
-        """A copy of b after the forward sweep x_k <- D_k^{-1} (x_k - C_k
-        x_{k-1}) with the pivot inverses dinv, and its blocks as views; a
-        block past the end of dinv only takes - C_k x_{k-1}.  With the
-        leading pivots alone, the last block then holds the condensed load
-        b_I - A_IL A_LL^{-1} b_L.  A block with dense steps takes one
-        product with G_k; any other, one update per diagonal of C_k and
-        one product with D_k^{-1}."""
-        x = b.copy()
-        blocks = [x[span] for span in self._spans]
-        coupling = self._shaped_coupling(b.ndim)
-        for k, xk in enumerate(blocks):
-            if self._dense[k]:
-                G, source = self._dense[k][:2]
-                xk[...] = G @ x[source]
-                continue
-            if k:
-                xp = blocks[k - 1]
-                for d, lo, hi, v in coupling[k]:
-                    xk[lo:hi] -= v * xp[lo + d:hi + d]
-            if k < len(dinv):
-                xk[...] = dinv[k] @ xk
-        return x, blocks
-
-    def _check_condensation(self, condensed) -> None:
-        """Raise ConvergenceFailure unless the probe and the condensed
-        load meet SOLVE_TOL; see condense."""
+    def _check_condensation(self, condensed) -> np.ndarray:
+        """The solve_edge of the condensed load; raises ConvergenceFailure
+        unless it and the probe meet SOLVE_TOL against the anchor, here
+        condensed.u_edge, and the full solve; see condense."""
         edge = self._spans[-1]
         c = np.zeros(self.base.shape[0])
         c[edge] = np.linspace(1.0, 2.0, edge.stop - edge.start)
+        u_edge = solve_edge(self, condensed.load)
         for name, exact, condensed_value in (
                 ("Z", solve_spd(self, c)[condensed.rows],
                  -(condensed.Z @ solve_edge(self, c[edge]))),
-                ("load", condensed.u_edge,
-                 solve_edge(self, condensed.load))):
-            gap = np.linalg.norm(exact - condensed_value)
-            target = SOLVE_TOL * np.linalg.norm(exact)
+                ("load", condensed.u_edge, u_edge)):
+            gap = _norm(exact - condensed_value)
+            target = SOLVE_TOL * _norm(exact)
             if not gap <= target:
                 raise ConvergenceFailure(
                     f"condensation missed SOLVE_TOL in {name}: gap "
                     f"{gap:.3e}, target {target:.3e}")
+        return u_edge
 
-    def _shaped_coupling(self, ndim: int) -> list:
-        """The couplings by their diagonals, shaped for blocks of vectors
-        (ndim 1) or of columns (ndim 2)."""
-        if ndim == 1:
-            return self._coupling
-        return [[(d, lo, hi, v[:, None]) for d, lo, hi, v in c]
-                for c in self._coupling]
 
-    def _backward(self, x, coupling) -> None:
-        """x_k <- x_k - D_k^{-1} C_{k+1}^T x_{k+1} over the blocks of x,
-        last to first, in place."""
-        for k in range(len(x) - 2, -1, -1):
-            x[k] -= self._upper(k, x[k + 1], coupling)
+def _forward(x: np.ndarray, steps) -> None:
+    """The forward steps (see BlockLDLT._fix_steps) on x in place, one
+    vector or an (n, m) array of columns: each coupling term of a step
+    subtracted, through x.T so that one diagonal serves both shapes, then
+    x[span] = M @ x[source] unless M is None."""
+    for span, couplings, M, source in steps:
+        for rows, v, read in couplings:
+            x.T[..., rows] -= v * x.T[..., read]
+        if M is not None:
+            x[span] = M @ x[source]
 
-    def _upper(self, k, xn, coupling) -> np.ndarray:
-        """D_k^{-1} C_{k+1}^T xn: one product with H_k for a block with
-        dense steps, else, C_{k+1}^T reaching the whole block, with
-        D_k^{-1}."""
-        if self._dense[k]:
-            H, rows = self._dense[k][2:]
-            return H @ xn[rows]
-        dinv = self._dinv[k]
-        y = np.zeros(dinv.shape[:1] + xn.shape[1:])
-        for d, lo, hi, v in coupling[k + 1]:
-            y[lo + d:hi + d] += v * xn[lo:hi]
-        return dinv.T @ y
+
+def _reach_back(couplings, xn: np.ndarray, w: int) -> np.ndarray:
+    """C_{k+1}^T xn for the couplings of a backward step, one vector or
+    columns of block k + 1, summed into w zero rows of block k."""
+    y = np.zeros((w,) + xn.shape[1:])
+    for here, v, read in couplings:
+        y.T[..., here] += v * xn.T[..., read]
+    return y
 
 
 @dataclass(frozen=True)
@@ -534,7 +597,11 @@ class Condensation:
     through u_I = Sigma^{-1} load, and u[a] is affine in u_I with the
     slope -Z, so u_rows and u_edge, one solution at a and on I (the
     anchor), give u[a] = u_rows - Z (u_I - u_edge) for all of them, bit
-    for bit the anchor's own trace at its own pivot.  A load c on I
+    for bit the anchor's own trace at its own pivot.  u_rows comes from
+    the anchor's full solve and u_edge is the edge solve Sigma^{-1} load
+    at its pivot, which is u_I there bit for bit; the full solve's own
+    edge block, which a dense last step computes in another order,
+    agrees with it only to SOLVE_TOL.  A load c on I
     alone gives A^{-1} c at a as -Z Sigma^{-1} c, and a load c on a alone
     gives A^{-1} c on I as Sigma^{-1} (-Z^T c).
     """
@@ -642,23 +709,29 @@ def _checked_solve(solve, matvec, b: np.ndarray):
     """x = solve(b), checked column by column against SOLVE_TOL with
     matvec, and the number of solve applications (0 for b = 0)."""
     if b.ndim == 1:
-        norm = np.linalg.norm(b)
+        norm = _norm(b)
         if not norm:
             return np.zeros(b.shape), 0
         x = solve(b)
-        _check_residual(np.linalg.norm(b - matvec(x)), norm, "")
+        _check_residual(_norm(b - matvec(x)), norm, "")
         return x, 1
-    norm_b = [np.linalg.norm(column) for column in b.T]
+    norm_b = [_norm(column) for column in np.ascontiguousarray(b.T)]
     if not any(norm_b):
         return np.zeros(b.shape), 0
     x = solve(b)
-    residuals = (b - matvec(x)).T
+    residuals = np.ascontiguousarray((b - matvec(x)).T)
     for j, (norm, r, x_j) in enumerate(zip(norm_b, residuals, x.T)):
         if norm == 0.0:
             x_j[:] = 0.0
             continue
-        _check_residual(np.linalg.norm(r), norm, f" in column {j}")
+        _check_residual(_norm(r), norm, f" in column {j}")
     return x, 1
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a contiguous vector, bit for bit np.linalg.norm's
+    sqrt(v @ v) without its dispatch."""
+    return math.sqrt(v @ v)
 
 
 def _check_residual(residual: float, norm: float, where: str) -> None:
@@ -678,8 +751,10 @@ def _coeff_on_points(coeff, x: np.ndarray, y: np.ndarray,
     times[:, None, ...] broadcast against the points, which gives one
     sample per level, shape (len(times), *x.shape); a TypeError naming
     the datum, chained from the original error, says that it must be
-    vectorized in t when that call or broadcast fails.  A scalar gives
-    one sample of the points' shape either way.  Samples that already
+    vectorized in t when that call or broadcast fails.  Without times, a
+    sample that does not broadcast to the points raises a TypeError
+    naming the argument, chained in the same way.  A scalar gives one
+    sample of the points' shape either way.  Samples that already
     have the full shape and dtype are returned as they are, not copied;
     callers only read them.  Anything else (a nodal array, say) raises
     TypeError naming the argument.
@@ -689,7 +764,13 @@ def _coeff_on_points(coeff, x: np.ndarray, y: np.ndarray,
         values = np.asarray(coeff(x, y), dtype=float)
         if values.shape == x.shape:
             return values
-        return np.broadcast_to(values, x.shape).copy()
+        try:
+            return np.broadcast_to(values, x.shape).copy()
+        except ValueError as err:
+            raise TypeError(
+                f"{name} must be a scalar or a vectorized callable of {args}, "
+                f"got a sample of shape {values.shape} for points of shape "
+                f"{x.shape}") from err
     if callable(coeff):
         t = np.reshape(times, (-1,) + (1,) * x.ndim)
         shape = t.shape[:1] + x.shape

@@ -8,8 +8,8 @@ initial value with the data loads, the derivative march from zero with
 the boundary loads of -(d * u_n), segment loads that the march adds at
 the segment's nodes.  The adjoint is the algebraic transpose of the
 derivative march: the same march over the boundary loads of the
-accessible weights -q_n taken from level N down to 1, flipped back, so
-the level-N load enters the first solve.  Level 0 is no unknown of that
+accessible weights -q_n, run backward from level N down to 1 in place,
+so the level-N load enters the first solve.  Level 0 is no unknown of that
 march and stays zero, and its weight q_0 is never read.  Pairing
 trajectories with the right-endpoint rule (weight dt on levels 1..N,
 nothing on level 0) makes the space-time adjoint identity hold to solver
@@ -147,16 +147,20 @@ def build_operator(prob: ParabolicProblem, gamma: np.ndarray) -> fem.BlockLDLT:
 
 
 def _march(prob: ParabolicProblem, op, loads: np.ndarray,
-           start: np.ndarray, at=slice(None)) -> np.ndarray:
+           start: np.ndarray, at=slice(None), backward=False) -> np.ndarray:
     """Implicit Euler from start: row n solves S x_n = (M/dt) x_{n-1} +
     L_n with the factored op, L_n the load loads[n] at the nodes at
-    (every node unless given).  loads[0] is not read."""
+    (every node unless given), n from 1 to N.  backward marches n from N
+    down to 1 instead, each row from row n + 1 (start for row N), and
+    leaves row 0 zero.  loads[0] is not read."""
     X = np.empty((prob.nt + 1, prob.mesh.n_nodes))
-    X[0] = start
-    for n in range(1, prob.nt + 1):
-        b = prob.step_mass @ X[n - 1]
+    X[0] = 0.0 if backward else start
+    levels = range(1, prob.nt + 1)
+    previous = start
+    for n in levels[::-1] if backward else levels:
+        b = prob.step_mass @ previous
         b[at] += loads[n]
-        X[n] = fem.solve_spd(op, b)
+        X[n] = previous = fem.solve_spd(op, b)
     return X
 
 
@@ -200,18 +204,16 @@ def solve_adjoint_parabolic(
 
     q has shape (nt + 1, accessible node count); row 0 is never used since
     the right-endpoint pairing gives the initial level zero weight.  The
-    sweep is the exact transpose of the derivative march: the march over
-    the boundary loads of -q taken from level N down to 1, so the first
-    solve already carries the level-N load.  Level 0 is no unknown of the
-    transposed march and stays zero.
+    sweep is the exact transpose of the derivative march: the backward
+    march over the boundary loads of -q, row n from row n + 1 for n from
+    N down to 1, so the first solve already carries the level-N load.
+    Level 0 is no unknown of the transposed march and stays zero.
     """
     if len(q) != prob.nt + 1:
         raise ValueError(f"weight series has {len(q)} levels, expected {prob.nt + 1}")
     loads = prob.boundary_loads(SegmentTag.ACCESSIBLE, q)
-    # level 0 in place, levels 1..N reversed; the reordering is its own inverse
-    order = np.r_[0, prob.nt:0:-1]
-    return _march(prob, op, loads[order], np.zeros(prob.mesh.n_nodes),
-                  prob._seg_a)[order]
+    return _march(prob, op, loads, np.zeros(prob.mesh.n_nodes), prob._seg_a,
+                  backward=True)
 
 
 def time_integral_boundary(series: np.ndarray, dt: float) -> np.ndarray:

@@ -314,9 +314,9 @@ def test_sweep_rows_are_those_of_lone_runs(tmp_path, example_id):
     out = tmp_path / "sweep"
     assert cli.main(["sweep", "--example", example_id, "--out", str(out)]
                     + SMALL_SWEEP) == 0
-    lone = [cli._sweep_row(experiments.run_experiment(
-                experiments.ExperimentSpec(example_id=example_id, nx=4, ny=8,
-                                           nt=4, delta=delta, seed=seed)))
+    lone = [cli._sweep_job(experiments.ExperimentSpec(
+                example_id=example_id, nx=4, ny=8, nt=4, delta=delta,
+                seed=seed))[0]
             for delta in (0.01, 0.02) for seed in (0, 1)]
     assert _lines(out / "sweep.csv")[1:] == [
         ",".join(map(str, row)) for row in lone]
@@ -406,9 +406,9 @@ def test_sweep_releases_its_setup(tmp_path, monkeypatch, capsys, outcome,
 
 def test_pooled_sweep_runs_a_stand_in_for_run_experiment(tmp_path,
                                                           monkeypatch):
-    """The pool pickles run_experiment by module and name, so a wrapper
-    that carries its name (as the benchmark's job recorder does) runs in
-    the workers."""
+    """The pool runs cli._sweep_job, which looks run_experiment up on
+    experiments when each job runs, so a stand-in set there (as the
+    benchmark's job recorder sets one) runs in the workers."""
     original = experiments.run_experiment
 
     @functools.wraps(original)

@@ -116,11 +116,22 @@ def test_boundary_mass_rejects_missized_weight():
 ], ids=["load", "mass", "stiffness", "boundary-load"])
 def test_nodal_array_coefficient_is_rejected_by_name(assemble, name):
     """The volume and boundary assemblies sample their data at quadrature
-    points, so they take scalars and callables, not nodal arrays."""
+    points, so they take scalars and callables, not nodal arrays.  A
+    callable whose sample does not broadcast to the points is rejected
+    by name too, chained from numpy's error, when the problem assembles
+    it: f and g at its load, a and c at its base."""
     mesh = make_mesh(2, 2)
     with pytest.raises(TypeError, match=(
             rf"^{name}\b.* must be a scalar or a vectorized callable")):
         assemble(mesh, np.ones(mesh.n_nodes))
+    data = {"a": 1.0, "c": 1.0, "f": 0.0, "g": 0.0, "h": 0.0,
+            name: lambda x, y: np.ones(7)}
+    prob = EllipticProblem(mesh=make_mesh(2, 4), **data)
+    with pytest.raises(TypeError, match=(
+            rf"^{name}\b.* must be a scalar or a vectorized callable of "
+            rf"\(x, y\), got a sample of shape \(7,\)")) as info:
+        prob.load if name in ("f", "g") else prob.base
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 @pytest.mark.parametrize("assemble", [
@@ -590,24 +601,23 @@ def test_an_uncompleted_factor_does_not_solve():
 
 def test_backward_sweep_reaches_only_the_coupled_mesh_column():
     """C_{k+1}^T x_{k+1} reaches only the last mesh column of a grouped
-    block, and the row before it where the diagonal edges' coupling
-    diagonal starts with a zero, so the dense steps read only those rows;
-    a block of one mesh column is reached whole and takes the
-    diagonal-wise step with all of D_k^{-1}."""
+    block: the diagonal edges' coupling diagonal is stored without the
+    zeros at its ends, so the dense steps read only those rows; a block
+    of one mesh column is reached whole and takes the diagonal-wise step
+    with all of D_k^{-1}."""
     prob = experiments.make_example("5.1", nx=16, ny=32).problem
     column = prob.mesh.ny + 1
     grouped = prob.base_factor
     assert [span.stop - span.start for span in grouped._spans[:-1]] == \
         [4 * column] * 4
-    assert coupled_rows(grouped) == [slice(3 * column - 1, 4 * column)] * 4
+    assert coupled_rows(grouped) == [slice(3 * column, 4 * column)] * 4
     # the dense steps read the same rows: G_k from the reach of block
     # k - 1 through block k, H_k the first mesh column of block k + 1
-    # (and the zero that starts the second diagonal)
     assert [step[1] for step in grouped._dense[1:-1]] == \
-        [slice(4 * column * k - column - 1, 4 * column * (k + 1))
+        [slice(4 * column * k - column, 4 * column * (k + 1))
          for k in range(1, 4)]
     assert [step[3] for step in grouped._dense[:-1]] == \
-        [slice(0, column + 1)] * 3 + [slice(0, column)]
+        [slice(0, column)] * 4
     by_column = fem.BlockLDLT(prob.base, column_widths(prob.mesh))
     assert coupled_rows(by_column) == [slice(0, column)] * prob.mesh.nx
     assert by_column._dense == [None] * (prob.mesh.nx + 1)

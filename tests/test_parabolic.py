@@ -41,6 +41,36 @@ def test_convergence_check_measures_the_spatial_rate():
     assert coarse / fine >= ex.ELLIPTIC_RATIO_MIN
 
 
+def test_each_march_solves_once_per_level(monkeypatch):
+    """The forward, derivative and adjoint marches each call
+    fem.solve_spd exactly once per level, nt solves in all; the adjoint
+    runs backward, so its first solve carries the level-N load alone."""
+    example, mesh, gamma = setup(nx=4, ny=8, nt=5)
+    prob = example.problem
+    op = prob.operator(gamma)
+    seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
+    loads = []
+    solve = fem.solve_spd
+
+    def counted(op, b, **kwargs):
+        loads.append(b.copy())
+        return solve(op, b, **kwargs)
+
+    monkeypatch.setattr(fem, "solve_spd", counted)
+    u_a, u_i = prob.forward(op)
+    assert len(loads) == prob.nt
+    loads.clear()
+    prob.derivative(u_i, np.linspace(-1.0, 1.0, u_i.shape[1]), op)
+    assert len(loads) == prob.nt
+    loads.clear()
+    q = np.random.default_rng(0).uniform(-1.0, 1.0, u_a.shape)
+    prob.adjoint(q, op)
+    assert len(loads) == prob.nt
+    first = np.zeros(mesh.n_nodes)
+    first[seg_a] = prob.boundary_loads(SegmentTag.ACCESSIBLE, q)[-1]
+    np.testing.assert_array_equal(loads[0], first)
+
+
 def test_initial_level_is_the_interpolated_start():
     mesh = classify_boundary(build_rect_mesh(4, 8, 1.0, 2.0))
     prob = par.ParabolicProblem(

@@ -54,6 +54,21 @@ def test_exact_coefficient_is_a_fixed_point(example_id, nx, ny, nt):
     """Noise-free data at the exact coefficient leave nothing to correct:
     the first step measures a zero residual and stays where it started,
     with one leading block or several."""
+    _assert_fixed_point(example_id, nx, ny, nt)
+
+
+@pytest.mark.parametrize("example_id", ["5.1", "5.2"])
+def test_exact_coefficient_is_a_fixed_point_with_a_dense_edge_step(
+        example_id):
+    """At 16 x 32 the last leading block holds four mesh columns, so a
+    full solve steps the Robin edge densely and its edge block differs
+    from the edge solve in the last bits; the condensation keeps the
+    edge solve of its load as u_edge, so the stationary fixed point
+    still measures an exact zero residual."""
+    _assert_fixed_point(example_id, 16, 32, 4)
+
+
+def _assert_fixed_point(example_id, nx, ny, nt):
     example = ex.make_example(example_id, nx=nx, ny=ny, nt=nt)
     prob = example.problem
     gamma_star = ex.interpolate_gamma(prob.mesh, example.gamma_star)
@@ -119,10 +134,13 @@ def test_grouped_block_factor_agrees_with_the_column_factor(
     _BLOCK_WIDTH unknowns (at least one, the last group what is left
     over), and the Robin edge alone last.  A leading block of two or more
     mesh columns, which its couplings reach in part, takes the dense
-    steps, and a block of one column the diagonal-wise ones.  Its solves
-    of one right-hand side or three meet SOLVE_TOL on the assembled
-    operator and agree with those of one block per mesh column, which
-    takes no dense step."""
+    steps, and a block of one column the diagonal-wise ones.  A completed
+    factor builds its steps on its first full solve, and steps the edge
+    densely, G_I = [-Sigma^{-1} C_I | Sigma^{-1}], exactly when its last
+    leading block holds two or more mesh columns.  Its solves of one
+    right-hand side or three meet SOLVE_TOL on the assembled operator and
+    agree with those of one block per mesh column, which takes no dense
+    step."""
     prob = ex.make_example(example_id, nx=nx, ny=ny, nt=4).problem
     tag = SegmentTag.INACCESSIBLE
     blocks = _blocks(prob.base_factor)
@@ -141,14 +159,20 @@ def test_grouped_block_factor_agrees_with_the_column_factor(
     assert column_factor._dense == [None] * (nx + 1)
     column_factor = column_factor.complete(
         fem.segment_mass(prob.mesh, tag, gamma))
+    op = prob.operator(gamma)
+    assert "_sweep" not in op.__dict__
     for b in (rng.standard_normal(prob.mesh.n_nodes),
               rng.standard_normal((prob.mesh.n_nodes, 3))):
-        x = prob.operator(gamma).solve(b)
+        x = op.solve(b)
         assert np.all(np.linalg.norm(b - S @ x, axis=0)
                       <= fem.SOLVE_TOL * np.linalg.norm(b, axis=0))
         by_column = column_factor.solve(b)
         assert np.all(np.linalg.norm(x - by_column, axis=0)
                       <= 1e-12 * np.linalg.norm(by_column, axis=0))
+    span, couplings, G, source = op._sweep[-1]
+    dense = blocks[-2].size > ny + 1
+    assert (couplings == (), G.shape[1] > G.shape[0]) == (dense, dense)
+    assert span == slice(blocks[-1][0], blocks[-1][-1] + 1)
 
 
 @pytest.mark.parametrize("example_id", ["5.1", "5.3"])
