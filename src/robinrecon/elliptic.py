@@ -27,12 +27,15 @@ Sigma and Z_a and its transpose, the adjoint identity between the two
 solves holds to solver precision, which the tests rely on.
 
 EllipticProblem carries the problem protocol that the outer loop and the
-verification probes run on, shared with ParabolicProblem: operator,
-forward, derivative and adjoint wrap the module functions below (each
-solve is checked against fem.SOLVE_TOL, so they take only the
-operator), field is the full-field solve (fem.solve_spd) for the checks
-that need one, inner is the segment inner product, and integrate is
-the identity (a stationary field is its own gradient).
+verification probes run on, shared with ParabolicProblem; each solve is
+checked against fem.SOLVE_TOL, so it takes only the operator.
+derivative is its own solve.  operator, forward and adjoint wrap the
+module functions below only because the benchmark's tracer
+(bench/tracer.py) patches those names; they fold into the methods once
+it patches the protocol (ROADMAP item 2).  field is the full-field solve
+(fem.solve_spd) for the checks that need one, inner is the segment inner
+product, and integrate is the identity (a stationary field is its own
+gradient).
 """
 
 from __future__ import annotations
@@ -90,8 +93,8 @@ class EllipticProblem(fem.RobinProblem):
                 self.load, self.mesh.segment_nodes(SegmentTag.ACCESSIBLE))
         return self.__dict__["_condensed"]
 
-    # Problem protocol.  The methods reach the module functions through
-    # their global names at call time, so a rebinding of those names holds.
+    # Problem protocol, see the module docstring.  The wrappers look the
+    # module functions up at call time, so the tracer's patches hold.
 
     def operator(self, gamma: np.ndarray) -> fem.BlockLDLT:
         return assemble_operator(self, gamma)
@@ -100,7 +103,18 @@ class EllipticProblem(fem.RobinProblem):
         return solve_forward(self, op)
 
     def derivative(self, u_i, d, op) -> np.ndarray:
-        return solve_derivative(self, u_i, d, op)
+        """Accessible trace of the directional derivative of the forward
+        map in direction d.
+
+        u_i must be the inaccessible trace of the forward state for op.
+        The load is the boundary load c of -(d * u_i), which lives on the
+        edge alone, and the trace is -Z_a Sigma^{-1} c.  A (k, segment
+        nodes) stack of directions gives one trace per row from one edge
+        solve with k right-hand sides.
+        """
+        tag = SegmentTag.INACCESSIBLE
+        load = self.boundary_loads(tag, self.segment_fields(tag, d) * u_i)
+        return -(self.condensed(op).Z @ fem.solve_edge(op, load.T)).T
 
     def adjoint(self, q, op) -> np.ndarray:
         return solve_adjoint(self, q, op)
@@ -133,26 +147,6 @@ def solve_forward(
     condensed = prob.condensed(op)
     u_i = fem.solve_edge(op, condensed.load)
     return condensed.u_rows - condensed.Z @ (u_i - condensed.u_edge), u_i
-
-
-def solve_derivative(
-    prob: EllipticProblem,
-    u_i: np.ndarray,
-    d: np.ndarray,
-    op: fem.BlockLDLT,
-) -> np.ndarray:
-    """Accessible trace of the directional derivative of the forward map
-    in direction d.
-
-    u_i must be the inaccessible trace of the forward state for op.  The
-    load is the boundary load c of -(d * u_i), which lives on the edge
-    alone, and the trace is -Z_a Sigma^{-1} c.  A (k, segment nodes)
-    stack of directions gives one trace per row from one edge solve with
-    k right-hand sides.
-    """
-    tag = SegmentTag.INACCESSIBLE
-    load = prob.boundary_loads(tag, prob.segment_fields(tag, d) * u_i)
-    return -(prob.condensed(op).Z @ fem.solve_edge(op, load.T)).T
 
 
 def solve_adjoint(

@@ -417,17 +417,10 @@ def adjoint_identity_errors(kind: str) -> np.ndarray:
     return errors
 
 
-@dataclass(frozen=True)
-class FdCheck:
-    """Finite-difference errors of the derivative solver, one per FD_STEPS."""
-
-    errors: np.ndarray
-    order: float
-
-
-def derivative_fd_check(kind: str) -> FdCheck:
+def derivative_fd_check(kind: str) -> tuple[np.ndarray, float]:
     """Forward-difference decay of the linearization error on the data
-    trace, on the PROBE_MESH with the steps FD_STEPS.
+    trace, on the PROBE_MESH with the steps FD_STEPS: the relative errors,
+    one per step, and their fitted order in the step.
 
     The probe direction is constant one.  For a constant direction the
     quadrature of the coefficient-weighted boundary mass commutes with
@@ -451,7 +444,7 @@ def derivative_fd_check(kind: str) -> FdCheck:
         u_eps_a, _ = prob.forward(prob.operator(gamma_eps))
         errors[i] = norm((u_eps_a - u_a) / eps - w_a) / ref
     slope = np.polyfit(np.log(np.asarray(FD_STEPS)), np.log(errors), 1)[0]
-    return FdCheck(errors=errors, order=float(slope))
+    return errors, float(slope)
 
 
 @dataclass(frozen=True)
@@ -598,14 +591,14 @@ def _check_adjoint(kind: str) -> CheckResult:
 
 
 def _check_derivative(kind: str) -> CheckResult:
-    report = derivative_fd_check(kind)
+    errors, order = derivative_fd_check(kind)
     lo, hi = FD_ORDER_BAND
-    errs = ", ".join(f"{e:.3e}" for e in report.errors)
+    errs = ", ".join(f"{e:.3e}" for e in errors)
     return CheckResult(
         name=f"derivative-{kind}",
-        passed=lo <= report.order <= hi,
+        passed=lo <= order <= hi,
         details=(f"fd errors [{errs}] for steps {FD_STEPS}, "
-                 f"fitted order {report.order:.3f} (band [{lo}, {hi}])"),
+                 f"fitted order {order:.3f} (band [{lo}, {hi}])"),
     )
 
 

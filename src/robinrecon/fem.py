@@ -262,10 +262,10 @@ class BlockLDLT:
     the last one unfactored as ``schur``, the Schur complement of the
     last block; it need not be definite (a pure Neumann base is
     singular).  complete(last) is the factor of base plus the dense
-    ``last`` on the last diagonal block (zero when not given): it shares
-    the leading pivots and factors Sigma = schur + last, which it keeps
-    for the residual check of solve_edge.  Only a completed factor
-    solves; last must be a symmetric array of the last block's order.
+    ``last`` on the last diagonal block: it shares the leading pivots and
+    factors Sigma = schur + last, which it keeps for the residual check
+    of solve_edge.  Only a completed factor solves; last must be a
+    symmetric array of the last block's order.
     condense(b, rows) condenses the leading blocks onto the last for one
     load b (see Condensation), after which solve_edge solves on the last
     block alone.
@@ -436,15 +436,14 @@ class BlockLDLT:
                     (slice(lo + d, hi + d), v, slice(lo, hi))
                     for d, lo, hi, v in self._coupling[k + 1])))
 
-    def complete(self, last: np.ndarray | None = None) -> "BlockLDLT":
+    def complete(self, last: np.ndarray) -> "BlockLDLT":
         """The factor of base plus last on the last diagonal block; see
         the class docstring.  Raises ValueError unless last is a finite
         symmetric array of the last block's order."""
         factor = copy.copy(self)
         factor.__dict__.pop("_operator", None)
         factor.__dict__.pop("_sweep", None)
-        factor._edge = np.zeros_like(self.schur) if last is None else \
-            _symmetric_block(last, len(self.schur))
+        factor._edge = _symmetric_block(last, len(self.schur))
         factor._sigma = self.schur + factor._edge
         factor._last = _invert_pivot(factor._sigma,
                                      len(self._dinv), len(self._dinv) + 1)

@@ -27,13 +27,16 @@ samples each time-dependent datum once for all levels, so the
 quadrature geometry and the datum's t-free part are computed once per
 problem, not once per level.
 
-ParabolicProblem carries the same problem protocol as EllipticProblem:
-operator, forward, derivative and adjoint wrap the march functions below
-(every step is a direct block solve checked against fem.SOLVE_TOL) and
-slice their trajectories to the traces the protocol returns, field is
-the forward march itself, inner is space_time_inner, and integrate is
-time_integral_boundary, both weighting no level 0.  The derivative march
-takes the inaccessible trace series of the forward march.
+ParabolicProblem carries the same problem protocol as EllipticProblem;
+every step is a direct block solve checked against fem.SOLVE_TOL, and
+each march is sliced to the traces the protocol returns.  derivative is
+its own march, of one direction, over the inaccessible trace series of
+the forward march, and integrate its own right-endpoint time integral.
+operator, forward, adjoint and inner wrap the module functions below
+only because the benchmark's tracer (bench/tracer.py) patches those
+names; they fold into the methods once it patches the protocol (ROADMAP
+item 2).  field is the forward march itself; inner and integrate weight
+no level 0.
 """
 
 from __future__ import annotations
@@ -125,7 +128,18 @@ class ParabolicProblem(fem.RobinProblem):
         return u[:, self._seg_a], u[:, self._seg_i]
 
     def derivative(self, u_i, d, op) -> np.ndarray:
-        return solve_derivative_parabolic(self, u_i, d, op)[:, self._seg_a]
+        """Accessible trace series of the sensitivity march for one
+        direction d (ValueError for a stack), u_i the inaccessible trace
+        series of the forward march for op: from zero, with the boundary
+        load of -(d * u_n) on the inaccessible side at each step."""
+        tag = SegmentTag.INACCESSIBLE
+        d = self.segment_fields(tag, d)
+        if d.ndim != 1:
+            raise ValueError(f"a march takes one direction d, a field of "
+                             f"segment {tag.name}, got shape {d.shape}")
+        loads = self.boundary_loads(tag, d * u_i)
+        return _march(self, op, loads, np.zeros(self.mesh.n_nodes),
+                      self._seg_i)[:, self._seg_a]
 
     def adjoint(self, q, op) -> np.ndarray:
         return solve_adjoint_parabolic(self, q, op)[:, self._seg_i]
@@ -137,7 +151,13 @@ class ParabolicProblem(fem.RobinProblem):
         return space_time_inner(self.mesh, tag, u, v, self.dt)
 
     def integrate(self, series: np.ndarray) -> np.ndarray:
-        return time_integral_boundary(series, self.dt)
+        """Time integral of a segment-field series, one segment field:
+        the right-endpoint rectangle rule, dt on levels 1..N and nothing
+        on level 0, matching the pairing of the adjoint march."""
+        series = np.asarray(series, dtype=float)
+        weights = np.full(series.shape[0], self.dt)
+        weights[0] = 0.0
+        return weights @ series
 
 
 def build_operator(prob: ParabolicProblem, gamma: np.ndarray) -> fem.BlockLDLT:
@@ -178,23 +198,6 @@ def solve_forward_parabolic(
     return _march(prob, op, prob.load, u0)
 
 
-def solve_derivative_parabolic(
-    prob: ParabolicProblem,
-    u_i: np.ndarray,
-    d: np.ndarray,
-    op: fem.BlockLDLT,
-) -> np.ndarray:
-    """Sensitivity trajectory for a perturbation d of gamma.
-
-    u_i must be the inaccessible trace series of the forward trajectory
-    for op.  Starts from zero and takes the boundary load of -(d * u_n)
-    on the inaccessible side at each step.
-    """
-    tag = SegmentTag.INACCESSIBLE
-    loads = prob.boundary_loads(tag, prob.segment_fields(tag, d) * u_i)
-    return _march(prob, op, loads, np.zeros(prob.mesh.n_nodes), prob._seg_i)
-
-
 def solve_adjoint_parabolic(
     prob: ParabolicProblem,
     q: np.ndarray,
@@ -216,26 +219,13 @@ def solve_adjoint_parabolic(
                   backward=True)
 
 
-def time_integral_boundary(series: np.ndarray, dt: float) -> np.ndarray:
-    """Integrate a segment-field time series over time.
-
-    Right-endpoint rectangle rule, dt on levels 1..N and zero on level 0,
-    matching the implicit Euler pairing used by the adjoint sweep.
-    Returns one segment field.
-    """
-    series = np.asarray(series, dtype=float)
-    weights = np.full(series.shape[0], dt)
-    weights[0] = 0.0
-    return weights @ series
-
-
 def space_time_inner(
     mesh: Mesh, tag: SegmentTag, u: np.ndarray, v: np.ndarray, dt: float
 ) -> float:
     """Space-time inner product of two segment-field series.
 
     Right-endpoint rule in time on top of the segment inner product in
-    space, the scalar companion of time_integral_boundary.
+    space, the scalar companion of ParabolicProblem.integrate.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)

@@ -93,8 +93,8 @@ def test_criterion_05_adjoint_identities():
 def test_criterion_06_derivative_consistency():
     orders = {}
     for kind in ("elliptic", "parabolic"):
-        check = experiments.derivative_fd_check(kind)
-        orders[kind] = check.order
+        errors, orders[kind] = experiments.derivative_fd_check(kind)
+        assert len(errors) == len(experiments.FD_STEPS)
     low, high = experiments.FD_ORDER_BAND
     ok = all(low <= order <= high for order in orders.values())
     _report(6, ok, f"difference-quotient order: elliptic "

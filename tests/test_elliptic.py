@@ -70,9 +70,9 @@ def test_derivative_is_linear_in_the_direction():
     rng = np.random.default_rng(11)
     d1 = rng.uniform(-1.0, 1.0, seg_i.size)
     d2 = rng.uniform(-1.0, 1.0, seg_i.size)
-    w1 = ell.solve_derivative(example.problem, u_i, d1, op)
-    w2 = ell.solve_derivative(example.problem, u_i, d2, op)
-    w12 = ell.solve_derivative(example.problem, u_i, d1 + 2.0 * d2, op)
+    w1 = example.problem.derivative(u_i, d1, op)
+    w2 = example.problem.derivative(u_i, d2, op)
+    w12 = example.problem.derivative(u_i, d1 + 2.0 * d2, op)
     np.testing.assert_allclose(w12, w1 + 2.0 * w2, atol=1e-9)
 
 
@@ -85,10 +85,10 @@ def test_derivative_takes_a_stack_of_directions():
     op = ell.assemble_operator(example.problem, gamma)
     _, u_i = ell.solve_forward(example.problem, op)
     directions = np.random.default_rng(12).uniform(-1.0, 1.0, (3, seg_i.size))
-    stacked = ell.solve_derivative(example.problem, u_i, directions, op)
+    stacked = example.problem.derivative(u_i, directions, op)
     assert stacked.shape == (3, seg_a.size)
     for d, w in zip(directions, stacked):
-        alone = ell.solve_derivative(example.problem, u_i, d, op)
+        alone = example.problem.derivative(u_i, d, op)
         assert np.linalg.norm(w - alone) <= 1e-13 * np.linalg.norm(alone)
 
 
@@ -101,7 +101,7 @@ def test_adjoint_identity_single_pair():
     rng = np.random.default_rng(3)
     d = rng.uniform(-1.0, 1.0, seg_i.size)
     q = rng.uniform(-1.0, 1.0, seg_a.size)
-    w_a = ell.solve_derivative(example.problem, u_i, d, op)
+    w_a = example.problem.derivative(u_i, d, op)
     ws_i = ell.solve_adjoint(example.problem, q, op)
     lhs = fem.boundary_inner(mesh, SegmentTag.ACCESSIBLE, w_a, q)
     rhs = fem.boundary_inner(mesh, SegmentTag.INACCESSIBLE, u_i * d, ws_i)
@@ -124,7 +124,7 @@ def test_derivative_consistency_gap_is_second_order():
         d = np.sin(np.pi * mesh.nodes[seg_i, 1])
         op = ell.assemble_operator(example.problem, gamma)
         _, u_i = ell.solve_forward(example.problem, op)
-        w_a = ell.solve_derivative(example.problem, u_i, d, op)
+        w_a = example.problem.derivative(u_i, d, op)
         prob = example.problem
         up_a, _ = prob.forward(prob.operator(gamma + step * d))
         um_a, _ = prob.forward(prob.operator(gamma - step * d))

@@ -393,7 +393,8 @@ def coupled_rows(factor):
 
 
 def reference_factor(A):
-    return fem.BlockLDLT(A, column_widths(make_mesh())).complete()
+    factor = fem.BlockLDLT(A, column_widths(make_mesh()))
+    return factor.complete(np.zeros_like(factor.schur))
 
 
 # The test_solve_spd_* tests below cover reference_cg.solve_spd, the
@@ -705,7 +706,7 @@ def _edge_shifted_stiffness():
 ], ids=["negative-diagonal", "indefinite", "shifted-stiffness", "indefinite-edge"])
 def test_block_factor_rejects_non_spd_matrix(A, widths):
     with pytest.raises(fem.LinearSolveError) as info:
-        fem.BlockLDLT(A, widths).complete()
+        fem.BlockLDLT(A, widths).complete(np.zeros((widths[-1],) * 2))
     assert isinstance(info.value, fem.CurvatureBreakdown)
     assert not isinstance(info.value, np.linalg.LinAlgError)
 
@@ -716,4 +717,4 @@ def test_block_factor_rejects_an_indefinite_edge_pivot_on_completion():
     nb = len(widths)
     with pytest.raises(fem.CurvatureBreakdown,
                        match=f"pivot block {nb - 1} of {nb} "):
-        leading.complete()
+        leading.complete(np.zeros_like(leading.schur))

@@ -12,6 +12,11 @@ from robinrecon.mesh import SegmentTag, build_rect_mesh, classify_boundary
 
 # frozen final-time discretization error, 8x16 mesh with 8 steps
 L2_ERROR_8X16_NT8 = 0.030461971063580322
+# frozen final-time error of the state (x^2 + cos(pi y)) sin t, 16x32 mesh
+# with 2 steps, and the band of the temporal order fitted over nt = 2..16
+# (0.940 measured; 0.843 at 8x16, where the spatial error takes over)
+L2_ERROR_SIN_16X32_NT2 = 0.13447688726113144
+TIME_ORDER_BAND = (0.9, 1.1)
 
 
 def setup(nx=8, ny=16, nt=8):
@@ -39,6 +44,40 @@ def test_convergence_check_measures_the_spatial_rate():
     coarse, fine = ex.fem_convergence_check("parabolic")
     assert coarse == pytest.approx(L2_ERROR_8X16_NT8, rel=1e-6)
     assert coarse / fine >= ex.ELLIPTIC_RATIO_MIN
+
+
+def test_the_march_is_first_order_in_time():
+    """On the state u = (x^2 + cos(pi y)) sin t, which is not linear in t,
+    implicit Euler's time error leads: the final-time error about halves
+    with dt, from the coarsest step on (ratios 1.89, 1.93, 1.94 measured).
+    The data are sampled at the new level t_n; the frozen coarse error
+    pins that placement, which the order alone would not."""
+    gamma_star = ex.make_example("5.3", nx=2, ny=4, nt=1).gamma_star
+
+    def u_exact(x, y, t):
+        return (x ** 2 + np.cos(np.pi * y)) * np.sin(t)
+
+    def f(x, y, t):
+        return ((x ** 2 + np.cos(np.pi * y)) * np.cos(t)
+                + (np.pi ** 2 * np.cos(np.pi * y) - 2.0) * np.sin(t))
+
+    def g(x, y, t):
+        return (2.0 + (1.0 + np.cos(np.pi * y)) * gamma_star(y)) * np.sin(t)
+
+    mesh = classify_boundary(build_rect_mesh(16, 32, ex.LX, ex.LY))
+    gamma = ex.interpolate_gamma(mesh, gamma_star)
+    steps = np.array([2, 4, 8, 16])
+    errors = []
+    for nt in steps:
+        prob = par.ParabolicProblem(mesh=mesh, a=1.0, f=f, g=g, h=0.0,
+                                    u0=0.0, T=2.0, nt=int(nt))
+        u = prob.field(prob.operator(gamma))
+        errors.append(ex.domain_l2_error(
+            mesh, u[-1], lambda x, y: u_exact(x, y, prob.T)))
+    assert errors[0] == pytest.approx(L2_ERROR_SIN_16X32_NT2, rel=1e-6)
+    order = np.polyfit(np.log(2.0 / steps), np.log(errors), 1)[0]
+    low, high = TIME_ORDER_BAND
+    assert low <= order <= high, f"errors {errors}, order {order}"
 
 
 def test_each_march_solves_once_per_level(monkeypatch):
@@ -156,9 +195,32 @@ def test_derivative_starts_from_rest():
     u = par.solve_forward_parabolic(example.problem, op)
     seg_i = mesh.segment_nodes(SegmentTag.INACCESSIBLE)
     d = np.ones(seg_i.size)
-    w = par.solve_derivative_parabolic(example.problem, u[:, seg_i], d, op)
-    assert np.all(w[0] == 0.0)
-    assert np.any(w[1] != 0.0)
+    w_a = example.problem.derivative(u[:, seg_i], d, op)
+    assert np.all(w_a[0] == 0.0)
+    assert np.any(w_a[1] != 0.0)
+
+
+def test_derivative_takes_one_direction():
+    """A march has one direction: a stack of them fails naming d, whether
+    its row count is one, two or the level count nt + 1, which would
+    otherwise read as one direction per level.  The elliptic derivative
+    takes such a stack, so code written for both kinds would otherwise
+    get a wrong Jacobian from np.eye(m) with no error."""
+    example, mesh, gamma = setup(nx=4, ny=8, nt=4)
+    prob = example.problem
+    op = prob.operator(gamma)
+    _, u_i = prob.forward(op)
+    m = u_i.shape[1]
+    d = np.linspace(-1.0, 1.0, m)
+    for rows in (1, 2, prob.nt + 1):
+        with pytest.raises(ValueError, match=(
+                rf"one direction d, a field of segment INACCESSIBLE, got "
+                rf"shape \({rows}, {m}\)")):
+            prob.derivative(u_i, np.tile(d, (rows, 1)), op)
+    with pytest.raises(ValueError, match=rf"shape \({m}, {m}\)"):
+        prob.derivative(u_i, np.eye(m), op)
+    seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
+    assert prob.derivative(u_i, d, op).shape == (prob.nt + 1, seg_a.size)
 
 
 def test_adjoint_identity_single_pair():
@@ -171,10 +233,9 @@ def test_adjoint_identity_single_pair():
     rng = np.random.default_rng(5)
     d = rng.uniform(-1.0, 1.0, seg_i.size)
     q = rng.uniform(-1.0, 1.0, (prob.nt + 1, seg_a.size))
-    w = par.solve_derivative_parabolic(prob, u[:, seg_i], d, op)
+    w_a = prob.derivative(u[:, seg_i], d, op)
     ws = par.solve_adjoint_parabolic(prob, q, op)
-    lhs = par.space_time_inner(mesh, SegmentTag.ACCESSIBLE, w[:, seg_a],
-                               q, prob.dt)
+    lhs = par.space_time_inner(mesh, SegmentTag.ACCESSIBLE, w_a, q, prob.dt)
     rhs = par.space_time_inner(mesh, SegmentTag.INACCESSIBLE,
                                u[:, seg_i] * d[None, :], ws[:, seg_i], prob.dt)
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
@@ -334,13 +395,17 @@ def test_data_loads_mix_scalar_and_time_dependent_data(f, g):
 
 
 def test_time_integral_right_endpoint_rule():
+    mesh = classify_boundary(build_rect_mesh(4, 8, 1.0, 2.0))
     nt, T = 16, 2.0
+    prob = par.ParabolicProblem(mesh=mesh, a=1.0, f=0.0, g=0.0, h=0.0,
+                                u0=0.0, T=T, nt=nt)
     dt = T / nt
     t = dt * np.arange(nt + 1)
-    series = np.outer(t, np.ones(5))
-    integral = par.time_integral_boundary(series, dt)
-    # right-endpoint rectangles on f(t) = t: dt^2 * N (N + 1) / 2
-    expected = T * T / 2.0 + T * dt / 2.0
+    series = np.outer(1.0 + t, np.ones(5))
+    integral = prob.integrate(series)
+    # right-endpoint rectangles on f(t) = 1 + t: T + dt^2 N (N + 1) / 2;
+    # f(0) = 1 is not zero, so a weight on level 0 shows
+    expected = T + T * T / 2.0 + T * dt / 2.0
     np.testing.assert_allclose(integral, expected, rtol=1e-13)
     assert integral.shape == (5,)
 

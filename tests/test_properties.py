@@ -433,11 +433,12 @@ def test_completed_operator_applies_base_plus_its_edge_block(
     block = fem.segment_mass(prob.mesh, tag, gamma)
     base = prob.base.toarray()
     X = rng.standard_normal((prob.mesh.n_nodes, 3))
+    bare = op.complete(np.zeros_like(op.schur))
     for x in (X[:, 0], X):
         y = prob.base @ x
         y[edge] += block @ x[edge]
         scale = np.abs(base) @ np.abs(x)
         scale[edge] += np.abs(block) @ np.abs(x[edge])
         assert np.all(np.abs(op.matvec(x) - y) <= 1e-14 * scale)
-        assert np.all(np.abs(op.complete().matvec(x) - prob.base @ x)
+        assert np.all(np.abs(bare.matvec(x) - prob.base @ x)
                       <= 1e-14 * (np.abs(base) @ np.abs(x)))
