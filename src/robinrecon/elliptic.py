@@ -18,7 +18,7 @@ them.
 
 The three solves return traces and run on the Robin edge alone.  The
 first of them condenses the interior onto the edge once per problem
-(condensed, fem.BlockLDLT.condense, checked once against
+(condensed, fem.Operator.condense, checked once against
 fem.SOLVE_TOL), anchored at one full solve of its operator; after that
 every solve is one fem.solve_edge with the edge pivot Sigma = Sigma_0 +
 B_gamma[I, I] plus products with the dense (accessible x edge) array
@@ -81,9 +81,9 @@ class EllipticProblem(fem.RobinProblem):
         b.flags.writeable = False
         return b
 
-    def condensed(self, op: fem.BlockLDLT) -> fem.Condensation:
+    def condensed(self, op: fem.Operator) -> fem.Condensation:
         """The interior condensed onto the Robin edge for the data load,
-        at the accessible nodes (fem.BlockLDLT.condense): built and
+        at the accessible nodes (fem.Operator.condense): built and
         checked on the first call, the first reduced solve, anchored at
         the full solve of that call's operator, and kept for every
         operator of the problem, as base_factor is."""
@@ -96,7 +96,7 @@ class EllipticProblem(fem.RobinProblem):
     # Problem protocol, see the module docstring.  The wrappers look the
     # module functions up at call time, so the tracer's patches hold.
 
-    def operator(self, gamma: np.ndarray) -> fem.BlockLDLT:
+    def operator(self, gamma: np.ndarray) -> fem.Operator:
         return assemble_operator(self, gamma)
 
     def forward(self, op) -> tuple[np.ndarray, np.ndarray]:
@@ -106,13 +106,15 @@ class EllipticProblem(fem.RobinProblem):
         """Accessible trace of the directional derivative of the forward
         map in direction d.
 
-        u_i must be the inaccessible trace of the forward state for op.
-        The load is the boundary load c of -(d * u_i), which lives on the
-        edge alone, and the trace is -Z_a Sigma^{-1} c.  A (k, segment
-        nodes) stack of directions gives one trace per row from one edge
-        solve with k right-hand sides.
+        u_i must be the inaccessible trace of the forward state for op,
+        one segment field (ValueError for any other shape).  The load is
+        the boundary load c of -(d * u_i), which lives on the edge alone,
+        and the trace is -Z_a Sigma^{-1} c.  A (k, segment nodes) stack of
+        directions gives one trace per row from one edge solve with k
+        right-hand sides.
         """
         tag = SegmentTag.INACCESSIBLE
+        u_i = self.forward_trace(u_i)
         load = self.boundary_loads(tag, self.segment_fields(tag, d) * u_i)
         return -(self.condensed(op).Z @ fem.solve_edge(op, load.T)).T
 
@@ -129,14 +131,14 @@ class EllipticProblem(fem.RobinProblem):
         return series
 
 
-def assemble_operator(prob: EllipticProblem, gamma: np.ndarray) -> fem.BlockLDLT:
+def assemble_operator(prob: EllipticProblem, gamma: np.ndarray) -> fem.Operator:
     """The SPD system matrix K_a + M_c + B_gamma for a nodal gamma, factored."""
     return prob.robin_operator(gamma)
 
 
 def solve_forward(
     prob: EllipticProblem,
-    op: fem.BlockLDLT,
+    op: fem.Operator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Traces (u_a, u_i) of the state for the Robin coefficient op was
     assembled with, on the accessible and the inaccessible segment.
@@ -152,7 +154,7 @@ def solve_forward(
 def solve_adjoint(
     prob: EllipticProblem,
     q: np.ndarray,
-    op: fem.BlockLDLT,
+    op: fem.Operator,
 ) -> np.ndarray:
     """Inaccessible trace of the adjoint state for an accessible-side
     weight q.

@@ -33,24 +33,30 @@ march's mass product and the residual check of every full solve, and
 BlockLDLT cuts its pivots and couplings as plain slices of the base's
 diagonals; the module needs numpy alone.
 
-solve_spd is the one full solve: one application of a completed
-BlockLDLT, a block LDL^T factor in node order, and one residual check
-against SOLVE_TOL, the tolerance of every library solve, for one
-right-hand side or an (n, m) array of them.  A leading block of several
-mesh columns steps by one dense product each way, built once per base
-factor, and so does the last block forward when the block before it
-holds several mesh columns, built once per completed factor on its
-first full solve; a block of one column, and the last block after one,
-step diagonal by diagonal.  The steps of both sweeps are fixed once, so
-a solve only loops over them.  BlockLDLT.condense condenses the leading
-blocks onto the last for one load (Condensation: the condensed load,
-the rows a of A_LL^{-1} A_LI and, as anchor, the rows a of one checked
-full solve and the edge solve of the condensed load), after which
-solve_edge solves on the last block alone, one product with the inverse
-of its pivot and the same residual check.  The condensation is checked
-with these two solves and no residual of its own: one probe load on the
-last block, solved in full and on the edge, and the edge solve of the
-condensed load against the full solve's edge block.
+The solver comes in two parts.  BlockLDLT is the block LDL^T factor in
+node order of everything but the last pivot: the leading pivots, the
+couplings, the fixed steps of both sweeps over the leading blocks and
+the Schur complement of the last block, which is per base and does not
+solve.  An Operator, which BlockLDLT.complete makes, adds what belongs
+to one matrix: its dense last block, the factored last pivot and the
+last block's steps.  solve_spd is the one full solve: one application
+of an Operator and one residual check against SOLVE_TOL, the tolerance
+of every library solve, for one right-hand side or an (n, m) array of
+them.  A leading block of several mesh columns steps by one dense
+product each way, built once per base factor, and so does the last
+block forward when the block before it holds several mesh columns,
+built once per Operator on its first full solve; a block of one
+column, and the last block after one, step diagonal by diagonal.  The
+steps of both sweeps are fixed once, so a solve only loops over them.
+Operator.condense condenses the leading blocks onto the last for one
+load (Condensation: the condensed load, the rows a of A_LL^{-1} A_LI
+and, as anchor, the rows a of one checked full solve and the edge solve
+of the condensed load), after which solve_edge solves on the last block
+alone, one product with the inverse of its pivot and the same residual
+check.  The condensation is checked with these two solves and no
+residual of its own: one probe load on the last block, solved in full
+and on the edge, and the edge solve of the condensed load against the
+full solve's edge block.
 
 RobinProblem is the Robin system both problem kinds share: the admissible
 box of gamma, the operator S = base + B_gamma, the data load of f, g and
@@ -62,15 +68,14 @@ order: it groups the leading columns into blocks of about _BLOCK_WIDTH
 unknowns and keeps the inaccessible edge x = lx, the only place B_gamma
 touches, alone as its last block.
 The gamma-free base is factored once per problem, up to the Schur
-complement Sigma_0 of that edge (base_factor); an operator is that
-factor completed with the dense edge block B_gamma[I, I] =
-segment_mass(mesh, INACCESSIBLE, gamma), I the edge nodes, and nothing
-more.
+complement Sigma_0 of that edge (base_factor); an operator is the
+Operator of that factor completed with the dense edge block B_gamma[I,
+I] = segment_mass(mesh, INACCESSIBLE, gamma), I the edge nodes, and
+nothing more.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -119,8 +124,7 @@ class SymBand:
     diagonal, d and -d of every stored d, the rows of x it reaches are
     gathered through one precomputed index (an index past either end is
     clipped and weighted zero), and one product with a vector of ones
-    sums them.  nnz counts the nonzero entries of the whole matrix,
-    toarray gives it dense.
+    sums them.  nnz counts the nonzero entries of the whole matrix.
     """
 
     def __init__(self, offsets, data: np.ndarray):
@@ -164,14 +168,6 @@ class SymBand:
     def nnz(self) -> int:
         return sum(np.count_nonzero(v) * (2 if d else 1)
                    for d, v in zip(self.offsets, self.data))
-
-    def toarray(self) -> np.ndarray:
-        n = self.shape[0]
-        A = np.zeros(self.shape)
-        for d, v in zip(self.offsets, self.data):
-            i = np.arange(n - d)
-            A[i, i + d] = A[i + d, i] = v[:n - d]
-        return A
 
     def __add__(self, other: "SymBand") -> "SymBand":
         if not isinstance(other, SymBand):
@@ -261,39 +257,15 @@ class BlockLDLT:
     widths) factors the leading pivots of the SymBand ``base`` and keeps
     the last one unfactored as ``schur``, the Schur complement of the
     last block; it need not be definite (a pure Neumann base is
-    singular).  complete(last) is the factor of base plus the dense
-    ``last`` on the last diagonal block: it shares the leading pivots and
-    factors Sigma = schur + last, which it keeps for the residual check
-    of solve_edge.  Only a completed factor solves; last must be a
-    symmetric array of the last block's order.
-    condense(b, rows) condenses the leading blocks onto the last for one
-    load b (see Condensation), after which solve_edge solves on the last
-    block alone.
-
-    solve applies the inverse of the completed matrix by one forward and
-    one backward sweep over the blocks.  A block with dense steps takes
-    one product with G_k forward, on the slice of x from the rows of block
-    k - 1 that C_k reads to the end of block k, and one with H_k backward.
-    The last block takes G_I = [-Sigma^{-1} C_I | Sigma^{-1}] forward
-    exactly when C_I reaches the block before it in part, built on the
-    completed factor's first full solve, so a factor that only solves on
-    its last block never builds it.  Any other block, one mesh column or
-    the last after one, takes one update per diagonal of C_k and one
-    product with D_k^{-1} forward, and backward one product with the
-    whole D_k^{-1}, since C_{k+1}^T reaches such a block whole.  The
-    steps are fixed once (_fix_steps, and _sweep for the last block's),
-    and solve and condense run the same ones, for one vector or an (n, m)
-    array of columns.  matvec
-    applies the matrix, one banded product with base plus last, whose
-    diagonals are folded into a copy of base's on the first call; both
-    take one vector or an (n, m) array of columns, and solve_spd checks
-    the one with the other.  nnz is that of base.
+    singular).  It also fixes the steps of both sweeps over the leading
+    blocks (_fix_steps).  A base factor does not solve: complete(last)
+    gives the Operator of base plus the dense ``last`` on the last
+    diagonal block, which shares all of this and solves.
 
     Raises CurvatureBreakdown when a pivot is not positive definite, and
     ValueError when the widths are not positive or do not sum to the
-    order of the matrix, the matrix couples blocks that are not
-    neighbours, or complete is given a last block of the wrong shape, an
-    asymmetric one or one with a non-finite entry.
+    order of the matrix, or the matrix couples blocks that are not
+    neighbours.
     """
 
     def __init__(self, base: SymBand, widths):
@@ -350,7 +322,6 @@ class BlockLDLT:
             if k < nb - 1:
                 self._dinv.append(_invert_pivot(pivot, k, nb))
         self.schur = pivot
-        self._last = None
         # the rows of block k that C_{k+1}^T reaches, one slice around them
         self._reach = [_around((lo + d, hi + d) for d, lo, hi, v in coupling)
                        for coupling in self._coupling[1:]]
@@ -395,8 +366,8 @@ class BlockLDLT:
 
     def _fix_steps(self) -> None:
         """The steps of the sweeps over the leading blocks, fixed once per
-        base; see solve.  A forward step (span, couplings, M, source)
-        subtracts each coupling term from x and sets x[span] = M @
+        base; see Operator.solve.  A forward step (span, couplings, M,
+        source) subtracts each coupling term from x and sets x[span] = M @
         x[source]: a dense step has no couplings and M = G_k, any other
         block its couplings, as (rows of x, diagonal, rows of x read), and
         M = D_k^{-1} on its own rows.  A backward step (span, M, source,
@@ -436,54 +407,88 @@ class BlockLDLT:
                     (slice(lo + d, hi + d), v, slice(lo, hi))
                     for d, lo, hi, v in self._coupling[k + 1])))
 
-    def complete(self, last: np.ndarray) -> "BlockLDLT":
-        """The factor of base plus last on the last diagonal block; see
-        the class docstring.  Raises ValueError unless last is a finite
-        symmetric array of the last block's order."""
-        factor = copy.copy(self)
-        factor.__dict__.pop("_operator", None)
-        factor.__dict__.pop("_sweep", None)
-        factor._edge = _symmetric_block(last, len(self.schur))
-        factor._sigma = self.schur + factor._edge
-        factor._last = _invert_pivot(factor._sigma,
-                                     len(self._dinv), len(self._dinv) + 1)
-        return factor
+    def complete(self, last: np.ndarray) -> "Operator":
+        """The Operator of base plus last on the last diagonal block.
+        Raises ValueError unless last is a finite symmetric array of the
+        last block's order, and CurvatureBreakdown unless Sigma = schur +
+        last is positive definite."""
+        return Operator(self, last)
+
+
+class Operator:
+    """A BlockLDLT completed: the factor of base plus the dense ``last``
+    on the last diagonal block, which solves.
+
+    Operator(factor, last) shares the leading pivots and fixed steps of
+    ``factor`` and factors Sigma = factor.schur + last, which it keeps
+    for the residual check of solve_edge; last must be a finite symmetric
+    array of the last block's order.  Every operator of one problem holds
+    only its edge block, Sigma and the inverse of Sigma.
+
+    solve applies the inverse of the completed matrix by one forward and
+    one backward sweep over the blocks.  A block with dense steps takes
+    one product with G_k forward, on the slice of x from the rows of block
+    k - 1 that C_k reads to the end of block k, and one with H_k backward.
+    The last block takes G_I = [-Sigma^{-1} C_I | Sigma^{-1}] forward
+    exactly when C_I reaches the block before it in part, built on the
+    operator's first full solve, so an operator that only solves on its
+    last block never builds it.  Any other block, one mesh column or the
+    last after one, takes one update per diagonal of C_k and one product
+    with D_k^{-1} forward, and backward one product with the whole
+    D_k^{-1}, since C_{k+1}^T reaches such a block whole.  The leading
+    steps are the factor's (BlockLDLT._fix_steps), the last block's are
+    fixed by _sweep, and solve and condense run the same ones, for one
+    vector or an (n, m) array of columns.  condense(b, rows) condenses the
+    leading blocks onto the last for one load b (see Condensation), after
+    which solve_edge solves on the last block alone.  matvec applies the
+    matrix, one banded product with base plus last, whose diagonals are
+    folded into a copy of base's on the first call; both take one vector
+    or an (n, m) array of columns, and solve_spd checks the one with the
+    other.  nnz is that of base.
+    """
+
+    def __init__(self, factor: BlockLDLT, last: np.ndarray):
+        self.factor = factor
+        self._edge = _symmetric_block(last, len(factor.schur))
+        self._sigma = factor.schur + self._edge
+        self._last = _invert_pivot(self._sigma,
+                                   len(factor._dinv), len(factor._dinv) + 1)
 
     @property
     def nnz(self) -> int:
-        return self.base.nnz
+        return self.factor.base.nnz
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x, A the matrix of the completed factor."""
+        """A x, A the matrix of the operator."""
         return self._operator @ x
 
     @cached_property
     def _operator(self) -> SymBand:
         """base plus the edge block on the last diagonal block."""
-        edge = self._spans[-1]
-        return self.base + SymBand.from_block(
-            self.base.shape[0], np.arange(edge.start, edge.stop), self._edge)
+        base, edge = self.factor.base, self.factor._spans[-1]
+        return base + SymBand.from_block(
+            base.shape[0], np.arange(edge.start, edge.stop), self._edge)
 
     @cached_property
     def _sweep(self) -> list:
-        """The forward steps of the completed factor, built on its first
-        full solve: those of the leading blocks and the last block's.  The
+        """The forward steps of the operator, built on its first full
+        solve: those of the leading blocks and the last block's.  The
         last block steps densely, G_I = [-Sigma^{-1} C_I | Sigma^{-1}],
         exactly when C_I reaches the block before it in part, which is
         when that block steps densely too."""
-        if self._last is None:
-            raise ValueError("the last pivot is not factored, see complete")
-        edge = self._spans[-1]
-        if len(self._spans) > 1 and self._dense[-2]:
-            G, source = self._dense_forward(len(self._dinv), self._last)
-            return self._leading + [(edge, (), G, source)]
-        return self._leading + [(edge, self._edge_couplings, self._last, edge)]
+        factor = self.factor
+        edge = factor._spans[-1]
+        if len(factor._spans) > 1 and factor._dense[-2]:
+            G, source = factor._dense_forward(len(factor._dinv), self._last)
+            return factor._leading + [(edge, (), G, source)]
+        return factor._leading + [
+            (edge, factor._edge_couplings, self._last, edge)]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with A x = b, up to rounding, for b of shape (n,) or (n, m)."""
         x = b.copy()
         _forward(x, self._sweep)
-        for span, M, source, couplings in self._backward:
+        for span, M, source, couplings in self.factor._backward:
             y = x[source]
             if couplings:
                 y = _reach_back(couplings, y, len(M))
@@ -493,7 +498,7 @@ class BlockLDLT:
     def condense(self, b: np.ndarray, rows: np.ndarray) -> "Condensation":
         """The leading blocks L condensed onto the last block I, for the
         load b and the unknowns listed in rows (a), anchored at the
-        solution of this completed factor; see Condensation.
+        solution of this operator; see Condensation.
 
         The anchor u is one checked solve_spd of b.  The forward sweep
         over the leading blocks gives the condensed load, and Z comes
@@ -515,10 +520,11 @@ class BlockLDLT:
     def _condensed(self, b, rows) -> "Condensation":
         """The Condensation of b at rows, unchecked, its u_edge the
         anchor's own edge block."""
-        edge = self._spans[-1]
+        factor = self.factor
+        edge = factor._spans[-1]
         anchor = solve_spd(self, b)
         x = b.copy()
-        _forward(x, self._condensing)
+        _forward(x, factor._condensing)
         Z = np.empty((rows.size, edge.stop - edge.start))
 
         def keep(span, X):
@@ -529,8 +535,8 @@ class BlockLDLT:
         # the last block: block k of [A_LL^{-1} A_LI; -1], one at a time
         X = -np.eye(Z.shape[1])
         keep(edge, X)
-        for (span, M, source, couplings), above in zip(self._backward,
-                                                       self._spans[:0:-1]):
+        for (span, M, source, couplings), above in zip(factor._backward,
+                                                       factor._spans[:0:-1]):
             y = X[source.start - above.start:source.stop - above.start]
             if couplings:
                 y = _reach_back(couplings, y, len(M))
@@ -544,8 +550,8 @@ class BlockLDLT:
         """The solve_edge of the condensed load; raises ConvergenceFailure
         unless it and the probe meet SOLVE_TOL against the anchor, here
         condensed.u_edge, and the full solve; see condense."""
-        edge = self._spans[-1]
-        c = np.zeros(self.base.shape[0])
+        edge = self.factor._spans[-1]
+        c = np.zeros(self.factor.base.shape[0])
         c[edge] = np.linspace(1.0, 2.0, edge.stop - edge.start)
         u_edge = solve_edge(self, condensed.load)
         for name, exact, condensed_value in (
@@ -669,9 +675,9 @@ def _spd_inverse(P: np.ndarray) -> np.ndarray:
     return inv
 
 
-def solve_spd(op: BlockLDLT, b: np.ndarray,
+def solve_spd(op: Operator, b: np.ndarray,
               stats: dict | None = None) -> np.ndarray:
-    """Solve S x = b, S the SPD matrix of the completed factor op.
+    """Solve S x = b, S the SPD matrix of the Operator op.
 
     A direct block solve plus one residual check: x = op.solve(b), then
     ||b - op.matvec(x)||_2 <= SOLVE_TOL ||b||_2 must hold, so a factor that
@@ -691,7 +697,7 @@ def solve_spd(op: BlockLDLT, b: np.ndarray,
     return x
 
 
-def solve_edge(op: BlockLDLT, r: np.ndarray) -> np.ndarray:
+def solve_edge(op: Operator, r: np.ndarray) -> np.ndarray:
     """Solve Sigma x = r, Sigma = Sigma_0 + last the completed last pivot
     of op: the system on the last block that a Condensation leaves.
 
@@ -699,8 +705,6 @@ def solve_edge(op: BlockLDLT, r: np.ndarray) -> np.ndarray:
     solve_spd against SOLVE_TOL, for one vector or an (n_I, m) array of
     columns; raises ConvergenceFailure in the same way.
     """
-    if op._last is None:
-        raise ValueError("the last pivot is not factored, see complete")
     return _checked_solve(op._last.__matmul__, op._sigma.__matmul__, r)[0]
 
 
@@ -753,18 +757,15 @@ def _coeff_on_points(coeff, x: np.ndarray, y: np.ndarray,
     vectorized in t when that call or broadcast fails.  Without times, a
     sample that does not broadcast to the points raises a TypeError
     naming the argument, chained in the same way.  A scalar gives one
-    sample of the points' shape either way.  Samples that already
-    have the full shape and dtype are returned as they are, not copied;
-    callers only read them.  Anything else (a nodal array, say) raises
-    TypeError naming the argument.
+    sample of the points' shape either way.  A callable's sample is a
+    read-only broadcast view, not a copy; callers only read it.  Anything
+    else (a nodal array, say) raises TypeError naming the argument.
     """
     args = "(x, y)" if times is None else "(x, y, t)"
     if callable(coeff) and times is None:
         values = np.asarray(coeff(x, y), dtype=float)
-        if values.shape == x.shape:
-            return values
         try:
-            return np.broadcast_to(values, x.shape).copy()
+            return np.broadcast_to(values, x.shape)
         except ValueError as err:
             raise TypeError(
                 f"{name} must be a scalar or a vectorized callable of {args}, "
@@ -774,10 +775,8 @@ def _coeff_on_points(coeff, x: np.ndarray, y: np.ndarray,
         t = np.reshape(times, (-1,) + (1,) * x.ndim)
         shape = t.shape[:1] + x.shape
         try:
-            values = np.asarray(coeff(x, y, t), dtype=float)
-            if values.shape == shape:
-                return values
-            return np.broadcast_to(values, shape).copy()
+            return np.broadcast_to(np.asarray(coeff(x, y, t), dtype=float),
+                                   shape)
         except (TypeError, ValueError) as err:
             raise TypeError(
                 f"{name} must be a scalar or a callable of (x, y, t) "
@@ -1025,7 +1024,7 @@ class RobinProblem:
         return BlockLDLT(self.base, [min(g, nx - i) * column
                                      for i in range(0, nx, g)] + [column])
 
-    def robin_operator(self, gamma: np.ndarray) -> BlockLDLT:
+    def robin_operator(self, gamma: np.ndarray) -> Operator:
         """base + B_gamma for a nodal gamma in the box, factored: base_factor
         completed with B_gamma[I, I] = segment_mass(mesh, INACCESSIBLE,
         gamma), the inaccessible edge's block and the only one B_gamma
@@ -1044,11 +1043,7 @@ class RobinProblem:
         b = assemble_load(self.mesh, f, times)
         for tag, data, name in ((SegmentTag.INACCESSIBLE, g, "g"),
                                 (SegmentTag.ACCESSIBLE, h, "h")):
-            load = assemble_boundary_load(self.mesh, tag, data, times, name)
-            if load.ndim > b.ndim:
-                # summed into the larger array; the sum commutes exactly
-                b, load = load, b
-            b += load
+            b = b + assemble_boundary_load(self.mesh, tag, data, times, name)
         return b
 
     def segment_fields(self, tag: SegmentTag, x) -> np.ndarray:
@@ -1061,6 +1056,19 @@ class RobinProblem:
             raise ValueError(f"segment {tag.name} has {n} nodes, got a field "
                              f"of shape {x.shape}")
         return x
+
+    def forward_trace(self, u_i, *levels: int) -> np.ndarray:
+        """u_i as a float array, the inaccessible trace of a forward solve
+        with the leading axes levels (none for one field); ValueError,
+        naming u_i, its shape and the expected one, unless it has them."""
+        u_i = np.asarray(u_i, dtype=float)
+        expected = (*levels,
+                    self.mesh.segments[SegmentTag.INACCESSIBLE].nodes.size)
+        if u_i.shape != expected:
+            raise ValueError(f"the forward trace u_i on segment "
+                             f"{SegmentTag.INACCESSIBLE.name} must have "
+                             f"shape {expected}, got shape {u_i.shape}")
+        return u_i
 
     def boundary_loads(self, tag: SegmentTag, x) -> np.ndarray:
         """Boundary load -(x M) of the fields x on segment tag, M the

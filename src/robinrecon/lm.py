@@ -13,12 +13,12 @@ EllipticProblem and ParabolicProblem (operator, forward, adjoint, inner,
 integrate); only those methods know whether a trace is one segment field
 or a time series.  The loop sees traces only: forward gives the
 accessible and inaccessible traces, adjoint the inaccessible trace of
-the adjoint state.  A step builds and factors the operator once, from
-the problem's cached gamma-free base plus the Robin mass of the iterate,
-and passes it to both the forward and the adjoint solve; _quantities
-returns that operator and the forward traces next to the residual, beta
-and update direction, so that a check of the step
-(experiments.oracle_optimality_check) reuses them.  A march solves each
+the adjoint state.  A step builds the operator once, a fem.Operator
+that completes the factor of the problem's cached gamma-free base with
+the Robin mass of the iterate, and passes it to both the forward and
+the adjoint solve; _quantities returns that operator and the forward
+traces next to the residual, beta and update direction, so that a check
+of the step (experiments.oracle_optimality_check) reuses them.  A march solves each
 level with a direct block solve plus one residual check against
 fem.SOLVE_TOL; a stationary step solves on the Robin edge alone, after
 the problem condensed its interior once in the run's first step.

@@ -120,7 +120,7 @@ class ParabolicProblem(fem.RobinProblem):
     def _seg_i(self) -> np.ndarray:
         return self.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
 
-    def operator(self, gamma: np.ndarray) -> fem.BlockLDLT:
+    def operator(self, gamma: np.ndarray) -> fem.Operator:
         return build_operator(self, gamma)
 
     def forward(self, op) -> tuple[np.ndarray, np.ndarray]:
@@ -130,9 +130,11 @@ class ParabolicProblem(fem.RobinProblem):
     def derivative(self, u_i, d, op) -> np.ndarray:
         """Accessible trace series of the sensitivity march for one
         direction d (ValueError for a stack), u_i the inaccessible trace
-        series of the forward march for op: from zero, with the boundary
-        load of -(d * u_n) on the inaccessible side at each step."""
+        series of the forward march for op, all nt + 1 levels (ValueError
+        for any other shape): from zero, with the boundary load of -(d *
+        u_n) on the inaccessible side at each step."""
         tag = SegmentTag.INACCESSIBLE
+        u_i = self.forward_trace(u_i, self.nt + 1)
         d = self.segment_fields(tag, d)
         if d.ndim != 1:
             raise ValueError(f"a march takes one direction d, a field of "
@@ -160,7 +162,7 @@ class ParabolicProblem(fem.RobinProblem):
         return weights @ series
 
 
-def build_operator(prob: ParabolicProblem, gamma: np.ndarray) -> fem.BlockLDLT:
+def build_operator(prob: ParabolicProblem, gamma: np.ndarray) -> fem.Operator:
     """The SPD step matrix S = M/dt + K_a + B_gamma, factored, shared by a
     whole march."""
     return prob.robin_operator(gamma)
@@ -186,7 +188,7 @@ def _march(prob: ParabolicProblem, op, loads: np.ndarray,
 
 def solve_forward_parabolic(
     prob: ParabolicProblem,
-    op: fem.BlockLDLT,
+    op: fem.Operator,
 ) -> np.ndarray:
     """March the state forward from the interpolated initial value.
 
@@ -201,7 +203,7 @@ def solve_forward_parabolic(
 def solve_adjoint_parabolic(
     prob: ParabolicProblem,
     q: np.ndarray,
-    op: fem.BlockLDLT,
+    op: fem.Operator,
 ) -> np.ndarray:
     """Adjoint trajectory for accessible-side weights q, backward in time.
 

@@ -333,7 +333,7 @@ def test_failed_shared_condensation_is_an_error_row_per_job(
     def fail(self, *args, **kwargs):
         raise fem.ConvergenceFailure("condensation missed SOLVE_TOL in Z")
 
-    monkeypatch.setattr(fem.BlockLDLT, "condense", fail)
+    monkeypatch.setattr(fem.Operator, "condense", fail)
     out = tmp_path / "sweep"
     capsys.readouterr()
     assert cli.main(["sweep", "--example", "5.1", "--jobs", jobs,
@@ -350,14 +350,14 @@ def test_no_pool_worker_condenses_twice(tmp_path, monkeypatch):
     """The shared setup does not condense; each worker condenses its
     problem in the first step it runs and keeps it for its later jobs."""
     log = tmp_path / "condense.log"
-    original = fem.BlockLDLT.condense
+    original = fem.Operator.condense
 
     def logged(self, *args):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
         return original(self, *args)
 
-    monkeypatch.setattr(fem.BlockLDLT, "condense", logged)
+    monkeypatch.setattr(fem.Operator, "condense", logged)
     assert cli.main(["sweep", "--example", "5.1", "--jobs", "2",
                      "--out", str(tmp_path / "sweep")] + SMALL_SWEEP) == 0
     pids = log.read_text().split()

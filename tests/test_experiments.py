@@ -336,13 +336,13 @@ def test_shared_setup_arrays_are_read_only(monkeypatch, example_id):
 
 def test_shared_setup_condenses_a_stationary_problem_once(monkeypatch):
     condensed = []
-    original = fem.BlockLDLT.condense
+    original = fem.Operator.condense
 
     def counted(self, *args):
         condensed.append(self)
         return original(self, *args)
 
-    monkeypatch.setattr(fem.BlockLDLT, "condense", counted)
+    monkeypatch.setattr(fem.Operator, "condense", counted)
     spec = experiments.ExperimentSpec(example_id="5.1", nx=4, ny=8)
     with experiments.shared_setup(spec):
         for seed in (0, 1):

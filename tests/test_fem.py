@@ -1,10 +1,12 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 import reference_cg
 import reference_quadrature
+from reference_band import toarray
 from robinrecon import experiments, fem
 from robinrecon.elliptic import EllipticProblem
 from robinrecon.mesh import (SegmentTag, build_rect_mesh, classify_boundary,
@@ -48,7 +50,7 @@ def test_mass_weight_scales_linearly():
     mesh = make_mesh(4, 8)
     M1 = fem.assemble_mass(mesh, 1.0)
     M3 = fem.assemble_mass(mesh, 3.0)
-    np.testing.assert_allclose(M3.toarray(), 3.0 * M1.toarray(), rtol=1e-14)
+    np.testing.assert_allclose(toarray(M3), 3.0 * toarray(M1), rtol=1e-14)
     with pytest.raises(ValueError):
         fem.assemble_mass(mesh, -1.0)
 
@@ -146,7 +148,7 @@ def test_a_callable_returning_a_scalar_assembles_like_the_scalar(assemble):
     by_callable = assemble(mesh, lambda x, y: 1.5)
     by_scalar = assemble(mesh, 1.5)
     if isinstance(by_scalar, fem.SymBand):
-        by_callable, by_scalar = by_callable.toarray(), by_scalar.toarray()
+        by_callable, by_scalar = toarray(by_callable), toarray(by_scalar)
     np.testing.assert_array_equal(by_callable, by_scalar)
 
 
@@ -242,7 +244,11 @@ def test_boundary_loads_match_the_per_level_quadrature():
 def test_boundary_loads_reject_a_field_of_another_size(example_id):
     """A direction or weight whose last axis is not the segment's node
     count fails in derivative and adjoint of both kinds instead of
-    broadcasting, and so does a trace of the wrong size."""
+    broadcasting, and so does a trace of the wrong size.  derivative takes
+    the forward trace u_i only as forward gave it: a stack of traces,
+    which the stationary kind would read as one trace per row, a march's
+    last level alone, which would broadcast to every level, and a series
+    cut short fail naming u_i and both shapes."""
     prob = experiments.make_example(example_id, nx=4, ny=8, nt=3).problem
     n_edge = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE).size
     op = prob.operator(np.full(n_edge, 2.0))
@@ -253,6 +259,11 @@ def test_boundary_loads_reject_a_field_of_another_size(example_id):
         prob.adjoint(np.ones(u_a.shape)[..., :1], op)
     with pytest.raises(ValueError, match="segment INACCESSIBLE"):
         prob.derivative(u_i[..., :-1], np.ones(n_edge - 1), op)
+    for bad in (np.stack([u_i, u_i]), u_i[-1], u_i[:-1]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"forward trace u_i on segment INACCESSIBLE must have "
+                f"shape {u_i.shape}, got shape {bad.shape}")):
+            prob.derivative(bad, np.ones(n_edge), op)
     with pytest.raises(ValueError, match="segment ACCESSIBLE"):
         prob.boundary_loads(SegmentTag.ACCESSIBLE, 1.0)
 
@@ -280,8 +291,8 @@ def test_a_source_may_return_its_own_points():
         np.testing.assert_array_equal(assemble(own_x), assemble(copy_of_x))
         np.testing.assert_array_equal(assemble(own_x, times),
                                       assemble(copy_of_x, times))
-    np.testing.assert_array_equal(fem.assemble_mass(mesh, own_x).toarray(),
-                                  fem.assemble_mass(mesh, copy_of_x).toarray())
+    np.testing.assert_array_equal(toarray(fem.assemble_mass(mesh, own_x)),
+                                  toarray(fem.assemble_mass(mesh, copy_of_x)))
     assert len(seen) == 5
     for x, before in seen:
         np.testing.assert_array_equal(x, before)
@@ -308,7 +319,7 @@ def test_p1_matrices_are_stored_by_their_upper_diagonals():
     local = (np.ones((3, 3)) + np.eye(3)) / 12.0
     np.add.at(dense, (tri[:, :, None], tri[:, None, :]),
               signed_areas(mesh.nodes[tri])[:, None, None] * local)
-    np.testing.assert_allclose(M.toarray(), dense, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(toarray(M), dense, rtol=1e-14, atol=0.0)
     tag = SegmentTag.INACCESSIBLE
     gamma = np.linspace(1.0, 2.0, mesh.ny + 1)
     B = fem.assemble_boundary_mass(mesh, tag, gamma)
@@ -316,7 +327,7 @@ def test_p1_matrices_are_stored_by_their_upper_diagonals():
     dense = np.zeros((n, n))
     nodes = mesh.segment_nodes(tag)
     dense[np.ix_(nodes, nodes)] = fem.segment_mass(mesh, tag, gamma)
-    np.testing.assert_array_equal(B.toarray(), dense)
+    np.testing.assert_array_equal(toarray(B), dense)
 
 
 def test_band_arithmetic_matches_the_dense_arithmetic():
@@ -327,18 +338,18 @@ def test_band_arithmetic_matches_the_dense_arithmetic():
     K = fem.assemble_stiffness(mesh, 1.0)
     M = fem.assemble_mass(mesh, 1.0)
     B = fem.assemble_boundary_mass(mesh, SegmentTag.INACCESSIBLE, 2.0)
-    k, m, b = K.toarray(), M.toarray(), B.toarray()
+    k, m, b = toarray(K), toarray(M), toarray(B)
     for band, dense in ((K + M, k + m), (M / 0.1 + K, m / 0.1 + k),
                         (K + B, k + b), (B + K, b + k)):
-        np.testing.assert_array_equal(band.toarray(), dense)
+        np.testing.assert_array_equal(toarray(band), dense)
     A = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 4.0], [0.0, 4.0, 5.0]])
     S = dense_band(A)
     assert S.offsets == (0, 1) and S.nnz == 7
-    np.testing.assert_array_equal(S.toarray(), A)
+    np.testing.assert_array_equal(toarray(S), A)
     twice = fem.SymBand.from_entries(3, np.array([0, 0, 0, 1, 1, 2]),
                                      np.array([0, 1, 0, 1, 2, 2]),
                                      np.array([1.0, 1.0, 1.0, 3.0, 4.0, 5.0]))
-    np.testing.assert_array_equal(twice.toarray(), A)
+    np.testing.assert_array_equal(toarray(twice), A)
     with pytest.raises(ValueError, match="symmetric"):
         dense_band(np.triu(A))
     # only two bands of one shape add
@@ -523,8 +534,9 @@ def test_solve_spd_names_the_column_that_missed_solve_tol(monkeypatch):
 def test_block_factor_needs_its_last_pivot_before_it_solves():
     A, b = reference_system()
     leading = fem.BlockLDLT(A, column_widths(make_mesh()))
-    with pytest.raises(ValueError, match="last pivot"):
-        leading.solve(b)
+    assert not hasattr(leading, "solve")
+    with pytest.raises(AttributeError):
+        fem.solve_edge(leading, b[-len(leading.schur):])
 
 
 def test_block_factor_rejects_an_order_that_is_not_block_tridiagonal():
@@ -550,8 +562,7 @@ def test_operators_of_one_problem_share_the_leading_factor():
     n_edge = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE).size
     first = prob.operator(np.full(n_edge, 1.0))
     second = prob.operator(np.full(n_edge, 2.0))
-    assert first._dinv is second._dinv is prob.base_factor._dinv
-    assert first.schur is second.schur is prob.base_factor.schur
+    assert first.factor is second.factor is prob.base_factor
     assert not np.array_equal(first._last, second._last)
     b = prob.load
     for op, gamma in ((first, 1.0), (second, 2.0)):
@@ -592,11 +603,11 @@ def test_block_factor_completes_only_with_a_symmetric_last_block():
 
 def test_an_uncompleted_factor_does_not_solve():
     """The base factor keeps its last pivot unfactored, so neither a full
-    solve nor a solve on the last block runs before complete."""
+    solve nor a solve on the last block runs before complete: only the
+    Operator that complete gives has them."""
     factor = experiments.make_example("5.1", nx=4, ny=8).problem.base_factor
-    with pytest.raises(ValueError, match="not factored, see complete"):
-        factor.solve(np.ones(factor.base.shape[0]))
-    with pytest.raises(ValueError, match="not factored, see complete"):
+    assert not hasattr(factor, "solve")
+    with pytest.raises(AttributeError):
         fem.solve_edge(factor, np.ones(len(factor.schur)))
 
 
@@ -699,8 +710,8 @@ def _edge_shifted_stiffness():
     (dense_band(np.diag([1.0, -1.0, 1.0])), [1, 1, 1]),
     (dense_band(np.array([[1.0, 2.0], [2.0, 1.0]])), [1, 1]),
     (dense_band(
-        fem.assemble_stiffness(make_mesh(), 1.0).toarray()
-        - 100.0 * fem.assemble_mass(make_mesh(), 1.0).toarray()),
+        toarray(fem.assemble_stiffness(make_mesh(), 1.0))
+        - 100.0 * toarray(fem.assemble_mass(make_mesh(), 1.0))),
      column_widths(make_mesh())),
     _edge_shifted_stiffness(),
 ], ids=["negative-diagonal", "indefinite", "shifted-stiffness", "indefinite-edge"])

@@ -353,12 +353,12 @@ def test_a_low_initial_guess_on_a_narrow_fine_mesh_completes():
 
 def test_elliptic_run_solves_on_the_edge_alone(monkeypatch):
     """An elliptic L-M iterate makes no full-mesh solve: the run's full
-    solves (fem.solve_spd, BlockLDLT.solve) are the two of building its
+    solves (fem.solve_spd, Operator.solve) are the two of building its
     condensation, its anchor and its checked probe, as many for 15
     iterations as for 5."""
     prob, gamma_star, z, gamma0 = _elliptic_setup()
     calls = {"solve_spd": 0, "solve": 0}
-    solve_spd, solve = fem.solve_spd, fem.BlockLDLT.solve
+    solve_spd, solve = fem.solve_spd, fem.Operator.solve
 
     def counted_solve_spd(*args, **kwargs):
         calls["solve_spd"] += 1
@@ -369,7 +369,7 @@ def test_elliptic_run_solves_on_the_edge_alone(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(fem, "solve_spd", counted_solve_spd)
-    monkeypatch.setattr(fem.BlockLDLT, "solve", counted_solve)
+    monkeypatch.setattr(fem.Operator, "solve", counted_solve)
     counts = []
     for iterations in (5, 15):
         calls.update(solve_spd=0, solve=0)

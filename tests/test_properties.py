@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import reference_cg
 import reference_quadrature
+from reference_band import toarray
 import surrogate
 from robinrecon import experiments as ex
 from robinrecon import fem
@@ -200,7 +201,7 @@ def test_block_factor_matches_the_dense_matrix(example_id, nx, ny, grouped,
     blocks = _blocks(factor)
     np.testing.assert_array_equal(np.concatenate(blocks),
                                   np.arange(prob.mesh.n_nodes))
-    A = prob.base.toarray()
+    A = toarray(prob.base)
     lead, last = np.concatenate(blocks[:-1]), blocks[-1]
     schur = A[np.ix_(last, last)] - A[np.ix_(last, lead)] @ np.linalg.solve(
         A[np.ix_(lead, lead)], A[np.ix_(lead, last)])
@@ -267,14 +268,14 @@ def test_condensation_check_catches_one_perturbed_entry(monkeypatch, piece):
     prob = example.problem
     z = ex.exact_observation(example)
     gamma = np.full(prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE).size, 2.0)
-    condensed = fem.BlockLDLT._condensed
+    condensed = fem.Operator._condensed
 
     def perturbed(self, b, rows):
         out = condensed(self, b, rows)
         getattr(out, piece).flat[0] += 1e-6
         return out
 
-    monkeypatch.setattr(fem.BlockLDLT, "_condensed", perturbed)
+    monkeypatch.setattr(fem.Operator, "_condensed", perturbed)
     with pytest.raises(fem.ConvergenceFailure,
                        match=f"condensation missed SOLVE_TOL in {piece}"):
         prob.forward(prob.operator(gamma))
@@ -395,7 +396,7 @@ def test_sources_over_times_load_like_frozen_sources(
        seed=st.integers(0, 2**32 - 1))
 def test_band_product_matches_the_dense_product(nx, ny, m, seed):
     """A @ x and A @ X, x a vector and X an (n, m) array of columns, match
-    the dense product A.toarray() @ x to 1e-14 relative to |A| |x|, row by
+    the dense product toarray(A) @ x to 1e-14 relative to |A| |x|, row by
     row, for A = K_a + M_c + B_gamma + B_rho with random coefficients, a
     Robin mass on each segment."""
     mesh = classify_boundary(build_rect_mesh(nx, ny, ex.LX, ex.LY))
@@ -406,7 +407,7 @@ def test_band_product_matches_the_dense_product(nx, ny, m, seed):
     for tag in SegmentTag:
         weight = rng.uniform(0.1, 10.0, mesh.segment_nodes(tag).size)
         A = A + fem.assemble_boundary_mass(mesh, tag, weight)
-    dense = A.toarray()
+    dense = toarray(A)
     X = rng.standard_normal((mesh.n_nodes, m))
     for x in (X[:, 0], X):
         bound = 1e-14 * (np.abs(dense) @ np.abs(x))
@@ -431,9 +432,9 @@ def test_completed_operator_applies_base_plus_its_edge_block(
     gamma = rng.uniform(prob.gamma_min, prob.gamma_max, edge.size)
     op = prob.operator(gamma)
     block = fem.segment_mass(prob.mesh, tag, gamma)
-    base = prob.base.toarray()
+    base = toarray(prob.base)
     X = rng.standard_normal((prob.mesh.n_nodes, 3))
-    bare = op.complete(np.zeros_like(op.schur))
+    bare = op.factor.complete(np.zeros_like(op.factor.schur))
     for x in (X[:, 0], X):
         y = prob.base @ x
         y[edge] += block @ x[edge]
