@@ -9,7 +9,8 @@ Three solves share one symmetric operator K_a + M_c + B_gamma:
 
 EllipticProblem is a fem.RobinProblem: the box check, the operator (the
 factor of the cached base K_a + M_c, completed with the dense edge block
-of B_gamma), the data load and the boundary loads come from there.  The
+of B_gamma), the data load, the check of a trace, whose levels are none
+here, and the boundary loads come from there.  The
 derivative and adjoint right-hand sides are the boundary loads of
 -(d * u_i) on the inaccessible side and of -q on the accessible side,
 each one product with the segment's mass, and they live on the
@@ -68,6 +69,9 @@ class EllipticProblem(fem.RobinProblem):
     gamma_min: float = 0.1
     gamma_max: float = 10.0
 
+    # a trace is one segment field
+    levels = ()
+
     @cached_property
     def base(self) -> fem.SymBand:
         """K_a + M_c, the part of the operator that gamma does not touch."""
@@ -107,15 +111,17 @@ class EllipticProblem(fem.RobinProblem):
         map in direction d.
 
         u_i must be the inaccessible trace of the forward state for op,
-        one segment field (ValueError for any other shape).  The load is
-        the boundary load c of -(d * u_i), which lives on the edge alone,
-        and the trace is -Z_a Sigma^{-1} c.  A (k, segment nodes) stack of
-        directions gives one trace per row from one edge solve with k
-        right-hand sides.
+        one segment field; u_i and d pass trace (ValueError for another
+        shape or a non-finite entry).  The load is the boundary load c of
+        -(d * u_i), which lives on the edge alone, and the trace is -Z_a
+        Sigma^{-1} c.  A (k, segment nodes) stack of directions gives one
+        trace per row from one edge solve with k right-hand sides.
         """
         tag = SegmentTag.INACCESSIBLE
-        u_i = self.forward_trace(u_i)
-        load = self.boundary_loads(tag, self.segment_fields(tag, d) * u_i)
+        u_i = self.trace(tag, u_i, "the forward trace u_i")
+        # one direction or one (k, segment nodes) stack of them
+        d = self.trace(tag, d, "the direction d", np.shape(d)[:-1][:1])
+        load = self.boundary_loads(tag, d * u_i)
         return -(self.condensed(op).Z @ fem.solve_edge(op, load.T)).T
 
     def adjoint(self, q, op) -> np.ndarray:
@@ -157,11 +163,13 @@ def solve_adjoint(
     op: fem.Operator,
 ) -> np.ndarray:
     """Inaccessible trace of the adjoint state for an accessible-side
-    weight q.
+    weight q, one segment field (ValueError for another shape or a
+    non-finite entry, see fem.RobinProblem.trace).
 
     Same operator as the forward solve; the load c is the boundary load
     of -q, which lives on the accessible nodes, and the trace is
     Sigma^{-1} (-Z_a^T c).
     """
-    load = prob.boundary_loads(SegmentTag.ACCESSIBLE, q)
+    tag = SegmentTag.ACCESSIBLE
+    load = prob.boundary_loads(tag, prob.trace(tag, q, "the weight q"))
     return fem.solve_edge(op, -(prob.condensed(op).Z.T @ load))

@@ -579,60 +579,48 @@ class CheckResult:
     details: str
 
 
-def _check_adjoint(kind: str) -> CheckResult:
+def _check_adjoint(kind: str) -> tuple[bool, str]:
     errors = adjoint_identity_errors(kind)
     worst = float(errors.max())
-    return CheckResult(
-        name=f"adjoint-{kind}",
-        passed=worst <= ADJOINT_TOL,
-        details=(f"worst relative identity gap {worst:.3e} "
-                 f"over {errors.size} probe pairs (tol {ADJOINT_TOL:.0e})"),
-    )
+    return worst <= ADJOINT_TOL, (
+        f"worst relative identity gap {worst:.3e} "
+        f"over {errors.size} probe pairs (tol {ADJOINT_TOL:.0e})")
 
 
-def _check_derivative(kind: str) -> CheckResult:
+def _check_derivative(kind: str) -> tuple[bool, str]:
     errors, order = derivative_fd_check(kind)
     lo, hi = FD_ORDER_BAND
     errs = ", ".join(f"{e:.3e}" for e in errors)
-    return CheckResult(
-        name=f"derivative-{kind}",
-        passed=lo <= order <= hi,
-        details=(f"fd errors [{errs}] for steps {FD_STEPS}, "
-                 f"fitted order {order:.3f} (band [{lo}, {hi}])"),
-    )
+    return lo <= order <= hi, (
+        f"fd errors [{errs}] for steps {FD_STEPS}, "
+        f"fitted order {order:.3f} (band [{lo}, {hi}])")
 
 
-def _check_oracle() -> CheckResult:
+def _check_oracle() -> tuple[bool, str]:
     report = run_oracle_check()
     slack = 1e-10 * max(report.j_at_iterate, 1.0)
     ordered = (report.j_gauss_newton <= report.j_surrogate + slack
                and report.j_surrogate <= report.j_at_iterate + slack)
     decreased = (report.residual_norm <= 1e-10
                  or report.j_surrogate < report.j_at_iterate)
-    return CheckResult(
-        name="oracle",
-        passed=ordered and decreased and report.gn_step_in_box,
-        details=(f"J at iterate {report.j_at_iterate:.6e}, "
-                 f"surrogate {report.j_surrogate:.6e}, "
-                 f"dense minimizer {report.j_gauss_newton:.6e}; "
-                 f"normal-equation residual at surrogate "
-                 f"{report.opt_residual_surrogate:.3e}, "
-                 f"at dense minimizer {report.opt_residual_gn:.3e}"),
-    )
+    return ordered and decreased and report.gn_step_in_box, (
+        f"J at iterate {report.j_at_iterate:.6e}, "
+        f"surrogate {report.j_surrogate:.6e}, "
+        f"dense minimizer {report.j_gauss_newton:.6e}; "
+        f"normal-equation residual at surrogate "
+        f"{report.opt_residual_surrogate:.3e}, "
+        f"at dense minimizer {report.opt_residual_gn:.3e}")
 
 
-def _check_fem(kind: str) -> CheckResult:
+def _check_fem(kind: str) -> tuple[bool, str]:
     coarse, fine = fem_convergence_check(kind)
     ratio = coarse / fine
     minimum = ELLIPTIC_RATIO_MIN if kind == "elliptic" else PARABOLIC_RATIO_MIN
-    return CheckResult(
-        name=f"fem-{kind}",
-        passed=ratio >= minimum,
-        details=(f"errors {coarse:.6e} -> {fine:.6e}, "
-                 f"ratio {ratio:.2f} (minimum {minimum})"),
-    )
+    return ratio >= minimum, (f"errors {coarse:.6e} -> {fine:.6e}, "
+                              f"ratio {ratio:.2f} (minimum {minimum})")
 
 
+# Each check by its name, a function giving (passed, details).
 _BATTERY = (
     ("adjoint-elliptic", lambda: _check_adjoint("elliptic")),
     ("adjoint-parabolic", lambda: _check_adjoint("parabolic")),
@@ -651,4 +639,4 @@ def verification_battery(only: str | None = None) -> list[CheckResult]:
     if not selected:
         names = ", ".join(name for name, _ in _BATTERY)
         raise ValueError(f"no check matches {only!r}; available: {names}")
-    return [fn() for _, fn in selected]
+    return [CheckResult(name, *fn()) for name, fn in selected]

@@ -60,9 +60,10 @@ full solve's edge block.
 
 RobinProblem is the Robin system both problem kinds share: the admissible
 box of gamma, the operator S = base + B_gamma, the data load of f, g and
-h, and the boundary loads -(x M), x a segment field and M the segment
-mass, that are the right-hand sides of every derivative and adjoint
-solve, on the segment's nodes alone.  The mesh numbers its
+h, the one check of a trace's shape and finiteness (trace), and the
+boundary loads -(x M), x a segment field and M the segment mass, that
+are the right-hand sides of every derivative and adjoint solve, on the
+segment's nodes alone.  The mesh numbers its
 nodes by column, x outer and y inner, and the factor takes them in that
 order: it groups the leading columns into blocks of about _BLOCK_WIDTH
 unknowns and keeps the inaccessible edge x = lx, the only place B_gamma
@@ -752,36 +753,32 @@ def _coeff_on_points(coeff, x: np.ndarray, y: np.ndarray,
 
     With times, a callable is a datum of (x, y, t), sampled once with t =
     times[:, None, ...] broadcast against the points, which gives one
-    sample per level, shape (len(times), *x.shape); a TypeError naming
-    the datum, chained from the original error, says that it must be
-    vectorized in t when that call or broadcast fails.  Without times, a
-    sample that does not broadcast to the points raises a TypeError
-    naming the argument, chained in the same way.  A scalar gives one
-    sample of the points' shape either way.  A callable's sample is a
-    read-only broadcast view, not a copy; callers only read it.  Anything
-    else (a nodal array, say) raises TypeError naming the argument.
+    sample per level, shape (len(times), *x.shape); without, a callable
+    of (x, y) gives one sample of the points' shape.  When the call or
+    the broadcast of its sample fails, a TypeError naming the argument
+    and chained from the original error says how it must be vectorized,
+    with the sample's shape if there is one.  A scalar gives one sample
+    of the points' shape either way.  A callable's sample is a read-only
+    broadcast view, not a copy; callers only read it.  Anything else (a
+    nodal array, say) raises TypeError naming the argument.
     """
     args = "(x, y)" if times is None else "(x, y, t)"
-    if callable(coeff) and times is None:
-        values = np.asarray(coeff(x, y), dtype=float)
-        try:
-            return np.broadcast_to(values, x.shape)
-        except ValueError as err:
-            raise TypeError(
-                f"{name} must be a scalar or a vectorized callable of {args}, "
-                f"got a sample of shape {values.shape} for points of shape "
-                f"{x.shape}") from err
     if callable(coeff):
-        t = np.reshape(times, (-1,) + (1,) * x.ndim)
-        shape = t.shape[:1] + x.shape
+        if times is None:
+            t, need = (), f"a vectorized callable of {args}"
+        else:
+            t = (np.reshape(times, (-1,) + (1,) * x.ndim),)
+            need = (f"a callable of {args} vectorized in x, y and t, "
+                    f"sampled at all {len(t[0])} levels at once")
+        sample = None
         try:
-            return np.broadcast_to(np.asarray(coeff(x, y, t), dtype=float),
-                                   shape)
+            sample = np.asarray(coeff(x, y, *t), dtype=float)
+            return np.broadcast_to(sample, (*map(len, t), *x.shape))
         except (TypeError, ValueError) as err:
-            raise TypeError(
-                f"{name} must be a scalar or a callable of (x, y, t) "
-                f"vectorized in x, y and t, sampled at all {len(t)} levels "
-                f"at once") from err
+            got = ("it fails" if sample is None
+                   else f"got a sample of shape {sample.shape}")
+            raise TypeError(f"{name} must be a scalar or {need}, {got} for "
+                            f"points of shape {x.shape}") from err
     if np.ndim(coeff) != 0:
         raise TypeError(
             f"{name} must be a scalar or a vectorized callable of {args}, "
@@ -998,11 +995,14 @@ class RobinProblem:
     """The Robin system shared by EllipticProblem and ParabolicProblem.
 
     A subclass is a frozen dataclass with the fields mesh, gamma_min and
-    gamma_max and a gamma-free matrix ``base``; the operator of a Robin
-    coefficient gamma is base + B_gamma, B_gamma the segment mass of
-    gamma on the inaccessible segment.  Like base, the factor of base is
-    computed on first use and kept, so every operator of the problem
-    shares its leading pivots.  The boundary loads of the derivative and
+    gamma_max, a gamma-free matrix ``base`` and the leading axes
+    ``levels`` of its traces, derived from its data: () for one segment
+    field, (nt + 1,) for a march.  The operator of a Robin coefficient
+    gamma is base + B_gamma, B_gamma the segment mass of gamma on the
+    inaccessible segment.  Like base, the factor of base is computed on
+    first use and kept, so every operator of the problem shares its
+    leading pivots.  Every trace that enters a solve or the outer loop
+    passes one check, trace.  The boundary loads of the derivative and
     adjoint solves are segment loads, products with the segment mass.
     """
 
@@ -1046,32 +1046,28 @@ class RobinProblem:
             b = b + assemble_boundary_load(self.mesh, tag, data, times, name)
         return b
 
-    def segment_fields(self, tag: SegmentTag, x) -> np.ndarray:
-        """x as a float array of fields on segment tag, one or a stack of
-        them; ValueError, naming the segment, unless the last axis of x is
-        the segment's node count, so that no field broadcasts across it."""
+    def trace(self, tag: SegmentTag, x, name: str, levels=None) -> np.ndarray:
+        """x as a float array of shape (*levels, n), n the node count of
+        segment tag and levels the problem's own unless given: the one
+        check of every trace that enters a solve or the outer loop.
+        Raises ValueError naming x, the segment, x's shape and the
+        expected one for any other shape, so that no field broadcasts
+        across the segment or the levels, and naming x for a NaN or an
+        infinity, which no solve should be blamed for."""
         x = np.asarray(x, dtype=float)
-        n = self.mesh.segments[tag].nodes.size
-        if x.shape[-1:] != (n,):
-            raise ValueError(f"segment {tag.name} has {n} nodes, got a field "
-                             f"of shape {x.shape}")
+        expected = (*(self.levels if levels is None else levels),
+                    self.mesh.segments[tag].nodes.size)
+        if x.shape != expected:
+            raise ValueError(f"{name} on segment {tag.name} must have shape "
+                             f"{expected}, got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} holds non-finite values (NaN or inf)")
         return x
-
-    def forward_trace(self, u_i, *levels: int) -> np.ndarray:
-        """u_i as a float array, the inaccessible trace of a forward solve
-        with the leading axes levels (none for one field); ValueError,
-        naming u_i, its shape and the expected one, unless it has them."""
-        u_i = np.asarray(u_i, dtype=float)
-        expected = (*levels,
-                    self.mesh.segments[SegmentTag.INACCESSIBLE].nodes.size)
-        if u_i.shape != expected:
-            raise ValueError(f"the forward trace u_i on segment "
-                             f"{SegmentTag.INACCESSIBLE.name} must have "
-                             f"shape {expected}, got shape {u_i.shape}")
-        return u_i
 
     def boundary_loads(self, tag: SegmentTag, x) -> np.ndarray:
         """Boundary load -(x M) of the fields x on segment tag, M the
         segment mass, on the segment's nodes alone: one load for a segment
-        field, one per row for a stack or series (see segment_fields)."""
-        return -(self.segment_fields(tag, x) @ self.mesh.segments[tag].mass)
+        field, one per row for a stack or series, whatever its leading
+        axes (see trace)."""
+        x = self.trace(tag, x, "the boundary field x", np.shape(x)[:-1])
+        return -(x @ self.mesh.segments[tag].mass)

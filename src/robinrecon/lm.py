@@ -10,10 +10,13 @@ operator accepts.
 
 Both problem kinds run the same code through the problem protocol of
 EllipticProblem and ParabolicProblem (operator, forward, adjoint, inner,
-integrate); only those methods know whether a trace is one segment field
-or a time series.  The loop sees traces only: forward gives the
-accessible and inaccessible traces, adjoint the inaccessible trace of
-the adjoint state.  A step builds the operator once, a fem.Operator
+integrate); only those methods and the problem's levels know whether a
+trace is one segment field or a time series.  Every trace the loop is
+given passes the problem's one check of a trace (fem.RobinProblem.trace)
+before any solve: gamma0 and gamma_star once in run, the data z in each
+step before its operator is built.  The loop sees traces only: forward
+gives the accessible and inaccessible traces, adjoint the inaccessible
+trace of the adjoint state.  A step builds the operator once, a fem.Operator
 that completes the factor of the problem's cached gamma-free base with
 the Robin mass of the iterate, and passes it to both the forward and
 the adjoint solve; _quantities returns that operator and the forward
@@ -110,16 +113,13 @@ def _quantities(prob, gamma: np.ndarray, z: np.ndarray):
 
     z is the accessible trace the forward solve is compared with: one
     segment field for a stationary problem, one per time level for a
-    march.  The misfit r = z - u_a is the adjoint's weight, level 0 of a
-    march included: no march reads it.
+    march, checked by the problem's trace before any solve.  The misfit
+    r = z - u_a is the adjoint's weight, level 0 of a march included: no
+    march reads it.
     """
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("data z holds non-finite values (NaN or inf)")
+    z = prob.trace(SegmentTag.ACCESSIBLE, z, "data z")
     op = prob.operator(gamma)
     u_a, u_i = prob.forward(op)
-    if z.shape != u_a.shape:
-        raise ValueError(f"data has shape {z.shape}, expected {u_a.shape}")
     r = z - u_a
     residual_norm = float(np.sqrt(prob.inner(SegmentTag.ACCESSIBLE, r, r)))
     beta = residual_norm * residual_norm
@@ -140,7 +140,6 @@ def _advance(prob, state: LmState, residual_norm: float, beta: float,
         fem.boundary_norm(mesh, tag, state.gamma)
     rel_error = None
     if gamma_star is not None:
-        gamma_star = np.asarray(gamma_star, dtype=float)
         rel_error = fem.boundary_norm(mesh, tag, new_gamma - gamma_star) / \
             fem.boundary_norm(mesh, tag, gamma_star)
     row = HistoryRow(k=state.k + 1, residual=residual_norm, beta=beta,
@@ -201,15 +200,16 @@ def run(
     state's stop_reason records which.  A step whose solve fails
     (fem.LinearSolveError) ends the run at the last completed state, with
     stop_reason "error" and error "iteration k failed: <message>".
+    gamma0, and gamma_star when given, are fields on the inaccessible
+    segment, checked by the problem's trace before the first step, and
+    gamma0 must lie in the problem's box; the run keeps a copy of gamma0.
     """
-    seg_i = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
-    gamma0 = np.array(gamma0, dtype=float)
-    if gamma0.shape != seg_i.shape:
-        raise ValueError(
-            f"gamma0 has shape {gamma0.shape}, segment has {seg_i.shape}"
-        )
-    fem.require_in_box(gamma0, prob.gamma_min, prob.gamma_max, name="gamma0")
     step = _step_function(prob)
+    tag = SegmentTag.INACCESSIBLE
+    gamma0 = prob.trace(tag, np.array(gamma0, dtype=float), "gamma0", ())
+    fem.require_in_box(gamma0, prob.gamma_min, prob.gamma_max, name="gamma0")
+    if gamma_star is not None:
+        gamma_star = prob.trace(tag, gamma_star, "gamma_star", ())
     state = LmState(k=0, gamma=gamma0)
     reason = "max_iters"
     for _ in range(cfg.max_iters):

@@ -18,8 +18,9 @@ value and loading levels N-1..0 instead would leave an O(dt) gap.
 
 ParabolicProblem is a fem.RobinProblem, which supplies the box check,
 the operator (the factor of the cached base M/dt + K_a, completed with
-the dense edge block of B_gamma) and the boundary loads of all levels
-at once, one product of a series of segment fields with the segment
+the dense edge block of B_gamma), the check of a trace, whose levels are
+the nt + 1 time levels here, and the boundary loads of all levels at
+once, one product of a series of segment fields with the segment
 mass.  The step mass M/dt, whose product with the previous level each
 step takes, and load, the data loads of every level, are cached on the
 problem too; load is one data_load call over the times t_1..t_N, which
@@ -83,6 +84,11 @@ class ParabolicProblem(fem.RobinProblem):
     def dt(self) -> float:
         return self.T / self.nt
 
+    @property
+    def levels(self) -> tuple:
+        """The leading axes of a trace: one per time level."""
+        return (self.nt + 1,)
+
     @cached_property
     def step_mass(self) -> fem.SymBand:
         """M/dt, M the consistent mass matrix: the step's product with the
@@ -129,16 +135,14 @@ class ParabolicProblem(fem.RobinProblem):
 
     def derivative(self, u_i, d, op) -> np.ndarray:
         """Accessible trace series of the sensitivity march for one
-        direction d (ValueError for a stack), u_i the inaccessible trace
-        series of the forward march for op, all nt + 1 levels (ValueError
-        for any other shape): from zero, with the boundary load of -(d *
-        u_n) on the inaccessible side at each step."""
+        direction d, u_i the inaccessible trace series of the forward
+        march for op, all nt + 1 levels; both pass trace (ValueError for a
+        stack of directions, any other shape or a non-finite entry): from
+        zero, with the boundary load of -(d * u_n) on the inaccessible
+        side at each step."""
         tag = SegmentTag.INACCESSIBLE
-        u_i = self.forward_trace(u_i, self.nt + 1)
-        d = self.segment_fields(tag, d)
-        if d.ndim != 1:
-            raise ValueError(f"a march takes one direction d, a field of "
-                             f"segment {tag.name}, got shape {d.shape}")
+        u_i = self.trace(tag, u_i, "the forward trace u_i")
+        d = self.trace(tag, d, "the direction d", ())
         loads = self.boundary_loads(tag, d * u_i)
         return _march(self, op, loads, np.zeros(self.mesh.n_nodes),
                       self._seg_i)[:, self._seg_a]
@@ -207,16 +211,16 @@ def solve_adjoint_parabolic(
 ) -> np.ndarray:
     """Adjoint trajectory for accessible-side weights q, backward in time.
 
-    q has shape (nt + 1, accessible node count); row 0 is never used since
-    the right-endpoint pairing gives the initial level zero weight.  The
-    sweep is the exact transpose of the derivative march: the backward
-    march over the boundary loads of -q, row n from row n + 1 for n from
-    N down to 1, so the first solve already carries the level-N load.
-    Level 0 is no unknown of the transposed march and stays zero.
+    q has shape (nt + 1, accessible node count), checked by
+    fem.RobinProblem.trace; row 0 is never used since the right-endpoint
+    pairing gives the initial level zero weight.  The sweep is the exact
+    transpose of the derivative march: the backward march over the
+    boundary loads of -q, row n from row n + 1 for n from N down to 1, so
+    the first solve already carries the level-N load.  Level 0 is no
+    unknown of the transposed march and stays zero.
     """
-    if len(q) != prob.nt + 1:
-        raise ValueError(f"weight series has {len(q)} levels, expected {prob.nt + 1}")
-    loads = prob.boundary_loads(SegmentTag.ACCESSIBLE, q)
+    tag = SegmentTag.ACCESSIBLE
+    loads = prob.boundary_loads(tag, prob.trace(tag, q, "the weight q"))
     return _march(prob, op, loads, np.zeros(prob.mesh.n_nodes), prob._seg_a,
                   backward=True)
 

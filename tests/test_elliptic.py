@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,19 @@ def test_derivative_takes_a_stack_of_directions():
     for d, w in zip(directions, stacked):
         alone = example.problem.derivative(u_i, d, op)
         assert np.linalg.norm(w - alone) <= 1e-13 * np.linalg.norm(alone)
+
+
+def test_derivative_takes_no_stack_of_stacks():
+    """A stack of directions has one leading axis; a (2, k, segment) array
+    fails naming d and both shapes instead of reaching the edge solve,
+    whose matmul would fail on it without naming anything."""
+    example, mesh, gamma = setup(4, 8)
+    op = example.problem.operator(gamma)
+    _, u_i = example.problem.forward(op)
+    with pytest.raises(ValueError, match=re.escape(
+            "the direction d on segment INACCESSIBLE must have shape "
+            "(2, 9), got shape (2, 3, 9)")):
+        example.problem.derivative(u_i, np.ones((2, 3, 9)), op)
 
 
 def test_adjoint_identity_single_pair():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 import reference_cg
 import reference_quadrature
 from reference_band import toarray
+from robinrecon import elliptic as ell
 from robinrecon import experiments, fem
+from robinrecon import parabolic as par
 from robinrecon.elliptic import EllipticProblem
 from robinrecon.mesh import (SegmentTag, build_rect_mesh, classify_boundary,
                              signed_areas)
@@ -136,6 +139,37 @@ def test_nodal_array_coefficient_is_rejected_by_name(assemble, name):
     assert isinstance(info.value.__cause__, ValueError)
 
 
+def _sampling(name, datum):
+    """The 2 x 4 problem of each kind with datum as name, the others
+    constant, and what samples it: the load, the base or the march."""
+    mesh = make_mesh(2, 4)
+    if name == "u0":
+        prob = par.ParabolicProblem(mesh, a=1.0, f=0.0, g=0.0, h=0.0,
+                                    u0=datum, T=1.0, nt=2)
+        return lambda: prob.field(prob.operator(np.ones(5)))
+    data = {"a": 1.0, "c": 1.0, "f": 0.0, "g": 0.0, "h": 0.0, name: datum}
+    prob = EllipticProblem(mesh=mesh, **data)
+    return lambda: prob.load if name == "f" else prob.base
+
+
+@pytest.mark.parametrize("name, datum", [
+    ("f", lambda x, y: math.sin(x)),
+    ("a", lambda x, y: math.exp(x)),
+    ("u0", lambda x, y: math.cos(y)),
+], ids=["load", "base", "initial-value"])
+def test_a_callable_not_vectorized_in_x_and_y_fails_by_name(name, datum):
+    """A callable of (x, y) that takes one point at a time fails in its
+    own code when sampled at all points at once; the error names the
+    datum and says it must be vectorized, chained from that failure, as
+    a datum of (x, y, t) not vectorized in t does."""
+    sample = _sampling(name, datum)
+    with pytest.raises(TypeError, match=(
+            rf"^{name} must be a scalar or a vectorized callable of "
+            rf"\(x, y\), it fails for points of shape")) as info:
+        sample()
+    assert isinstance(info.value.__cause__, TypeError)
+
+
 @pytest.mark.parametrize("assemble", [
     fem.assemble_load, fem.assemble_mass, fem.assemble_stiffness,
     lambda mesh, g: fem.assemble_boundary_load(
@@ -253,10 +287,15 @@ def test_boundary_loads_reject_a_field_of_another_size(example_id):
     n_edge = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE).size
     op = prob.operator(np.full(n_edge, 2.0))
     u_a, u_i = prob.forward(op)
-    with pytest.raises(ValueError, match="segment INACCESSIBLE has 9 nodes"):
+    with pytest.raises(ValueError, match=re.escape(
+            "the direction d on segment INACCESSIBLE must have shape (9,), "
+            "got shape (1,)")):
         prob.derivative(u_i, np.array([1.0]), op)
-    with pytest.raises(ValueError, match="segment ACCESSIBLE has 17 nodes"):
-        prob.adjoint(np.ones(u_a.shape)[..., :1], op)
+    q = np.ones(u_a.shape)[..., :1]
+    with pytest.raises(ValueError, match=re.escape(
+            f"the weight q on segment ACCESSIBLE must have shape "
+            f"{u_a.shape}, got shape {q.shape}")):
+        prob.adjoint(q, op)
     with pytest.raises(ValueError, match="segment INACCESSIBLE"):
         prob.derivative(u_i[..., :-1], np.ones(n_edge - 1), op)
     for bad in (np.stack([u_i, u_i]), u_i[-1], u_i[:-1]):
@@ -266,6 +305,54 @@ def test_boundary_loads_reject_a_field_of_another_size(example_id):
             prob.derivative(bad, np.ones(n_edge), op)
     with pytest.raises(ValueError, match="segment ACCESSIBLE"):
         prob.boundary_loads(SegmentTag.ACCESSIBLE, 1.0)
+
+
+@pytest.mark.parametrize("example_id, bad_shapes", [
+    ("5.1", [(2, 17), (17, 17)]),
+    ("5.3", [(17,), (2, 17, 17)]),
+])
+def test_adjoint_takes_one_weight_of_the_problems_levels(example_id,
+                                                         bad_shapes):
+    """The adjoint's weight q is one trace of the problem's shape, one
+    segment field or all nt + 1 levels of one, also for a direct call of
+    the module function.  A stationary stack of weights fails instead of
+    being read as columns of the edge solve, a (17, 17) one included, and
+    with nt + 1 = 17, the accessible node count at 4 x 8, a march's single
+    field fails instead of broadcasting to every level."""
+    example = experiments.make_example(example_id, nx=4, ny=8, nt=16)
+    prob = example.problem
+    solve_adjoint = (ell.solve_adjoint if example_id == "5.1"
+                     else par.solve_adjoint_parabolic)
+    op = prob.operator(np.full(9, 2.0))
+    expected = prob.forward(op)[0].shape
+    for shape in bad_shapes:
+        with pytest.raises(ValueError, match=re.escape(
+                f"the weight q on segment ACCESSIBLE must have shape "
+                f"{expected}, got shape {shape}")):
+            solve_adjoint(prob, np.ones(shape), op)
+    solve_adjoint(prob, np.ones(expected), op)   # the problem's own shape
+
+
+@pytest.mark.parametrize("example_id", ["5.1", "5.3"])
+def test_a_non_finite_trace_is_rejected_by_name(example_id):
+    """A NaN or an infinity in the weight q, the direction d or the
+    forward trace u_i fails naming it, before any solve, instead of as a
+    block solve that missed SOLVE_TOL."""
+    prob = experiments.make_example(example_id, nx=4, ny=8, nt=3).problem
+    op = prob.operator(np.full(9, 2.0))
+    u_a, u_i = prob.forward(op)
+    d = np.ones(u_i.shape[-1])
+    for bad in (np.nan, np.inf):
+        q, d_bad, u_bad = np.ones(u_a.shape), d.copy(), u_i.copy()
+        q.flat[5] = d_bad[2] = u_bad.flat[3] = bad
+        for name, call in (
+                ("the weight q", lambda: prob.adjoint(q, op)),
+                ("the direction d", lambda: prob.derivative(u_i, d_bad, op)),
+                ("the forward trace u_i",
+                 lambda: prob.derivative(u_bad, d, op))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} holds non-finite values (NaN or inf)")):
+                call()
 
 
 def test_a_source_may_return_its_own_points():

@@ -8,6 +8,7 @@ the acceptance bands; they guard against silent behavioural drift.
 from __future__ import annotations
 
 import dataclasses
+import re
 import types
 
 import numpy as np
@@ -171,6 +172,34 @@ def test_run_rejects_non_finite_data(setup):
         z_bad.flat[z.size // 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             lm.run(prob, gamma0, z_bad, lm.LmConfig(eps=1e-3))
+
+
+@pytest.mark.parametrize("setup", [_elliptic_setup, _parabolic_setup])
+def test_run_checks_its_traces_before_any_solve(setup, monkeypatch):
+    """Data z of another shape, and a reference gamma_star of another
+    shape or with a NaN, fail naming the argument before the first
+    operator is built, instead of after a forward solve, after a whole
+    step, or never (a NaN gamma_star would only turn rel_error NaN)."""
+    prob, gamma_star, z, gamma0 = setup()
+
+    def no_operator(self, gamma):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(fem.RobinProblem, "robin_operator", no_operator)
+    cfg = lm.LmConfig(eps=1e-3)
+    for bad in (z[..., :-1], z[None], np.ones(3)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"data z on segment ACCESSIBLE must have shape {z.shape}, "
+                f"got shape {bad.shape}")):
+            lm.run(prob, gamma0, bad, cfg)
+    nan_star = gamma_star.copy()
+    nan_star[1] = np.nan
+    for bad, message in (
+            (np.ones(3), f"gamma_star on segment INACCESSIBLE must have "
+                         f"shape {gamma_star.shape}, got shape (3,)"),
+            (nan_star, "gamma_star holds non-finite values (NaN or inf)")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lm.run(prob, gamma0, z, cfg, gamma_star=bad)
 
 
 # ---------------------------------------------------------------------------

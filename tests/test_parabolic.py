@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -213,11 +214,13 @@ def test_derivative_takes_one_direction():
     m = u_i.shape[1]
     d = np.linspace(-1.0, 1.0, m)
     for rows in (1, 2, prob.nt + 1):
-        with pytest.raises(ValueError, match=(
-                rf"one direction d, a field of segment INACCESSIBLE, got "
-                rf"shape \({rows}, {m}\)")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"the direction d on segment INACCESSIBLE must have shape "
+                f"({m},), got shape ({rows}, {m})")):
             prob.derivative(u_i, np.tile(d, (rows, 1)), op)
-    with pytest.raises(ValueError, match=rf"shape \({m}, {m}\)"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"the direction d on segment INACCESSIBLE must have shape "
+            f"({m},), got shape ({m}, {m})")):
         prob.derivative(u_i, np.eye(m), op)
     seg_a = mesh.segment_nodes(SegmentTag.ACCESSIBLE)
     assert prob.derivative(u_i, d, op).shape == (prob.nt + 1, seg_a.size)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import reference_cg
 import reference_quadrature
 from reference_band import toarray
+import sin_in_t
 import surrogate
 from robinrecon import experiments as ex
 from robinrecon import fem
@@ -23,14 +24,25 @@ from robinrecon import lm
 from robinrecon.mesh import SegmentTag, build_rect_mesh, classify_boundary
 
 
-@pytest.mark.parametrize("example_id", ["5.1", "5.3"])
+# 5.3 with data nonlinear in t, beside the registered examples
+SIN_IN_T = "5.3-sin-t"
+
+
+def _example(example_id, nx, ny, nt):
+    if example_id == SIN_IN_T:
+        return sin_in_t.example(nx, ny, nt)
+    return ex.make_example(example_id, nx=nx, ny=ny, nt=nt)
+
+
+@pytest.mark.parametrize("example_id", ["5.1", "5.3", SIN_IN_T])
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(nx=st.integers(1, 6), ny=st.integers(1, 8), nt=st.integers(1, 6),
        seed=st.integers(0, 2**32 - 1))
 def test_adjoint_identity_on_random_meshes(example_id, nx, ny, nt, seed):
     """(D[gamma] d, u p) on the accessible side equals (u d, w*) on the
-    inaccessible side, for any admissible gamma, d and p."""
-    prob = ex.make_example(example_id, nx=nx, ny=ny, nt=nt).problem
+    inaccessible side, for any admissible gamma, d and p, also for data
+    nonlinear in t."""
+    prob = _example(example_id, nx, ny, nt).problem
     seg_i = prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE)
     seg_a = prob.mesh.segment_nodes(SegmentTag.ACCESSIBLE)
     rng = np.random.default_rng(seed)
@@ -47,14 +59,14 @@ def test_adjoint_identity_on_random_meshes(example_id, nx, ny, nt, seed):
     assert gap <= ex.ADJOINT_TOL
 
 
-@pytest.mark.parametrize("example_id", ["5.1", "5.3"])
+@pytest.mark.parametrize("example_id", ["5.1", "5.3", SIN_IN_T])
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(nx=st.integers(1, 6), ny=st.integers(1, 8), nt=st.integers(1, 6))
 @example(nx=10, ny=32, nt=4)   # leading blocks of 132, 132 and 66
 def test_exact_coefficient_is_a_fixed_point(example_id, nx, ny, nt):
     """Noise-free data at the exact coefficient leave nothing to correct:
     the first step measures a zero residual and stays where it started,
-    with one leading block or several."""
+    with one leading block or several, also for data nonlinear in t."""
     _assert_fixed_point(example_id, nx, ny, nt)
 
 
@@ -70,7 +82,7 @@ def test_exact_coefficient_is_a_fixed_point_with_a_dense_edge_step(
 
 
 def _assert_fixed_point(example_id, nx, ny, nt):
-    example = ex.make_example(example_id, nx=nx, ny=ny, nt=nt)
+    example = _example(example_id, nx, ny, nt)
     prob = example.problem
     gamma_star = ex.interpolate_gamma(prob.mesh, example.gamma_star)
     z = ex.exact_observation(example)
