@@ -765,15 +765,17 @@ def _coeff_on_points(coeff, x: np.ndarray, y: np.ndarray,
     args = "(x, y)" if times is None else "(x, y, t)"
     if callable(coeff):
         if times is None:
-            t, need = (), f"a vectorized callable of {args}"
+            t, shape = (), x.shape
+            need = f"a vectorized callable of {args}"
         else:
             t = (np.reshape(times, (-1,) + (1,) * x.ndim),)
+            shape = (len(t[0]), *x.shape)
             need = (f"a callable of {args} vectorized in x, y and t, "
-                    f"sampled at all {len(t[0])} levels at once")
+                    f"sampled at all {shape[0]} levels at once")
         sample = None
         try:
             sample = np.asarray(coeff(x, y, *t), dtype=float)
-            return np.broadcast_to(sample, (*map(len, t), *x.shape))
+            return np.broadcast_to(sample, shape)
         except (TypeError, ValueError) as err:
             got = ("it fails" if sample is None
                    else f"got a sample of shape {sample.shape}")
