@@ -14,13 +14,16 @@ discrete adjoint identity hold to solver precision downstream.
 
 Boundary fields (Robin coefficients, measurement residuals, directions)
 are plain 1-D arrays indexed by the node list of one segment, in (y, x)
-order, see Mesh.segment_nodes; the segment geometry comes precomputed
-with the mesh (Mesh.segments).  Nodal fields on the whole mesh are 1-D
-arrays of length n_nodes.  The load assemblies (assemble_load,
-assemble_boundary_load) take a scalar or a callable datum, and with the
-times of a march's levels sample a callable of (x, y, t) once for all
-of them, t an array along a leading axis broadcast against the
-quadrature points; each level is weighted and scattered from its view
+order, see Mesh.segment_nodes, with leading axes for a stack or a time
+series; the segment geometry comes precomputed with the mesh
+(Mesh.segments).  Every boundary field passes one check of its shape and
+finiteness, boundary_field: the weight of segment_mass, both factors of
+boundary_inner, and through RobinProblem.trace every trace of a solve.
+Nodal fields on the whole mesh are 1-D arrays of length n_nodes.  The
+load assemblies (assemble_load, assemble_boundary_load) take a scalar or
+a callable datum, and with the times of a march's levels sample a
+callable of (x, y, t) once for all of them, t an array along a leading
+axis broadcast against the quadrature points; each level is weighted and scattered from its view
 of that sample with one np.bincount, so a row is bit for bit the load
 of the datum frozen at its time.
 
@@ -60,7 +63,7 @@ full solve's edge block.
 
 RobinProblem is the Robin system both problem kinds share: the admissible
 box of gamma, the operator S = base + B_gamma, the data load of f, g and
-h, the one check of a trace's shape and finiteness (trace), and the
+h, boundary_field at the problem's own levels (trace), and the
 boundary loads -(x M), x a segment field and M the segment mass, that
 are the right-hand sides of every derivative and adjoint solve, on the
 segment's nodes alone.  The mesh numbers its
@@ -71,8 +74,8 @@ touches, alone as its last block.
 The gamma-free base is factored once per problem, up to the Schur
 complement Sigma_0 of that edge (base_factor); an operator is the
 Operator of that factor completed with the dense edge block B_gamma[I,
-I] = segment_mass(mesh, INACCESSIBLE, gamma), I the edge nodes, and
-nothing more.
+I], I the edge nodes, the mass of gamma there (Segment.weighted_mass),
+and nothing more.
 """
 
 from __future__ import annotations
@@ -934,24 +937,39 @@ def assemble_boundary_load(mesh: Mesh, tag: SegmentTag, g, times=None,
     return out
 
 
+def boundary_field(mesh: Mesh, tag: SegmentTag, x, name: str,
+                   levels=()) -> np.ndarray:
+    """x as a float array of shape (*levels, n), n the node count of
+    segment tag: the one check of every boundary field, a trace, a Robin
+    coefficient, a weight or a factor of an inner product.  Raises
+    ValueError naming x, the segment, x's shape and the expected one for
+    any other shape, so that no field broadcasts across the segment or
+    the levels, and naming x for a NaN or an infinity, which no solve
+    should be blamed for."""
+    x = np.asarray(x, dtype=float)
+    expected = (*levels, mesh.segments[tag].nodes.size)
+    if x.shape != expected:
+        raise ValueError(f"{name} on segment {tag.name} must have shape "
+                         f"{expected}, got shape {x.shape}")
+    # count_nonzero is one C call; .all() dispatches through Python and,
+    # on the few dozen entries of a segment field, costs about twice as much
+    if np.count_nonzero(np.isfinite(x)) != x.size:
+        raise ValueError(f"{name} holds non-finite values (NaN or inf)")
+    return x
+
+
 def segment_mass(mesh: Mesh, tag: SegmentTag, weight=1.0) -> np.ndarray:
     """Exact P1 mass of a weight on one segment, dense in the segment's
     node numbering (Mesh.segment_nodes): entry (i, j) the integral of
-    weight * phi_i * phi_j.  weight is a scalar or nodal values on the
-    segment (Segment.weighted_mass); the unweighted mass is kept as
-    Segment.mass.  Raises ValueError, naming the segment, when a nodal
-    weight has the wrong size.
+    weight * phi_i * phi_j.  weight is a scalar, broadcast to every node,
+    or nodal values on the segment (Segment.weighted_mass), checked by
+    boundary_field; the unweighted mass is kept as Segment.mass.
     """
     seg = mesh.segments[tag]
-    w = np.asarray(weight, dtype=float)
-    if w.ndim == 0:
-        w = np.full(seg.nodes.shape, float(w))
-    if w.shape != seg.nodes.shape:
-        raise ValueError(
-            f"boundary weight has shape {w.shape}, "
-            f"segment {tag.name} has {seg.nodes.size} nodes"
-        )
-    return seg.weighted_mass(w)
+    if np.ndim(weight) == 0:
+        weight = np.full(seg.nodes.shape, float(weight))
+    return seg.weighted_mass(
+        boundary_field(mesh, tag, weight, "the boundary weight"))
 
 
 def assemble_boundary_mass(mesh: Mesh, tag: SegmentTag, weight) -> SymBand:
@@ -963,16 +981,11 @@ def assemble_boundary_mass(mesh: Mesh, tag: SegmentTag, weight) -> SymBand:
 
 def boundary_inner(mesh: Mesh, tag: SegmentTag, u: np.ndarray, v: np.ndarray) -> float:
     """L2 inner product of two segment fields (linear interpolation per
-    edge), u @ M @ v with the segment mass M: exact."""
-    seg = mesh.segments[tag]
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != seg.nodes.shape or v.shape != seg.nodes.shape:
-        raise ValueError(
-            f"segment {tag.name} has {seg.nodes.shape[0]} nodes, "
-            f"got fields of size {u.shape} and {v.shape}"
-        )
-    return float(u @ (seg.mass @ v))
+    edge), u @ M @ v with the segment mass M: exact.  Both pass
+    boundary_field, v only when it is another object than u."""
+    checked = boundary_field(mesh, tag, u, "the field u")
+    v = checked if v is u else boundary_field(mesh, tag, v, "the field v")
+    return float(checked @ (mesh.segments[tag].mass @ v))
 
 
 def boundary_norm(mesh: Mesh, tag: SegmentTag, u: np.ndarray) -> float:
@@ -1004,8 +1017,10 @@ class RobinProblem:
     inaccessible segment.  Like base, the factor of base is computed on
     first use and kept, so every operator of the problem shares its
     leading pivots.  Every trace that enters a solve or the outer loop
-    passes one check, trace.  The boundary loads of the derivative and
-    adjoint solves are segment loads, products with the segment mass.
+    passes one check, trace, which is boundary_field at the problem's
+    levels; gamma passes it in robin_operator.  The boundary loads of the
+    derivative and adjoint solves are segment loads, products with the
+    segment mass.
     """
 
     def __post_init__(self):
@@ -1028,13 +1043,14 @@ class RobinProblem:
 
     def robin_operator(self, gamma: np.ndarray) -> Operator:
         """base + B_gamma for a nodal gamma in the box, factored: base_factor
-        completed with B_gamma[I, I] = segment_mass(mesh, INACCESSIBLE,
-        gamma), the inaccessible edge's block and the only one B_gamma
-        touches."""
-        gamma = np.asarray(gamma, dtype=float)
+        completed with B_gamma[I, I], the mass of gamma on the
+        inaccessible edge (Segment.weighted_mass), the edge's block and the
+        only one B_gamma touches.  gamma passes trace, then the box."""
+        tag = SegmentTag.INACCESSIBLE
+        gamma = self.trace(tag, gamma, "gamma", ())
         require_in_box(gamma, self.gamma_min, self.gamma_max)
         return self.base_factor.complete(
-            segment_mass(self.mesh, SegmentTag.INACCESSIBLE, gamma))
+            self.mesh.segments[tag].weighted_mass(gamma))
 
     def data_load(self, f, g, h, times=None) -> np.ndarray:
         """Load of the volume source f, the Robin data g on the inaccessible
@@ -1049,22 +1065,11 @@ class RobinProblem:
         return b
 
     def trace(self, tag: SegmentTag, x, name: str, levels=None) -> np.ndarray:
-        """x as a float array of shape (*levels, n), n the node count of
-        segment tag and levels the problem's own unless given: the one
-        check of every trace that enters a solve or the outer loop.
-        Raises ValueError naming x, the segment, x's shape and the
-        expected one for any other shape, so that no field broadcasts
-        across the segment or the levels, and naming x for a NaN or an
-        infinity, which no solve should be blamed for."""
-        x = np.asarray(x, dtype=float)
-        expected = (*(self.levels if levels is None else levels),
-                    self.mesh.segments[tag].nodes.size)
-        if x.shape != expected:
-            raise ValueError(f"{name} on segment {tag.name} must have shape "
-                             f"{expected}, got shape {x.shape}")
-        if not np.isfinite(x).all():
-            raise ValueError(f"{name} holds non-finite values (NaN or inf)")
-        return x
+        """x checked by boundary_field, with the problem's own levels
+        unless given: the one check of every trace that enters a solve or
+        the outer loop."""
+        return boundary_field(self.mesh, tag, x, name,
+                              self.levels if levels is None else levels)
 
     def boundary_loads(self, tag: SegmentTag, x) -> np.ndarray:
         """Boundary load -(x M) of the fields x on segment tag, M the

@@ -13,15 +13,18 @@ EllipticProblem and ParabolicProblem (operator, forward, adjoint, inner,
 integrate); only those methods and the problem's levels know whether a
 trace is one segment field or a time series.  Every trace the loop is
 given passes the problem's one check of a trace (fem.RobinProblem.trace)
-before any solve: gamma0 and gamma_star once in run, the data z in each
-step before its operator is built.  The loop sees traces only: forward
-gives the accessible and inaccessible traces, adjoint the inaccessible
-trace of the adjoint state.  A step builds the operator once, a fem.Operator
-that completes the factor of the problem's cached gamma-free base with
-the Robin mass of the iterate, and passes it to both the forward and
-the adjoint solve; _quantities returns that operator and the forward
-traces next to the residual, beta and update direction, so that a check
-of the step (experiments.oracle_optimality_check) reuses them.  A march solves each
+before any solve: gamma0 once in run, gamma_star and the data z in each
+step before its operator is built, so that a step called directly checks
+them too.  The inner products and norms that give the residual and the
+stopping rule check their fields with the same fem.boundary_field.  The
+loop sees traces only: forward gives the accessible and inaccessible
+traces, adjoint the inaccessible trace of the adjoint state.  A step
+builds the operator once, a fem.Operator that completes the factor of
+the problem's cached gamma-free base with the Robin mass of the iterate,
+and passes it to both the forward and the adjoint solve; _quantities
+returns that operator and the forward traces next to the residual, beta
+and update direction, so that a check of the step
+(experiments.oracle_optimality_check) reuses them.  A march solves each
 level with a direct block solve plus one residual check against
 fem.SOLVE_TOL; a stationary step solves on the Robin edge alone, after
 the problem condensed its interior once in the run's first step.
@@ -151,6 +154,11 @@ def _advance(prob, state: LmState, residual_norm: float, beta: float,
 
 def _step(prob, state: LmState, z: np.ndarray, cfg: LmConfig,
           gamma_star: np.ndarray | None) -> LmState:
+    """One step of either kind; gamma_star, when given, passes the
+    problem's trace before _quantities builds an operator."""
+    if gamma_star is not None:
+        gamma_star = prob.trace(SegmentTag.INACCESSIBLE, gamma_star,
+                                "gamma_star", ())
     residual_norm, beta, grad, *_ = _quantities(prob, state.gamma, z)
     return _advance(prob, state, residual_norm, beta, grad, cfg, gamma_star)
 
@@ -200,16 +208,15 @@ def run(
     state's stop_reason records which.  A step whose solve fails
     (fem.LinearSolveError) ends the run at the last completed state, with
     stop_reason "error" and error "iteration k failed: <message>".
-    gamma0, and gamma_star when given, are fields on the inaccessible
-    segment, checked by the problem's trace before the first step, and
-    gamma0 must lie in the problem's box; the run keeps a copy of gamma0.
+    gamma0 is a field on the inaccessible segment, checked by the
+    problem's trace before the first step, and must lie in the problem's
+    box; the run keeps a copy of it.  gamma_star, when given, is checked
+    by each step (_step), the data z by each step's _quantities.
     """
     step = _step_function(prob)
-    tag = SegmentTag.INACCESSIBLE
-    gamma0 = prob.trace(tag, np.array(gamma0, dtype=float), "gamma0", ())
+    gamma0 = prob.trace(SegmentTag.INACCESSIBLE,
+                        np.array(gamma0, dtype=float), "gamma0", ())
     fem.require_in_box(gamma0, prob.gamma_min, prob.gamma_max, name="gamma0")
-    if gamma_star is not None:
-        gamma_star = prob.trace(tag, gamma_star, "gamma_star", ())
     state = LmState(k=0, gamma=gamma0)
     reason = "max_iters"
     for _ in range(cfg.max_iters):

@@ -22,11 +22,13 @@ the dense edge block of B_gamma), the check of a trace, whose levels are
 the nt + 1 time levels here, and the boundary loads of all levels at
 once, one product of a series of segment fields with the segment
 mass.  The step mass M/dt, whose product with the previous level each
-step takes, and load, the data loads of every level, are cached on the
-problem too; load is one data_load call over the times t_1..t_N, which
-samples each time-dependent datum once for all levels, so the
-quadrature geometry and the datum's t-free part are computed once per
-problem, not once per level.
+step takes, load, the data loads of every level, and initial_value, u0
+sampled at the nodes, are cached on the problem too, so every forward
+march starts from one sample; load is one data_load call over the times
+t_1..t_N, which samples each time-dependent datum once for all levels,
+so the quadrature geometry and the datum's t-free part are computed once
+per problem, not once per level.  space_time_inner checks both series
+with fem.boundary_field, the one check of every boundary field.
 
 ParabolicProblem carries the same problem protocol as EllipticProblem;
 every step is a direct block solve checked against fem.SOLVE_TOL, and
@@ -116,6 +118,15 @@ class ParabolicProblem(fem.RobinProblem):
         L.flags.writeable = False
         return L
 
+    @cached_property
+    def initial_value(self) -> np.ndarray:
+        """Read-only nodal initial value, u0 sampled once at the nodes:
+        the start of every forward march."""
+        x, y = self.mesh.nodes.T
+        u0 = fem._coeff_on_points(self.u0, x, y, "u0")
+        u0.flags.writeable = False
+        return u0
+
     # Problem protocol, see the module docstring.
 
     @property
@@ -199,9 +210,7 @@ def solve_forward_parabolic(
     Each step solves S u_n = (M/dt) u_{n-1} + loads(t_n), data evaluated
     at the new time level.  Returns the full (nt + 1, n_nodes) trajectory.
     """
-    x, y = prob.mesh.nodes.T
-    u0 = fem._coeff_on_points(prob.u0, x, y, "u0")
-    return _march(prob, op, prob.load, u0)
+    return _march(prob, op, prob.load, prob.initial_value)
 
 
 def solve_adjoint_parabolic(
@@ -231,16 +240,13 @@ def space_time_inner(
     """Space-time inner product of two segment-field series.
 
     Right-endpoint rule in time on top of the segment inner product in
-    space, the scalar companion of ParabolicProblem.integrate.
+    space, the scalar companion of ParabolicProblem.integrate.  u and v
+    pass fem.boundary_field with the levels of u, one time axis, v only
+    when it is another object than u.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"series shapes differ: {u.shape} vs {v.shape}")
+    checked = fem.boundary_field(mesh, tag, u, "the series u",
+                                 np.shape(u)[:1])
+    v = checked if v is u else fem.boundary_field(
+        mesh, tag, v, "the series v", checked.shape[:1])
     M = mesh.segments[tag].mass
-    if u.ndim != 2 or u.shape[1] != M.shape[0]:
-        raise ValueError(
-            f"segment {tag.name} has {M.shape[0]} nodes, got series of "
-            f"shape {u.shape}"
-        )
-    return dt * float(np.sum((u[1:] @ M) * v[1:]))
+    return dt * float(np.sum((checked[1:] @ M) * v[1:]))

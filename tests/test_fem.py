@@ -9,7 +9,7 @@ import reference_cg
 import reference_quadrature
 from reference_band import toarray
 from robinrecon import elliptic as ell
-from robinrecon import experiments, fem
+from robinrecon import experiments, fem, lm
 from robinrecon import parabolic as par
 from robinrecon.elliptic import EllipticProblem
 from robinrecon.mesh import (SegmentTag, build_rect_mesh, classify_boundary,
@@ -108,7 +108,9 @@ def test_boundary_mass_callable_matches_nodal_array():
 
 def test_boundary_mass_rejects_missized_weight():
     mesh = make_mesh()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "the boundary weight on segment INACCESSIBLE must have shape "
+            "(17,), got shape (5,)")):
         fem.assemble_boundary_mass(mesh, SegmentTag.INACCESSIBLE, np.ones(5))
 
 
@@ -236,7 +238,9 @@ def test_segment_inner_product_and_norm():
         pytest.approx(8.0 / 3.0, rel=1e-12)
     assert fem.boundary_norm(mesh, SegmentTag.INACCESSIBLE, ones) == \
         pytest.approx(np.sqrt(LY), rel=1e-13)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "the field v on segment INACCESSIBLE must have shape (33,), "
+            "got shape (32,)")):
         fem.boundary_inner(mesh, SegmentTag.INACCESSIBLE, ones, ones[:-1])
 
 
@@ -353,6 +357,100 @@ def test_a_non_finite_trace_is_rejected_by_name(example_id):
             with pytest.raises(ValueError, match=re.escape(
                     f"{name} holds non-finite values (NaN or inf)")):
                 call()
+
+
+# the entry points that take a boundary field, by kind, and each field
+_BOUNDARY_FIELD_ENTRIES = {
+    kind: ["inner-u", "inner-v", "operator", "derivative-u_i",
+           "derivative-d", "adjoint", "run-gamma0", "run-z",
+           "run-gamma_star", "step-gamma", "step-z", "step-gamma_star",
+           *extra]
+    for kind, extra in (
+        ("5.1", ["boundary_inner-u", "boundary_inner-v", "segment_mass"]),
+        ("5.3", ["space_time_inner-u", "space_time_inner-v"]))
+}
+
+
+def _boundary_field_entries(example_id):
+    """Every entry point that takes a boundary field, on the example at
+    4 x 8 (nt = 3), by id: the name its message gives the field, the
+    segment, a valid field and a call that passes a field in its place."""
+    example = experiments.make_example(example_id, nx=4, ny=8, nt=3)
+    prob, mesh = example.problem, example.problem.mesh
+    acc, inacc = SegmentTag.ACCESSIBLE, SegmentTag.INACCESSIBLE
+    gamma = experiments.interpolate_gamma(mesh, example.gamma_star)
+    op = prob.operator(gamma)
+    u_a, u_i = prob.forward(op)
+    z, d = u_a + 0.01, np.ones(gamma.size)
+    cfg = lm.LmConfig(eps=1e-3, max_iters=1)
+    state = lm.LmState(k=0, gamma=gamma)
+    if example_id == "5.1":
+        step, field = lm.lm_step_elliptic, "the field"
+        extra = {
+            "boundary_inner-u": (f"{field} u", acc, u_a, lambda x:
+                                 fem.boundary_inner(mesh, acc, x, u_a)),
+            "boundary_inner-v": (f"{field} v", acc, u_a, lambda x:
+                                 fem.boundary_inner(mesh, acc, u_a, x)),
+            "segment_mass": ("the boundary weight", inacc, gamma,
+                             lambda x: fem.segment_mass(mesh, inacc, x))}
+    else:
+        step, field = lm.lm_step_parabolic, "the series"
+        extra = {
+            "space_time_inner-u": (f"{field} u", acc, u_a, lambda x:
+                                   par.space_time_inner(mesh, acc, x, u_a,
+                                                        prob.dt)),
+            "space_time_inner-v": (f"{field} v", acc, u_a, lambda x:
+                                   par.space_time_inner(mesh, acc, u_a, x,
+                                                        prob.dt))}
+    return {
+        "inner-u": (f"{field} u", acc, u_a, lambda x: prob.inner(acc, x, u_a)),
+        "inner-v": (f"{field} v", acc, u_a, lambda x: prob.inner(acc, u_a, x)),
+        "operator": ("gamma", inacc, gamma, prob.operator),
+        "derivative-u_i": ("the forward trace u_i", inacc, u_i,
+                           lambda x: prob.derivative(x, d, op)),
+        "derivative-d": ("the direction d", inacc, d,
+                         lambda x: prob.derivative(u_i, x, op)),
+        "adjoint": ("the weight q", acc, u_a, lambda x: prob.adjoint(x, op)),
+        "run-gamma0": ("gamma0", inacc, gamma,
+                       lambda x: lm.run(prob, x, z, cfg)),
+        "run-z": ("data z", acc, z, lambda x: lm.run(prob, gamma, x, cfg)),
+        "run-gamma_star": ("gamma_star", inacc, gamma,
+                           lambda x: lm.run(prob, gamma, z, cfg,
+                                            gamma_star=x)),
+        "step-gamma": ("gamma", inacc, gamma,
+                       lambda x: step(prob, lm.LmState(k=0, gamma=x), z, cfg)),
+        "step-z": ("data z", acc, z, lambda x: step(prob, state, x, cfg)),
+        "step-gamma_star": ("gamma_star", inacc, gamma,
+                            lambda x: step(prob, state, z, cfg,
+                                           gamma_star=x)),
+        **extra,
+    }
+
+
+@pytest.mark.parametrize("example_id, entry", [
+    (kind, entry) for kind, entries in _BOUNDARY_FIELD_ENTRIES.items()
+    for entry in entries])
+def test_every_boundary_field_passes_the_one_check(example_id, entry):
+    """Every entry point that takes a boundary field, a trace, a Robin
+    coefficient, a weight or a factor of an inner product, rejects a
+    field cut short by one node with the one shape message, and a NaN or
+    an infinity with the one non-finite message, each naming the field:
+    the inner products and the segment mass too, which took a NaN
+    silently before they used the check."""
+    entries = _boundary_field_entries(example_id)
+    assert set(entries) == set(_BOUNDARY_FIELD_ENTRIES[example_id])
+    name, tag, good, call = entries[entry]
+    bad = good[..., :-1]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} on segment {tag.name} must have shape {good.shape}, "
+            f"got shape {bad.shape}")):
+        call(bad)
+    for value in (np.nan, np.inf):
+        bad = good.copy()
+        bad.flat[1] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} holds non-finite values (NaN or inf)")):
+            call(bad)
 
 
 def test_a_source_may_return_its_own_points():

@@ -202,6 +202,36 @@ def test_run_checks_its_traces_before_any_solve(setup, monkeypatch):
             lm.run(prob, gamma0, z, cfg, gamma_star=bad)
 
 
+@pytest.mark.parametrize("setup, step", [
+    (_elliptic_setup, lm.lm_step_elliptic),
+    (_parabolic_setup, lm.lm_step_parabolic),
+], ids=["elliptic", "parabolic"])
+def test_a_direct_step_checks_gamma_star_before_any_solve(setup, step,
+                                                          monkeypatch):
+    """A step called directly, as the benchmark's tracer times it, checks
+    its reference gamma_star as run does, before the operator is built:
+    a NaN or an infinity would only turn rel_error non-finite, and a
+    wrong shape would fail after a whole step, if at all."""
+    prob, gamma_star, z, gamma0 = setup()
+
+    def no_operator(self, gamma):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(fem.RobinProblem, "robin_operator", no_operator)
+    state = lm.LmState(k=0, gamma=gamma0)
+    cfg = lm.LmConfig(eps=1e-3)
+    for bad_value in (np.nan, np.inf):
+        bad = gamma_star.copy()
+        bad[1] = bad_value
+        with pytest.raises(ValueError, match=re.escape(
+                "gamma_star holds non-finite values (NaN or inf)")):
+            step(prob, state, z, cfg, gamma_star=bad)
+    with pytest.raises(ValueError, match=re.escape(
+            f"gamma_star on segment INACCESSIBLE must have shape "
+            f"{gamma_star.shape}, got shape (3,)")):
+        step(prob, state, z, cfg, gamma_star=np.ones(3))
+
+
 # ---------------------------------------------------------------------------
 # regularization weight and step algebra
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import robinrecon
-from robinrecon import elliptic, parabolic
+from robinrecon import elliptic, lm, parabolic
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -22,17 +22,21 @@ def test_every_exported_name_resolves():
     assert set(robinrecon.__all__) <= set(namespace)
 
 
-@pytest.mark.parametrize("module", [elliptic, parabolic],
-                         ids=["elliptic", "parabolic"])
+@pytest.mark.parametrize("module", [elliptic, parabolic, lm],
+                         ids=["elliptic", "parabolic", "lm"])
 def test_solve_modules_keep_only_the_functions_the_tracer_patches(module):
-    """Each solve lives in its protocol method.  A public module-level
-    function of a solve module is left only where the benchmark's tracer
-    times it by patching that name (its LAYERS), and each such name
-    exists; a copy of a method that nothing patches fails here."""
+    """Each solve lives in its protocol method, and the L-M loop runs
+    both kinds through one step.  A public module-level function of these
+    modules is left only where the benchmark's tracer times it by
+    patching that name (its LAYERS), and each such public name exists; a
+    copy of a method or a per-kind step that nothing patches fails here.
+    The tracer's private names (lm._advance) are not part of the
+    surface."""
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    patched = {attr for _, owner, attr, _ in tracer.LAYERS if owner is module}
+    patched = {attr for _, owner, attr, _ in tracer.LAYERS
+               if owner is module and not attr.startswith("_")}
     public = {name for name, value in vars(module).items()
               if inspect.isfunction(value) and not name.startswith("_")
               and value.__module__ == module.__name__}

@@ -124,6 +124,27 @@ def test_initial_level_is_the_interpolated_start():
     )
 
 
+def test_the_initial_value_is_sampled_once_per_problem():
+    """u0 is sampled at the nodes once and kept, read-only, as load is:
+    three forward marches call it once and start from the same field."""
+    mesh = classify_boundary(build_rect_mesh(4, 8, 1.0, 2.0))
+    calls = []
+
+    def u0(x, y):
+        calls.append(x.shape)
+        return x + 2.0 * y
+
+    prob = par.ParabolicProblem(mesh=mesh, a=1.0, f=0.0, g=1.0, h=0.0,
+                                u0=u0, T=1.0, nt=2)
+    op = prob.operator(np.full(9, 1.0))
+    first = par.solve_forward_parabolic(prob, op)
+    for _ in range(2):
+        np.testing.assert_array_equal(par.solve_forward_parabolic(prob, op),
+                                      first)
+    assert calls == [(mesh.n_nodes,)]
+    assert not prob.initial_value.flags.writeable
+
+
 def test_an_array_initial_value_is_rejected_by_name():
     """u0 is sampled at the nodes like every other coefficient, so it is
     a scalar or a vectorized callable, not a nodal array."""
@@ -425,7 +446,9 @@ def test_space_time_inner_matches_closed_form():
     # sum of dt * t_n^2 times the segment length 2
     expected = 2.0 * dt ** 3 * sum(n * n for n in range(1, nt + 1))
     assert value == pytest.approx(expected, rel=1e-13)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "the series v on segment INACCESSIBLE must have shape (9, 9), "
+            "got shape (8, 9)")):
         par.space_time_inner(mesh, SegmentTag.INACCESSIBLE,
                              series, series[:-1], dt)
 
@@ -441,5 +464,7 @@ def test_space_time_inner_matches_level_by_level_sum():
                        for n in range(1, 9))
         value = par.space_time_inner(mesh, tag, u, v, dt)
         assert value == pytest.approx(expected, rel=1e-13)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                f"the series u on segment {tag.name} must have shape "
+                f"(9, {ns}), got shape (9, {ns - 1})")):
             par.space_time_inner(mesh, tag, u[:, :-1], v[:, :-1], dt)
