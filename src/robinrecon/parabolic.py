@@ -240,10 +240,14 @@ def space_time_inner(
     """Space-time inner product of two segment-field series.
 
     Right-endpoint rule in time on top of the segment inner product in
-    space, the scalar companion of ParabolicProblem.integrate.  u and v
-    pass fem.boundary_field with the levels of u, one time axis, v only
-    when it is another object than u.
+    space, the scalar companion of ParabolicProblem.integrate.  u must
+    be a (levels, nodes) series, else ValueError; u and v pass
+    fem.boundary_field with the levels of u, v only when it is another
+    object than u.
     """
+    if np.ndim(u) != 2:
+        raise ValueError(f"the series u on segment {tag.name} must be a "
+                         f"(levels, nodes) series, got shape {np.shape(u)}")
     checked = fem.boundary_field(mesh, tag, u, "the series u",
                                  np.shape(u)[:1])
     v = checked if v is u else fem.boundary_field(

@@ -453,6 +453,20 @@ def test_space_time_inner_matches_closed_form():
                              series, series[:-1], dt)
 
 
+def test_space_time_inner_rejects_a_series_without_a_time_axis():
+    """A series of one segment field or a stack of series is no (levels,
+    nodes) series; the message said that a (17,) field needed shape (17,
+    17) before."""
+    example = ex.make_example("5.3", nx=4, ny=8, nt=16)
+    mesh, dt = example.problem.mesh, example.problem.dt
+    for shape in ((17,), (2, 17, 17)):
+        with pytest.raises(ValueError, match=re.escape(
+                "the series u on segment ACCESSIBLE must be a (levels, "
+                f"nodes) series, got shape {shape}")):
+            par.space_time_inner(mesh, SegmentTag.ACCESSIBLE, np.ones(shape),
+                                 np.ones(shape), dt)
+
+
 def test_space_time_inner_matches_level_by_level_sum():
     mesh = classify_boundary(build_rect_mesh(4, 8, 1.0, 2.0))
     dt = 0.25
