@@ -7,11 +7,11 @@ Three solves share one symmetric operator K_a + M_c + B_gamma:
 * adjoint: the transfer of an accessible-side load weight q, the data
   misfit in the outer loop, back to the inaccessible side.
 
-EllipticProblem is a fem.RobinProblem: the box check, the operator (the
-factor of the cached base K_a + M_c, completed with the dense edge block
-of B_gamma), the data load, the check of a trace, whose levels are none
-here, and the boundary loads come from there.  The
-derivative and adjoint right-hand sides are the boundary loads of
+EllipticProblem is a fem.RobinProblem: the box check, the operator (a
+fem.Operator of the cached base K_a + M_c's factor and the dense edge
+block of B_gamma), the data load, the check of a trace, whose levels
+are none here, and the boundary loads come from there.  The derivative
+and adjoint right-hand sides are the boundary loads of
 -(d * u_i) on the inaccessible side and of -q on the accessible side,
 each one product with the segment's mass, and they live on the
 edge and on the accessible nodes alone, where the reduced solves take
@@ -19,11 +19,12 @@ them.
 
 The three solves return traces and run on the Robin edge alone.  The
 first of them condenses the interior onto the edge once per problem
-(condensed, fem.Operator.condense, checked once against
-fem.SOLVE_TOL), anchored at one full solve of its operator; after that
-every solve is one fem.solve_edge with the edge pivot Sigma = Sigma_0 +
-B_gamma[I, I] plus products with the dense (accessible x edge) array
-Z_a.  Because forward, derivative and adjoint apply the one symmetric
+(condensed): the condensed load and Z_a are the base factor's
+(fem.BlockLDLT.condense), and fem.Operator.condense anchors them at one
+full solve of its operator and checks them once against fem.SOLVE_TOL;
+after that every solve is one fem.solve_edge with the edge pivot Sigma =
+Sigma_0 + B_gamma[I, I] plus products with the dense (accessible x edge)
+array Z_a.  Because forward, derivative and adjoint apply the one symmetric
 Sigma and Z_a and its transpose, the adjoint identity between the two
 solves holds to solver precision, which the tests rely on.
 

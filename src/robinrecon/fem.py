@@ -40,9 +40,8 @@ The solver comes in two parts.  BlockLDLT is the block LDL^T factor in
 node order of everything but the last pivot: the leading pivots, the
 couplings, the fixed steps of both sweeps over the leading blocks and
 the Schur complement of the last block, which is per base and does not
-solve.  An Operator, which BlockLDLT.complete makes, adds what belongs
-to one matrix: its dense last block, the factored last pivot and the
-last block's steps.  solve_spd is the one full solve: one application
+solve.  An Operator of a BlockLDLT adds what belongs to one matrix: its
+dense last block, the factored last pivot and the last block's steps.  solve_spd is the one full solve: one application
 of an Operator and one residual check against SOLVE_TOL, the tolerance
 of every library solve, for one right-hand side or an (n, m) array of
 them.  A leading block of several mesh columns steps by one dense
@@ -51,13 +50,14 @@ block forward when the block before it holds several mesh columns,
 built once per Operator on its first full solve; a block of one
 column, and the last block after one, step diagonal by diagonal.  The
 steps of both sweeps are fixed once, so a solve only loops over them.
-Operator.condense condenses the leading blocks onto the last for one
-load (Condensation: the condensed load, the rows a of A_LL^{-1} A_LI
-and, as anchor, the rows a of one checked full solve and the edge solve
-of the condensed load), after which solve_edge solves on the last block
-alone, one product with the inverse of its pivot and the same residual
-check.  The condensation is checked with these two solves and no
-residual of its own: one probe load on the last block, solved in full
+BlockLDLT.condense condenses the leading blocks onto the last for one
+load with the same steps and no last pivot: the condensed load and the
+rows a of A_LL^{-1} A_LI.  Operator.condense anchors them at its own
+solution, the rows a of one checked full solve and the edge solve of the
+condensed load (Condensation), after which solve_edge solves on the last
+block alone, one product with the inverse of its pivot and the same
+residual check.  The condensation is checked with these two solves and
+no residual of its own: one probe load on the last block, solved in full
 and on the edge, and the edge solve of the condensed load against the
 full solve's edge block.
 
@@ -73,15 +73,15 @@ unknowns and keeps the inaccessible edge x = lx, the only place B_gamma
 touches, alone as its last block.
 The gamma-free base is factored once per problem, up to the Schur
 complement Sigma_0 of that edge (base_factor); an operator is the
-Operator of that factor completed with the dense edge block B_gamma[I,
-I], I the edge nodes, the mass of gamma there (Segment.weighted_mass),
-and nothing more.
+Operator of that factor and the dense edge block B_gamma[I, I], I the
+edge nodes, the mass of gamma there (Segment.weighted_mass), and nothing
+more.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -262,9 +262,10 @@ class BlockLDLT:
     the last one unfactored as ``schur``, the Schur complement of the
     last block; it need not be definite (a pure Neumann base is
     singular).  It also fixes the steps of both sweeps over the leading
-    blocks (_fix_steps).  A base factor does not solve: complete(last)
-    gives the Operator of base plus the dense ``last`` on the last
-    diagonal block, which shares all of this and solves.
+    blocks (_fix_steps), and with them condenses a load onto the last
+    block (condense), which needs no last pivot.  A base factor does not
+    solve: Operator(factor, last) is base plus the dense ``last`` on the
+    last diagonal block, which shares all of this and solves.
 
     Raises CurvatureBreakdown when a pivot is not positive definite, and
     ValueError when the widths are not positive or do not sum to the
@@ -411,12 +412,37 @@ class BlockLDLT:
                     (slice(lo + d, hi + d), v, slice(lo, hi))
                     for d, lo, hi, v in self._coupling[k + 1])))
 
-    def complete(self, last: np.ndarray) -> "Operator":
-        """The Operator of base plus last on the last diagonal block.
-        Raises ValueError unless last is a finite symmetric array of the
-        last block's order, and CurvatureBreakdown unless Sigma = schur +
-        last is positive definite."""
-        return Operator(self, last)
+    def condense(self, b: np.ndarray, rows: np.ndarray):
+        """The condensed load b_I - A_IL A_LL^{-1} b_L and Z, the rows a
+        of A_LL^{-1} A_LI, for the load b of shape (n,) and the unknowns
+        listed in rows (a); see Condensation.  Neither reads the last
+        pivot.  The forward sweep over the leading blocks leaves the
+        condensed load on the last block I, and Z comes from the block
+        backward recursion X_k = -D_k^{-1} C_{k+1}^T X_{k+1}, started at
+        -1 on I, one block at a time by the backward steps, of which only
+        the rows in a are kept.  Needs at least one leading block."""
+        edge = self._spans[-1]
+        x = b.copy()
+        _forward(x, self._condensing)
+        Z = np.empty((rows.size, edge.stop - edge.start))
+
+        def keep(span, X):
+            here = (rows >= span.start) & (rows < span.stop)
+            Z[here] = X[rows[here] - span.start]
+
+        # the backward sweep over a zero forward elimination, from -1 on
+        # the last block: block k of [A_LL^{-1} A_LI; -1], one at a time
+        X = -np.eye(Z.shape[1])
+        keep(edge, X)
+        for (span, M, source, couplings), above in zip(self._backward,
+                                                       self._spans[:0:-1]):
+            y = X[source.start - above.start:source.stop - above.start]
+            if couplings:
+                y = _reach_back(couplings, y, len(M))
+            X = M @ y
+            np.negative(X, out=X)
+            keep(span, X)
+        return x[edge].copy(), Z
 
 
 class Operator:
@@ -425,9 +451,11 @@ class Operator:
 
     Operator(factor, last) shares the leading pivots and fixed steps of
     ``factor`` and factors Sigma = factor.schur + last, which it keeps
-    for the residual check of solve_edge; last must be a finite symmetric
-    array of the last block's order.  Every operator of one problem holds
-    only its edge block, Sigma and the inverse of Sigma.
+    for the residual check of solve_edge.  Raises ValueError unless last
+    is a finite symmetric array of the last block's order, and
+    CurvatureBreakdown unless Sigma is positive definite.  Every operator
+    of one problem holds only its edge block, Sigma and the inverse of
+    Sigma.
 
     solve applies the inverse of the completed matrix by one forward and
     one backward sweep over the blocks.  A block with dense steps takes
@@ -441,10 +469,11 @@ class Operator:
     with D_k^{-1} forward, and backward one product with the whole
     D_k^{-1}, since C_{k+1}^T reaches such a block whole.  The leading
     steps are the factor's (BlockLDLT._fix_steps), the last block's are
-    fixed by _sweep, and solve and condense run the same ones, for one
-    vector or an (n, m) array of columns.  condense(b, rows) condenses the
-    leading blocks onto the last for one load b (see Condensation), after
-    which solve_edge solves on the last block alone.  matvec applies the
+    fixed by _sweep, and solve and the factor's condense run the same
+    ones, for one vector or an (n, m) array of columns.  condense(b, rows)
+    anchors the factor's condensation of one load b at this operator's
+    solution and checks it (see Condensation), after which solve_edge
+    solves on the last block alone.  matvec applies the
     matrix, one banded product with base plus last, whose diagonals are
     folded into a copy of base's on the first call; both take one vector
     or an (n, m) array of columns, and solve_spd checks the one with the
@@ -501,74 +530,37 @@ class Operator:
 
     def condense(self, b: np.ndarray, rows: np.ndarray) -> "Condensation":
         """The leading blocks L condensed onto the last block I, for the
-        load b and the unknowns listed in rows (a), anchored at the
-        solution of this operator; see Condensation.
+        load b of shape (n,) and the unknowns listed in rows (a),
+        anchored at the solution of this operator; see Condensation.
 
-        The anchor u is one checked solve_spd of b.  The forward sweep
-        over the leading blocks gives the condensed load, and Z comes
-        from the block backward recursion X_k = -D_k^{-1} C_{k+1}^T
-        X_{k+1}, started at D^{-1} C_I^T on the last leading block, one
-        block at a time by the backward steps, of which only the rows in
-        a are kept.  Then the result is checked once, by checked solves
-        alone: at the rows, the solve_spd of the probe load c =
-        linspace(1, 2) on I must agree with -Z Sigma^{-1} c, Sigma^{-1} c
-        its solve_edge, to SOLVE_TOL, and the solve_edge of the condensed
-        load must give u on I to SOLVE_TOL; that edge solve is u_edge.
-        Raises ConvergenceFailure when a check or one of its solves
-        misses.  Needs at least one leading block; b has shape (n,).
+        The condensed load and Z are the factor's (BlockLDLT.condense),
+        the anchor u is one checked solve_spd of b, and u_edge the
+        solve_edge of the condensed load.  The result is checked once, by
+        checked solves alone: at the rows, the solve_spd of the probe
+        load c = linspace(1, 2) on I must agree with -Z Sigma^{-1} c,
+        Sigma^{-1} c its solve_edge, to SOLVE_TOL, and u_edge must give u
+        on I to SOLVE_TOL.  Raises ConvergenceFailure when a check or one
+        of its solves misses.
         """
-        condensed = self._condensed(b, np.asarray(rows))
-        return replace(
-            condensed, u_edge=self._check_condensation(condensed))
-
-    def _condensed(self, b, rows) -> "Condensation":
-        """The Condensation of b at rows, unchecked, its u_edge the
-        anchor's own edge block."""
-        factor = self.factor
-        edge = factor._spans[-1]
-        anchor = solve_spd(self, b)
-        x = b.copy()
-        _forward(x, factor._condensing)
-        Z = np.empty((rows.size, edge.stop - edge.start))
-
-        def keep(span, X):
-            here = (rows >= span.start) & (rows < span.stop)
-            Z[here] = X[rows[here] - span.start]
-
-        # the backward sweep over a zero forward elimination, from -1 on
-        # the last block: block k of [A_LL^{-1} A_LI; -1], one at a time
-        X = -np.eye(Z.shape[1])
-        keep(edge, X)
-        for (span, M, source, couplings), above in zip(factor._backward,
-                                                       factor._spans[:0:-1]):
-            y = X[source.start - above.start:source.stop - above.start]
-            if couplings:
-                y = _reach_back(couplings, y, len(M))
-            X = M @ y
-            np.negative(X, out=X)
-            keep(span, X)
-        return Condensation(rows=rows, load=x[edge].copy(), Z=Z,
-                            u_rows=anchor[rows], u_edge=anchor[edge].copy())
-
-    def _check_condensation(self, condensed) -> np.ndarray:
-        """The solve_edge of the condensed load; raises ConvergenceFailure
-        unless it and the probe meet SOLVE_TOL against the anchor, here
-        condensed.u_edge, and the full solve; see condense."""
+        rows = np.asarray(rows)
         edge = self.factor._spans[-1]
+        load, Z = self.factor.condense(b, rows)
+        anchor = solve_spd(self, b)
+        u_edge = solve_edge(self, load)
         c = np.zeros(self.factor.base.shape[0])
         c[edge] = np.linspace(1.0, 2.0, edge.stop - edge.start)
-        u_edge = solve_edge(self, condensed.load)
-        for name, exact, condensed_value in (
-                ("Z", solve_spd(self, c)[condensed.rows],
-                 -(condensed.Z @ solve_edge(self, c[edge]))),
-                ("load", condensed.u_edge, u_edge)):
-            gap = _norm(exact - condensed_value)
+        for name, exact, condensed in (
+                ("Z", solve_spd(self, c)[rows],
+                 -(Z @ solve_edge(self, c[edge]))),
+                ("load", anchor[edge], u_edge)):
+            gap = _norm(exact - condensed)
             target = SOLVE_TOL * _norm(exact)
             if not gap <= target:
                 raise ConvergenceFailure(
                     f"condensation missed SOLVE_TOL in {name}: gap "
                     f"{gap:.3e}, target {target:.3e}")
-        return u_edge
+        return Condensation(load=load, Z=Z, u_rows=anchor[rows],
+                            u_edge=u_edge)
 
 
 def _forward(x: np.ndarray, steps) -> None:
@@ -601,7 +593,9 @@ class Condensation:
 
     load is the condensed load b_I - A_IL A_LL^{-1} b_L and Z, of shape
     (a, I), the rows a of A_LL^{-1} A_LI; a row of a in the last block is
-    unknown j of it, where Z holds -e_j.  The solutions of A u = b for
+    unknown j of it, where Z holds -e_j.  Both are the base factor's
+    (BlockLDLT.condense), the same for every operator of one base, and
+    Operator.condense adds the anchor.  The solutions of A u = b for
     every completed last pivot Sigma = Sigma_0 + last differ only
     through u_I = Sigma^{-1} load, and u[a] is affine in u_I with the
     slope -Z, so u_rows and u_edge, one solution at a and on I (the
@@ -615,7 +609,6 @@ class Condensation:
     gives A^{-1} c on I as Sigma^{-1} (-Z^T c).
     """
 
-    rows: np.ndarray
     load: np.ndarray
     Z: np.ndarray
     u_rows: np.ndarray
@@ -1049,8 +1042,8 @@ class RobinProblem:
         tag = SegmentTag.INACCESSIBLE
         gamma = self.trace(tag, gamma, "gamma", ())
         require_in_box(gamma, self.gamma_min, self.gamma_max)
-        return self.base_factor.complete(
-            self.mesh.segments[tag].weighted_mass(gamma))
+        return Operator(self.base_factor,
+                        self.mesh.segments[tag].weighted_mass(gamma))
 
     def data_load(self, f, g, h, times=None) -> np.ndarray:
         """Load of the volume source f, the Robin data g on the inaccessible

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import time
 
 import numpy as np
 import pytest
@@ -175,14 +176,17 @@ def test_spec_validation():
 
 def test_run_experiment_collects_everything():
     spec = experiments.ExperimentSpec(example_id="5.1", nx=8, ny=16)
+    start = time.perf_counter()
     result = experiments.run_experiment(spec)
+    elapsed = time.perf_counter() - start
     assert result.stop_reason == "rel_change"
     assert result.iterations == len(result.history) == 12
     assert result.y.shape == result.gamma_exact.shape == (17,)
     assert np.all(np.diff(result.y) > 0)
     assert result.gamma_reconstructed.shape == (17,)
     assert 0.0 < result.final_error < 0.05
-    assert result.wall_time > 0.0
+    # the time of the run alone, within the time measured around it
+    assert 0.0 < result.wall_time <= elapsed
 
 
 def test_run_experiment_exact_start_noise_free():
@@ -249,17 +253,17 @@ def test_run_experiment_builds_gamma_free_pieces_once(monkeypatch, example_id):
 
     for name in calls:
         monkeypatch.setattr(fem, name, counted(name, getattr(fem, name)))
-    for name in ("__init__", "complete"):
-        monkeypatch.setattr(fem.BlockLDLT, name,
-                            counted(name, getattr(fem.BlockLDLT, name)))
+    for name, owner in (("factor", fem.BlockLDLT), ("operator", fem.Operator)):
+        monkeypatch.setattr(owner, "__init__",
+                            counted(name, owner.__init__))
     spec = experiments.ExperimentSpec(example_id=example_id, nx=4, ny=8, nt=4)
     result = experiments.run_experiment(spec)
     assert not result.error
     assert result.iterations > 1
     # one operator for the data, one per iterate
     assert calls == {"assemble_stiffness": 1, "assemble_mass": 1,
-                     "assemble_load": 1, "__init__": 1,
-                     "complete": 1 + result.iterations}
+                     "assemble_load": 1, "factor": 1,
+                     "operator": 1 + result.iterations}
 
 
 @pytest.mark.parametrize("example_id", ["5.1", "5.3"])
@@ -378,6 +382,26 @@ def test_exact_observation_assembles_the_data_load_before_the_factor(
     experiments.exact_observation(example)
     assert events[-1] == "factor" and "factor" not in events[:-1]
     assert "load" in events
+
+
+# derivative_fd_check's errors at PROBE_MESH, one per step of FD_STEPS,
+# frozen.  One and two BLAS threads gave the same bits; noise of 1e-16 in
+# the perturbed trace moves the error at the smallest step by up to 1.0e-7
+# relatively (elliptic; 2.6e-8 parabolic), which rel=1e-5 leaves room for.
+FD_ERRORS = {
+    "elliptic": (0.0029144511994017666, 0.000292247165315741,
+                 2.9232763743504323e-05),
+    "parabolic": (0.0038169407650781367, 0.0003830013214593589,
+                  3.831325456037604e-05),
+}
+
+
+@pytest.mark.parametrize("kind", ["elliptic", "parabolic"])
+def test_derivative_fd_check_errors_are_frozen(kind):
+    """The fitted order does not see a constant factor, such as an error
+    multiplied by its reference norm instead of divided; the errors do."""
+    errors, order = experiments.derivative_fd_check(kind)
+    assert errors == pytest.approx(FD_ERRORS[kind], rel=1e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -590,7 +590,7 @@ def coupled_rows(factor):
 
 def reference_factor(A):
     factor = fem.BlockLDLT(A, column_widths(make_mesh()))
-    return factor.complete(np.zeros_like(factor.schur))
+    return fem.Operator(factor, np.zeros_like(factor.schur))
 
 
 # The test_solve_spd_* tests below cover reference_cg.solve_spd, the
@@ -662,6 +662,9 @@ def test_solve_spd_rejects_a_factor_that_does_not_solve_its_matrix(
     with pytest.raises(fem.LinearSolveError, match="missed SOLVE_TOL") as info:
         fem.solve_spd(wrong, prob.load)
     assert isinstance(info.value, fem.ConvergenceFailure)
+    # the target is SOLVE_TOL times the load's norm, 4.08 here
+    target = fem.SOLVE_TOL * np.linalg.norm(prob.load)
+    assert str(info.value).endswith(f", target {target:.3e}")
 
 
 def test_block_factor_is_an_exact_preconditioner():
@@ -758,7 +761,7 @@ def test_operators_of_one_problem_share_the_leading_factor():
 
 
 def test_block_factor_completes_only_with_a_symmetric_last_block():
-    """complete takes the last diagonal block as a finite symmetric array
+    """An Operator takes the last diagonal block as a finite symmetric array
     of the edge's order: a vector, which would broadcast into every row of
     Sigma, and an asymmetric block, which would be factored as some other
     matrix, are refused by shape and symmetry, and a NaN or an infinite
@@ -772,14 +775,14 @@ def test_block_factor_completes_only_with_a_symmetric_last_block():
                         (skewed, (w, w))):
         with pytest.raises(ValueError, match=(
                 rf"symmetric block of order {w} .* shape \({shape[0]},")):
-            prob.base_factor.complete(last)
+            fem.Operator(prob.base_factor, last)
     for bad in (np.nan, np.inf, -np.inf):
         spoiled = edge.copy()
         spoiled[1, 1] = bad
         with pytest.raises(ValueError, match=(
                 rf"symmetric block of order {w} holds non-finite")):
-            prob.base_factor.complete(spoiled)
-    x = prob.base_factor.complete(edge).solve(prob.load)
+            fem.Operator(prob.base_factor, spoiled)
+    x = fem.Operator(prob.base_factor, edge).solve(prob.load)
     A = prob.base + fem.assemble_boundary_mass(
         prob.mesh, SegmentTag.INACCESSIBLE, 2.0)
     assert np.linalg.norm(prob.load - A @ x) <= \
@@ -788,8 +791,8 @@ def test_block_factor_completes_only_with_a_symmetric_last_block():
 
 def test_an_uncompleted_factor_does_not_solve():
     """The base factor keeps its last pivot unfactored, so neither a full
-    solve nor a solve on the last block runs before complete: only the
-    Operator that complete gives has them."""
+    solve nor a solve on the last block runs on it: only an Operator of
+    it has them."""
     factor = experiments.make_example("5.1", nx=4, ny=8).problem.base_factor
     assert not hasattr(factor, "solve")
     with pytest.raises(AttributeError):
@@ -902,7 +905,7 @@ def _edge_shifted_stiffness():
 ], ids=["negative-diagonal", "indefinite", "shifted-stiffness", "indefinite-edge"])
 def test_block_factor_rejects_non_spd_matrix(A, widths):
     with pytest.raises(fem.LinearSolveError) as info:
-        fem.BlockLDLT(A, widths).complete(np.zeros((widths[-1],) * 2))
+        fem.Operator(fem.BlockLDLT(A, widths), np.zeros((widths[-1],) * 2))
     assert isinstance(info.value, fem.CurvatureBreakdown)
     assert not isinstance(info.value, np.linalg.LinAlgError)
 
@@ -913,4 +916,4 @@ def test_block_factor_rejects_an_indefinite_edge_pivot_on_completion():
     nb = len(widths)
     with pytest.raises(fem.CurvatureBreakdown,
                        match=f"pivot block {nb - 1} of {nb} "):
-        leading.complete(np.zeros_like(leading.schur))
+        fem.Operator(leading, np.zeros_like(leading.schur))

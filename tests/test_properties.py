@@ -170,8 +170,8 @@ def test_grouped_block_factor_agrees_with_the_column_factor(
     S = prob.base + fem.assemble_boundary_mass(prob.mesh, tag, gamma)
     column_factor = fem.BlockLDLT(prob.base, [ny + 1] * (nx + 1))
     assert column_factor._dense == [None] * (nx + 1)
-    column_factor = column_factor.complete(
-        fem.segment_mass(prob.mesh, tag, gamma))
+    column_factor = fem.Operator(column_factor,
+                                 fem.segment_mass(prob.mesh, tag, gamma))
     op = prob.operator(gamma)
     assert "_sweep" not in op.__dict__
     for b in (rng.standard_normal(prob.mesh.n_nodes),
@@ -280,14 +280,14 @@ def test_condensation_check_catches_one_perturbed_entry(monkeypatch, piece):
     prob = example.problem
     z = ex.exact_observation(example)
     gamma = np.full(prob.mesh.segment_nodes(SegmentTag.INACCESSIBLE).size, 2.0)
-    condensed = fem.Operator._condensed
+    condense = fem.BlockLDLT.condense
 
     def perturbed(self, b, rows):
-        out = condensed(self, b, rows)
-        getattr(out, piece).flat[0] += 1e-6
-        return out
+        load, Z = condense(self, b, rows)
+        {"load": load, "Z": Z}[piece].flat[0] += 1e-6
+        return load, Z
 
-    monkeypatch.setattr(fem.Operator, "_condensed", perturbed)
+    monkeypatch.setattr(fem.BlockLDLT, "condense", perturbed)
     with pytest.raises(fem.ConvergenceFailure,
                        match=f"condensation missed SOLVE_TOL in {piece}"):
         prob.forward(prob.operator(gamma))
@@ -446,7 +446,7 @@ def test_completed_operator_applies_base_plus_its_edge_block(
     block = fem.segment_mass(prob.mesh, tag, gamma)
     base = toarray(prob.base)
     X = rng.standard_normal((prob.mesh.n_nodes, 3))
-    bare = op.factor.complete(np.zeros_like(op.factor.schur))
+    bare = fem.Operator(op.factor, np.zeros_like(op.factor.schur))
     for x in (X[:, 0], X):
         y = prob.base @ x
         y[edge] += block @ x[edge]
