@@ -41,15 +41,16 @@ node order of everything but the last pivot: the leading pivots, the
 couplings, the fixed steps of both sweeps over the leading blocks and
 the Schur complement of the last block, which is per base and does not
 solve.  An Operator of a BlockLDLT adds what belongs to one matrix: its
-dense last block, the factored last pivot and the last block's steps.  solve_spd is the one full solve: one application
-of an Operator and one residual check against SOLVE_TOL, the tolerance
-of every library solve, for one right-hand side or an (n, m) array of
-them.  A leading block of several mesh columns steps by one dense
-product each way, built once per base factor, and so does the last
-block forward when the block before it holds several mesh columns,
-built once per Operator on its first full solve; a block of one
-column, and the last block after one, step diagonal by diagonal.  The
-steps of both sweeps are fixed once, so a solve only loops over them.
+dense last block, the factored last pivot and the last block's steps.
+solve_spd is the one full solve: one application of an Operator and one
+residual check against SOLVE_TOL, the tolerance of every library solve,
+for one right-hand side or an (n, m) array of them.  A leading block of
+several mesh columns steps by one dense product each way, built once
+per base factor, and so does the last block forward when the block
+before it holds several mesh columns, built once per Operator on its
+first full solve; a block of one column, and the last block after one,
+step diagonal by diagonal.  The steps of both sweeps are fixed once, so
+a solve only loops over them.
 BlockLDLT.condense condenses the leading blocks onto the last for one
 load with the same steps and no last pivot: the condensed load and the
 rows a of A_LL^{-1} A_LI.  Operator.condense anchors them at its own

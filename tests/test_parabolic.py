@@ -454,9 +454,8 @@ def test_space_time_inner_matches_closed_form():
 
 
 def test_space_time_inner_rejects_a_series_without_a_time_axis():
-    """A series of one segment field or a stack of series is no (levels,
-    nodes) series; the message said that a (17,) field needed shape (17,
-    17) before."""
+    """A segment field or a stack of series is no (levels, nodes) series,
+    and the message says so instead of asking for some 2-D shape."""
     example = ex.make_example("5.3", nx=4, ny=8, nt=16)
     mesh, dt = example.problem.mesh, example.problem.dt
     for shape in ((17,), (2, 17, 17)):
